@@ -9,24 +9,15 @@ and key-recurrence rates:
   interval), keys hashed from scratch every interval, full ``np.median``
   over every candidate, full top-N lexsort.
 * **amortized**: ``Forecaster.step_into`` into reusable scratch summaries,
-  one shared hash pass (or, for schemas whose hashing is not
-  kernel-accelerated, bucket indices served from a persistent
-  :class:`~repro.hashing.index_cache.BucketIndexCache` so recurring keys
-  hash once per run), and the exact median prescreen
-  (:func:`~repro.detection.threshold.build_interval_report`) that runs
-  ``np.median`` only on keys whose row-estimate bound reaches the alarm
-  threshold or contends for the top-N.
+  one shared hash pass for thresholding and top-N, and the exact median
+  prescreen (:func:`~repro.detection.threshold.build_interval_report`)
+  that runs ``np.median`` only on keys whose row-estimate bound reaches
+  the alarm threshold or contends for the top-N.
 
-The cache follows the shipped auto rule
-(:func:`~repro.detection.session.resolve_index_cache`): with the fused
-C kernels compiled *every* family -- tabulation and the Carter-Wegman
-polynomial/two-universal families alike -- hashes faster than any
-memo-table gather, so no config attaches a cache and the ``polyhash``
-configs ride the fused polynomial kernel instead.  Without a compiler
-the NumPy fallbacks are slow enough that the auto rule re-attaches the
-cache (and the runtime drop sheds it again on low-recurrence streams).
-A ``hashing`` section times every family's kernel hash, forced NumPy
-fallback, and warm cache lookup at 50k keys.
+The ``polyhash`` configs run the Carter-Wegman polynomial family, which
+hashes in its own fused C kernel when a compiler is available.  A
+``hashing`` section times every family's kernel hash against the forced
+NumPy fallback at 50k keys.
 
 Every configuration asserts the two paths' reports are **bit-for-bit
 identical** -- same thresholds, same alarms in the same order, same top-N
@@ -34,8 +25,7 @@ keys and errors -- before any timing is reported.  The speedup column is
 only meaningful because of that equality.
 
 The recurrence rate controls what fraction of each interval's candidate
-keys also appeared in earlier intervals (persistent flows); the cache
-converts exactly that fraction of the per-interval hashing into lookups.
+keys also appeared in earlier intervals (persistent flows).
 
 Writes ``BENCH_detection.json`` next to this file (or ``--output``).
 Not a pytest module -- run directly:
@@ -60,10 +50,8 @@ try:
 except ImportError:  # run directly: sys.path[0] is benchmarks/
     from _util import environment_provenance
 
-from repro.detection.session import resolve_index_cache
 from repro.detection.threshold import build_interval_report
 from repro.forecast.model_zoo import make_forecaster
-from repro.hashing.index_cache import BucketIndexCache
 from repro.sketch import KArySchema
 
 DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_detection.json"
@@ -77,8 +65,7 @@ def make_interval_keys(n_candidates, recurrence, n_intervals, rng):
     """Per-interval sorted-unique key sets with a given recurrence rate.
 
     A persistent pool supplies ``recurrence * n_candidates`` keys every
-    interval; the rest are drawn fresh -- ephemeral flows the cache never
-    sees twice.
+    interval; the rest are drawn fresh -- ephemeral flows seen only once.
     """
     pool = np.unique(rng.integers(0, 2**31, size=2 * n_candidates))[
         :n_candidates
@@ -122,8 +109,8 @@ def run_reference(schema, observed, per_interval_keys):
     return reports
 
 
-def run_amortized(schema, observed, per_interval_keys, cache, stats):
-    """Amortized seal+detect: step_into scratches, cache, prescreen."""
+def run_amortized(schema, observed, per_interval_keys, stats):
+    """Amortized seal+detect: step_into scratches, prescreen."""
     forecaster = make_forecaster(MODEL[0], **MODEL[1])
     error_out, forecast_out = schema.empty(), schema.empty()
     reports = []
@@ -136,7 +123,7 @@ def run_amortized(schema, observed, per_interval_keys, cache, stats):
         reports.append(
             build_interval_report(
                 step.error, keys, interval=t, t_fraction=T_FRACTION,
-                top_n=TOP_N, schema=schema, index_cache=cache, stats=stats,
+                top_n=TOP_N, schema=schema, stats=stats,
             )
         )
     return reports
@@ -177,18 +164,8 @@ def bench_config(schema, n_candidates, recurrence, n_intervals, repeats, rng):
     )
 
     def amortized():
-        # The shipped auto rule decides whether a cache attaches (it does
-        # not for kernel-accelerated tabulation hashing).  When it does,
-        # it is fresh per run: steady-state reuse happens *within* a run
-        # (interval over interval), so the timing includes cold misses --
-        # the honest end-to-end figure.
-        cache = resolve_index_cache(schema, True)
         stats = {}
-        reports = run_amortized(
-            schema, observed, per_interval_keys, cache, stats
-        )
-        stats["index_cache"] = cache.stats if cache is not None else None
-        return reports, stats
+        return run_amortized(schema, observed, per_interval_keys, stats), stats
 
     amo_reports, amo_s, stats = time_best(amortized)
     assert_reports_match(amo_reports, ref_reports)
@@ -196,7 +173,6 @@ def bench_config(schema, n_candidates, recurrence, n_intervals, repeats, rng):
     sealed = len(ref_reports)
     candidates = stats.get("candidates", 0)
     evaluated = stats.get("median_evaluated", 0)
-    cache_stats = stats["index_cache"]
     return {
         "n_candidates": n_candidates,
         "recurrence": recurrence,
@@ -213,17 +189,6 @@ def bench_config(schema, n_candidates, recurrence, n_intervals, repeats, rng):
             "candidates": candidates,
             "median_evaluated": evaluated,
             "evaluated_fraction": evaluated / candidates if candidates else 0.0,
-        },
-        "index_cache": {
-            "enabled": cache_stats is not None,
-            "hits": cache_stats["hits"] if cache_stats else 0,
-            "misses": cache_stats["misses"] if cache_stats else 0,
-            "hit_rate": (
-                cache_stats["hits"]
-                / max(1, cache_stats["hits"] + cache_stats["misses"])
-                if cache_stats
-                else 0.0
-            ),
         },
     }
 
@@ -289,23 +254,12 @@ def bench_obs_overhead(schema, n_candidates, n_intervals, repeats, rng):
 
 
 def bench_hash_families(repeats, rng):
-    """Per-family hashing at 50k keys: fused kernel vs NumPy vs warm cache.
+    """Per-family hashing at 50k keys: fused kernel vs NumPy fallback.
 
-    Three columns per family:
-
-    * ``hash_ms`` -- ``schema.bucket_indices`` as shipped (the fused C
-      kernel when a compiler is available, NumPy otherwise);
-    * ``fallback_hash_ms`` -- the pure-NumPy path, forced;
-    * ``cache_hit_lookup_ms`` -- a warm :class:`BucketIndexCache` hit.
-
-    ``kernel_speedup`` (fallback / kernel; emitted only when kernels
-    compiled) is why the auto rule attaches **no** cache when kernels are
-    up: every family hashes in C faster than a DRAM-sized memo gather.
-    ``cache_speedup`` (fallback / lookup) is emitted for the expensive
-    algebraic families only -- that is the no-compiler world where the
-    cache earns its keep; tabulation's NumPy fallback costs about one
-    lookup, so its ratio is noise around 1.0 and is reported as raw
-    milliseconds instead of a guarded speedup cell.
+    ``hash_ms`` is ``schema.bucket_indices`` as shipped (the fused C
+    kernel when a compiler is available, NumPy otherwise) and
+    ``fallback_hash_ms`` the pure-NumPy path, forced.  ``kernel_speedup``
+    (fallback / kernel) is emitted only when kernels compiled.
     """
     keys = np.unique(rng.integers(0, 2**31, size=50_000).astype(np.uint64))
 
@@ -322,29 +276,21 @@ def bench_hash_families(repeats, rng):
     for family in ("tabulation", "polynomial", "two-universal"):
         schema = KArySchema(depth=5, width=32768, seed=5, family=family)
         stacked = schema._stacked
-        cache = BucketIndexCache(schema)
-        cache.lookup(keys)  # warm
         identical = bool(
-            np.array_equal(cache.lookup(keys), schema.bucket_indices(keys))
-            and np.array_equal(
+            np.array_equal(
                 stacked._hash_all_numpy(keys), schema.bucket_indices(keys)
             )
         )
         hash_ms = best_ms(lambda: schema.bucket_indices(keys), reps)
         fallback_ms = best_ms(lambda: stacked._hash_all_numpy(keys), reps)
-        lookup_ms = best_ms(lambda: cache.lookup(keys), reps)
         cell = {
             "n_keys": len(keys),
             "hash_ms": hash_ms,
             "fallback_hash_ms": fallback_ms,
-            "cache_hit_lookup_ms": lookup_ms,
-            "cache_auto_enabled": resolve_index_cache(schema, True) is not None,
             "identical": identical,
         }
         if stacked.kernel_accelerated:
             cell["kernel_speedup"] = fallback_ms / hash_ms
-        if family != "tabulation":
-            cell["cache_speedup"] = fallback_ms / lookup_ms
         out[family] = cell
     return out
 
@@ -364,14 +310,13 @@ def main(argv=None):
     poly_schema = KArySchema(depth=5, width=32768, seed=5, family="polynomial")
 
     # The headline configurations (50k candidates, 80% recurring; default
-    # tabulation family plus the polynomial family that exercises the
-    # cache) appear in both modes so quick CI runs and the committed full
+    # tabulation family plus the polynomial family) appear in both modes so quick CI runs and the committed full
     # report track the same "speedup" dot-paths for the regression guard.
     # CI compares the quick run against the committed full-mode baseline
     # (scripts/bench_compare.py), so the shared dot-paths must measure
     # the same thing: same per-config workload (n_intervals, and
     # per-config rng streams below make the data identical) AND the same
-    # process history -- cache/allocator warm-up from earlier configs
+    # process history -- allocator warm-up from earlier configs
     # measurably shifts later cells.  The quick grid is therefore a
     # strict *prefix* of the full grid; full mode appends the rest.
     n_intervals = 12
@@ -422,26 +367,20 @@ def main(argv=None):
     print(f"cpu_count: {report['cpu_count']}  model: {MODEL[0]}  "
           f"T={T_FRACTION}  top_n={TOP_N}")
     header = (f"{'config':>22s} {'ref ms/iv':>10s} {'amo ms/iv':>10s} "
-              f"{'speedup':>8s} {'median eval':>12s} {'cache hit':>10s}")
+              f"{'speedup':>8s} {'median eval':>12s}")
     print(header)
     for name, c in configs.items():
-        hit = (f"{c['index_cache']['hit_rate']:9.1%}"
-               if c["index_cache"]["enabled"] else f"{'--':>9s}")
         print(f"{name:>22s} {c['reference_ms_per_interval']:10.3f} "
               f"{c['amortized_ms_per_interval']:10.3f} "
               f"{c['speedup']:7.2f}x "
-              f"{c['prescreen']['evaluated_fraction']:11.1%} {hit}")
+              f"{c['prescreen']['evaluated_fraction']:11.1%}")
     print(f"{'hash family':>22s} {'hash ms':>10s} {'numpy ms':>10s} "
-          f"{'lookup ms':>10s} {'kernel':>8s} {'cache':>8s} {'auto':>6s}")
+          f"{'kernel':>8s}")
     for family, h in hashing.items():
         kern = (f"{h['kernel_speedup']:7.2f}x" if "kernel_speedup" in h
                 else f"{'--':>8s}")
-        cachex = (f"{h['cache_speedup']:7.2f}x" if "cache_speedup" in h
-                  else f"{'--':>8s}")
         print(f"{family:>22s} {h['hash_ms']:10.3f} "
-              f"{h['fallback_hash_ms']:10.3f} "
-              f"{h['cache_hit_lookup_ms']:10.3f} {kern} {cachex} "
-              f"{'on' if h['cache_auto_enabled'] else 'off':>6s}")
+              f"{h['fallback_hash_ms']:10.3f} {kern}")
     print(f"{'obs overhead':>22s} null={obs['null_seconds']:.3f}s "
           f"enabled={obs['enabled_seconds']:.3f}s "
           f"overhead={obs['overhead_fraction']:+.2%}")

@@ -10,7 +10,7 @@ point (H=5, K=65536, T=0.05, 300 s intervals):
   probe every collected key with the full median estimator.  Exact, but
   the candidate set is the whole per-interval key population, so the
   probe cost scales with the stream's key diversity.  The PR-4/5
-  amortized replay (step_into scratches, index cache, prescreen) is
+  amortized replay (step_into scratches, prescreen) is
   timed too and reported as ``amortized_twopass_ms_per_interval`` /
   ``amortized_replay_ratio``; its reports are asserted bit-identical to
   the reference before timing is reported.
@@ -68,7 +68,6 @@ from repro.detection import (
     OnlineDetector,
 )
 from repro.detection.keysource import resolve_key_source
-from repro.detection.session import resolve_index_cache
 from repro.detection.threshold import build_interval_report
 from repro.forecast.model_zoo import make_forecaster
 from repro.sketch import InvertibleKArySchema, KArySchema, table_shape
@@ -191,10 +190,9 @@ def run_twopass(schema, observed, batches):
 
 
 def run_twopass_amortized(schema, observed, batches):
-    """Amortized replay: step_into scratches, index cache, prescreen."""
+    """Amortized replay: step_into scratches, prescreen."""
     forecaster = make_forecaster(MODEL[0], **MODEL[1])
     error_out, forecast_out = schema.empty(), schema.empty()
-    cache = resolve_index_cache(schema, True)
     reports = []
     for obs, batch in zip(observed, batches):
         keys = np.unique(batch.keys)  # the replay pass
@@ -207,7 +205,6 @@ def run_twopass_amortized(schema, observed, batches):
             build_interval_report(
                 step.error, keys, interval=batch.index,
                 t_fraction=T_FRACTION, top_n=TOP_N, schema=schema,
-                index_cache=cache,
             )
         )
     return reports

@@ -40,6 +40,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.detection.session import IntervalSealer
 from repro.detection.threshold import IntervalDetection, build_interval_report
 from repro.forecast.base import Forecaster
 from repro.forecast.model_zoo import make_forecaster
@@ -459,7 +460,6 @@ class TemporalArchive:
         t_fraction: float = 0.05,
         top_n: int = 0,
         keys: Optional[np.ndarray] = None,
-        prescreen: bool = True,
     ) -> "ArchiveDiff":
         """Retrospective change query: range ``a`` versus baseline ``b``.
 
@@ -507,7 +507,6 @@ class TemporalArchive:
             t_fraction=t_fraction,
             top_n=top_n,
             schema=error.schema,
-            prescreen=prescreen,
         )
         return ArchiveDiff(
             report=report,
@@ -577,7 +576,6 @@ class TemporalArchive:
         top_n: int = 0,
         lo: Optional[int] = None,
         hi: Optional[int] = None,
-        prescreen: bool = True,
         **model_params,
     ) -> List[IntervalDetection]:
         """Re-run live detection over the archive's full-resolution tail.
@@ -585,8 +583,9 @@ class TemporalArchive:
         Steps a fresh forecaster over the stored single-interval spans in
         ``[lo, hi)`` (default: every full-resolution span) and rebuilds
         each interval's report with the stored candidate keys -- the same
-        seal machinery the session runs live, so with matching model and
-        parameters the reports are bit-identical to the live run's.
+        :class:`~repro.detection.session.IntervalSealer` the session
+        seals with live, so with matching model and parameters the
+        reports are bit-identical to the live run's.
         Raises if the requested range includes compacted spans (their
         unit intervals are gone; replay cannot cross a compaction).
         """
@@ -596,6 +595,9 @@ class TemporalArchive:
             raise ValueError(
                 "model_params only apply when forecaster is given by name"
             )
+        sealer = IntervalSealer(
+            self.schema, forecaster, t_fraction=t_fraction, top_n=top_n
+        )
         reports: List[IntervalDetection] = []
         for span in self._spans:
             if lo is not None and span.start < lo:
@@ -609,25 +611,14 @@ class TemporalArchive:
                     f"span [{span.start}, {span.end}) was compacted; "
                     "replay only runs over full-resolution spans"
                 )
-            step = forecaster.step(span.summary)
-            if step.error is None:
-                continue
             keys = (
                 span.keys
                 if span.keys is not None
                 else np.array([], dtype=np.uint64)
             )
-            reports.append(
-                build_interval_report(
-                    step.error,
-                    keys,
-                    interval=span.start,
-                    t_fraction=t_fraction,
-                    top_n=top_n,
-                    schema=self.schema,
-                    prescreen=prescreen,
-                )
-            )
+            report = sealer.seal(span.summary, keys, span.start)
+            if report is not None:
+                reports.append(report)
         return reports
 
     # -- persistence ---------------------------------------------------------

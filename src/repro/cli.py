@@ -117,16 +117,6 @@ def _format_stats_lines(stats: dict) -> List[str]:
             f"stats: prescreen candidates={candidates} "
             f"median_evaluated={evaluated} ({fraction:.1%})"
         )
-    cache = stats.get("index_cache")
-    if cache is not None:
-        lookups = cache.get("hits", 0) + cache.get("misses", 0)
-        rate = cache.get("hits", 0) / lookups if lookups else 0.0
-        lines.append(
-            f"stats: index-cache hits={cache.get('hits', 0)} "
-            f"misses={cache.get('misses', 0)} "
-            f"evictions={cache.get('evictions', 0)} "
-            f"size={cache.get('size', 0)} ({rate:.1%} hit rate)"
-        )
     supervision = stats.get("supervision")
     if supervision is not None:
         lines.append(
@@ -226,9 +216,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         stats = {}
         if getattr(detector, "stats", None) is not None:
             stats["detection"] = detector.stats
-        cache = getattr(detector, "index_cache", None)
-        if cache is not None:
-            stats["index_cache"] = cache.stats
         for line in _format_stats_lines(stats):
             print(line)
     _write_metrics(recorder, args)
@@ -855,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="kernel threads (default: REPRO_NUM_THREADS or "
                             "detected cores, capped)")
     p_det.add_argument("--stats", action="store_true",
-                       help="print cache/prescreen counters after the reports")
+                       help="print prescreen counters after the reports")
     p_det.add_argument("--metrics-out", default=None,
                        help="write pipeline metrics here on completion "
                        "(.json -> JSON, else Prometheus text)")

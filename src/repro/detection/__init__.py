@@ -23,6 +23,9 @@ Built from small pieces:
   candidate-key strategies (``twopass``, ``online``, ``invertible``,
   ``grouptesting``) and resolves one per sealed interval, so detectors and
   sessions share a single code path for "where do the keys come from".
+* :mod:`~repro.detection.session` -- the streaming session and
+  :class:`~repro.detection.session.IntervalSealer`, the one seal step
+  (forecast, candidate keys, alarm rule) every driver shares.
 * :mod:`~repro.detection.checkpoint` -- session checkpoint/restore: the
   full pipeline state (forecaster internals, open-interval accumulation,
   cursors) round-trips through one ``KCP1`` container and resumes
@@ -60,7 +63,7 @@ from repro.detection.keysource import (
 )
 from repro.detection.online import OnlineDetector
 from repro.detection.perflow import PerFlowResult, run_per_flow
-from repro.detection.session import StreamingSession, resolve_index_cache
+from repro.detection.session import IntervalSealer, StreamingSession
 from repro.detection.sharded import (
     ShardedIngestEngine,
     ShardedStreamingSession,
@@ -98,6 +101,7 @@ __all__ = [
     "heavy_hitters",
     "GroupTestingSketch",
     "IntervalDetection",
+    "IntervalSealer",
     "KEY_SOURCES",
     "OfflineTwoPassDetector",
     "OnlineDetector",
@@ -118,7 +122,6 @@ __all__ = [
     "interval_key_sets",
     "parallel_trace_detect",
     "register_key_source",
-    "resolve_index_cache",
     "resolve_key_source",
     "run_per_flow",
     "sketch_traces_parallel",

@@ -22,8 +22,8 @@ from typing import Deque, Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
-from repro.detection.threshold import Alarm
-from repro.detection.twopass import IntervalDetection
+from repro.detection.session import IntervalSealer
+from repro.detection.threshold import IntervalDetection
 from repro.forecast.model_zoo import make_forecaster
 from repro.gridsearch.grid import grid_search, search_integer_window
 from repro.gridsearch.objective import estimated_total_energy
@@ -84,6 +84,9 @@ class AdaptiveDetector:
         self.recalibrate_every = int(recalibrate_every)
         self.min_history = int(min_history)
         self.search_passes = int(search_passes)
+        # Report half only: recalibration rebuilds the forecaster, so the
+        # detector steps it itself and hands the sealer each error summary.
+        self._sealer = IntervalSealer(schema, t_fraction=self.t_fraction)
         self._search_schema = KArySchema(depth=1, width=search_width, seed=1)
         self._space = build_search_spaces()[model]
         self._history: Deque = deque(maxlen=window)
@@ -153,37 +156,12 @@ class AdaptiveDetector:
                         forecaster.observe(past)
                 step = forecaster.step(observed)
                 if step.error is not None:
-                    report = self._report(batch, step.error)
+                    report = self._sealer.report(
+                        step.error, np.unique(batch.keys), batch.index
+                    )
 
             self._history.append(search_observed)
             self._detection_history.append(observed)
             self._intervals_since_refresh += 1
             if report is not None:
                 yield report
-
-    def _report(self, batch: KeyedUpdates, error) -> IntervalDetection:
-        keys = np.unique(batch.keys)
-        l2 = error.l2_norm()
-        threshold = self.t_fraction * l2
-        alarms: List[Alarm] = []
-        if len(keys):
-            indices = self.schema.bucket_indices(keys)
-            estimates = error.estimate_batch(keys, indices=indices)
-            hits = np.abs(estimates) >= threshold
-            alarms = [
-                Alarm(
-                    interval=batch.index,
-                    key=int(k),
-                    estimated_error=float(e),
-                    threshold=threshold,
-                )
-                for k, e in zip(keys[hits].tolist(), estimates[hits].tolist())
-            ]
-        return IntervalDetection(
-            index=batch.index,
-            threshold=threshold,
-            alarms=alarms,
-            top_keys=np.array([], dtype=np.uint64),
-            top_errors=np.array([], dtype=np.float64),
-            error_l2=l2,
-        )

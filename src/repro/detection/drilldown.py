@@ -21,6 +21,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.detection.pipeline import run_pipeline
+from repro.detection.session import IntervalSealer
 from repro.forecast.model_zoo import make_forecaster
 from repro.sketch import KArySchema
 from repro.streams.keys import DstIPKey, DstPrefixKey
@@ -191,6 +192,11 @@ class PrefixDrilldown:
                 width = min(1 << max(self.levels[index] - 4, 6), 32768)
                 return KArySchema(depth=5, width=width, seed=seed + index)
         self._schemas = [schema_factory(i) for i in range(len(levels))]
+        # Report half only: each level's forecaster runs in run_pipeline.
+        self._sealers = [
+            IntervalSealer(schema, t_fraction=self.t_fraction)
+            for schema in self._schemas
+        ]
         self._key_schemes = [
             DstIPKey() if level == 32 else DstPrefixKey(prefix_len=level)
             for level in levels
@@ -221,23 +227,13 @@ class PrefixDrilldown:
                 continue
             yield self._attribute(t, steps)
 
-    def _alarmed(self, step, schema) -> Dict[int, float]:
-        error = step.error
-        keys = step.keys
-        if not len(keys):
-            return {}
-        threshold = self.t_fraction * error.l2_norm()
-        estimates = error.estimate_batch(keys, indices=schema.bucket_indices(keys))
-        hits = np.abs(estimates) >= threshold
-        return {
-            int(k): float(e)
-            for k, e in zip(keys[hits].tolist(), estimates[hits].tolist())
-        }
-
     def _attribute(self, interval: int, steps) -> DrilldownReport:
         per_level = [
-            self._alarmed(step, schema)
-            for step, schema in zip(steps, self._schemas)
+            {
+                alarm.key: alarm.estimated_error
+                for alarm in sealer.report(step.error, step.keys, interval).alarms
+            }
+            for step, sealer in zip(steps, self._sealers)
         ]
         roots = build_attribution_forest(self.levels, per_level)
         return DrilldownReport(interval=interval, roots=roots)

@@ -20,15 +20,10 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from repro.detection.keysource import (
-    CANDIDATES_COUNTER,
-    KEY_SOURCES,
-    resolve_key_source,
-)
-from repro.detection.threshold import IntervalDetection, build_interval_report
+from repro.detection.session import IntervalSealer
+from repro.detection.threshold import IntervalDetection
 from repro.forecast.base import Forecaster
 from repro.forecast.model_zoo import make_forecaster
-from repro.obs.recorder import NULL_RECORDER
 from repro.streams.model import KeyedUpdates
 
 
@@ -86,15 +81,14 @@ class OnlineDetector:
             raise ValueError(f"sample_rate must be in (0, 1], got {sample_rate}")
         self.t_fraction = float(t_fraction)
         self.sample_rate = float(sample_rate)
-        self.recorder = NULL_RECORDER if recorder is None else recorder
-        self.recorder.preregister(
-            "repro_intervals_sealed_total", "repro_detect_candidates_total",
-            "repro_alarms_total",
+        # Report half only: the error summary of interval t must outlive
+        # the step (it waits for t+1's keys), so the forecaster steps
+        # with fresh allocations below rather than the sealer's scratch.
+        self._sealer = IntervalSealer(
+            schema, t_fraction=self.t_fraction, key_source="online",
+            recorder=recorder,
         )
-        self.recorder.preregister_labelled(
-            CANDIDATES_COUNTER, "source", KEY_SOURCES
-        )
-        self.recorder.preregister_stage("recover")
+        self.recorder = self._sealer.recorder
         # Stash the seed so every run() re-derives a fresh RNG from it.
         # Holding only the advanced generator (the old behavior) made a
         # second run() subsample *different* candidates from identical
@@ -125,13 +119,10 @@ class OnlineDetector:
             # New keys arriving now are the candidates for the PREVIOUS
             # interval's error sketch.
             if pending_error is not None:
-                candidates = resolve_key_source(
-                    "online",
-                    pending_error,
-                    collected=np.unique(self._sample(batch.keys)),
-                    recorder=obs if obs.enabled else None,
+                yield self._report(
+                    pending_index, pending_error,
+                    np.unique(self._sample(batch.keys)),
                 )
-                yield self._report(pending_index, pending_error, candidates)
             observed = self.schema.from_items(batch.keys, batch.values)
             with obs.time("forecast_step"):
                 step = self.forecaster.step(observed)
@@ -147,24 +138,5 @@ class OnlineDetector:
     def _report(
         self, index: int, error, candidates: np.ndarray
     ) -> IntervalDetection:
-        obs = self.recorder
-        with obs.time("report_build"):
-            report = build_interval_report(
-                error,
-                candidates,
-                interval=index,
-                t_fraction=self.t_fraction,
-                schema=self.schema,
-                recorder=obs if obs.enabled else None,
-            )
-        if obs.enabled:
-            obs.count("repro_intervals_sealed_total")
-            obs.count("repro_detect_candidates_total", len(candidates))
-            if report.alarm_count:
-                obs.count("repro_alarms_total", report.alarm_count)
-            obs.event(
-                "interval_sealed", interval=index,
-                alarms=report.alarm_count, candidates=int(len(candidates)),
-                error_l2=report.error_l2, threshold=report.threshold,
-            )
-        return report
+        self.recorder.count("repro_intervals_sealed_total")
+        return self._sealer.report(error, candidates, index)

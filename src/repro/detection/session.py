@@ -18,10 +18,16 @@ whose boundaries have nothing to do with analysis intervals.
 
 This is the "near real-time change detection" operating mode the paper's
 Section 6 argues the technique is capable of.
+
+:class:`IntervalSealer` is the seal step itself -- forecast, candidate
+keys, alarm rule, observability -- shared by every driver in the package
+(sessions, the two-pass and online detectors, the coordinator, archive
+replay).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -43,70 +49,172 @@ from repro.hashing._kernels import (
     kernel_seconds,
     kernel_thread_count,
 )
-from repro.hashing.index_cache import BucketIndexCache, hashing_accelerated
 from repro.obs.recorder import NULL_RECORDER
+from repro.streams.keys import KeyScheme, ValueScheme, make_key_scheme, make_value_scheme
+from repro.streams.records import validate_records
 
-#: Adaptive index-cache probation: an *auto-enabled* cache that has seen
-#: this many lookups with a hit rate below the floor is dropped -- on
-#: low-recurrence key populations (every interval brings fresh keys) the
-#: memo table only adds probe/insert overhead, so cache-off is the right
-#: fallback.  Explicitly-passed caches are never dropped.
-_CACHE_PROBATION_LOOKUPS = 8
-_CACHE_MIN_HIT_RATE = 0.1
-
-#: Counter series created at zero whenever a real recorder attaches, so
-#: a metrics export always carries the full detection set -- "no cache
-#: hits yet" (or "hashing is kernel-accelerated, no cache at all") stays
-#: distinguishable from "not instrumented".
-_SESSION_COUNTERS = (
-    "repro_records_ingested_total",
+#: Detection counters the seal step owns, created at zero whenever a real
+#: recorder attaches, so a metrics export always carries the full set --
+#: "nothing alarmed yet" stays distinguishable from "not instrumented".
+_SEAL_COUNTERS = (
     "repro_intervals_sealed_total",
     "repro_detect_candidates_total",
     "repro_detect_median_evaluated_total",
     "repro_alarms_total",
-    "repro_index_cache_hits_total",
-    "repro_index_cache_misses_total",
-    "repro_index_cache_evictions_total",
 )
-from repro.streams.keys import KeyScheme, ValueScheme, make_key_scheme, make_value_scheme
-from repro.streams.records import validate_records
 
 
-def resolve_index_cache(schema, index_cache) -> Optional[BucketIndexCache]:
-    """Normalize an ``index_cache`` knob into a cache instance (or None).
+class IntervalSealer:
+    """The one seal step: ``Se(t)``, candidate keys, alarms (paper §3.3).
 
-    ``True`` means *cache when profitable*: a private
-    :class:`BucketIndexCache` is built over ``schema`` unless the schema
-    has nothing to cache (exact/dense) or its hashing already runs in the
-    compiled C kernels (:func:`~repro.hashing.index_cache.hashing_accelerated`)
-    -- a fused kernel (tabulation *or* polynomial / two-universal) beats
-    any memo-table gather, so with kernels compiled no schema attaches a
-    cache; only the no-compiler NumPy fallbacks still profit.  Sessions
-    additionally drop an auto-enabled cache at runtime when measured
-    recurrence is too low to pay for the probes (see
-    ``_CACHE_PROBATION_LOOKUPS``).
-    ``False``/``None`` disables; an existing cache is validated against
-    the schema and used as-is regardless of profitability (pass
-    :func:`~repro.hashing.index_cache.shared_index_cache` output to share
-    one cache across sessions on the same schema, or a private instance
-    to force caching).
+    :meth:`seal` takes one closed interval as ``(observed, keys, index)``
+    -- the observed summary ``So(t)``, the keys the driver collected (empty
+    for recovering key sources) and the interval index -- steps the
+    forecaster into a reusable ``Sf``/``Se`` scratch pair, and hands the
+    error summary to :meth:`report`.  :meth:`report` is the second half on
+    its own, for drivers that step their forecaster themselves: resolve
+    the candidate keys through ``key_source``, raise alarms on
+    ``|ESTIMATE| >= T * sqrt(ESTIMATEF2(Se))`` and rank the top-N
+    (:func:`~repro.detection.threshold.build_interval_report`), then
+    record the outcome on the recorder.
+
+    Single-writer: the forecaster, the scratch pair and :attr:`stats` are
+    touched only here, and every driver runs one seal at a time.
+    ``forecaster`` may be ``None`` for report-only use.
     """
-    if index_cache is None or index_cache is False:
-        return None
-    if index_cache is True:
-        if getattr(schema, "bucket_indices", None) is None:
+
+    def __init__(
+        self,
+        schema,
+        forecaster: Optional[Forecaster] = None,
+        *,
+        t_fraction: Optional[float],
+        top_n: int = 0,
+        key_source: str = "twopass",
+        recorder=None,
+    ) -> None:
+        self.schema = schema
+        self.forecaster = forecaster
+        self.t_fraction = t_fraction
+        self.top_n = int(top_n)
+        self.key_source = key_source
+        #: ``candidates`` handed to the report builder and
+        #: ``median_evaluated`` keys that paid the H-way median (the gap
+        #: is what the exact prescreen excluded).
+        self.stats = {"candidates": 0, "median_evaluated": 0}
+        self._scratch = None
+        self.attach_recorder(recorder)
+
+    def attach_recorder(self, recorder) -> None:
+        """Attach (or with ``None`` detach) the recorder; pre-creates series."""
+        self.recorder = obs = NULL_RECORDER if recorder is None else recorder
+        obs.preregister(*_SEAL_COUNTERS)
+        obs.preregister_labelled("repro_kernel_calls_total", "kernel", KERNEL_NAMES)
+        obs.preregister_labelled("repro_kernel_seconds", "kernel", KERNEL_NAMES)
+        obs.preregister_labelled(CANDIDATES_COUNTER, "source", KEY_SOURCES)
+        obs.preregister_stage("recover")
+        if obs.enabled:
+            obs.gauge("repro_kernel_threads", kernel_thread_count())
+
+    def _scratch_summaries(self):
+        """Lazily built ``(error_out, forecast_out)`` scratch pair.
+
+        Two distinct reusable summaries that receive ``Se(t)`` / ``Sf(t)``
+        in place each seal (``(None, None)`` for summary types without
+        ``combine_into``).  Safe to reuse across intervals: the report
+        consumes the error within the seal, and the forecaster only
+        retains ``observed``, which drivers always allocate fresh.
+        """
+        if self._scratch is None:
+            error_out = self.schema.empty()
+            if hasattr(error_out, "combine_into"):
+                self._scratch = (error_out, self.schema.empty())
+            else:
+                self._scratch = (None, None)
+        return self._scratch
+
+    def seal(
+        self, observed, keys: np.ndarray, index: int
+    ) -> Optional[IntervalDetection]:
+        """Step the forecast over one closed interval and report it.
+
+        Returns ``None`` for warm-up intervals (no forecast yet); those
+        still count as sealed.
+        """
+        obs = self.recorder
+        error_out, forecast_out = self._scratch_summaries()
+        with obs.time("forecast_step"):
+            step = self.forecaster.step_into(
+                observed, error_out=error_out, forecast_out=forecast_out
+            )
+        obs.count("repro_intervals_sealed_total")
+        if step.error is None:
+            if obs.enabled:
+                obs.event(
+                    "interval_sealed", interval=index,
+                    warmup=True, candidates=int(len(keys)),
+                )
             return None
-        if hashing_accelerated(schema):
-            return None
-        return BucketIndexCache(schema)
-    if not isinstance(index_cache, BucketIndexCache):
-        raise TypeError(
-            f"index_cache must be a bool or BucketIndexCache, "
-            f"got {type(index_cache).__name__}"
+        return self.report(step.error, keys, index)
+
+    def report(self, error, keys: np.ndarray, index: int) -> IntervalDetection:
+        """Threshold and rank one interval's error summary ``Se(t)``."""
+        obs = self.recorder
+        recorder = obs if obs.enabled else None
+        keys = resolve_key_source(
+            self.key_source,
+            error,
+            t_fraction=self.t_fraction,
+            collected=keys,
+            recorder=recorder,
         )
-    if index_cache.schema != schema:
-        raise ValueError("index_cache was built for a different schema")
-    return index_cache
+        evaluated_before = self.stats["median_evaluated"]
+        with obs.time("report_build"):
+            report = build_interval_report(
+                error,
+                keys,
+                interval=index,
+                t_fraction=self.t_fraction,
+                top_n=self.top_n,
+                schema=self.schema,
+                stats=self.stats,
+                recorder=recorder,
+            )
+        if recorder is not None:
+            self._record(report, len(keys), evaluated_before)
+        return report
+
+    def _record(
+        self, report: IntervalDetection, n_candidates: int, evaluated_before: int
+    ) -> None:
+        """Feed one reported interval's outcome to the attached recorder."""
+        obs = self.recorder
+        obs.count("repro_detect_candidates_total", n_candidates)
+        obs.count(
+            "repro_detect_median_evaluated_total",
+            self.stats["median_evaluated"] - evaluated_before,
+        )
+        if report.alarm_count:
+            obs.count("repro_alarms_total", report.alarm_count)
+        obs.gauge("repro_interval_index", report.index)
+        for kernel, calls in kernel_call_counts().items():
+            if calls:
+                obs.sync_counter("repro_kernel_calls_total", calls, kernel=kernel)
+        for kernel, secs in kernel_seconds().items():
+            if secs:
+                obs.sync_counter("repro_kernel_seconds", secs, kernel=kernel)
+        obs.gauge("repro_kernel_threads", kernel_thread_count())
+        obs.event(
+            "interval_sealed", interval=report.index,
+            alarms=report.alarm_count, candidates=n_candidates,
+            error_l2=report.error_l2, threshold=report.threshold,
+        )
+        if report.alarm_count:
+            obs.event(
+                "alarm_raised", interval=report.index,
+                count=report.alarm_count,
+                top_keys=[a.key for a in report.alarms[:5]],
+            )
 
 
 class StreamingSession:
@@ -131,17 +239,6 @@ class StreamingSession:
         Records older than the current open interval by more than this
         many seconds are rejected (default 0: anything belonging to an
         already-sealed interval is an error -- sealing is irrevocable).
-    index_cache:
-        Bucket-index cache knob (see :func:`resolve_index_cache`): ``True``
-        (default) amortizes candidate-key hashing across intervals when
-        the schema's hashing is not already kernel-accelerated, ``False``
-        disables, or pass a
-        :class:`~repro.hashing.index_cache.BucketIndexCache` to share or
-        force one.  An execution choice, not result state: reports are
-        identical either way, and checkpoints never carry the cache.
-    prescreen:
-        Exact median prescreen in the per-interval report (default on);
-        see :func:`~repro.detection.threshold.build_interval_report`.
     key_source:
         Where each sealed interval's candidate keys come from (see
         :mod:`~repro.detection.keysource`).  ``"twopass"`` (default)
@@ -188,9 +285,9 @@ class StreamingSession:
     recorder:
         Optional :class:`~repro.obs.recorder.PipelineRecorder`.  When
         attached, the session reports stage timings (ingest, seal,
-        forecast step, report build, hash/index-cache, F2/threshold),
+        forecast step, report build, hashing, F2/threshold),
         counters (records, sealed intervals, candidates,
-        median-evaluated, alarms), index-cache gauges, and
+        median-evaluated, alarms), kernel gauges, and
         ``interval_sealed`` / ``alarm_raised`` trace events.  The
         default is the shared allocation-free
         :class:`~repro.obs.recorder.NullRecorder` -- an execution
@@ -208,8 +305,6 @@ class StreamingSession:
         t_fraction: float = 0.05,
         top_n: int = 0,
         lateness_tolerance: float = 0.0,
-        index_cache: Union[bool, BucketIndexCache] = True,
-        prescreen: bool = True,
         key_source: str = "twopass",
         pipeline: bool = False,
         pipeline_depth: int = 2,
@@ -247,7 +342,6 @@ class StreamingSession:
         self.t_fraction = float(t_fraction)
         self.top_n = int(top_n)
         self.lateness_tolerance = float(lateness_tolerance)
-        self.prescreen = bool(prescreen)
         if key_source == "online":
             raise ValueError(
                 "key_source='online' needs the next interval's keys; "
@@ -266,17 +360,15 @@ class StreamingSession:
         self._stashed_reports: List[IntervalDetection] = []
         self._pipe_seal_seconds = 0.0
         self._pipe_wait_seconds = 0.0
-        self.recorder = NULL_RECORDER if recorder is None else recorder
+        self._sealer = IntervalSealer(
+            schema,
+            forecaster,
+            t_fraction=self.t_fraction,
+            top_n=self.top_n,
+            key_source=key_source,
+            recorder=recorder,
+        )
         self._preregister_obs()
-        self._index_cache = resolve_index_cache(schema, index_cache)
-        # Only auto-enabled caches are subject to the runtime recurrence
-        # probation; a cache the caller passed in explicitly is theirs.
-        self._index_cache_auto = index_cache is True
-        self._dropped_index_cache: Optional[BucketIndexCache] = None
-        self._detection_stats = {"candidates": 0, "median_evaluated": 0}
-        # Reusable Sf/Se scratch summaries for step_into (lazily built;
-        # None when the summary type has no combine_into).
-        self._seal_scratch = None
 
         self._current_index: Optional[int] = None
         self._current_sketch = None
@@ -286,21 +378,13 @@ class StreamingSession:
         self._watermark = float("-inf")
 
     def _preregister_obs(self) -> None:
-        """Create every session-owned series at zero on the recorder."""
-        obs = self.recorder
-        obs.preregister(*_SESSION_COUNTERS)
-        obs.preregister_labelled(
-            "repro_kernel_calls_total", "kernel", KERNEL_NAMES
-        )
-        obs.preregister_labelled(
-            "repro_kernel_seconds", "kernel", KERNEL_NAMES
-        )
-        obs.preregister_labelled(CANDIDATES_COUNTER, "source", KEY_SOURCES)
-        obs.preregister_stage("recover", "collect", "pipeline_wait")
+        """Adopt the sealer's recorder; create session-owned series at zero."""
+        self.recorder = obs = self._sealer.recorder
+        obs.preregister("repro_records_ingested_total")
+        obs.preregister_stage("collect", "pipeline_wait")
         if self.sink is not None:
             obs.preregister_stage("archive_sink")
         if obs.enabled:
-            obs.gauge("repro_kernel_threads", kernel_thread_count())
             obs.gauge("repro_pipeline_queue_depth", 0)
 
     def attach_recorder(self, recorder) -> None:
@@ -310,7 +394,7 @@ class StreamingSession:
         never carry them -- so a restored session starts with the no-op
         default.  This re-attaches one; pass ``None`` to detach.
         """
-        self.recorder = NULL_RECORDER if recorder is None else recorder
+        self._sealer.attach_recorder(recorder)
         self._preregister_obs()
 
     # -- introspection -------------------------------------------------------
@@ -331,32 +415,14 @@ class StreamingSession:
         return self._intervals_sealed
 
     @property
-    def index_cache(self) -> Optional[BucketIndexCache]:
-        """The session's bucket-index cache (None when disabled)."""
-        return self._index_cache
-
-    @property
     def stats(self) -> dict:
         """Amortization counters for the detection hot path.
 
         ``detection`` carries ``candidates`` (keys handed to the report
         builder) and ``median_evaluated`` (keys that actually paid the
         H-way median; the gap is what the prescreen excluded exactly).
-        ``index_cache`` carries the cache's hit/miss/eviction counters
-        when a cache is attached.
         """
-        stats = {"detection": dict(self._detection_stats)}
-        if self._index_cache is not None:
-            stats["index_cache"] = self._index_cache.stats
-        elif self._dropped_index_cache is not None:
-            # Final counters of a cache retired by the recurrence
-            # probation, flagged so dashboards can tell "dropped" from
-            # "never attached".
-            stats["index_cache"] = {
-                **self._dropped_index_cache.stats,
-                "dropped": True,
-            }
-        return stats
+        return {"detection": dict(self._sealer.stats)}
 
     @property
     def watermark(self) -> float:
@@ -376,6 +442,8 @@ class StreamingSession:
         A chunk may span several intervals; every interval strictly before
         the chunk's latest timestamp gets sealed in order (including empty
         gap intervals, so the forecast series stays evenly spaced).
+        A NaN or infinite timestamp rejects the whole chunk with
+        ``ValueError`` before any session state changes.
         """
         validate_records(records)
         if not len(records):
@@ -399,21 +467,30 @@ class StreamingSession:
         if len(records) > 1 and not np.all(np.diff(timestamps) >= 0):
             order = np.argsort(timestamps, kind="stable")
             records = records[order]
+            timestamps = records["timestamp"]
+        # Sorted, NaN and +inf land last and -inf first (a NaN also fails
+        # the monotonicity scan above), so two scalars vet the chunk.
+        first, last = float(timestamps[0]), float(timestamps[-1])
+        if not (math.isfinite(first) and math.isfinite(last)):
+            raise ValueError(
+                f"record timestamps must be finite, got a chunk spanning "
+                f"[{first}, {last}]"
+            )
         floor = (
             None
             if self._current_index is None
             else self._current_index * self.interval_seconds
             - self.lateness_tolerance
         )
-        if floor is not None and records["timestamp"][0] < floor:
+        if floor is not None and first < floor:
             raise ValueError(
-                f"record at t={records['timestamp'][0]:.3f}s predates the "
+                f"record at t={first:.3f}s predates the "
                 f"open interval (starting {floor + self.lateness_tolerance:.3f}s) "
                 "by more than the lateness tolerance"
             )
 
         reports: List[IntervalDetection] = []
-        indices = (records["timestamp"] // self.interval_seconds).astype(np.int64)
+        indices = (timestamps // self.interval_seconds).astype(np.int64)
         # Late-but-tolerated records are clamped into the open interval.
         if self._current_index is not None:
             indices = np.maximum(indices, self._current_index)
@@ -428,7 +505,7 @@ class StreamingSession:
             reports.extend(self._advance_to(int(interval_index)))
             self._accumulate(chunk)
         self._records_ingested += len(records)
-        self._watermark = max(self._watermark, float(records["timestamp"][-1]))
+        self._watermark = max(self._watermark, last)
         return reports
 
     def ingest_columns(self, block) -> List[IntervalDetection]:
@@ -556,24 +633,6 @@ class StreamingSession:
 
     # -- sealing -------------------------------------------------------------
 
-    def _scratch_summaries(self):
-        """Lazily built ``(error_out, forecast_out)`` scratch pair.
-
-        Two distinct reusable summaries that receive ``Se(t)`` / ``Sf(t)``
-        in place each seal (``(None, None)`` for summary types without
-        ``combine_into``).  Safe to reuse across intervals: the report
-        builder consumes the error within the seal, and nothing retains
-        the scratch objects -- the forecaster only retains ``observed``,
-        which is always freshly allocated.
-        """
-        if self._seal_scratch is None:
-            error_out = self.schema.empty()
-            if hasattr(error_out, "combine_into"):
-                self._seal_scratch = (error_out, self.schema.empty())
-            else:
-                self._seal_scratch = (None, None)
-        return self._seal_scratch
-
     def _seal_current(self) -> List[IntervalDetection]:
         """Blocking seal of the open interval (collect + seal inline)."""
         with self.recorder.time("collect"):
@@ -583,63 +642,23 @@ class StreamingSession:
     def _seal_interval(
         self, observed, keys: np.ndarray, index: int
     ) -> List[IntervalDetection]:
-        """Forecast-step, threshold and report one detached interval.
+        """Archive-sink and seal one detached interval.
 
         Takes everything it needs by value (``observed`` summary,
         collected ``keys``, interval ``index``) so it can run on the
-        pipeline's background worker as well as inline.  Single-writer
-        state -- the forecaster, the scratch summaries, the detection
-        stats, the index cache -- is only ever touched here, and the
-        pipeline runs at most one seal at a time, so no locking is
-        needed in either mode.
+        pipeline's background worker as well as inline; the pipeline runs
+        at most one seal at a time, so the sealer needs no locking.
         """
-        obs = self.recorder
-        with obs.time("seal"):
+        with self.recorder.time("seal"):
             if self.sink is not None:
                 # Archive hook: before the forecast step so the sink sees
                 # the observed summary exactly as sealed (the forecaster
                 # retains but never mutates it; the sink must copy).
-                with obs.time("archive_sink"):
+                with self.recorder.time("archive_sink"):
                     self.sink(observed, keys, index)
-            error_out, forecast_out = self._scratch_summaries()
-            with obs.time("forecast_step"):
-                step = self.forecaster.step_into(
-                    observed, error_out=error_out, forecast_out=forecast_out
-                )
             self._intervals_sealed += 1
-            obs.count("repro_intervals_sealed_total")
-            if step.error is None:
-                if obs.enabled:
-                    obs.event(
-                        "interval_sealed", interval=index,
-                        warmup=True, candidates=int(len(keys)),
-                    )
-                return []
-            keys = resolve_key_source(
-                self.key_source,
-                step.error,
-                t_fraction=self.t_fraction,
-                collected=keys,
-                recorder=obs if obs.enabled else None,
-            )
-            evaluated_before = self._detection_stats["median_evaluated"]
-            with obs.time("report_build"):
-                report = build_interval_report(
-                    step.error,
-                    keys,
-                    interval=index,
-                    t_fraction=self.t_fraction,
-                    top_n=self.top_n,
-                    schema=self.schema,
-                    index_cache=self._index_cache,
-                    prescreen=self.prescreen,
-                    stats=self._detection_stats,
-                    recorder=obs if obs.enabled else None,
-                )
-        self._maybe_drop_index_cache()
-        if obs.enabled:
-            self._record_seal(report, len(keys), evaluated_before)
-        return [report]
+            report = self._sealer.seal(observed, keys, index)
+        return [] if report is None else [report]
 
     # -- pipelined sealing ---------------------------------------------------
 
@@ -756,82 +775,6 @@ class StreamingSession:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _maybe_drop_index_cache(self) -> None:
-        """Retire an auto-enabled cache once measured recurrence is too low.
-
-        The build-time auto rule (:func:`resolve_index_cache`) decides
-        from the schema alone; this is the runtime half of the satellite:
-        after ``_CACHE_PROBATION_LOOKUPS`` lookups, a hit rate below
-        ``_CACHE_MIN_HIT_RATE`` means the key population barely recurs
-        and every lookup is probe overhead plus a full hash anyway -- so
-        the session falls back to **cache-off**, keeping the retired
-        cache only for its final stats.
-        """
-        cache = self._index_cache
-        if cache is None or not self._index_cache_auto:
-            return
-        if cache.lookups < _CACHE_PROBATION_LOOKUPS:
-            return
-        served = cache.hits + cache.misses
-        if served and cache.hits / served < _CACHE_MIN_HIT_RATE:
-            self._dropped_index_cache = cache
-            self._index_cache = None
-            obs = self.recorder
-            if obs.enabled:
-                obs.event(
-                    "index_cache_dropped",
-                    lookups=cache.lookups,
-                    hit_rate=cache.hits / served,
-                )
-
-    def _record_seal(
-        self, report: IntervalDetection, n_candidates: int,
-        evaluated_before: int,
-    ) -> None:
-        """Feed one sealed interval's outcome to the attached recorder."""
-        obs = self.recorder
-        obs.count("repro_detect_candidates_total", n_candidates)
-        obs.count(
-            "repro_detect_median_evaluated_total",
-            self._detection_stats["median_evaluated"] - evaluated_before,
-        )
-        if report.alarm_count:
-            obs.count("repro_alarms_total", report.alarm_count)
-        obs.gauge("repro_interval_index", report.index)
-        cache = self._index_cache
-        if cache is not None:
-            cache_stats = cache.stats
-            obs.sync_counter("repro_index_cache_hits_total", cache_stats["hits"])
-            obs.sync_counter(
-                "repro_index_cache_misses_total", cache_stats["misses"]
-            )
-            obs.sync_counter(
-                "repro_index_cache_evictions_total", cache_stats["evictions"]
-            )
-            obs.gauge("repro_index_cache_size", cache_stats["size"])
-        for kernel, calls in kernel_call_counts().items():
-            if calls:
-                obs.sync_counter(
-                    "repro_kernel_calls_total", calls, kernel=kernel
-                )
-        for kernel, secs in kernel_seconds().items():
-            if secs:
-                obs.sync_counter(
-                    "repro_kernel_seconds", secs, kernel=kernel
-                )
-        obs.gauge("repro_kernel_threads", kernel_thread_count())
-        obs.event(
-            "interval_sealed", interval=report.index,
-            alarms=report.alarm_count, candidates=n_candidates,
-            error_l2=report.error_l2, threshold=report.threshold,
-        )
-        if report.alarm_count:
-            obs.event(
-                "alarm_raised", interval=report.index,
-                count=report.alarm_count,
-                top_keys=[a.key for a in report.alarms[:5]],
-            )
 
     def flush(self) -> List[IntervalDetection]:
         """Seal the currently open interval (end of stream / shutdown).

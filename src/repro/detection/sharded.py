@@ -37,17 +37,15 @@ twice.  This module turns that into an ingestion architecture:
 from __future__ import annotations
 
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.detection.keysource import collect_replay_keys, resolve_key_source
 from repro.detection.pipeline import summarize_stream
 from repro.detection.session import StreamingSession
-from repro.detection.threshold import IntervalDetection, build_interval_report
+from repro.detection.threshold import IntervalDetection
 from repro.obs.recorder import NULL_RECORDER
 
 #: Supervision trace-event kinds, pre-registered at zero on the
@@ -785,47 +783,4 @@ def parallel_trace_detect(
     merged raw trace -- distribution introduces no approximation.
     """
     combined = sketch_traces_parallel(detector.schema, streams, n_workers=n_workers)
-    detector.forecaster.reset()
-    error_out = detector.schema.empty()
-    forecast_out = None
-    if hasattr(error_out, "combine_into"):
-        forecast_out = detector.schema.empty()
-    else:
-        error_out = None
-    recent_keys: deque = deque(maxlen=detector.replay_lookback + 1)
-    reports: List[IntervalDetection] = []
-    key_source = getattr(detector, "key_source", "twopass")
-    replaying = key_source == "twopass"
-    for index, observed, keys in combined:
-        if replaying:
-            recent_keys.append(keys)
-        step = detector.forecaster.step_into(
-            observed, error_out=error_out, forecast_out=forecast_out
-        )
-        if step.error is None:
-            continue
-        recorder = getattr(detector, "recorder", None)
-        candidates = resolve_key_source(
-            key_source,
-            step.error,
-            t_fraction=detector.t_fraction,
-            collected=collect_replay_keys(recent_keys) if replaying else None,
-            recorder=recorder if recorder is not None and recorder.enabled
-            else None,
-        )
-        reports.append(
-            build_interval_report(
-                step.error,
-                candidates,
-                interval=index,
-                t_fraction=detector.t_fraction,
-                top_n=detector.top_n,
-                schema=detector.schema,
-                index_cache=getattr(detector, "index_cache", None),
-                prescreen=getattr(detector, "prescreen", True),
-                stats=getattr(detector, "stats", None),
-                recorder=recorder if recorder is not None and recorder.enabled
-                else None,
-            )
-        )
-    return reports
+    return list(detector.seal_intervals(combined))

@@ -10,11 +10,11 @@ forecast errors (the paper sweeps ``T`` over {0.01, 0.02, 0.05, 0.07,
 0.1}).  A key raises an alarm when the absolute reconstructed error meets
 the threshold.
 
-Every detector in this package (offline two-pass, online future-keys,
-streaming session, sharded session) finishes an interval the same way:
-reconstruct candidate-key errors from ``Se(t)``, threshold them into
-alarms, optionally rank the top-N.  :func:`build_interval_report` is that
-one shared implementation; :class:`IntervalDetection` is its output.
+Every detector in this package finishes an interval the same way, through
+:class:`~repro.detection.session.IntervalSealer`: reconstruct
+candidate-key errors from ``Se(t)``, threshold them into alarms,
+optionally rank the top-N.  :func:`build_interval_report` is that one
+shared implementation; :class:`IntervalDetection` is its output.
 """
 
 from __future__ import annotations
@@ -97,7 +97,6 @@ def build_interval_report(
     top_n: int = 0,
     indices: Optional[np.ndarray] = None,
     schema=None,
-    index_cache=None,
     prescreen: bool = True,
     stats: Optional[dict] = None,
     recorder=None,
@@ -126,11 +125,6 @@ def build_interval_report(
         ``schema.bucket_indices`` so thresholding and top-N share the
         work; schemas without ``bucket_indices`` (exact/dense) pass
         through untouched.
-    index_cache:
-        Optional :class:`~repro.hashing.index_cache.BucketIndexCache`;
-        when given (and ``indices`` is not) the candidate keys' bucket
-        indices come from the cache -- recurring keys skip hashing
-        entirely.  Takes precedence over ``schema``.
     prescreen:
         Exact median prescreen (default on).  The median over rows is
         bounded by the per-key max absolute row estimate, which one
@@ -147,7 +141,7 @@ def build_interval_report(
     recorder:
         Optional :class:`~repro.obs.recorder.PipelineRecorder`; stage
         timings for the F2/threshold computation, the candidate-key
-        hash/index-cache resolution, and the estimate/median scan are
+        hashing, and the estimate/median scan are
         observed into ``repro_stage_seconds``.  The default
         :data:`~repro.obs.recorder.NULL_RECORDER` path costs one no-op
         call per stage.
@@ -188,12 +182,9 @@ def build_interval_report(
     if t_fraction is not None or top_n:
         if indices is None:
             with obs.time("hash_index"):
-                if index_cache is not None:
-                    indices = index_cache.lookup(keys)
-                elif schema is not None:
-                    bucket_indices = getattr(schema, "bucket_indices", None)
-                    if bucket_indices is not None:
-                        indices = bucket_indices(keys)
+                bucket_indices = getattr(schema, "bucket_indices", None)
+                if bucket_indices is not None:
+                    indices = bucket_indices(keys)
         _t0 = _perf_counter() if obs.enabled else 0.0
         estimate_rows = (
             getattr(error_summary, "estimate_rows", None) if prescreen else None

@@ -12,26 +12,22 @@ arrays -- exactly the access pattern a two-pass file reader would have.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
-from repro.detection.keysource import (
-    CANDIDATES_COUNTER,
-    KEY_SOURCES,
-    collect_replay_keys,
-    resolve_key_source,
-)
-from repro.detection.pipeline import run_pipeline
+from repro.detection.keysource import collect_replay_keys
+from repro.detection.session import IntervalSealer
 from repro.detection.threshold import (
     Alarm,  # noqa: F401  (re-exported for backwards compatibility)
     IntervalDetection,
-    build_interval_report,
 )
 from repro.forecast.base import Forecaster
 from repro.forecast.model_zoo import make_forecaster
-from repro.obs.recorder import NULL_RECORDER
 from repro.streams.model import KeyedUpdates
+
+_EMPTY_KEYS = np.array([], dtype=np.uint64)
 
 
 class OfflineTwoPassDetector:
@@ -57,15 +53,6 @@ class OfflineTwoPassDetector:
         a lookback of 1 lets the detector flag keys that *disappeared*
         (e.g. a DoS flood that just stopped), whose forecast error is large
         and negative even though they send no traffic in interval ``t``.
-    index_cache:
-        Bucket-index cache knob (``True``/``False``/instance; see
-        :func:`~repro.detection.session.resolve_index_cache`).  Replay
-        keys recur heavily across intervals, so the default (``True``)
-        hashes each recurring key once per run instead of once per
-        interval.  Reports are identical either way.
-    prescreen:
-        Exact median prescreen (default on); see
-        :func:`~repro.detection.threshold.build_interval_report`.
     key_source:
         Where each interval's candidate keys come from (see
         :mod:`~repro.detection.keysource`).  ``"twopass"`` (default)
@@ -77,9 +64,9 @@ class OfflineTwoPassDetector:
         :class:`~repro.detection.online.OnlineDetector`.
     recorder:
         Optional :class:`~repro.obs.recorder.PipelineRecorder` for stage
-        timings, candidate/alarm counters, index-cache gauges and
-        ``interval_sealed`` trace events; the no-op default adds nothing
-        to the hot path.
+        timings, sealed-interval/candidate/alarm counters, kernel gauges
+        and ``interval_sealed`` trace events; the no-op default adds
+        nothing to the hot path.
     model_params:
         Parameters forwarded to the registry when ``forecaster`` is a name.
     """
@@ -91,14 +78,10 @@ class OfflineTwoPassDetector:
         t_fraction: Optional[float] = 0.05,
         top_n: int = 0,
         replay_lookback: int = 0,
-        index_cache=True,
-        prescreen: bool = True,
         key_source: str = "twopass",
         recorder=None,
         **model_params,
     ) -> None:
-        from repro.detection.session import resolve_index_cache
-
         self.schema = schema
         if isinstance(forecaster, str):
             forecaster = make_forecaster(forecaster, **model_params)
@@ -116,27 +99,24 @@ class OfflineTwoPassDetector:
         if replay_lookback < 0:
             raise ValueError(f"replay_lookback must be >= 0, got {replay_lookback}")
         self.replay_lookback = int(replay_lookback)
-        self.prescreen = bool(prescreen)
         if key_source == "online":
             raise ValueError(
                 "key_source='online' needs the next interval's keys; "
                 "use repro.detection.online.OnlineDetector"
             )
         self.key_source = key_source
-        self.recorder = NULL_RECORDER if recorder is None else recorder
-        self.recorder.preregister(
-            "repro_intervals_sealed_total", "repro_detect_candidates_total",
-            "repro_detect_median_evaluated_total", "repro_alarms_total",
-            "repro_index_cache_hits_total", "repro_index_cache_misses_total",
-            "repro_index_cache_evictions_total",
+        self._sealer = IntervalSealer(
+            schema,
+            forecaster,
+            t_fraction=t_fraction,
+            top_n=self.top_n,
+            key_source=key_source,
+            recorder=recorder,
         )
-        self.recorder.preregister_labelled(
-            CANDIDATES_COUNTER, "source", KEY_SOURCES
-        )
-        self.recorder.preregister_stage("recover")
-        self.index_cache = resolve_index_cache(schema, index_cache)
-        self._index_cache_auto = index_cache is True
-        self.stats = {"candidates": 0, "median_evaluated": 0}
+        self.recorder = self._sealer.recorder
+        #: ``candidates`` / ``median_evaluated`` prescreen counters,
+        #: accumulated across runs.
+        self.stats = self._sealer.stats
 
     def run(self, batches: Iterable[KeyedUpdates]) -> Iterator[IntervalDetection]:
         """Detect over an interval stream, yielding per-interval reports.
@@ -149,120 +129,37 @@ class OfflineTwoPassDetector:
         :func:`~repro.streams.sharding.iter_interval_columns`) -- only
         ``index``/``keys``/``values`` are read, and the key/value arrays
         feed the fused UPDATE kernels without copying.
-
-        The loop mirrors :func:`~repro.detection.pipeline.run_pipeline`
-        but seals through the amortized path: reusable ``Sf``/``Se``
-        scratch summaries (``step_into``), the bucket-index cache (with
-        the low-recurrence runtime drop, matching the streaming
-        session's), and the median prescreen.  Output is identical
-        interval for interval.
         """
-        from collections import deque
-
-        self.forecaster.reset()
-        error_out = self.schema.empty()
-        forecast_out = None
-        if hasattr(error_out, "combine_into"):
-            forecast_out = self.schema.empty()
-        else:
-            error_out = None
-        recent_keys: deque = deque(maxlen=self.replay_lookback + 1)
-        obs = self.recorder
         # Recovery sources pull candidates out of the error summary, so
         # the per-interval key collection (and its np.unique) is skipped
         # entirely -- that *is* the retired second pass.
         replaying = self.key_source == "twopass"
-        for batch in batches:
-            observed = self.schema.from_items(batch.keys, batch.values)
-            with obs.time("forecast_step"):
-                step = self.forecaster.step_into(
-                    observed, error_out=error_out, forecast_out=forecast_out
-                )
-            if replaying:
-                recent_keys.append(np.unique(batch.keys))
-            if step.error is None:
-                continue
-            keys = resolve_key_source(
-                self.key_source,
-                step.error,
-                t_fraction=self.t_fraction,
-                collected=collect_replay_keys(recent_keys) if replaying else None,
-                recorder=obs if obs.enabled else None,
+        return self.seal_intervals(
+            (
+                batch.index,
+                self.schema.from_items(batch.keys, batch.values),
+                np.unique(batch.keys) if replaying else _EMPTY_KEYS,
             )
-            with obs.time("report_build"):
-                report = build_interval_report(
-                    step.error,
-                    keys,
-                    interval=batch.index,
-                    t_fraction=self.t_fraction,
-                    top_n=self.top_n,
-                    schema=self.schema,
-                    index_cache=self.index_cache,
-                    prescreen=self.prescreen,
-                    stats=self.stats,
-                    recorder=obs if obs.enabled else None,
-                )
-            self._maybe_drop_index_cache()
-            if obs.enabled:
-                self._record_report(report, len(keys))
-            yield report
+            for batch in batches
+        )
 
-    def _maybe_drop_index_cache(self) -> None:
-        """Drop an auto-enabled cache when measured recurrence is too low.
+    def seal_intervals(self, intervals) -> Iterator[IntervalDetection]:
+        """Seal ``(index, observed, keys)`` triples in order; yield reports.
 
-        Same probation rule as the streaming session: past
-        ``_CACHE_PROBATION_LOOKUPS`` lookups with a hit rate under
-        ``_CACHE_MIN_HIT_RATE``, caching keys that never come back is
-        pure overhead, so fall back to cache-off (never to forced
-        cache-on).  Reports are unaffected -- the cache is an execution
-        detail.
+        ``observed`` is the interval's freshly built summary and ``keys``
+        its deduplicated key set (empty for recovering key sources); the
+        replay candidates are the last ``replay_lookback + 1`` key sets.
+        The forecaster restarts from scratch on the first interval.
         """
-        from repro.detection.session import (
-            _CACHE_MIN_HIT_RATE,
-            _CACHE_PROBATION_LOOKUPS,
-        )
-
-        cache = self.index_cache
-        if cache is None or not self._index_cache_auto:
-            return
-        if cache.lookups < _CACHE_PROBATION_LOOKUPS:
-            return
-        served = cache.hits + cache.misses
-        if served and cache.hits / served < _CACHE_MIN_HIT_RATE:
-            self.index_cache = None
-            if self.recorder.enabled:
-                self.recorder.event(
-                    "index_cache_dropped",
-                    lookups=cache.lookups,
-                    hit_rate=cache.hits / served,
-                )
-
-    def _record_report(self, report: IntervalDetection, n_candidates: int) -> None:
-        obs = self.recorder
-        obs.count("repro_intervals_sealed_total")
-        obs.count("repro_detect_candidates_total", n_candidates)
-        obs.sync_counter(
-            "repro_detect_median_evaluated_total",
-            self.stats["median_evaluated"],
-        )
-        if report.alarm_count:
-            obs.count("repro_alarms_total", report.alarm_count)
-        cache = self.index_cache
-        if cache is not None:
-            cache_stats = cache.stats
-            obs.sync_counter("repro_index_cache_hits_total", cache_stats["hits"])
-            obs.sync_counter(
-                "repro_index_cache_misses_total", cache_stats["misses"]
+        self.forecaster.reset()
+        recent_keys: deque = deque(maxlen=self.replay_lookback + 1)
+        for index, observed, keys in intervals:
+            recent_keys.append(keys)
+            report = self._sealer.seal(
+                observed, collect_replay_keys(recent_keys), index
             )
-            obs.sync_counter(
-                "repro_index_cache_evictions_total", cache_stats["evictions"]
-            )
-            obs.gauge("repro_index_cache_size", cache_stats["size"])
-        obs.event(
-            "interval_sealed", interval=report.index,
-            alarms=report.alarm_count, candidates=n_candidates,
-            error_l2=report.error_l2, threshold=report.threshold,
-        )
+            if report is not None:
+                yield report
 
     def detect(self, batches: Iterable[KeyedUpdates]) -> List[IntervalDetection]:
         """Convenience: materialize :meth:`run` into a list."""

@@ -65,7 +65,6 @@ class LocalSketcher(StreamingSession):
     def __init__(self, schema, **kwargs) -> None:
         # The forecaster slot is required by the base constructor but
         # never stepped -- _seal_current below bypasses it entirely.
-        kwargs.setdefault("index_cache", False)
         super().__init__(schema, "ewma", **kwargs)
         self.outbox: List[SealedInterval] = []
 

@@ -49,8 +49,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.detection.keysource import resolve_key_source
-from repro.detection.threshold import IntervalDetection, build_interval_report
+from repro.detection.session import IntervalSealer
+from repro.detection.threshold import IntervalDetection
 from repro.distributed.frames import (
     DEFAULT_MAX_PAYLOAD,
     FRAME_HEADER_SIZE,
@@ -59,7 +59,6 @@ from repro.distributed.frames import (
     write_frame,
 )
 from repro.forecast.model_zoo import make_forecaster
-from repro.obs.recorder import NULL_RECORDER
 from repro.sketch.mergeable import merge
 from repro.sketch.serialization import (
     SketchDecodeError,
@@ -217,7 +216,15 @@ class IntervalMerger:
         self.deadline_seconds = deadline_seconds
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = int(checkpoint_every)
-        self.recorder = NULL_RECORDER if recorder is None else recorder
+        self._sealer = IntervalSealer(
+            schema,
+            forecaster,
+            t_fraction=self.t_fraction,
+            top_n=self.top_n,
+            key_source=key_source,
+            recorder=recorder,
+        )
+        self.recorder = self._sealer.recorder
         self.recorder.preregister(*_COORDINATOR_COUNTERS)
         self._clock = clock
 
@@ -227,8 +234,6 @@ class IntervalMerger:
         self._first_seen: Dict[int, float] = {}
         self._sealed_through: Optional[int] = None
         self.reports: List[IntervalDetection] = []
-        self._detection_stats = {"candidates": 0, "median_evaluated": 0}
-        self._seal_scratch = None
         self.stats = {
             "frames": 0,
             "bytes": 0,
@@ -440,18 +445,6 @@ class IntervalMerger:
         if self.recorder.enabled:
             self.recorder.count("repro_dist_substituted_total")
 
-    def _scratch_summaries(self):
-        # Same reusable Se/Sf scratch pair as StreamingSession: the
-        # report consumes the error within the seal, and the forecaster
-        # retains only `merged`, which is freshly allocated every time.
-        if self._seal_scratch is None:
-            error_out = self.schema.empty()
-            if hasattr(error_out, "combine_into"):
-                self._seal_scratch = (error_out, self.schema.empty())
-            else:
-                self._seal_scratch = (None, None)
-        return self._seal_scratch
-
     def _seal(self, t: int, forced: bool = False) -> List[IntervalDetection]:
         contribs = self.pending.pop(t, {})
         self._first_seen.pop(t, None)
@@ -495,44 +488,12 @@ class IntervalMerger:
         return self._step_and_report(t, merged, keys)
 
     def _step_and_report(self, t, merged, keys) -> List[IntervalDetection]:
-        obs = self.recorder
-        error_out, forecast_out = self._scratch_summaries()
-        with obs.time("forecast_step"):
-            step = self.forecaster.step_into(
-                merged, error_out=error_out, forecast_out=forecast_out
-            )
+        report = self._sealer.seal(merged, keys, t)
         self._sealed_through = t
         self.stats["intervals_sealed"] += 1
-        obs.count("repro_dist_intervals_sealed_total")
-        reports: List[IntervalDetection] = []
-        if step.error is not None:
-            candidates = resolve_key_source(
-                self.key_source,
-                step.error,
-                t_fraction=self.t_fraction,
-                collected=keys,
-                recorder=obs if obs.enabled else None,
-            )
-            with obs.time("report_build"):
-                report = build_interval_report(
-                    step.error,
-                    candidates,
-                    interval=t,
-                    t_fraction=self.t_fraction,
-                    top_n=self.top_n,
-                    schema=self.schema,
-                    stats=self._detection_stats,
-                    recorder=obs if obs.enabled else None,
-                )
-            self.reports.append(report)
-            reports.append(report)
-            if obs.enabled:
-                obs.event(
-                    "interval_sealed", interval=t,
-                    alarms=report.alarm_count, error_l2=report.error_l2,
-                )
-        elif obs.enabled:
-            obs.event("interval_sealed", interval=t, warmup=True)
+        self.recorder.count("repro_dist_intervals_sealed_total")
+        reports = [] if report is None else [report]
+        self.reports.extend(reports)
         if (
             self.checkpoint_path is not None
             and self.checkpoint_every > 0

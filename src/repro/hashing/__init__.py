@@ -33,12 +33,6 @@ from repro.hashing._kernels import (
     set_num_threads,
 )
 from repro.hashing.carter_wegman import PolynomialHash, TwoUniversalHash
-from repro.hashing.index_cache import (
-    DEFAULT_CAPACITY,
-    BucketIndexCache,
-    hashing_accelerated,
-    shared_index_cache,
-)
 from repro.hashing.seeds import (
     MAX_MASTER_SEED,
     SeedSequenceFactory,
@@ -64,8 +58,6 @@ from repro.hashing.tabulation import TabulationHash
 from repro.hashing.universal import HashFamily, make_family
 
 __all__ = [
-    "BucketIndexCache",
-    "DEFAULT_CAPACITY",
     "HashFamily",
     "LoopStackedHash",
     "PolynomialHash",
@@ -83,7 +75,6 @@ __all__ = [
     "fused_signed_update",
     "gather_indices",
     "get_num_threads",
-    "hashing_accelerated",
     "kernel_call_counts",
     "kernel_seconds",
     "kernel_thread_count",
@@ -95,5 +86,4 @@ __all__ = [
     "mv_recover_mask",
     "mv_vote_indices",
     "scatter_add_indices",
-    "shared_index_cache",
 ]

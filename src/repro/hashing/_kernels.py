@@ -12,8 +12,8 @@ the key batch:
   Horner recursion over ``P61 = 2**61 - 1`` evaluated per key in exact
   64-bit integer arithmetic that replicates the NumPy fold step for step;
 * **precomputed-index** variants serving UPDATE/gather/ESTIMATE when the
-  ``(H, n)`` bucket indices already exist (e.g. from the persistent
-  bucket-index cache).
+  ``(H, n)`` bucket indices already exist (e.g. hashed once and shared
+  by the detection report's passes).
 
 NumPy executes each of those pipelines as several full passes over the
 batch (gather, gather, xor/mul, scatter or median); the kernels do one

@@ -94,8 +94,7 @@ class StackedHash(abc.ABC):
         """True when :meth:`hash_all` runs in the compiled C kernels.
 
         Kernel hashing is cheap enough (L2-resident lookup strips) that
-        memoizing its output is a net loss; the bucket-index cache keys
-        its auto-enable decision off this flag.
+        memoizing its output is a net loss.
         """
         return False
 
@@ -375,8 +374,8 @@ def scatter_add_indices(table: np.ndarray, indices: np.ndarray,
     """UPDATE from precomputed bucket indices: ``table[i][idx[i,j]] += u_j``.
 
     The hash-free half of the stacked scatter: when the ``(H, n)`` indices
-    already exist (from :meth:`StackedHash.hash_all` or the persistent
-    bucket-index cache) the C kernel scatters them directly; the fallback
+    already exist (from :meth:`StackedHash.hash_all`, shared across the
+    detection report's threshold and top-N passes) the C kernel scatters them directly; the fallback
     is one flat-index ``np.add.at`` over the raveled table.  Both process
     rows in stream order, bit-identical to per-row ``np.add.at``.
     """

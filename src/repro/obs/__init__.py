@@ -2,7 +2,7 @@
 
 The paper's Section 6 deployment story -- near real-time change
 detection on live traffic -- presumes an operator who can *see* the
-monitor: interval lag, seal latency, alarm rates, cache effectiveness,
+monitor: interval lag, seal latency, alarm rates, prescreen effectiveness,
 worker health.  This package is that layer, dependency-free:
 
 * :mod:`repro.obs.registry` -- :class:`MetricsRegistry` holding

@@ -195,8 +195,8 @@ class PipelineRecorder:
     def sync_counter(self, name: str, value: float, **labels) -> None:
         """Mirror an externally-maintained monotonic tally into a counter.
 
-        Used to absorb pre-existing cumulative counts (index-cache hits,
-        supervision tallies) without double-counting: the source stays
+        Used to absorb pre-existing cumulative counts (kernel call
+        tallies, supervision tallies) without double-counting: the source stays
         authoritative, the registry converges to it at each sync point.
         """
         with self._lock:

@@ -159,8 +159,8 @@ class CountMinSketch(LinearSummary):
         """UPDATE with precomputed bucket indices (shape ``(depth, n)``).
 
         Same surface as :meth:`KArySketch.update_from_indices`, so callers
-        holding cached ``schema.bucket_indices(keys)`` (the detection
-        index cache, recovery verification) can feed any summary kind
+        holding precomputed ``schema.bucket_indices(keys)`` (the detection
+        report, recovery verification) can feed any summary kind
         uniformly.  Bit-identical to :meth:`update_batch` on the same
         keys: accumulation order per cell is stream order within each row.
         """

@@ -151,3 +151,21 @@ class TestRecalibrationCadence:
         fits = [interval for interval, _ in detector.parameter_log]
         assert fits[0] == 9  # 4 banked intervals -> fit on the 5th batch
         assert [b - a for a, b in zip(fits, fits[1:])] == [6] * (len(fits) - 1)
+
+
+class TestZeroThreshold:
+    def test_exact_zero_errors_never_alarm(self, schema):
+        """Regression: identical intervals give Se(t) = 0 and a zero
+        threshold; keys whose error is exactly zero must not alarm (the
+        rule every other detector applies), not all alarm at once."""
+        keys = np.array([11, 22, 33], dtype=np.uint64)
+        values = np.array([100.0, 200.0, 300.0])
+        batches = [
+            KeyedUpdates(index=t, keys=keys, values=values, duration=300.0)
+            for t in range(12)
+        ]
+        reports = list(AdaptiveDetector(schema, model="ma").run(batches))
+        assert reports
+        for report in reports:
+            assert report.threshold == 0.0
+            assert report.alarms == []

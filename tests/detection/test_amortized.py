@@ -1,12 +1,13 @@
 """Bit-identity of the amortized detection hot path.
 
-The amortized seal path -- persistent bucket-index cache, exact median
-prescreen, allocation-free ``step_into`` sealing -- is an execution
+The amortized seal path -- exact median prescreen, allocation-free
+``step_into`` sealing, per-chunk accumulation -- is an execution
 strategy, never a result change.  These tests assert **bit-for-bit**
 equal :class:`IntervalDetection` reports (thresholds, alarms in order,
-top-N keys and errors) between the amortized and reference paths across
-every forecast model, serial and sharded sessions, the offline two-pass
-detector, and checkpoint/restore mid-run.
+top-N keys and errors) between the shipped drivers and the reference
+seal path (:mod:`tests.detection.oracle`) across every forecast model,
+serial and sharded sessions, the offline two-pass detector, the NumPy
+hashing fallback, and checkpoint/restore mid-run.
 """
 
 import numpy as np
@@ -19,9 +20,10 @@ from repro.detection import (
     checkpoint_session,
     restore_session,
 )
-from repro.hashing.index_cache import BucketIndexCache
 from repro.sketch import KArySchema
 from repro.streams import IntervalStream, make_records
+
+from tests.detection.oracle import assert_reports_identical, oracle_reports
 
 MODELS = [
     ("ma", {"window": 3}),
@@ -45,7 +47,7 @@ def schema():
 @pytest.fixture
 def poly_schema():
     # Polynomial hashing: kernel-fused when a compiler is available,
-    # NumPy Horner (where the auto cache rule attaches) otherwise.
+    # NumPy Horner otherwise.
     return KArySchema(depth=5, width=2048, seed=3, family="polynomial")
 
 
@@ -60,17 +62,12 @@ def records(rng):
     )
 
 
-def _assert_reports_identical(got, reference):
-    assert len(got) == len(reference)
-    for a, b in zip(got, reference):
-        assert a.index == b.index
-        assert a.threshold == b.threshold  # bit-identical, not approx
-        assert a.error_l2 == b.error_l2
-        assert [(x.key, x.estimated_error) for x in a.alarms] == [
-            (x.key, x.estimated_error) for x in b.alarms
-        ]
-        assert np.array_equal(a.top_keys, b.top_keys)
-        assert np.array_equal(a.top_errors, b.top_errors)
+def _oracle(schema, records, model="ewma", **params):
+    params = params or {"alpha": 0.4}
+    return oracle_reports(
+        schema, model, IntervalStream(records, interval_seconds=INTERVAL),
+        t_fraction=0.05, top_n=10, **params,
+    )
 
 
 def _run_session(session, records, chunk=CHUNK):
@@ -86,52 +83,27 @@ def _run_session(session, records, chunk=CHUNK):
 class TestTwoPassEquivalence:
     @pytest.mark.parametrize(("model", "params"), MODELS, ids=MODEL_IDS)
     def test_all_models_bit_identical(self, schema, records, model, params):
-        stream = IntervalStream(records, interval_seconds=INTERVAL)
+        detector = OfflineTwoPassDetector(
+            schema, model, t_fraction=0.05, top_n=10, **params
+        )
+        got = detector.detect(IntervalStream(records, interval_seconds=INTERVAL))
+        assert_reports_identical(got, _oracle(schema, records, model, **params))
 
-        def detect(**knobs):
-            detector = OfflineTwoPassDetector(
-                schema, model, t_fraction=0.05, top_n=10, **knobs, **params
-            )
-            return detector.detect(stream)
-
-        reference = detect(index_cache=False, prescreen=False)
-        for knobs in (
-            {"index_cache": False, "prescreen": True},
-            {"index_cache": True, "prescreen": False},
-            {"index_cache": True, "prescreen": True},
-            {"index_cache": BucketIndexCache(schema), "prescreen": True},
-        ):
-            _assert_reports_identical(detect(**knobs), reference)
-
-    def test_polynomial_schema_cache_attaches(
+    def test_polynomial_schema_kernels_on_and_off(
         self, poly_schema, records, monkeypatch
     ):
-        """Auto cache rule under the fused kernels, both worlds.
-
-        With kernels compiled, polynomial hashing is kernel-accelerated
-        and the auto rule attaches no cache; with kernels unavailable the
-        NumPy Horner fallback is slow enough that the cache attaches and
-        pays off.  Reports are bit-identical across all four combinations.
-        """
-        from repro.hashing import hashing_accelerated
+        """Fused polynomial kernel and the NumPy Horner fallback agree."""
         import repro.hashing._kernels as _kernels
 
         stream = IntervalStream(records, interval_seconds=INTERVAL)
-        reference = OfflineTwoPassDetector(
-            poly_schema, "ewma", alpha=0.4, t_fraction=0.05, top_n=10,
-            index_cache=False, prescreen=False,
-        ).detect(stream)
+        reference = _oracle(poly_schema, records)
         amortized = OfflineTwoPassDetector(
             poly_schema, "ewma", alpha=0.4, t_fraction=0.05, top_n=10,
         )
-        assert (amortized.index_cache is None) == hashing_accelerated(
-            poly_schema
-        )
-        _assert_reports_identical(amortized.detect(stream), reference)
+        assert_reports_identical(amortized.detect(stream), reference)
 
         # Kernels force-disabled: the schema (built inside the patch)
-        # falls back to NumPy hashing, the cache attaches, and it hits --
-        # recurring keys across intervals.  Reports stay identical.
+        # falls back to NumPy hashing.  Reports stay identical.
         monkeypatch.setattr(_kernels, "_KERNELS", None)
         slow_schema = KArySchema(
             depth=5, width=2048, seed=3, family="polynomial"
@@ -139,10 +111,7 @@ class TestTwoPassEquivalence:
         fallback = OfflineTwoPassDetector(
             slow_schema, "ewma", alpha=0.4, t_fraction=0.05, top_n=10,
         )
-        assert fallback.index_cache is not None  # auto rule attached it
-        _assert_reports_identical(fallback.detect(stream), reference)
-        cache = fallback.index_cache
-        assert cache is not None and cache.hits > 0  # recurrent, not dropped
+        assert_reports_identical(fallback.detect(stream), reference)
 
     def test_prescreen_counters(self, schema, records):
         detector = OfflineTwoPassDetector(
@@ -168,7 +137,7 @@ class TestTieBreaking:
             error, keys, interval=0, t_fraction=0.05, top_n=25,
             schema=schema, prescreen=True,
         )
-        _assert_reports_identical([prescreened], [reference])
+        assert_reports_identical([prescreened], [reference])
 
     def test_zero_threshold_and_no_alarming(self, schema, rng):
         from repro.detection import build_interval_report
@@ -184,100 +153,48 @@ class TestTieBreaking:
                 error, keys, interval=0, t_fraction=t_fraction, top_n=10,
                 schema=schema, prescreen=True,
             )
-            _assert_reports_identical([prescreened], [reference])
+            assert_reports_identical([prescreened], [reference])
 
 
 class TestSessionEquivalence:
     @pytest.mark.parametrize(("model", "params"), MODELS, ids=MODEL_IDS)
     def test_serial_sessions(self, schema, records, model, params):
-        def run(**knobs):
-            return _run_session(
-                StreamingSession(
-                    schema, model, interval_seconds=INTERVAL,
-                    t_fraction=0.05, top_n=10, **knobs, **params,
-                ),
-                records,
-            )
-
-        reference = run(index_cache=False, prescreen=False)
-        _assert_reports_identical(run(), reference)
-        _assert_reports_identical(
-            run(index_cache=BucketIndexCache(schema)), reference
+        session = StreamingSession(
+            schema, model, interval_seconds=INTERVAL,
+            t_fraction=0.05, top_n=10, **params,
+        )
+        assert_reports_identical(
+            _run_session(session, records),
+            _oracle(schema, records, model, **params),
         )
 
     def test_sharded_session(self, schema, records):
-        reference = _run_session(
-            StreamingSession(
-                schema, "ewma", alpha=0.4, interval_seconds=INTERVAL,
-                t_fraction=0.05, top_n=10,
-                index_cache=False, prescreen=False,
-            ),
-            records,
-        )
         amortized = _run_session(
             ShardedStreamingSession(
                 schema, "ewma", alpha=0.4, interval_seconds=INTERVAL,
                 t_fraction=0.05, top_n=10, n_workers=2,
-                index_cache=BucketIndexCache(schema), prescreen=True,
             ),
             records,
         )
-        _assert_reports_identical(amortized, reference)
-
-    def test_forced_cache_counts_hits(self, schema, records):
-        cache = BucketIndexCache(schema)
-        session = StreamingSession(
-            schema, "ewma", alpha=0.4, interval_seconds=INTERVAL,
-            t_fraction=0.05, top_n=10, index_cache=cache,
-        )
-        _run_session(session, records)
-        assert cache.hits > 0  # recurring keys skipped re-hashing
-        stats = session.stats
-        assert stats["index_cache"]["hits"] == cache.hits
-        assert stats["detection"]["median_evaluated"] <= stats["detection"][
-            "candidates"
-        ]
+        assert_reports_identical(amortized, _oracle(schema, records))
 
 
 class TestCheckpointInteraction:
-    def test_cache_never_checkpointed_and_resume_identical(
-        self, records, monkeypatch
-    ):
-        """A mid-run checkpoint restores with a *fresh* cache, same reports.
-
-        Runs with kernels force-disabled: that is the world where the
-        auto rule still attaches a cache to polynomial hashing (with
-        kernels compiled there is no cache to checkpoint in the first
-        place).
-        """
+    def test_kernels_off_resume_identical(self, records, monkeypatch):
+        """A mid-run checkpoint resumes bit-identically on NumPy hashing."""
         import repro.hashing._kernels as _kernels
 
         monkeypatch.setattr(_kernels, "_KERNELS", None)
-
-        def make():
-            return StreamingSession(
-                KArySchema(depth=5, width=2048, seed=3, family="polynomial"),
-                "ewma", alpha=0.4, interval_seconds=INTERVAL,
-                t_fraction=0.05, top_n=10,
-            )
-
-        reference = _run_session(make(), records)
-
-        session = make()
-        assert session.index_cache is not None
+        schema = KArySchema(depth=5, width=2048, seed=3, family="polynomial")
+        session = StreamingSession(
+            schema, "ewma", alpha=0.4, interval_seconds=INTERVAL,
+            t_fraction=0.05, top_n=10,
+        )
         reports = []
         cut = 6 * CHUNK
         for start in range(0, cut, CHUNK):
             reports.extend(session.ingest(records[start : start + CHUNK]))
-        assert session.index_cache.lookups > 0
-        blob = checkpoint_session(session)
-
-        restored = restore_session(blob)
-        # The cache is rebuilt, not restored: no hits or misses carried.
-        assert restored.index_cache is not None
-        assert restored.index_cache.lookups == 0
-        assert len(restored.index_cache) == 0
-
+        restored = restore_session(checkpoint_session(session))
         rest = records[records["timestamp"] > restored.watermark]
         reports.extend(_run_session(restored, rest))
-        _assert_reports_identical(reports, reference)
+        assert_reports_identical(reports, _oracle(schema, records))

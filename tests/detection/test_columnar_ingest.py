@@ -1,25 +1,19 @@
-"""Columnar ingest equivalence and the runtime index-cache drop.
+"""Columnar ingest equivalence.
 
 ``StreamingSession.ingest_columns`` /
 ``OfflineTwoPassDetector.run(ColumnarBlock...)`` are the zero-copy twins
 of record-chunk ingestion: same intervals, same sketches, bit-identical
-reports.  The second half covers the adaptive cache satellite: an
-auto-attached bucket-index cache is retired at runtime when the measured
-key recurrence is too low to pay for the probes, falling back to
-cache-off -- never to forced cache-on -- with reports unaffected.
+reports.
 """
 
 import numpy as np
 import pytest
 
-import repro.hashing._kernels as _kernels
 from repro.detection import (
     OfflineTwoPassDetector,
     ShardedStreamingSession,
     StreamingSession,
 )
-from repro.detection.session import _CACHE_PROBATION_LOOKUPS
-from repro.hashing.index_cache import BucketIndexCache
 from repro.sketch import KArySchema
 from repro.streams import (
     ColumnarBlock,
@@ -44,21 +38,6 @@ def records(rng):
         timestamps=np.sort(rng.uniform(0, 3000, n)),
         dst_ips=rng.integers(0, 600, n).astype(np.uint32),
         byte_counts=rng.pareto(1.3, n) * 500 + 40,
-    )
-
-
-def _no_recurrence_records(n_intervals=2 * _CACHE_PROBATION_LOOKUPS + 4,
-                           per_interval=400):
-    """Every interval's keys are globally fresh: the cache can never hit."""
-    timestamps, keys = [], []
-    for t in range(n_intervals):
-        timestamps.append(t * INTERVAL + np.linspace(1, INTERVAL - 1,
-                                                     per_interval))
-        keys.append(t * 100_000 + np.arange(per_interval))
-    return make_records(
-        timestamps=np.concatenate(timestamps),
-        dst_ips=np.concatenate(keys).astype(np.uint32),
-        byte_counts=np.full(n_intervals * per_interval, 700.0),
     )
 
 
@@ -165,78 +144,3 @@ class TestColumnarEquivalence:
         )
         assert session.records_ingested == 64
         assert session.watermark == 2 * INTERVAL
-
-
-class TestRuntimeCacheDrop:
-    """Auto caches retire when measured recurrence is too low."""
-
-    def _poly_session(self, **knobs):
-        # Built by callers *inside* a kernels-off patch so the auto rule
-        # attaches a cache (with kernels compiled there is none to drop).
-        return StreamingSession(
-            KArySchema(depth=5, width=2048, seed=3, family="polynomial"),
-            "ewma", alpha=0.4, interval_seconds=INTERVAL,
-            t_fraction=0.05, top_n=10, **knobs,
-        )
-
-    def test_zero_recurrence_drops_cache(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "_KERNELS", None)
-        records = _no_recurrence_records()
-        reference = _run_records(self._poly_session(index_cache=False),
-                                 records)
-
-        session = self._poly_session()
-        cache = session.index_cache
-        assert cache is not None  # auto rule attached it
-        reports = _run_records(session, records)
-        assert session.index_cache is None  # ... and runtime dropped it
-        assert cache.hits == 0
-        assert cache.lookups >= _CACHE_PROBATION_LOOKUPS
-        stats = session.stats
-        assert stats["index_cache"]["dropped"] is True
-        assert stats["index_cache"]["lookups"] == cache.lookups
-        _assert_reports_identical(reports, reference)
-
-    def test_recurrent_stream_keeps_cache(self, rng, monkeypatch):
-        monkeypatch.setattr(_kernels, "_KERNELS", None)
-        n = 16000
-        records = make_records(
-            timestamps=np.sort(rng.uniform(0, 3000, n)),
-            dst_ips=rng.integers(0, 600, n).astype(np.uint32),
-            byte_counts=rng.pareto(1.3, n) * 500 + 40,
-        )
-        session = self._poly_session()
-        _run_records(session, records)
-        assert session.index_cache is not None  # high hit rate: kept
-        assert session.index_cache.hits > 0
-        assert "dropped" not in session.stats["index_cache"]
-
-    def test_forced_cache_never_dropped(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "_KERNELS", None)
-        records = _no_recurrence_records()
-        schema = KArySchema(depth=5, width=2048, seed=3, family="polynomial")
-        forced = BucketIndexCache(schema)
-        session = StreamingSession(
-            schema, "ewma", alpha=0.4, interval_seconds=INTERVAL,
-            t_fraction=0.05, top_n=10, index_cache=forced,
-        )
-        _run_records(session, records)
-        assert session.index_cache is forced  # explicit caches are the
-        assert forced.lookups >= _CACHE_PROBATION_LOOKUPS  # caller's call
-
-    def test_twopass_drops_cache(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "_KERNELS", None)
-        records = _no_recurrence_records()
-        schema = KArySchema(depth=5, width=2048, seed=3, family="polynomial")
-        stream = IntervalStream(records, interval_seconds=INTERVAL)
-        reference = OfflineTwoPassDetector(
-            schema, "ewma", alpha=0.4, t_fraction=0.05, top_n=10,
-            index_cache=False, prescreen=False,
-        ).detect(stream)
-        detector = OfflineTwoPassDetector(
-            schema, "ewma", alpha=0.4, t_fraction=0.05, top_n=10
-        )
-        assert detector.index_cache is not None
-        reports = detector.detect(stream)
-        assert detector.index_cache is None  # dropped mid-run
-        _assert_reports_identical(reports, reference)

@@ -281,3 +281,23 @@ class TestPlantedDilution:
         }
         assert (spike_host & 0xFFFFFF00) in orphan_24s
         assert (drop_host & 0xFFFFFF00) in orphan_24s
+
+
+class TestZeroThreshold:
+    def test_identical_intervals_raise_no_alarms(self):
+        """Regression: repeating traffic under MA(1) gives Se(t) = 0 and
+        a zero threshold at every level; exact-zero errors must not
+        alarm, so no interval reports any root."""
+        per, intervals = 40, 6
+        records = make_records(
+            timestamps=np.concatenate(
+                [t * 300.0 + np.linspace(1, 299, per) for t in range(intervals)]
+            ),
+            dst_ips=np.tile(0x0A000000 + np.arange(per), intervals),
+            byte_counts=np.tile(np.arange(per) * 10 + 100, intervals),
+        )
+        reports = list(
+            PrefixDrilldown(model="ma", window=1).run(records, 300.0)
+        )
+        assert len(reports) == intervals - 1
+        assert all(report.roots == [] for report in reports)

@@ -6,8 +6,9 @@ Three contracts, layered on the PR-4 amortization matrix:
   :class:`InvertibleKArySchema` produces reports bit-identical to the
   same run over a plain :class:`KArySchema` (the candidate planes never
   perturb the counters).
-* **Knob independence** -- for every key source, the index-cache and
-  prescreen execution knobs change nothing in the reports.
+* **Oracle identity** -- for every key source, the shipped seal path
+  (scratch summaries, median prescreen) reports exactly what the
+  reference seal path does.
 * **Sharded == serial** -- invertible recovery after COMBINE across
   shards yields the same reports as the serial session, for every seal
   backend.
@@ -26,6 +27,8 @@ from repro.detection import (
 from repro.sketch import InvertibleKArySchema, KArySchema
 from repro.streams import IntervalStream, make_records
 from repro.traffic.anomalies import inject_dos
+
+from tests.detection.oracle import oracle_reports
 
 INTERVAL = 300.0
 
@@ -85,22 +88,17 @@ class TestDetectorKeySource:
     def test_knob_matrix_per_key_source(
         self, records, inv_schema, key_source
     ):
-        """Cache and prescreen stay execution-only on every key source."""
+        """The amortized seal path is execution-only on every key source."""
         stream = IntervalStream(records, interval_seconds=INTERVAL)
-
-        def detect(**knobs):
-            return OfflineTwoPassDetector(
-                inv_schema, "ewma", alpha=0.4, t_fraction=0.05, top_n=10,
-                key_source=key_source, **knobs,
-            ).detect(stream)
-
-        reference = detect(index_cache=False, prescreen=False)
-        for knobs in (
-            {"index_cache": False, "prescreen": True},
-            {"index_cache": True, "prescreen": False},
-            {"index_cache": True, "prescreen": True},
-        ):
-            _assert_reports_identical(detect(**knobs), reference)
+        got = OfflineTwoPassDetector(
+            inv_schema, "ewma", alpha=0.4, t_fraction=0.05, top_n=10,
+            key_source=key_source,
+        ).detect(stream)
+        reference = oracle_reports(
+            inv_schema, "ewma", stream, alpha=0.4, t_fraction=0.05,
+            top_n=10, key_source=key_source,
+        )
+        _assert_reports_identical(got, reference)
 
     def test_invertible_catches_injected_dos(self, rng, inv_schema):
         background = make_records(

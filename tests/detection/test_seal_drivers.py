@@ -1,0 +1,136 @@
+"""Every driver of the seal step reports exactly what the reference does.
+
+All detection drivers close an interval through one
+:class:`~repro.detection.session.IntervalSealer`; they differ only in how
+they produce its ``(observed, keys, index)`` input -- chunked or whole,
+pipelined, sharded, per-site and merged over TCP, or replayed from the
+archive.  On one small trace, each driver's reports (interval,
+threshold, ``error_l2``, alarms, top-N) must equal the reference seal
+path of :mod:`tests.detection.oracle` bit for bit, for EWMA with
+two-pass keys and for an invertible schema with invertible recovery
+(two drivers run two-pass keys there; see :data:`TWO_PASS_ONLY`).
+Byte counts are integral, so every COMBINE of partial sketches is exact.
+"""
+
+import numpy as np
+import pytest
+
+from repro.archive import TemporalArchive
+from repro.detection import (
+    OfflineTwoPassDetector,
+    ShardedStreamingSession,
+    StreamingSession,
+)
+from repro.distributed import run_loopback
+from repro.sketch import InvertibleKArySchema, KArySchema
+from repro.streams import IntervalStream, make_records
+
+from tests.detection.oracle import assert_reports_identical, oracle_reports
+
+INTERVAL = 300.0
+T_FRACTION = 0.05
+TOP_N = 8
+ALPHA = 0.5
+CHUNK = 256
+
+CONFIGS = {
+    "kary-twopass": (KArySchema, "twopass"),
+    "invertible-invertible": (InvertibleKArySchema, "invertible"),
+}
+
+
+@pytest.fixture
+def trace(rng):
+    n = 4800
+    return make_records(
+        timestamps=np.sort(rng.uniform(0, 12 * INTERVAL, n)),
+        dst_ips=rng.integers(0, 400, n).astype(np.uint32),
+        byte_counts=rng.integers(40, 1500, n).astype(np.uint64),
+    )
+
+
+def _session_reports(session, records):
+    with session:
+        reports = []
+        for start in range(0, len(records), CHUNK):
+            reports.extend(session.ingest(records[start : start + CHUNK]))
+        reports.extend(session.flush())
+        return reports + session.drain()
+
+
+def _session(cls, schema, key_source, **kwargs):
+    return cls(
+        schema, "ewma", alpha=ALPHA, interval_seconds=INTERVAL,
+        t_fraction=T_FRACTION, top_n=TOP_N, key_source=key_source, **kwargs,
+    )
+
+
+def _detector(schema, key_source):
+    return OfflineTwoPassDetector(
+        schema, "ewma", alpha=ALPHA, t_fraction=T_FRACTION, top_n=TOP_N,
+        key_source=key_source,
+    )
+
+
+def _archive_replay(schema, key_source, records):
+    archive = TemporalArchive(schema, INTERVAL)
+    _session_reports(
+        _session(StreamingSession, schema, key_source, sink=archive.ingest),
+        records,
+    )
+    return archive.replay(
+        "ewma", alpha=ALPHA, t_fraction=T_FRACTION, top_n=TOP_N
+    )
+
+
+DRIVERS = {
+    "blocking": lambda schema, ks, records: _session_reports(
+        _session(StreamingSession, schema, ks), records
+    ),
+    "pipelined": lambda schema, ks, records: _session_reports(
+        _session(StreamingSession, schema, ks, pipeline=True), records
+    ),
+    "sharded": lambda schema, ks, records: _session_reports(
+        _session(
+            ShardedStreamingSession, schema, ks, n_workers=2, backend="serial"
+        ),
+        records,
+    ),
+    "twopass_run": lambda schema, ks, records: list(
+        _detector(schema, ks).run(IntervalStream(records, INTERVAL))
+    ),
+    "twopass_detect_many": lambda schema, ks, records: _detector(
+        schema, ks
+    ).detect_many([IntervalStream(records, INTERVAL)]),
+    "archive_replay": _archive_replay,
+    "loopback": lambda schema, ks, records: run_loopback(
+        records, schema, "ewma", alpha=ALPHA, interval_seconds=INTERVAL,
+        key_source=ks, t_fraction=T_FRACTION, top_n=TOP_N,
+    ).reports,
+}
+
+#: Drivers checked with two-pass keys on every schema.  Archive replay
+#: reseals with the key sets the archive kept, and recovering sources
+#: hand the sink none.  The coordinator COMBINEs per-site invertible
+#: sketches, whose candidate votes merge by majority and can elect a
+#: different bucket candidate than one stream's vote would; the counters
+#: (and so ``error_l2`` and thresholds) still match exactly.
+TWO_PASS_ONLY = ("archive_replay", "loopback")
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+@pytest.mark.parametrize("config", CONFIGS)
+def test_driver_matches_reference(trace, config, driver):
+    schema_cls, key_source = CONFIGS[config]
+    schema = schema_cls(depth=5, width=1024, seed=11)
+    if driver in TWO_PASS_ONLY:
+        key_source = "twopass"
+    got = DRIVERS[driver](schema, key_source, trace)
+    reference = oracle_reports(
+        schema, "ewma", IntervalStream(trace, INTERVAL),
+        t_fraction=T_FRACTION, top_n=TOP_N, key_source=key_source,
+        alpha=ALPHA,
+    )
+    assert len(reference) == 11  # 12 intervals, one warm-up
+    assert any(r.alarms for r in reference)
+    assert_reports_identical(got, reference)

@@ -197,3 +197,43 @@ class TestStreamingSession:
                 (a.key, a.estimated_error) for a in e.alarms
             ]
             assert np.array_equal(g.top_keys, e.top_keys)
+
+
+class TestNonFiniteTimestamps:
+    """A NaN or infinite timestamp rejects the chunk before any state
+    changes -- never a garbage interval index, never a silent clamp."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_chunk(self, schema, bad):
+        session = StreamingSession(schema, "ewma", alpha=0.5)
+        records = make_records(
+            timestamps=np.array([10.0, bad, 20.0]),
+            dst_ips=np.array([1, 2, 3]),
+            byte_counts=np.array([100, 100, 100]),
+        )
+        with pytest.raises(ValueError, match="finite"):
+            session.ingest(records)
+        assert session.current_interval is None
+        assert session.records_ingested == 0
+        assert session.watermark == float("-inf")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_later_chunk(self, rng, schema, bad):
+        session = StreamingSession(schema, "ewma", alpha=0.5)
+        records = _records(rng, n=2000, duration=1200.0)
+        session.ingest(records[:1000])
+        before = (
+            session.current_interval, session.records_ingested,
+            session.intervals_sealed, session.watermark,
+        )
+        chunk = records[1000:1100].copy()
+        chunk["timestamp"][50] = bad
+        with pytest.raises(ValueError, match="finite"):
+            session.ingest(chunk)
+        assert (
+            session.current_interval, session.records_ingested,
+            session.intervals_sealed, session.watermark,
+        ) == before
+        # The session is still usable: the clean records go through.
+        session.ingest(records[1000:])
+        assert session.records_ingested == len(records)

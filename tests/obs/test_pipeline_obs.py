@@ -22,11 +22,8 @@ from repro.sketch import KArySchema
 from repro.streams import make_records
 
 from tests.conftest import make_batches
-from tests.detection.test_amortized import (
-    MODEL_IDS,
-    MODELS,
-    _assert_reports_identical,
-)
+from tests.detection.oracle import assert_reports_identical
+from tests.detection.test_amortized import MODEL_IDS, MODELS
 
 INTERVAL = 300.0
 
@@ -66,7 +63,7 @@ class TestBitIdentityAcrossModels:
             schema, model, interval_seconds=INTERVAL, top_n=5,
             recorder=PipelineRecorder(), **params
         )
-        _assert_reports_identical(
+        assert_reports_identical(
             _run_session(observed, records), _run_session(base, records)
         )
 
@@ -80,7 +77,7 @@ class TestBitIdentityAcrossModels:
             interval_seconds=INTERVAL, top_n=5,
             recorder=PipelineRecorder(), **params
         )
-        _assert_reports_identical(
+        assert_reports_identical(
             _run_session(observed, records), _run_session(base, records)
         )
 
@@ -90,7 +87,7 @@ class TestBitIdentityAcrossModels:
         observed = OfflineTwoPassDetector(
             schema, model, top_n=5, recorder=PipelineRecorder(), **params
         )
-        _assert_reports_identical(
+        assert_reports_identical(
             observed.detect(batches), base.detect(batches)
         )
 
@@ -106,7 +103,7 @@ class TestOnlineDetectorObs:
             schema, "ewma", alpha=0.5, t_fraction=0.05,
             sample_rate=0.5, seed=3, recorder=PipelineRecorder(),
         )
-        _assert_reports_identical(
+        assert_reports_identical(
             list(observed.run(batches)), list(base.run(batches))
         )
 
@@ -178,27 +175,19 @@ class TestRecordedContent:
             alarmed_intervals
         )
 
-    def test_index_cache_metrics_when_cache_attached(self, rng):
-        # Polynomial hashing is where the auto rule attaches a cache.
-        schema = KArySchema(depth=5, width=2048, seed=3, family="polynomial")
+
+    def test_two_pass_counts_warmup_seals(self, schema, rng):
+        """The two-pass detector counts every sealed interval, warm-up
+        included -- the session's rule, shared through the sealer."""
         recorder = PipelineRecorder()
-        detector = OfflineTwoPassDetector(
-            schema, "ewma", alpha=0.5, recorder=recorder,
-        )
-        list(detector.run(make_batches(rng, intervals=6)))
-        if detector.index_cache is None:
-            pytest.skip("no cache attached on this build")
+        batches = make_batches(rng, intervals=6)
+        reports = OfflineTwoPassDetector(
+            schema, "ewma", alpha=0.5, recorder=recorder
+        ).detect(batches)
+        assert len(reports) == len(batches) - 1
         reg = recorder.registry
-        cache_stats = detector.index_cache.stats
-        assert (
-            reg.get("repro_index_cache_hits_total").value()
-            == cache_stats["hits"]
-        )
-        assert (
-            reg.get("repro_index_cache_misses_total").value()
-            == cache_stats["misses"]
-        )
-        assert cache_stats["hits"] > 0  # replay keys recur across intervals
+        assert reg.get("repro_intervals_sealed_total").value() == len(batches)
+        assert len(recorder.events(kind="interval_sealed")) == len(batches)
 
 
 class TestCheckpointObs:
