@@ -12,13 +12,15 @@ run is also checked alarm-for-alarm against the baseline reports -- the
 speedup is only meaningful because the output is bit-identical (COMBINE
 linearity with integral update values).
 
-Where the speedup comes from: the serial session hashes and deduplicates
-every chunk as it arrives, while the sharded engine only buffers column
-views per chunk and does one batched sketch update plus one key dedup per
-shard at interval seal.  On multi-core hosts the thread backend adds real
-parallelism on top (the stacked-hash kernels release the GIL); on a
-single core the deferred batching alone carries the win.  ``cpu_count``
-is recorded in the report so the two effects can be told apart.
+What the comparison measures: both sessions buffer each chunk's columns
+and fold the open interval into its sketch in batches -- the serial
+session with one UPDATE plus one key dedup per interval (or per 65,536
+buffered records), the sharded engine with one UPDATE per shard at
+interval seal, then COMBINE.  So ``speedup`` isolates what sharding adds
+on top of batching: on multi-core hosts the thread backend can run shard
+UPDATEs in parallel (the stacked-hash kernels release the GIL), on a
+single core it only adds routing and COMBINE.  ``cpu_count`` is recorded
+in the report so the two can be told apart.
 
 Writes ``BENCH_streaming.json`` next to this file (or ``--output``).
 Not a pytest module -- run directly:
@@ -224,8 +226,8 @@ def main(argv=None):
     rng = np.random.default_rng(2003)
     # Chunks are collector-batch sized: a NetFlow v5 export packet carries
     # at most 30 flow records, so real feeds arrive in O(tens)-record
-    # batches -- the regime where per-chunk sketch work dominates serial
-    # ingestion and deferred seal-time batching pays off.
+    # batches -- the regime where per-chunk sketch work would dominate
+    # ingestion without batching.
     if args.quick:
         n_records, n_intervals, chunk_records = 200_000, 12, 64
         worker_counts = (1, 2, 4)

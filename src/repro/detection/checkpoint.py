@@ -21,10 +21,14 @@ Why bit-identity holds:
 * forecaster recursions consume sealed summaries whole, so restoring
   their retained states (levels, trends, lag windows, innovation queues)
   reproduces the recursion exactly;
-* serial sessions checkpoint the open interval's half-built sketch
-  directly (the remaining records fold into the same table in the same
-  order), and the accumulated candidate-key chunks collapse to one
-  deduplicated array (``np.unique`` is idempotent and order-insensitive);
+* serial sessions checkpoint the open interval's sketch as flushed so
+  far, the deduplicated keys of its flushes as one array (``np.unique``
+  is idempotent and order-insensitive), and the unflushed buffer raw, as
+  one keys and one values array.  Checkpointing never flushes, so the
+  restored session folds the remaining records in at the same flush
+  points -- which keeps even an invertible sketch's per-batch vote
+  planes bit-identical.  A checkpoint written before the buffer existed
+  has no buffer arrays and restores with an empty buffer;
 * sharded sessions checkpoint the raw per-shard ``(keys, values)``
   buffers and the round-robin cursor, so a restored engine routes and
   seals with the exact same per-shard batched updates.

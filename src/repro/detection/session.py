@@ -27,11 +27,10 @@ replay).
 
 from __future__ import annotations
 
-import math
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -50,8 +49,14 @@ from repro.hashing._kernels import (
     kernel_thread_count,
 )
 from repro.obs.recorder import NULL_RECORDER
+from repro.sketch.base import SummaryConvention
 from repro.streams.keys import KeyScheme, ValueScheme, make_key_scheme, make_value_scheme
-from repro.streams.records import validate_records
+from repro.streams.records import finite_time_span, validate_records
+
+#: Records the open interval holds before folding them into its sketch:
+#: 65,536 keys plus values are 1 MiB of columns, so the buffer's memory is
+#: bounded however many records an interval carries.
+_BUFFER_CAP = 65_536
 
 #: Detection counters the seal step owns, created at zero whenever a real
 #: recorder attaches, so a metrics export always carries the full set --
@@ -217,6 +222,73 @@ class IntervalSealer:
             )
 
 
+class _OpenInterval:
+    """The open interval: its sketch, buffered records and flushed key sets.
+
+    Records are buffered as owned ``(keys, values)`` arrays and folded into
+    the sketch by one UPDATE over their concatenation -- then one
+    ``np.unique`` when keys are collected -- once the buffer holds
+    :data:`_BUFFER_CAP` records or the interval closes.  UPDATE is a
+    per-row, stream-order scatter, so the counters do not depend on where
+    flushes fall.  The invertible sketch aggregates votes per UPDATE
+    batch, so its candidate planes do: with one flush per interval they
+    equal ``schema.from_items`` over the interval.
+    """
+
+    __slots__ = ("sketch", "collect_keys", "key_sets", "buffer", "buffered")
+
+    def __init__(self, sketch, collect_keys: bool) -> None:
+        self.sketch = sketch
+        self.collect_keys = collect_keys
+        #: The deduplicated keys of each flush (empty unless collecting).
+        self.key_sets: List[np.ndarray] = []
+        self.buffer: List[Tuple[np.ndarray, np.ndarray]] = []
+        self.buffered = 0
+
+    def add(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Buffer one batch the interval owns; flush at the cap."""
+        self.buffer.append((keys, values))
+        self.buffered += len(keys)
+        if self.buffered >= _BUFFER_CAP:
+            self.flush()
+
+    def pending(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The unflushed records as one ``(keys, values)`` pair."""
+        if len(self.buffer) == 1:
+            return self.buffer[0]
+        if not self.buffer:
+            return np.array([], dtype=np.uint64), np.array([], dtype=np.float64)
+        return (
+            np.concatenate([k for k, _ in self.buffer]),
+            np.concatenate([v for _, v in self.buffer]),
+        )
+
+    def flush(self) -> None:
+        """Fold the buffer into the sketch: one UPDATE, one dedup."""
+        if not self.buffer:
+            return
+        keys, values = self.pending()
+        # UPDATE validates (e.g. key width) before writing; on an error the
+        # records stay buffered and the sketch untouched.
+        self.sketch.update_batch(keys, values)
+        self.buffer, self.buffered = [], 0
+        if self.collect_keys:
+            self.key_sets.append(np.unique(keys))
+
+    def unique_keys(self) -> np.ndarray:
+        """Every flushed key once, sorted; a single flush's set as is."""
+        if len(self.key_sets) == 1:
+            return self.key_sets[0]
+        if not self.key_sets:
+            return np.array([], dtype=np.uint64)
+        return np.unique(np.concatenate(self.key_sets))
+
+    def collect(self):
+        """Flush and return ``(observed_summary, unique_keys)``."""
+        self.flush()
+        return self.sketch, self.unique_keys()
+
+
 class StreamingSession:
     """Incremental sketch-based change detection over live record chunks.
 
@@ -244,15 +316,16 @@ class StreamingSession:
         :mod:`~repro.detection.keysource`).  ``"twopass"`` (default)
         collects the interval's own keys during ingestion -- reports
         unchanged.  ``"invertible"`` / ``"grouptesting"`` recover
-        candidates from the sealed error summary, skipping per-chunk key
-        collection entirely (the schema must produce the matching
+        candidates from the sealed error summary, skipping key
+        deduplication entirely (the schema must produce the matching
         summary type).  Checkpointed with the session config.
     pipeline:
         Pipelined sealing (default off).  When on, each interval
-        boundary snapshots the finished interval on the calling thread
-        (cheap) and hands the seal -- forecast step, threshold, report
-        build, recovery -- to a single background worker, so interval
-        ``t``'s detection work overlaps interval ``t+1``'s UPDATEs.
+        boundary detaches the finished interval on the calling thread
+        (cheap) and hands the seal -- final buffer flush, forecast step,
+        threshold, report build, recovery -- to a single background
+        worker, so interval ``t``'s detection work overlaps interval
+        ``t+1``'s ingestion.
         One worker executing FIFO means reports are still emitted in
         interval order and the forecast recursion still consumes sealed
         summaries in sequence -- reports are **bit-identical** to the
@@ -266,7 +339,8 @@ class StreamingSession:
     pipeline_depth:
         Max sealed-but-unfinished intervals in flight (default 2).
         Ingestion blocks (in order) once the queue is full, bounding
-        memory at ``pipeline_depth`` detached interval summaries.
+        memory at ``pipeline_depth`` detached intervals (a summary plus
+        at most one buffer cap of unflushed records each).
     sink:
         Optional callable ``sink(observed, keys, index)`` invoked for
         every sealed interval *before* the forecast step consumes the
@@ -371,8 +445,7 @@ class StreamingSession:
         self._preregister_obs()
 
         self._current_index: Optional[int] = None
-        self._current_sketch = None
-        self._current_keys: List[np.ndarray] = []
+        self._interval: Optional[_OpenInterval] = None
         self._records_ingested = 0
         self._intervals_sealed = 0
         self._watermark = float("-inf")
@@ -468,14 +541,8 @@ class StreamingSession:
             order = np.argsort(timestamps, kind="stable")
             records = records[order]
             timestamps = records["timestamp"]
-        # Sorted, NaN and +inf land last and -inf first (a NaN also fails
-        # the monotonicity scan above), so two scalars vet the chunk.
-        first, last = float(timestamps[0]), float(timestamps[-1])
-        if not (math.isfinite(first) and math.isfinite(last)):
-            raise ValueError(
-                f"record timestamps must be finite, got a chunk spanning "
-                f"[{first}, {last}]"
-            )
+        # A NaN also fails the monotonicity scan above, so it sorts last.
+        first, last = finite_time_span(timestamps)
         floor = (
             None
             if self._current_index is None
@@ -490,23 +557,37 @@ class StreamingSession:
             )
 
         reports: List[IntervalDetection] = []
+        # Records are time-sorted, so indices are nondecreasing: when both
+        # ends share an interval, so does the whole chunk -- the common
+        # case, settled on two scalars without a per-record index array.
+        first_index, last_index = self._interval_indices(
+            timestamps[[0, -1]]
+        ).tolist()
+        if first_index == last_index:
+            reports.extend(self._advance_to(first_index))
+            self._accumulate(records)
+        else:
+            # Each interval is one contiguous slice, delimited by the
+            # first occurrence of each index, instead of a boolean rescan
+            # of the whole chunk per interval.
+            indices = self._interval_indices(timestamps)
+            uniq, starts = np.unique(indices, return_index=True)
+            bounds = np.append(starts, len(records))
+            for ui, interval_index in enumerate(uniq):
+                chunk = records[bounds[ui] : bounds[ui + 1]]
+                reports.extend(self._advance_to(int(interval_index)))
+                self._accumulate(chunk)
+        self._records_ingested += len(records)
+        self._watermark = max(self._watermark, last)
+        return reports
+
+    def _interval_indices(self, timestamps: np.ndarray) -> np.ndarray:
+        """Interval index of each timestamp, clamped to the open interval."""
         indices = (timestamps // self.interval_seconds).astype(np.int64)
         # Late-but-tolerated records are clamped into the open interval.
         if self._current_index is not None:
             indices = np.maximum(indices, self._current_index)
-        # Records are time-sorted, so indices are nondecreasing: each
-        # interval is one contiguous slice, delimited by the first
-        # occurrence of each index, instead of a boolean rescan of the
-        # whole chunk per interval.
-        uniq, starts = np.unique(indices, return_index=True)
-        bounds = np.append(starts, len(records))
-        for ui, interval_index in enumerate(uniq):
-            chunk = records[bounds[ui] : bounds[ui + 1]]
-            reports.extend(self._advance_to(int(interval_index)))
-            self._accumulate(chunk)
-        self._records_ingested += len(records)
-        self._watermark = max(self._watermark, last)
-        return reports
+        return indices
 
     def ingest_columns(self, block) -> List[IntervalDetection]:
         """Feed one columnar block; returns reports for intervals sealed.
@@ -515,12 +596,15 @@ class StreamingSession:
         :class:`~repro.streams.model.ColumnarBlock` (or anything exposing
         ``index``, ``keys``, ``values``) whose key/value arrays were
         extracted upstream -- typically views produced by
-        :func:`~repro.streams.sharding.iter_interval_columns` -- and they
-        flow into the fused UPDATE kernels without copying or re-sorting.
-        Blocks must arrive in nondecreasing interval order (each block
-        already belongs to exactly one interval, so there is no lateness
-        window to tolerate); results are bit-identical to record-chunk
-        ingestion of the same data.
+        :func:`~repro.streams.sharding.iter_interval_columns` -- and skip
+        extraction and re-sorting.  The session copies them into its
+        interval buffer, so the caller may reuse the arrays once this
+        returns.  Blocks must arrive in nondecreasing interval order (each
+        block already belongs to exactly one interval, so there is no
+        lateness window to tolerate); results are bit-identical to
+        record-chunk ingestion of the same data.  Mismatched shapes or a
+        non-finite value reject the block with ``ValueError`` before any
+        session state changes.
         """
         index = int(block.index)
         if self._current_index is not None and index < self._current_index:
@@ -536,6 +620,9 @@ class StreamingSession:
                 f"keys/values must be matching 1-D arrays, got "
                 f"{keys.shape} and {values.shape}"
             )
+        # Buffered values reach the sketch's own check only at the next
+        # flush, so a bad block is rejected here, on its own call.
+        SummaryConvention.as_value_array(values, len(values))
         with self.recorder.time("ingest"):
             reports = self._advance_to(index)
             if len(keys):
@@ -574,62 +661,79 @@ class StreamingSession:
 
     def _open_interval(self) -> None:
         """Start accumulating a fresh interval."""
-        self._current_sketch = self.schema.empty()
+        # Recovery key sources reconstruct candidates from the sealed
+        # summary, so only the two-pass source pays for key dedup.
+        self._interval = _OpenInterval(
+            self.schema.empty(), self.key_source == "twopass"
+        )
 
     def _accumulate(self, chunk: np.ndarray) -> None:
-        """Fold one single-interval record chunk into the open interval."""
-        keys = self.key_scheme.extract(chunk)
-        values = self.value_scheme.extract(chunk)
-        self._current_sketch.update_batch(keys, values)
-        # Recovery key sources reconstruct candidates from the sealed
-        # summary; skipping the per-chunk np.unique is part of the win.
-        if len(keys) and self.key_source == "twopass":
-            self._current_keys.append(np.unique(keys))
+        """Buffer one single-interval record chunk into the open interval."""
+        keys = np.asarray(self.key_scheme.extract(chunk), dtype=np.uint64)
+        values = SummaryConvention.as_value_array(
+            self.value_scheme.extract(chunk), len(keys)
+        )
+        # The registry's schemes return fresh arrays; a scheme returning a
+        # view of the caller's records is copied, so the buffer owns it.
+        if not keys.flags.owndata:
+            keys = keys.copy()
+        if not values.flags.owndata:
+            values = values.copy()
+        self._interval.add(keys, values)
 
     def _accumulate_columns(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Fold one single-interval columnar batch into the open interval.
+        """Buffer one single-interval columnar batch into the open interval.
 
         ``keys``/``values`` are already extracted and dtype-correct; they
-        pass straight into the sketch's fused UPDATE (no copies).
+        are copied, because the caller owns them once ingestion returns.
         """
-        self._current_sketch.update_batch(keys, values)
-        if self.key_source == "twopass":
-            self._current_keys.append(np.unique(keys))
+        self._interval.add(keys.copy(), values.copy())
 
     def _collect_current(self):
         """Finish accumulation: return ``(observed_summary, unique_keys)``."""
-        observed = self._current_sketch
-        keys = (
-            np.unique(np.concatenate(self._current_keys))
-            if self._current_keys
-            else np.array([], dtype=np.uint64)
-        )
-        self._current_keys = []
-        return observed, keys
+        return self._interval.collect()
 
     # -- checkpoint hooks (overridden by ShardedStreamingSession) ------------
 
     def _accumulation_state(self) -> dict:
         """Open-interval accumulation state, in checkpoint-codec values.
 
-        Deduplicating the accumulated key chunks here is safe:
-        ``np.unique`` over the concatenation is idempotent and
-        order-insensitive, so sealing after a restore yields the same key
-        set (and the same sketch table -- its float64 counters round-trip
-        exactly) as the uninterrupted run.
+        Capturing never flushes: the buffered records are stored raw, as
+        one keys and one values array, so the restored session flushes at
+        the same points and an invertible sketch votes over the same
+        batches as the uninterrupted run.  The flushed key sets collapse
+        to one deduplicated array (``np.unique`` is idempotent and
+        order-insensitive), and the half-built sketch's float64 counters
+        round-trip exactly.
         """
-        keys = (
-            np.unique(np.concatenate(self._current_keys))
-            if self._current_keys
-            else np.array([], dtype=np.uint64)
-        )
-        return {"sketch": self._current_sketch, "keys": keys}
+        interval = self._interval
+        if interval is None:
+            return {"sketch": None, "keys": np.array([], dtype=np.uint64)}
+        buffer_keys, buffer_values = interval.pending()
+        return {
+            "sketch": interval.sketch,
+            "keys": interval.unique_keys(),
+            "buffer_keys": buffer_keys,
+            "buffer_values": buffer_values,
+        }
 
     def _restore_accumulation(self, state: dict) -> None:
-        """Install accumulation state captured by :meth:`_accumulation_state`."""
-        self._current_sketch = state["sketch"]
-        keys = state["keys"]
-        self._current_keys = [keys] if len(keys) else []
+        """Install accumulation state captured by :meth:`_accumulation_state`.
+
+        A checkpoint written before the interval buffer existed carries
+        no ``buffer_*`` fields and restores with an empty buffer.
+        """
+        if state["sketch"] is None:
+            self._interval = None
+            return
+        self._interval = interval = _OpenInterval(
+            state["sketch"], self.key_source == "twopass"
+        )
+        if len(state["keys"]):
+            interval.key_sets.append(state["keys"])
+        buffer_keys = state.get("buffer_keys")
+        if buffer_keys is not None and len(buffer_keys):
+            interval.add(buffer_keys, state["buffer_values"])
 
     # -- sealing -------------------------------------------------------------
 
@@ -665,16 +769,17 @@ class StreamingSession:
     def _detach_current(self) -> Callable[[], List[IntervalDetection]]:
         """Snapshot the open interval into a seal thunk (caller's thread).
 
-        Everything the background seal needs is captured by value; once
-        this returns, the accumulation buffers are free for the next
-        interval.  Subclasses override to keep the expensive half of
+        The thunk takes the open interval -- sketch, buffer and key sets
+        -- whole, so its final flush runs on the worker and overlaps the
+        next interval's ingestion, which accumulates into a fresh
+        interval.  Subclasses override to keep their own expensive half of
         collection (e.g. the sharded COMBINE) on the worker.
         """
-        with self.recorder.time("collect"):
-            observed, keys = self._collect_current()
-        index = self._current_index
+        interval, index = self._interval, self._current_index
 
         def work() -> List[IntervalDetection]:
+            with self.recorder.time("collect"):
+                observed, keys = interval.collect()
             return self._seal_interval(observed, keys, index)
 
         return work

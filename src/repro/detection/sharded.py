@@ -15,9 +15,9 @@ twice.  This module turns that into an ingestion architecture:
     float64), the merged table is **bit-identical** to single-shard
     ingestion, for every partitioning scheme.
 
-    Backends: ``"serial"`` runs shard seals inline (still faster than
-    chunk-at-a-time ingestion: one batched update per shard instead of
-    one per chunk); ``"thread"`` seals shards on a thread pool (the
+    Backends: ``"serial"`` runs shard seals inline (one batched update
+    per shard, like the plain session's one per interval);
+    ``"thread"`` seals shards on a thread pool (the
     stacked-hash C kernels release the GIL); ``"process"`` seals shards
     on a forked process pool writing counter tables into
     :class:`~repro.sketch.mergeable.SharedTableBlock` slots, which the
@@ -669,8 +669,7 @@ class ShardedStreamingSession(StreamingSession):
         return combined
 
     def _open_interval(self) -> None:
-        self._current_sketch = None  # state lives in the engine
-        self._engine.open_interval()
+        self._engine.open_interval()  # state lives in the engine
 
     def _accumulate(self, chunk: np.ndarray) -> None:
         self._engine.accumulate(chunk)

@@ -390,7 +390,14 @@ def scatter_add_indices(table: np.ndarray, indices: np.ndarray,
         return
     depth, width = table.shape
     offsets = np.arange(depth, dtype=np.int64) * width
-    np.add.at(table.reshape(-1), indices + offsets[:, None], values)
+    # Values spelled out to the (H, n) index shape (a view, no copy):
+    # ``np.add.at`` misapplies the implicit broadcast of 1-D values for
+    # n >= 2 on some NumPy releases (2.4.6 among them).
+    np.add.at(
+        table.reshape(-1),
+        indices + offsets[:, None],
+        np.broadcast_to(values, indices.shape),
+    )
 
 
 def gather_indices(table: np.ndarray, indices: np.ndarray) -> np.ndarray:

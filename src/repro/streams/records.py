@@ -10,7 +10,8 @@ file densities.
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -82,6 +83,22 @@ def validate_records(records: np.ndarray) -> None:
         )
     if records.ndim != 1:
         raise ValueError(f"records must be one-dimensional, got {records.ndim}D")
+
+
+def finite_time_span(timestamps: np.ndarray) -> Tuple[float, float]:
+    """First and last of time-sorted ``timestamps``, both checked finite.
+
+    Sorted, NaN and +inf land last and -inf first, so the two ends vet
+    every record in O(1): raises ``ValueError`` unless both are finite.
+    ``timestamps`` must be non-empty.
+    """
+    first, last = float(timestamps[0]), float(timestamps[-1])
+    if not (math.isfinite(first) and math.isfinite(last)):
+        raise ValueError(
+            f"record timestamps must be finite, got time-sorted records "
+            f"spanning [{first}, {last}]"
+        )
+    return first, last
 
 
 def sort_by_time(records: np.ndarray) -> np.ndarray:

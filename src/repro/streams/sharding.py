@@ -44,7 +44,7 @@ from repro.streams.keys import (
     make_value_scheme,
 )
 from repro.streams.model import ColumnarBlock
-from repro.streams.records import validate_records
+from repro.streams.records import finite_time_span, validate_records
 
 SHARD_METHODS = ("hash", "round_robin", "block")
 
@@ -182,7 +182,9 @@ def iter_interval_columns(
     ``chunk_records`` rows.  Feeding the blocks to
     :meth:`StreamingSession.ingest_columns` reproduces record-chunk
     ingestion bit for bit while skipping all per-chunk extraction work
-    and intermediate copies.
+    and intermediate copies.  A NaN or infinite timestamp raises
+    ``ValueError`` before any block is yielded: blocks carry no
+    timestamps, so this is the last point that can see one.
     """
     validate_records(records)
     if interval_seconds <= 0:
@@ -196,6 +198,7 @@ def iter_interval_columns(
         order = np.argsort(timestamps, kind="stable")
         records = records[order]
         timestamps = records["timestamp"]
+    finite_time_span(timestamps)
     if isinstance(key_scheme, str):
         key_scheme = make_key_scheme(key_scheme)
     if isinstance(value_scheme, str):

@@ -17,7 +17,7 @@ from repro.detection import (
     restore_session,
     save_checkpoint,
 )
-from repro.sketch import KArySchema
+from repro.sketch import InvertibleKArySchema, KArySchema
 from repro.streams import make_records
 
 MODELS = [
@@ -364,3 +364,120 @@ class TestCheckpointMeta:
         assert meta["schema"]["seed"] == 3
         assert meta["forecaster"]["class"] == "EWMAForecaster"
         assert meta["cursor"]["records_ingested"] == 5000
+
+
+class TestBufferedCheckpoint:
+    """A checkpoint stores the open interval's buffer raw and never flushes
+    it, so even the invertible sketch's vote planes -- which depend on
+    where flushes fall -- resume exactly."""
+
+    BUF_CHUNK = 64
+    BUF_INTERVAL = 60.0
+
+    @pytest.fixture
+    def stream(self, rng):
+        n = 2000
+        return make_records(
+            timestamps=np.sort(rng.uniform(0, 5 * self.BUF_INTERVAL, n)),
+            dst_ips=rng.integers(0, 300, n).astype(np.uint32),
+            byte_counts=rng.integers(40, 1500, n),
+        )
+
+    @staticmethod
+    def _schema(invertible):
+        cls = InvertibleKArySchema if invertible else KArySchema
+        return cls(depth=5, width=1024, seed=11)
+
+    @staticmethod
+    def _sink(sealed):
+        def sink(observed, keys, index):
+            sealed.append((index, np.array(observed.table).view(np.uint64)))
+
+        return sink
+
+    def _make(self, schema, sealed):
+        return StreamingSession(
+            schema, "ewma", interval_seconds=self.BUF_INTERVAL,
+            t_fraction=0.05, top_n=10, alpha=0.5, sink=self._sink(sealed),
+            key_source=(
+                "invertible" if isinstance(schema, InvertibleKArySchema)
+                else "twopass"
+            ),
+        )
+
+    def _feed(self, session, records, reports, checkpoint_each=False):
+        for start in range(0, len(records), self.BUF_CHUNK):
+            if checkpoint_each:
+                checkpoint_session(session)
+            reports.extend(session.ingest(records[start : start + self.BUF_CHUNK]))
+
+    def _reference(self, schema, records):
+        sealed, reports = [], []
+        session = self._make(schema, sealed)
+        self._feed(session, records, reports)
+        reports.extend(session.flush())
+        return sealed, reports
+
+    def _resume(self, schema, records, blob, sealed, reports):
+        resumed = restore_session(blob, schema=schema)
+        resumed.sink = self._sink(sealed)  # checkpoints never carry a sink
+        self._feed(
+            resumed, records[records["timestamp"] > resumed.watermark], reports
+        )
+        reports.extend(resumed.flush())
+
+    @staticmethod
+    def _assert_sealed_identical(got, want):
+        assert [i for i, _ in got] == [i for i, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("invertible", [False, True], ids=["kary", "invertible"])
+    def test_resume_mid_buffer_bit_identical(self, stream, invertible):
+        schema = self._schema(invertible)
+        ref_sealed, ref_reports = self._reference(schema, stream)
+
+        sealed, reports = [], []
+        session = self._make(schema, sealed)
+        self._feed(session, stream[: 10 * self.BUF_CHUNK], reports)
+        assert session._interval.buffered > 0  # cut inside the buffer
+        blob = checkpoint_session(session)
+        self._resume(schema, stream, blob, sealed, reports)
+
+        self._assert_sealed_identical(sealed, ref_sealed)
+        _assert_reports_identical(reports, ref_reports)
+
+    @pytest.mark.parametrize("invertible", [False, True], ids=["kary", "invertible"])
+    def test_checkpointing_leaves_live_session_unchanged(self, stream, invertible):
+        schema = self._schema(invertible)
+        ref_sealed, ref_reports = self._reference(schema, stream)
+
+        sealed, reports = [], []
+        session = self._make(schema, sealed)
+        self._feed(session, stream, reports, checkpoint_each=True)
+        reports.extend(session.flush())
+
+        self._assert_sealed_identical(sealed, ref_sealed)
+        _assert_reports_identical(reports, ref_reports)
+
+    def test_checkpoint_without_buffer_fields_restores(self, stream):
+        """A checkpoint written before the buffer existed has every record
+        folded into its sketch and no ``buffer_*`` fields."""
+        from repro.sketch.serialization import dumps_checkpoint, loads_checkpoint
+
+        schema = self._schema(invertible=False)
+        ref_sealed, ref_reports = self._reference(schema, stream)
+
+        sealed, reports = [], []
+        session = self._make(schema, sealed)
+        self._feed(session, stream[: 10 * self.BUF_CHUNK], reports)
+        session._interval.flush()
+        meta, body = loads_checkpoint(checkpoint_session(session), schema=schema)
+        del body["accumulation"]["buffer_keys"]
+        del body["accumulation"]["buffer_values"]
+        blob = dumps_checkpoint(meta, body)
+        assert restore_session(blob, schema=schema)._interval.buffered == 0
+        self._resume(schema, stream, blob, sealed, reports)
+
+        self._assert_sealed_identical(sealed, ref_sealed)
+        _assert_reports_identical(reports, ref_reports)

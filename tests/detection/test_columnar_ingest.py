@@ -101,6 +101,35 @@ class TestColumnarEquivalence:
                 _run_columns(session, records), reference
             )
 
+    def test_block_arrays_reusable_after_ingest(self, schema, records):
+        """The session buffers its own copy: a caller overwriting a
+        block's arrays once ``ingest_columns`` returns changes nothing."""
+        reference = _run_columns(self._session(schema), records, 512)
+        session = self._session(schema)
+        reports = []
+        for block in iter_interval_columns(records, INTERVAL, chunk_records=512):
+            keys, values = block.keys.copy(), block.values.copy()
+            reports.extend(session.ingest_columns(
+                ColumnarBlock(index=block.index, keys=keys, values=values)
+            ))
+            keys[:] = 7
+            values[:] = 1e9
+        reports.extend(session.flush())
+        _assert_reports_identical(reports, reference)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_rejected_before_state_changes(self, schema, bad):
+        session = self._session(schema)
+        keys = np.arange(4, dtype=np.uint64)
+        session.ingest_columns(ColumnarBlock(index=1, keys=keys, values=np.ones(4)))
+        values = np.ones(4)
+        values[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            session.ingest_columns(ColumnarBlock(index=3, keys=keys, values=values))
+        assert session.current_interval == 1
+        assert session.intervals_sealed == 0
+        assert session.records_ingested == 4
+
     def test_twopass_accepts_blocks(self, schema, records):
         def detector():
             return OfflineTwoPassDetector(

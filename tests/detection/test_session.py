@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
+import repro.detection.session as session_module
 from repro.detection import OfflineTwoPassDetector, StreamingSession
-from repro.sketch import KArySchema
-from repro.streams import IntervalStream, make_records
+from repro.sketch import InvertibleKArySchema, KArySchema
+from repro.streams import (
+    IntervalStream,
+    iter_interval_chunks,
+    iter_interval_columns,
+    make_records,
+)
+from tests.detection.oracle import assert_reports_identical, oracle_reports
 
 
 @pytest.fixture
@@ -237,3 +244,171 @@ class TestNonFiniteTimestamps:
         # The session is still usable: the clean records go through.
         session.ingest(records[1000:])
         assert session.records_ingested == len(records)
+
+
+# -- the open interval's buffer -----------------------------------------------
+
+BUF_INTERVAL = 60.0
+BUF_EDGES = [
+    edge
+    for k in (1, 2, 3)
+    for edge in (k * BUF_INTERVAL, np.nextafter(k * BUF_INTERVAL, -np.inf))
+]
+
+
+def _edge_records(rng, per_interval=250, n_intervals=4):
+    """Sorted records in every interval, plus records on each edge and on
+    the float just below it; a spike in the last interval raises alarms."""
+    n = per_interval * n_intervals
+    timestamps = np.sort(
+        np.concatenate([
+            rng.uniform(0, n_intervals * BUF_INTERVAL, n), BUF_EDGES,
+        ])
+    )
+    keys = rng.integers(0, 300, len(timestamps)).astype(np.uint32)
+    byte_counts = rng.integers(40, 1500, len(timestamps))
+    spike = timestamps >= (n_intervals - 1) * BUF_INTERVAL
+    byte_counts[spike & (keys < 3)] *= 50
+    return make_records(
+        timestamps=timestamps, dst_ips=keys, byte_counts=byte_counts
+    )
+
+
+def _edge_cut_feed(records):
+    """Chunks ending exactly on each edge and on the float just below it."""
+    cuts = np.flatnonzero(np.isin(records["timestamp"], BUF_EDGES)) + 1
+    return np.split(records, cuts)
+
+
+def _feeds(records):
+    chunked = {
+        f"chunk{c}": [records[i : i + c] for i in range(0, len(records), c)]
+        for c in (1, 7, 64)
+    }
+    return {
+        **chunked,
+        "whole_interval": list(iter_interval_chunks(records, BUF_INTERVAL)),
+        "edge_cuts": _edge_cut_feed(records),
+        "columns64": list(
+            iter_interval_columns(records, BUF_INTERVAL, chunk_records=64)
+        ),
+        "columns": list(iter_interval_columns(records, BUF_INTERVAL)),
+    }
+
+
+def _bits(table):
+    """A table's exact bit pattern (the candidate-key plane is uint64)."""
+    return np.ascontiguousarray(table).view(np.uint64)
+
+
+def _sealed_run(session_kwargs, schema, feed):
+    """Replay ``feed``; returns the reports and every sealed interval."""
+    sealed = []
+
+    def sink(observed, keys, index):
+        sealed.append((index, np.array(observed.table), keys.copy()))
+
+    session = StreamingSession(
+        schema, "ewma", sink=sink, **session_kwargs,
+    )
+    columnar = not isinstance(feed[0], np.ndarray)
+    ingest = session.ingest_columns if columnar else session.ingest
+    reports = []
+    for item in feed:
+        reports.extend(ingest(item))
+    reports.extend(session.flush())
+    return reports, sealed
+
+
+BUF_KWARGS = dict(
+    interval_seconds=BUF_INTERVAL, t_fraction=0.05, top_n=10, alpha=0.5,
+)
+
+
+class TestIntervalBuffer:
+    """One UPDATE per interval: the sealed store is the whole-interval
+    sketch, however the interval arrived."""
+
+    @pytest.mark.parametrize("invertible", [False, True], ids=["kary", "invertible"])
+    @pytest.mark.parametrize(
+        "feed_name",
+        ["chunk1", "chunk7", "chunk64", "whole_interval", "edge_cuts",
+         "columns64", "columns"],
+    )
+    def test_chunking_invariance(self, rng, invertible, feed_name):
+        records = _edge_records(rng)
+        cls = InvertibleKArySchema if invertible else KArySchema
+        schema = cls(depth=5, width=1024, seed=11)
+        key_source = "invertible" if invertible else "twopass"
+        reports, sealed = _sealed_run(
+            dict(BUF_KWARGS, key_source=key_source), schema,
+            _feeds(records)[feed_name],
+        )
+
+        blocks = list(iter_interval_columns(records, BUF_INTERVAL))
+        assert [index for index, _, _ in sealed] == [b.index for b in blocks]
+        for (index, table, keys), block in zip(sealed, blocks):
+            whole = schema.from_items(block.keys, block.values)
+            assert np.array_equal(_bits(table), _bits(whole.table))
+            if not invertible:
+                assert np.array_equal(keys, np.unique(block.keys))
+        assert any(r.alarm_count for r in reports)
+        assert_reports_identical(
+            reports,
+            oracle_reports(
+                schema, "ewma", blocks, t_fraction=0.05, top_n=10,
+                key_source=key_source, alpha=0.5,
+            ),
+        )
+
+    def test_cap_flushes_bound_the_buffer(self, rng, monkeypatch):
+        cap, chunk = 50, 7
+        monkeypatch.setattr(session_module, "_BUFFER_CAP", cap)
+        flushed = []
+        flush = session_module._OpenInterval.flush
+
+        def counting_flush(self):
+            flushed.append(self.buffered)
+            flush(self)
+
+        monkeypatch.setattr(session_module._OpenInterval, "flush", counting_flush)
+        records = _edge_records(rng)
+        schema = KArySchema(depth=5, width=1024, seed=11)
+        reports, sealed = _sealed_run(
+            BUF_KWARGS, schema, _feeds(records)[f"chunk{chunk}"]
+        )
+
+        blocks = list(iter_interval_columns(records, BUF_INTERVAL))
+        # Several flushes per interval, none holding more than one chunk
+        # past the cap.
+        assert sum(n > 0 for n in flushed) > 3 * len(blocks)
+        assert max(flushed) <= cap + chunk
+        for (index, table, keys), block in zip(sealed, blocks):
+            whole = schema.from_items(block.keys, block.values)
+            assert np.array_equal(table, whole.table)
+            assert np.array_equal(keys, np.unique(block.keys))
+        assert_reports_identical(
+            reports,
+            oracle_reports(
+                schema, "ewma", blocks, t_fraction=0.05, top_n=10, alpha=0.5,
+            ),
+        )
+
+    def test_unhashable_keys_fail_the_flush_and_stay_buffered(self):
+        """Keys are hashed at the flush, so a key the schema rejects (64-bit
+        pairs under 32-bit tabulation) fails the seal, and the failed
+        flush leaves the buffer and sketch as they were."""
+        schema = KArySchema(depth=3, width=256, seed=11)
+        session = StreamingSession(
+            schema, "ewma", key_scheme="src_dst_pair", **BUF_KWARGS,
+        )
+        records = make_records(
+            timestamps=np.arange(10.0), dst_ips=np.arange(10),
+            byte_counts=np.full(10, 100), src_ips=np.full(10, 7),
+        )
+        session.ingest(records)
+        interval = session._interval
+        with pytest.raises(ValueError, match="PolynomialHash"):
+            session.flush()
+        assert interval.buffered == 10
+        assert not interval.sketch.table.any()

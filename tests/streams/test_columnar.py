@@ -106,6 +106,19 @@ class TestIterIntervalColumns:
         with pytest.raises(ValueError):
             list(iter_interval_columns(records, INTERVAL, chunk_records=0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_timestamp_rejected_before_any_block(self, bad):
+        # Unchecked, a NaN lands in the last block's count and -inf opens
+        # a block at interval -2**63.
+        records = make_records(
+            timestamps=np.array([1.0, 2.0, 61.0, bad]),
+            dst_ips=np.arange(4),
+            byte_counts=np.full(4, 100),
+        )
+        blocks = iter_interval_columns(records, 60.0)
+        with pytest.raises(ValueError, match="finite"):
+            next(blocks)
+
     def test_matches_interval_stream_batches(self, records):
         """Same intervals, same rows as the KeyedUpdates batch iterator."""
         batches = list(IntervalStream(records, interval_seconds=INTERVAL))
