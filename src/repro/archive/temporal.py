@@ -35,6 +35,7 @@ single FIFO seal worker, which is safe; run queries only after
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -55,6 +56,7 @@ from repro.sketch.serialization import (
     schema_from_identity,
     schema_identity,
 )
+from repro.streams.keys import dedup_keys
 
 _FORMAT = "temporal-archive"
 _VERSION = 1
@@ -67,12 +69,45 @@ _ARCHIVE_COUNTERS = (
 _COMPACTION_AXES = ("time", "item")
 
 
+def _query_keys(keys) -> np.ndarray:
+    """Caller-supplied ``diff`` keys as a sorted, deduplicated uint64 array.
+
+    A plain uint64 cast would probe float keys truncated, read booleans
+    as keys 0 and 1 and flatten 2-D input, so anything but a 1-D
+    sequence or array of integers in ``[0, 2**64)`` raises ``ValueError``.
+    An empty sequence is valid.
+    """
+    if isinstance(keys, np.ndarray):
+        arr = keys
+        valid = arr.ndim == 1 and (
+            not len(arr)
+            or arr.dtype.kind == "u"
+            or (arr.dtype.kind == "i" and arr.min() >= 0)
+        )
+    else:
+        # A scalar is not a sequence of keys: ``None`` fails the check.
+        items = list(keys) if isinstance(keys, Iterable) else [None]
+        valid = all(
+            isinstance(k, (int, np.integer))
+            and not isinstance(k, bool)
+            and 0 <= int(k) < 2**64
+            for k in items
+        )
+        arr = np.array(items if valid else [], dtype=np.uint64)
+    if not valid:
+        raise ValueError(
+            "diff keys must be a 1-D sequence or array of integers in "
+            f"[0, 2**64), got {keys!r:.80}"
+        )
+    return dedup_keys(arr.astype(np.uint64, copy=False))
+
+
 @dataclass
 class ArchiveSpan:
     """One archived span: ``length`` consecutive intervals in one summary.
 
     ``folds`` counts the width halvings applied (0 = native width).
-    ``keys`` holds the span's observed key set (``np.unique`` output)
+    ``keys`` holds the span's observed key set (sorted, deduplicated)
     while the span is still at full resolution; compaction drops it.
     """
 
@@ -447,7 +482,7 @@ class TemporalArchive:
                 "the full-resolution tail)"
             )
         return (
-            np.unique(np.concatenate(chunks))
+            dedup_keys(np.concatenate(chunks))
             if chunks
             else np.array([], dtype=np.uint64)
         )
@@ -478,7 +513,10 @@ class TemporalArchive:
         ``keys`` defaults to the stored key sets of range ``a`` (the
         "current" side, matching the live session's candidate source);
         that requires range ``a`` to lie in the full-resolution tail --
-        pass candidates explicitly to query compacted history.
+        pass candidates explicitly to query compacted history.  Explicit
+        keys must be a 1-D sequence or array of integers in
+        ``[0, 2**64)``, in any order and with repeats; anything else
+        raises ``ValueError`` before any summary is touched.
 
         Over adjacent single-interval full-resolution spans with a
         moving-average(1) live model this reproduces the live session's
@@ -486,6 +524,8 @@ class TemporalArchive:
         paths compute the error with the same fused COMBINE, and the
         candidate key sets are the same arrays.
         """
+        if keys is not None:
+            keys = _query_keys(keys)
         summary_a, lo_a, hi_a = self.range_summary(*range_a)
         summary_b, lo_b, hi_b = self.range_summary(*range_b)
         folds = max(
@@ -498,8 +538,6 @@ class TemporalArchive:
         error = combine([1.0, -scale], [summary_a, summary_b])
         if keys is None:
             keys = self._range_keys(self._select(lo_a, hi_a))
-        else:
-            keys = np.unique(np.asarray(keys, dtype=np.uint64))
         report = build_interval_report(
             error,
             keys,

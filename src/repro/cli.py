@@ -414,6 +414,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         merger = load_merger_checkpoint(args.resume, recorder=recorder)
         merger.checkpoint_path = args.checkpoint
         merger.checkpoint_every = args.checkpoint_every
+        merger.min_sites = args.expect_sites
         print(
             f"resumed coordinator at sealed_through="
             f"{merger.sealed_through} ({len(merger.sites)} known sites)"
@@ -428,6 +429,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             top_n=args.top_n,
             key_source=args.key_source,
             quorum=args.quorum,
+            min_sites=args.expect_sites,
             deadline_seconds=args.deadline,
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
@@ -449,9 +451,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"coordinator listening on {server.host}:{server.port}")
         try:
             if args.exit_when_complete:
-                while not await server.wait_complete(
-                    timeout=60.0, min_sites=args.expect_sites
-                ):
+                while not await server.wait_complete(timeout=60.0):
                     pass
             else:  # pragma: no cover - interactive mode
                 await asyncio.Event().wait()
@@ -924,9 +924,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exit once every site said BYE and all intervals "
                        "sealed (batch/CI mode; default: serve forever)")
     p_srv.add_argument("--expect-sites", type=int, default=1,
-                       help="with --exit-when-complete: wait for at least "
-                       "this many sites to register before the fleet can "
-                       "count as complete")
+                       help="seal nothing until at least this many sites "
+                       "have registered (sites restored by --resume "
+                       "count); with --exit-when-complete the fleet "
+                       "cannot count as complete before then either")
     p_srv.add_argument("--metrics-out", default=None,
                        help="write pipeline metrics here on completion")
     p_srv.set_defaults(func=_cmd_serve)

@@ -29,6 +29,7 @@ from repro.gridsearch.grid import grid_search, search_integer_window
 from repro.gridsearch.objective import estimated_total_energy
 from repro.gridsearch.search_spaces import build_search_spaces
 from repro.sketch import KArySchema
+from repro.streams.keys import dedup_keys
 from repro.streams.model import KeyedUpdates
 
 
@@ -157,7 +158,7 @@ class AdaptiveDetector:
                 step = forecaster.step(observed)
                 if step.error is not None:
                     report = self._sealer.report(
-                        step.error, np.unique(batch.keys), batch.index
+                        step.error, dedup_keys(batch.keys), batch.index
                     )
 
             self._history.append(search_observed)

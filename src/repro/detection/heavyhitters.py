@@ -19,6 +19,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.streams.keys import dedup_keys
+
 
 def heavy_hitters(
     summary,
@@ -46,7 +48,7 @@ def heavy_hitters(
     """
     if not 0.0 < phi < 1.0:
         raise ValueError(f"phi must be in (0, 1), got {phi}")
-    keys = np.unique(np.asarray(candidate_keys, dtype=np.uint64))
+    keys = dedup_keys(np.asarray(candidate_keys, dtype=np.uint64))
     if not len(keys):
         return {}
     threshold = phi * summary.total()

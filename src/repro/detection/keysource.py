@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.detection.threshold import alarm_threshold
 from repro.obs.recorder import NULL_RECORDER
+from repro.streams.keys import dedup_keys
 
 __all__ = [
     "KEY_SOURCES",
@@ -123,7 +124,7 @@ KEY_SOURCES = ("twopass", "online", "invertible", "grouptesting")
 def collect_replay_keys(recent_keys) -> np.ndarray:
     """Merge per-interval replay key sets into one sorted unique array.
 
-    ``recent_keys`` is a sequence of per-interval ``np.unique``'d key
+    ``recent_keys`` is a sequence of per-interval deduplicated key
     arrays, most recent last (the two-pass detector's lookback window).
     With a single interval the array passes through unchanged -- bit for
     bit the pre-registry behavior of both ``OfflineTwoPassDetector.run``
@@ -134,7 +135,7 @@ def collect_replay_keys(recent_keys) -> np.ndarray:
         return np.empty(0, dtype=np.uint64)
     if len(recent) == 1:
         return recent[-1]
-    return np.unique(np.concatenate(recent))
+    return dedup_keys(np.concatenate(recent))
 
 
 def resolve_key_source(

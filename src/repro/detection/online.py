@@ -24,6 +24,7 @@ from repro.detection.session import IntervalSealer
 from repro.detection.threshold import IntervalDetection
 from repro.forecast.base import Forecaster
 from repro.forecast.model_zoo import make_forecaster
+from repro.streams.keys import dedup_keys
 from repro.streams.model import KeyedUpdates
 
 
@@ -121,7 +122,7 @@ class OnlineDetector:
             if pending_error is not None:
                 yield self._report(
                     pending_index, pending_error,
-                    np.unique(self._sample(batch.keys)),
+                    dedup_keys(self._sample(batch.keys)),
                 )
             observed = self.schema.from_items(batch.keys, batch.values)
             with obs.time("forecast_step"):

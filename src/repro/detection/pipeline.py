@@ -23,6 +23,7 @@ from typing import Any, Iterable, Iterator, List, Optional
 import numpy as np
 
 from repro.forecast.base import Forecaster
+from repro.streams.keys import dedup_keys
 from repro.streams.model import KeyedUpdates
 
 
@@ -53,7 +54,7 @@ def summarize_stream(batches: Iterable[KeyedUpdates], schema) -> List[Any]:
 
 def interval_key_sets(batches: Iterable[KeyedUpdates]) -> List[np.ndarray]:
     """Distinct keys per interval -- the replay input for pass two."""
-    return [np.unique(batch.keys) for batch in batches]
+    return [dedup_keys(batch.keys) for batch in batches]
 
 
 def forecast_error_stream(
@@ -92,7 +93,7 @@ def run_pipeline(
         step = forecaster.step(observed)
         yield PipelineStep(
             index=batch.index,
-            keys=np.unique(batch.keys),
+            keys=dedup_keys(batch.keys),
             observed=observed,
             forecast=step.forecast,
             error=step.error,

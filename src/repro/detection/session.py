@@ -273,6 +273,7 @@ class _OpenInterval:
         self.sketch.update_batch(keys, values)
         self.buffer, self.buffered = [], 0
         if self.collect_keys:
+            # Not dedup_keys: the e2e tracer times detection.dedup via np.unique.
             self.key_sets.append(np.unique(keys))
 
     def unique_keys(self) -> np.ndarray:

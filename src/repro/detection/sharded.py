@@ -58,6 +58,7 @@ _SUPERVISION_EVENTS = (
     "pool_rebuild",
 )
 from repro.sketch.mergeable import SchemaHandle, SharedTableBlock, merge
+from repro.streams.keys import dedup_keys
 from repro.streams.model import ColumnarBlock
 from repro.streams.sharding import (
     SHARD_METHODS,
@@ -113,7 +114,7 @@ def _process_worker_seal(
     _WORKER_BLOCK.summary(slot).update_batch(keys, values)
     # Sessions with a recovering key source never read the key set; the
     # per-shard dedup (and its pickle back) is skipped entirely.
-    return np.unique(keys) if collect_keys else None
+    return dedup_keys(keys) if collect_keys else None
 
 
 def _sketch_shard(schema, keys: np.ndarray, values: np.ndarray):
@@ -163,7 +164,7 @@ class ShardedIngestEngine:
         Whether :meth:`collect` also returns the interval's deduplicated
         key set (default ``True``).  Sessions using a recovering key
         source (invertible/group-testing) never read it, so disabling
-        skips the per-interval ``np.unique`` over every ingested key --
+        skips the per-interval dedup over every ingested key --
         the sharded half of retiring the second pass.  :meth:`collect`
         then returns an empty key array.
 
@@ -366,7 +367,7 @@ class ShardedIngestEngine:
         # as workers are added).
         if not self.collect_keys:
             return _EMPTY_KEYS
-        return np.unique(
+        return dedup_keys(
             shard_items[0][0]
             if len(shard_items) == 1
             else np.concatenate([k for k, _ in shard_items])
@@ -412,7 +413,7 @@ class ShardedIngestEngine:
                 elif len(key_sets) == 1:
                     keys = key_sets[0]
                 else:
-                    keys = np.unique(np.concatenate(key_sets))
+                    keys = dedup_keys(np.concatenate(key_sets))
                 return summaries, keys
             except Exception as exc:
                 for future in futures:
@@ -744,7 +745,7 @@ def sketch_traces_parallel(
         return (
             [b.index for b in batches],
             summarize_stream(batches, schema),
-            [np.unique(b.keys) for b in batches],
+            [dedup_keys(b.keys) for b in batches],
         )
 
     if n_workers is None:
@@ -764,7 +765,7 @@ def sketch_traces_parallel(
                 f"streams disagree on interval index at position {t}: {sorted(indices)}"
             )
         observed = merge([obs[t] for _, obs, _ in per_stream])
-        keys = np.unique(np.concatenate([keys[t] for _, _, keys in per_stream]))
+        keys = dedup_keys(np.concatenate([keys[t] for _, _, keys in per_stream]))
         combined.append((indices.pop(), observed, keys))
     return combined
 

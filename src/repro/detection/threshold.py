@@ -25,6 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.obs.recorder import NULL_RECORDER, STAGE_HISTOGRAM
+from repro.streams.keys import dedup_keys
 
 from time import perf_counter as _perf_counter
 
@@ -108,7 +109,7 @@ def build_interval_report(
     error_summary:
         ``Se(t)`` -- any summary with ``estimate_batch`` / ``l2_norm``.
     candidate_keys:
-        **Deduplicated, sorted** candidate keys (``np.unique`` output).
+        Candidate keys, sorted and deduplicated (``dedup_keys`` output).
         Every caller already holds them in that form; re-deduplicating
         here would tax the hot path.
     interval:
@@ -340,7 +341,7 @@ def alarms_for_interval(
     indices:
         Optional precomputed bucket indices for the candidate keys.
     """
-    keys = np.unique(np.asarray(candidate_keys, dtype=np.uint64))
+    keys = dedup_keys(np.asarray(candidate_keys, dtype=np.uint64))
     if not len(keys):
         return []
     threshold = alarm_threshold(error_summary, t_fraction)

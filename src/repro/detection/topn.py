@@ -12,6 +12,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.streams.keys import dedup_keys
+
 
 def top_n_keys(
     error_summary,
@@ -34,7 +36,7 @@ def top_n_keys(
     indices:
         Optional precomputed bucket indices aligned with the *deduplicated,
         sorted* candidate key array (i.e. computed on
-        ``np.unique(candidate_keys)``).
+        ``dedup_keys(candidate_keys)``).
     return_estimates:
         When true, also return the signed estimated errors.
 
@@ -45,7 +47,7 @@ def top_n_keys(
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    keys = np.unique(np.asarray(candidate_keys, dtype=np.uint64))
+    keys = dedup_keys(np.asarray(candidate_keys, dtype=np.uint64))
     if not len(keys) or n == 0:
         empty_keys = np.array([], dtype=np.uint64)
         if return_estimates:

@@ -25,6 +25,7 @@ from repro.detection.threshold import (
 )
 from repro.forecast.base import Forecaster
 from repro.forecast.model_zoo import make_forecaster
+from repro.streams.keys import dedup_keys
 from repro.streams.model import KeyedUpdates
 
 _EMPTY_KEYS = np.array([], dtype=np.uint64)
@@ -131,14 +132,14 @@ class OfflineTwoPassDetector:
         feed the fused UPDATE kernels without copying.
         """
         # Recovery sources pull candidates out of the error summary, so
-        # the per-interval key collection (and its np.unique) is skipped
+        # the per-interval key collection (and its dedup) is skipped
         # entirely -- that *is* the retired second pass.
         replaying = self.key_source == "twopass"
         return self.seal_intervals(
             (
                 batch.index,
                 self.schema.from_items(batch.keys, batch.values),
-                np.unique(batch.keys) if replaying else _EMPTY_KEYS,
+                dedup_keys(batch.keys) if replaying else _EMPTY_KEYS,
             )
             for batch in batches
         )

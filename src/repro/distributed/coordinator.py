@@ -69,6 +69,7 @@ from repro.sketch.serialization import (
     schema_identity,
 )
 from repro.sketch.serialization import loads as sketch_loads
+from repro.streams.keys import dedup_keys
 
 _EMPTY_KEYS = np.array([], dtype=np.uint64)
 
@@ -154,6 +155,11 @@ class IntervalMerger:
     quorum:
         Minimum site contributions required for a *deadline* seal
         (default 1).  Irrelevant while ``deadline_seconds`` is None.
+    min_sites:
+        Sites that must have registered -- by HELLO, or restored from a
+        checkpoint -- before anything seals (default 1).  A fleet sets it
+        to its size: otherwise the first site to connect can seal
+        intervals without the contributions of sites still connecting.
     deadline_seconds:
         How long the oldest pending interval may wait for stragglers
         before sealing without them (``None``, the default, waits
@@ -179,6 +185,7 @@ class IntervalMerger:
         top_n: int = 0,
         key_source: str = "twopass",
         quorum: int = 1,
+        min_sites: int = 1,
         deadline_seconds: Optional[float] = None,
         checkpoint_path: Optional[str] = None,
         checkpoint_every: int = 0,
@@ -192,6 +199,8 @@ class IntervalMerger:
             )
         if quorum < 1:
             raise ValueError(f"quorum must be >= 1, got {quorum}")
+        if min_sites < 1:
+            raise ValueError(f"min_sites must be >= 1, got {min_sites}")
         if deadline_seconds is not None and deadline_seconds < 0:
             raise ValueError(
                 f"deadline_seconds must be >= 0, got {deadline_seconds}"
@@ -213,6 +222,7 @@ class IntervalMerger:
         self.top_n = int(top_n)
         self.key_source = key_source
         self.quorum = int(quorum)
+        self.min_sites = int(min_sites)
         self.deadline_seconds = deadline_seconds
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = int(checkpoint_every)
@@ -273,9 +283,14 @@ class IntervalMerger:
 
     @property
     def complete(self) -> bool:
-        """True when every registered site ended and nothing is pending."""
+        """True when ``min_sites`` sites registered, all ended, none pending.
+
+        Counting registrations keeps a fleet that has not assembled yet
+        from counting as done when its first agent finishes early.
+        """
         return (
-            bool(self.sites)
+            len(self.sites) >= self.min_sites
+            and bool(self.sites)
             and not self.pending
             and all(not s.active for s in self.sites.values())
         )
@@ -409,8 +424,12 @@ class IntervalMerger:
         Gap intervals between sealed ones (possible when site traffic
         ranges are disjoint) seal as empty, keeping the forecast series
         evenly spaced exactly as a single-process session would.
+        Nothing seals while fewer than ``min_sites`` sites have
+        registered.
         """
         reports: List[IntervalDetection] = []
+        if len(self.sites) < self.min_sites:
+            return reports
         while self.pending:
             t = self._next_to_seal()
             if all(self._accounted(s, t) for s in self.sites.values()):
@@ -481,7 +500,7 @@ class IntervalMerger:
         # site caches are never aliased into the forecaster's state.
         merged = merge(summaries) if summaries else self.schema.empty()
         keys = (
-            np.unique(np.concatenate(key_arrays))
+            dedup_keys(np.concatenate(key_arrays))
             if key_arrays
             else _EMPTY_KEYS
         )
@@ -718,26 +737,17 @@ class CoordinatorServer:
             await self._merge_task
             self._merge_task = None
 
-    async def wait_complete(
-        self, timeout: float = 60.0, min_sites: int = 1
-    ) -> bool:
+    async def wait_complete(self, timeout: float = 60.0) -> bool:
         """Wait until every site ended and every interval sealed.
 
         Polls :attr:`IntervalMerger.complete` (plus an empty frame
-        queue); returns False on timeout instead of raising so callers
-        can dump diagnostics before failing.  ``min_sites`` guards
-        against declaring a fleet done before it has even assembled --
-        completion requires at least that many sites to have registered
-        (ever), so an early-finishing first agent does not end a run
-        whose remaining agents are still connecting.
+        queue), which also waits for the merger's ``min_sites`` sites to
+        register; returns False on timeout instead of raising so callers
+        can dump diagnostics before failing.
         """
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            if (
-                len(self.merger.sites) >= min_sites
-                and self._queue.empty()
-                and self.merger.complete
-            ):
+            if self._queue.empty() and self.merger.complete:
                 return True
             await asyncio.sleep(0.02)
         return False

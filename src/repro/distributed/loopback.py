@@ -106,6 +106,7 @@ async def run_loopback_async(
         top_n=top_n,
         key_source=key_source,
         quorum=quorum,
+        min_sites=n_sites,
         deadline_seconds=deadline_seconds,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
@@ -139,9 +140,7 @@ async def run_loopback_async(
                 for name, part in parts.items()
             )
         )
-        complete = await server.wait_complete(
-            timeout=complete_timeout, min_sites=n_sites
-        )
+        complete = await server.wait_complete(timeout=complete_timeout)
     finally:
         await server.stop()
     return LoopbackResult(

@@ -33,6 +33,21 @@ def interval_edge(index: int, interval_seconds: float, start: float = 0.0) -> fl
     return start + interval_seconds * index
 
 
+def _require_finite(timestamps: np.ndarray) -> None:
+    """Raise ``ValueError`` if any timestamp is NaN or infinite.
+
+    A full scan: the slicers trust their input to be sorted and never
+    re-sort it, so the two ends alone do not vet a NaN.
+    """
+    finite = np.isfinite(timestamps)
+    if not finite.all():
+        bad = timestamps[~finite]
+        raise ValueError(
+            f"record timestamps must be finite, got {len(bad)} non-finite "
+            f"(first: {float(bad[0])})"
+        )
+
+
 def interval_bounds(
     duration: float, interval_seconds: float, start: float = 0.0
 ) -> List[Tuple[float, float]]:
@@ -81,6 +96,9 @@ def slice_by_interval(
     ``on_before_start="drop"``
         Skip them, exposing the count as ``stats["dropped_before_start"]``
         when a ``stats`` dict is supplied.
+
+    A NaN or infinite timestamp raises ``ValueError`` before any slice is
+    yielded.
     """
     validate_records(records)
     if interval_seconds <= 0:
@@ -94,6 +112,7 @@ def slice_by_interval(
     if not len(records):
         return
     timestamps = records["timestamp"]
+    _require_finite(timestamps)
     n_before = int(np.searchsorted(timestamps, start, side="left"))
     if n_before:
         if on_before_start == "raise":
@@ -226,12 +245,14 @@ class RandomizedIntervalSlicer:
 
         Records predating ``start`` follow the :func:`slice_by_interval`
         contract: raise by default, or count into
-        :attr:`dropped_before_start` in ``"drop"`` mode.
+        :attr:`dropped_before_start` in ``"drop"`` mode.  So do NaN and
+        infinite timestamps: ``ValueError`` before any slice.
         """
         validate_records(records)
         if not len(records):
             return
         timestamps = records["timestamp"]
+        _require_finite(timestamps)
         n_before = int(np.searchsorted(timestamps, self.start, side="left"))
         if n_before:
             if self.on_before_start == "raise":

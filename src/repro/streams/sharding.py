@@ -139,7 +139,8 @@ def iter_interval_chunks(
     time order, so feeding them to any session reproduces single-stream
     ingestion; the boundary guarantee means each chunk maps to exactly
     one per-interval sketch -- the unit of work a sharded engine
-    dispatches.
+    dispatches.  A NaN or infinite timestamp raises ``ValueError``
+    before any chunk is yielded.
     """
     validate_records(records)
     if interval_seconds <= 0:
@@ -153,6 +154,7 @@ def iter_interval_chunks(
         order = np.argsort(timestamps, kind="stable")
         records = records[order]
         timestamps = records["timestamp"]
+    finite_time_span(timestamps)
     indices = (timestamps // interval_seconds).astype(np.int64)
     _, starts = np.unique(indices, return_index=True)
     bounds = np.append(starts, len(records))

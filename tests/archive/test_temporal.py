@@ -313,6 +313,58 @@ class TestQueries:
         with pytest.raises(ValueError, match="coverage"):
             archive.range_summary(10, 12)
 
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [1.7, 2.2],
+            np.array([1.7, 2.2]),
+            [True, False],
+            np.array([True, False]),
+            [[1, 2], [3, 4]],
+            np.array([[1, 2], [3, 4]], dtype=np.uint64),
+            [-1, 5],
+            np.array([-1, 5]),
+            [2**64],
+            ["1", "2"],
+            7,
+        ],
+        ids=lambda keys: f"{type(keys).__name__}:{np.asarray(keys).tolist()}",
+    )
+    def test_explicit_keys_checked_before_combine(
+        self, schema, rng, monkeypatch, keys
+    ):
+        import repro.archive.temporal as temporal
+
+        archive = TemporalArchive(schema, INTERVAL)
+        _fill(archive, schema, rng, intervals=4)
+
+        def no_combine(*args, **kwargs):
+            raise AssertionError("COMBINE ran before the keys were checked")
+
+        monkeypatch.setattr(temporal, "merge", no_combine)
+        monkeypatch.setattr(temporal, "combine", no_combine)
+        with pytest.raises(ValueError, match="integers in"):
+            archive.diff((3, 4), (2, 3), keys=keys)
+        with pytest.raises(ValueError, match="integers in"):
+            archive.drilldown((3, 4), (2, 3), keys=keys)
+
+    def test_explicit_keys_in_any_order_with_repeats(self, schema, rng):
+        archive = TemporalArchive(schema, INTERVAL)
+        _fill(archive, schema, rng, intervals=4)
+        keys = rng.integers(0, 400, 300).astype(np.uint64)
+        noisy = rng.permutation(np.concatenate([keys, keys[:120]]))
+        want = archive.diff((3, 4), (2, 3), top_n=8, keys=np.unique(keys))
+        assert want.report.alarm_count
+        for given in (noisy, noisy.astype(np.int64), noisy.tolist()):
+            got = archive.diff((3, 4), (2, 3), top_n=8, keys=given)
+            _assert_report_identical(got.report, want.report)
+            assert np.array_equal(got.keys, want.keys)
+            assert got.keys.dtype == np.uint64
+        for empty in ([], np.array([], dtype=np.float64)):
+            got = archive.diff((3, 4), (2, 3), top_n=8, keys=empty)
+            assert got.keys.dtype == np.uint64 and not len(got.keys)
+            assert got.report.alarm_count == 0
+
 
 class TestPersistence:
     def test_round_trip(self, schema, rng, tmp_path):

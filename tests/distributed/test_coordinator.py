@@ -8,9 +8,12 @@ exercised synchronously.
 import numpy as np
 import pytest
 
+from repro.distributed import partition_records, run_serial_reference
+from repro.distributed.agent import LocalSketcher
 from repro.distributed.coordinator import IntervalMerger, restore_merger
 from repro.sketch import KArySchema
 from repro.sketch.mergeable import merge
+from repro.streams import make_records
 
 
 @pytest.fixture
@@ -100,6 +103,62 @@ class TestSealPolicy:
         assert merger.stats["late_frames"] == 1
         assert merger.stats["intervals_sealed"] == sealed
         assert merger.site_stats()["a"]["late"] == 1
+
+    def test_nothing_seals_before_min_sites_register(self, schema, rng):
+        """One site ships its whole trace, BYE included, before the other
+        site's HELLO: sealing then would drop the late site's traffic."""
+        interval = 300.0
+        n = 2400
+        records = make_records(
+            timestamps=np.sort(rng.uniform(0, 8 * interval, n)),
+            dst_ips=rng.integers(0, 300, n),
+            byte_counts=rng.integers(40, 1500, n),
+        )
+        shipped = {}
+        for site, part in partition_records(records, 2).items():
+            sketcher = LocalSketcher(schema, interval_seconds=interval)
+            sketcher.ingest(part)
+            sketcher.flush()
+            shipped[site] = sketcher.drain()
+        (early, early_out), (late, late_out) = shipped.items()
+
+        merger = _merger(schema, interval_seconds=interval, min_sites=2)
+        merger.register(early)
+        for sealed in early_out:
+            merger.on_sketch(early, *sealed)
+        merger.on_bye(early)
+        assert merger.sealed_through is None and not merger.reports
+        merger.register(late)
+        for sealed in late_out:
+            merger.on_sketch(late, *sealed)
+        merger.on_bye(late)
+        assert merger.complete
+
+        reference = run_serial_reference(
+            records, schema, "ewma", interval_seconds=interval,
+            t_fraction=0.05,
+        )
+        assert len(merger.reports) == len(reference) == 7
+        for ours, ref in zip(merger.reports, reference):
+            assert ours.index == ref.index
+            assert ours.threshold == ref.threshold
+            assert ours.error_l2 == ref.error_l2
+            assert [(a.key, a.estimated_error) for a in ours.alarms] == [
+                (a.key, a.estimated_error) for a in ref.alarms
+            ]
+
+    def test_restored_sites_count_toward_min_sites(self, schema, rng):
+        merger = _merger(schema, min_sites=2)
+        merger.register("a")
+        merger.register("b")
+        for t in range(2):
+            merger.on_sketch("a", t, *_sketch(schema, rng))
+            merger.on_sketch("b", t, *_sketch(schema, rng))
+        restored = restore_merger(merger.checkpoint_bytes(), schema=schema)
+        restored.min_sites = 2
+        restored.register("a")  # b died with the old coordinator
+        restored.on_sketch("a", 2, *_sketch(schema, rng))
+        assert restored.sealed_through == 2
 
 
 class TestSubstitution:

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from repro.streams import (
     IntervalSlicer,
+    IntervalStream,
     RandomizedIntervalSlicer,
     interval_bounds,
+    iter_interval_chunks,
     make_records,
     slice_by_interval,
 )
@@ -228,6 +230,38 @@ class TestBeforeStart:
         total = sum(len(chunk) for _, chunk in lenient.slices(records))
         assert total == 1
         assert lenient.dropped_before_start == 1
+
+
+class TestNonFiniteTimestamps:
+    """Every slicer rejects a NaN or infinite timestamp before yielding.
+
+    Unchecked, ``iter_interval_chunks`` puts a NaN record into the next
+    interval's chunk and a ``+inf`` one into a chunk with finite records,
+    and ``slice_by_interval`` keeps a NaN inside an interval."""
+
+    SLICERS = {
+        "slice_by_interval": lambda r: slice_by_interval(r, 60.0),
+        "IntervalSlicer": lambda r: IntervalSlicer(60.0).slices(r),
+        "RandomizedIntervalSlicer": lambda r: RandomizedIntervalSlicer(
+            60.0, seed=1, horizon=1000.0
+        ).slices(r),
+        "IntervalStream": lambda r: iter(IntervalStream(r, 60.0)),
+        "iter_interval_chunks": lambda r: iter_interval_chunks(r, 60.0),
+    }
+
+    @pytest.mark.parametrize("slicer", sorted(SLICERS))
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_before_any_slice(self, slicer, position, bad):
+        timestamps = np.insert([0.0, 30.0, 61.0, 90.0], position, bad)
+        records = make_records(
+            timestamps=timestamps,
+            dst_ips=np.arange(5),
+            byte_counts=np.full(5, 100),
+        )
+        slices = self.SLICERS[slicer](records)
+        with pytest.raises(ValueError, match="finite"):
+            next(slices)
 
 
 class TestAdversarialFloatPartition:

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.streams import make_key_scheme, make_value_scheme, make_records
+from repro.streams.keys import dedup_keys
 
 
 @pytest.fixture
@@ -83,3 +87,34 @@ class TestValueSchemes:
     def test_unknown(self):
         with pytest.raises(ValueError, match="unknown value scheme"):
             make_value_scheme("flows")
+
+
+@st.composite
+def _key_arrays(draw):
+    """uint64/uint32/int64 keys: dtype extremes, repeats, any layout."""
+    dtype = np.dtype(draw(st.sampled_from(["uint64", "uint32", "int64"])))
+    info = np.iinfo(dtype)
+    pool = st.one_of(
+        st.sampled_from([info.min, 0, 1, info.max]),
+        st.integers(info.min, info.max),
+    )
+    if draw(st.booleans()):  # all equal, including empty and single
+        keys = np.full(draw(st.integers(0, 4)), draw(pool), dtype=dtype)
+    else:
+        keys = draw(arrays(dtype, st.integers(0, 64), elements=pool))
+    layout = draw(st.sampled_from(["given", "sorted", "reversed"]))
+    if layout == "sorted":
+        keys = np.sort(keys)
+    elif layout == "reversed":
+        keys = np.sort(keys)[::-1]
+    return keys[:: draw(st.integers(1, 3))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=_key_arrays())
+def test_dedup_keys_equals_unique(keys):
+    got = dedup_keys(keys)
+    want = np.unique(keys)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert not np.shares_memory(got, keys)
