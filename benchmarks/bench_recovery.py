@@ -70,7 +70,7 @@ from repro.detection import (
 from repro.detection.keysource import resolve_key_source
 from repro.detection.threshold import build_interval_report
 from repro.forecast.model_zoo import make_forecaster
-from repro.sketch import InvertibleKArySchema, KArySchema, table_shape
+from repro.sketch import InvertibleKArySchema, KArySchema
 from repro.streams import IntervalStream
 from repro.streams.records import make_records, sort_by_time
 from repro.traffic.anomalies import inject_dos, inject_flash_crowd
@@ -364,9 +364,7 @@ def bench_paths(repeats, rng):
 
         reports, seconds = time_best(lambda: list(run()), max(1, repeats - 1))
         quality = score_events(reports, events)
-        table_bytes = int(
-            np.prod(table_shape(detector_for(source).schema)) * 8
-        )
+        table_bytes = int(detector_for(source).schema.empty().table.nbytes)
         out[source] = {
             **quality,
             "detect_seconds": seconds,

@@ -57,9 +57,8 @@ def main() -> None:
             "(constant, however fast the link runs)"
         )
 
-    # --- edge + collector: sketch each trace concurrently, COMBINE, detect.
-    # detect_many summarizes every router's stream on its own worker (the
-    # stacked-hash kernels release the GIL), merges each interval's
+    # --- edge + collector: sketch each trace, COMBINE, detect ------------
+    # detect_many summarizes every router's stream, merges each interval's
     # sketches into the network-wide summary, and detects over the result.
     detector = OfflineTwoPassDetector(
         schema, "ewma", alpha=0.4, t_fraction=T_FRACTION

@@ -27,9 +27,8 @@ so the full query machinery -- ESTIMATE, ESTIMATEF2, the
 ``T * sqrt(F2)`` alarm threshold, hierarchical drill-down -- applies to
 any time range the archive covers.
 
-Thread-safety: none.  With a pipelined session the sink runs on the
-single FIFO seal worker, which is safe; run queries only after
-``session.drain()`` (or from the ingest thread).
+Thread-safety: none.  The session calls the sink inline in its seal, so
+run queries from the thread that drives the session.
 """
 
 from __future__ import annotations

@@ -117,12 +117,6 @@ def _format_stats_lines(stats: dict) -> List[str]:
             f"stats: prescreen candidates={candidates} "
             f"median_evaluated={evaluated} ({fraction:.1%})"
         )
-    supervision = stats.get("supervision")
-    if supervision is not None:
-        lines.append(
-            "stats: supervision "
-            + " ".join(f"{k}={v}" for k, v in sorted(supervision.items()))
-        )
     return lines
 
 
@@ -249,7 +243,7 @@ def _apply_threads(args) -> None:
 
 
 def _build_session(args, schema, recorder=None):
-    from repro.detection import ShardedStreamingSession, StreamingSession
+    from repro.detection import StreamingSession
 
     _apply_threads(args)
     model_params = {}
@@ -259,23 +253,17 @@ def _build_session(args, schema, recorder=None):
         model_params["beta"] = args.beta
     if args.window is not None:
         model_params["window"] = args.window
-    common = dict(
+    return StreamingSession(
+        schema,
+        args.model,
         interval_seconds=args.interval,
         key_scheme=args.key,
         value_scheme=args.value,
         t_fraction=args.threshold,
         top_n=args.top_n,
-        pipeline=getattr(args, "pipeline", False),
-        pipeline_depth=getattr(args, "pipeline_depth", 2),
         recorder=recorder,
         **model_params,
     )
-    if args.workers > 1:
-        return ShardedStreamingSession(
-            schema, args.model, n_workers=args.workers, backend=args.backend,
-            **common,
-        )
-    return StreamingSession(schema, args.model, **common)
 
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
@@ -294,9 +282,6 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     save_checkpoint(session, args.out)
     for line in _format_stats_lines(session.stats):
         print(line)
-    if hasattr(session, "close"):
-        for report in session.close() or []:
-            _print_session_report(report, args.top_n)
     _write_metrics(recorder, args)
     print(
         f"checkpointed {session.records_ingested} records "
@@ -311,12 +296,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     from repro.streams import read_trace
 
     _apply_threads(args)
-    session = load_checkpoint(
-        args.checkpoint,
-        backend=args.backend,
-        pipeline=getattr(args, "pipeline", False),
-        pipeline_depth=getattr(args, "pipeline_depth", 2),
-    )
+    session = load_checkpoint(args.checkpoint)
     recorder = _make_recorder(args)
     if recorder is not None:
         session.attach_recorder(recorder)
@@ -338,9 +318,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         _print_session_report(report, session.top_n)
     for line in _format_stats_lines(session.stats):
         print(line)
-    if hasattr(session, "close"):
-        for report in session.close() or []:
-            _print_session_report(report, session.top_n)
     _write_metrics(recorder, args)
     return 0
 
@@ -383,9 +360,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         _print_session_report(report, args.top_n)
     for line in _format_stats_lines(session.stats):
         print(line)
-    if hasattr(session, "close"):
-        for report in session.close() or []:
-            _print_session_report(report, args.top_n)
     _write_metrics(recorder, args)
     print(
         f"monitored {session.records_ingested} records in {len(chunks)} "
@@ -624,16 +598,14 @@ def _cmd_archive(args: argparse.Namespace) -> int:
         value_scheme=args.value,
         t_fraction=args.threshold,
         top_n=args.top_n,
-        pipeline=args.pipeline,
         sink=archive.ingest,
         recorder=recorder,
         **model_params,
     )
-    with session:
-        for report in session.ingest(records):
-            _print_session_report(report, args.top_n)
-        for report in session.flush():
-            _print_session_report(report, args.top_n)
+    for report in session.ingest(records):
+        _print_session_report(report, args.top_n)
+    for report in session.flush():
+        _print_session_report(report, args.top_n)
     archive.save(args.out)
     stats = archive.stats
     print(
@@ -867,19 +839,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mon.add_argument("--alpha", type=float, default=None)
     p_mon.add_argument("--beta", type=float, default=None)
     p_mon.add_argument("--window", type=int, default=None)
-    p_mon.add_argument("--workers", type=int, default=1,
-                       help="ingestion shards (>1 uses the sharded session)")
-    p_mon.add_argument("--pipeline", action="store_true",
-                       help="overlap seal+detect with the next interval's "
-                            "ingest (bit-identical reports)")
-    p_mon.add_argument("--pipeline-depth", type=int, default=2,
-                       help="max sealed intervals in flight (with --pipeline)")
     p_mon.add_argument("--threads", type=int, default=None,
                        help="kernel threads (default: REPRO_NUM_THREADS or "
                             "detected cores, capped)")
-    p_mon.add_argument("--backend", default="thread",
-                       choices=("serial", "thread", "process"),
-                       help="sharded seal backend (with --workers > 1)")
     p_mon.add_argument("--metrics-out", default=None,
                        help="metrics snapshot path, re-written periodically")
     p_mon.add_argument("--metrics-every", type=int, default=10,
@@ -1013,19 +975,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ck.add_argument("--alpha", type=float, default=None)
     p_ck.add_argument("--beta", type=float, default=None)
     p_ck.add_argument("--window", type=int, default=None)
-    p_ck.add_argument("--workers", type=int, default=1,
-                      help="ingestion shards (>1 uses the sharded session)")
-    p_ck.add_argument("--pipeline", action="store_true",
-                      help="overlap seal+detect with the next interval's "
-                           "ingest (bit-identical reports)")
-    p_ck.add_argument("--pipeline-depth", type=int, default=2,
-                      help="max sealed intervals in flight (with --pipeline)")
     p_ck.add_argument("--threads", type=int, default=None,
                       help="kernel threads (default: REPRO_NUM_THREADS or "
                            "detected cores, capped)")
-    p_ck.add_argument("--backend", default="thread",
-                      choices=("serial", "thread", "process"),
-                      help="sharded seal backend (with --workers > 1)")
     p_ck.add_argument("--metrics-out", default=None,
                       help="write pipeline metrics here on completion")
     p_ck.set_defaults(func=_cmd_checkpoint)
@@ -1036,14 +988,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rs.add_argument("checkpoint", help="checkpoint file from 'checkpoint'")
     p_rs.add_argument("trace", help="binary trace path (full trace; records "
                       "past the watermark are ingested)")
-    p_rs.add_argument("--backend", default=None,
-                      choices=("serial", "thread", "process"),
-                      help="override the sharded seal backend")
-    p_rs.add_argument("--pipeline", action="store_true",
-                      help="resume with pipelined sealing (execution choice; "
-                           "reports stay bit-identical)")
-    p_rs.add_argument("--pipeline-depth", type=int, default=2,
-                      help="max sealed intervals in flight (with --pipeline)")
     p_rs.add_argument("--threads", type=int, default=None,
                       help="kernel threads (default: REPRO_NUM_THREADS or "
                            "detected cores, capped)")
@@ -1091,9 +1035,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="width-halving ceiling for aged spans")
     p_ar.add_argument("--tail", type=int, default=8,
                       help="newest intervals kept at full resolution")
-    p_ar.add_argument("--pipeline", action="store_true",
-                      help="overlap seal+detect with the next interval's "
-                           "ingest (bit-identical reports and archive)")
     p_ar.add_argument("--threads", type=int, default=None,
                       help="kernel threads (default: REPRO_NUM_THREADS or "
                            "detected cores, capped)")

@@ -30,11 +30,6 @@ Built from small pieces:
   full pipeline state (forecaster internals, open-interval accumulation,
   cursors) round-trips through one ``KCP1`` container and resumes
   bit-identically.
-* :mod:`~repro.detection.sharded` -- sharded parallel ingestion built on
-  COMBINE: :class:`~repro.detection.sharded.ShardedStreamingSession`
-  (drop-in streaming session with an ``n_workers`` knob) and the parallel
-  multi-trace mode behind
-  :meth:`~repro.detection.twopass.OfflineTwoPassDetector.detect_many`.
 """
 
 from repro.detection.adaptive import AdaptiveDetector
@@ -64,12 +59,6 @@ from repro.detection.keysource import (
 from repro.detection.online import OnlineDetector
 from repro.detection.perflow import PerFlowResult, run_per_flow
 from repro.detection.session import IntervalSealer, StreamingSession
-from repro.detection.sharded import (
-    ShardedIngestEngine,
-    ShardedStreamingSession,
-    parallel_trace_detect,
-    sketch_traces_parallel,
-)
 from repro.detection.pipeline import (
     PipelineStep,
     forecast_error_stream,
@@ -107,8 +96,6 @@ __all__ = [
     "OnlineDetector",
     "PerFlowResult",
     "PipelineStep",
-    "ShardedIngestEngine",
-    "ShardedStreamingSession",
     "StreamingSession",
     "alarm_threshold",
     "alarms_for_interval",
@@ -120,11 +107,9 @@ __all__ = [
     "save_checkpoint",
     "forecast_error_stream",
     "interval_key_sets",
-    "parallel_trace_detect",
     "register_key_source",
     "resolve_key_source",
     "run_per_flow",
-    "sketch_traces_parallel",
     "summarize_stream",
     "top_n_keys",
 ]

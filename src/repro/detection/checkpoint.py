@@ -5,10 +5,10 @@ whole trace, and -- more importantly -- the operator should be able to
 trust that the resumed monitor raises *exactly* the alarms the
 uninterrupted one would have.  This module provides that guarantee:
 
-* :func:`checkpoint_session` captures a :class:`StreamingSession` (or
-  :class:`ShardedStreamingSession`) as one ``KCP1`` container: session
-  configuration and cursors in the meta section, forecaster internals and
-  open-interval accumulation state in the body.
+* :func:`checkpoint_session` captures a :class:`StreamingSession` as one
+  ``KCP1`` container: session configuration and cursors in the meta
+  section, forecaster internals and open-interval accumulation state in
+  the body.
 * :func:`restore_session` rebuilds the session and installs the state.
   Feeding it every record with ``timestamp > session.watermark`` then
   produces reports **bit-identical** to the uninterrupted run -- same
@@ -21,34 +21,30 @@ Why bit-identity holds:
 * forecaster recursions consume sealed summaries whole, so restoring
   their retained states (levels, trends, lag windows, innovation queues)
   reproduces the recursion exactly;
-* serial sessions checkpoint the open interval's sketch as flushed so
-  far, the deduplicated keys of its flushes as one array (``np.unique``
-  is idempotent and order-insensitive), and the unflushed buffer raw, as
-  one keys and one values array.  Checkpointing never flushes, so the
-  restored session folds the remaining records in at the same flush
-  points -- which keeps even an invertible sketch's per-batch vote
-  planes bit-identical.  A checkpoint written before the buffer existed
-  has no buffer arrays and restores with an empty buffer;
-* sharded sessions checkpoint the raw per-shard ``(keys, values)``
-  buffers and the round-robin cursor, so a restored engine routes and
-  seals with the exact same per-shard batched updates.
+* sessions checkpoint the open interval's sketch as flushed so far, the
+  deduplicated keys of its flushes as one array, and the unflushed
+  buffer raw, as one keys and one values array.  Checkpointing never
+  flushes, so the restored session folds the remaining records in at the
+  same flush points -- which keeps even an invertible sketch's per-batch
+  vote planes bit-identical.  A checkpoint written before the buffer
+  existed has no buffer arrays and restores with an empty buffer.
 
 What cannot be checkpointed raises immediately and loudly: schemas with
 ``seed=None`` (their hash functions die with the process), key/value
 schemes not constructible from the registry, and forecaster classes
-outside the model zoo.
+outside the model zoo.  Restoring refuses, before building anything, a
+checkpoint of another format or of a session kind other than
+``"serial"``: a ``"sharded"`` checkpoint holds per-shard buffers, and
+re-batching them into one buffer would change an invertible sketch's
+vote planes.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional, Union
+from typing import Union
 
 from repro.detection.session import StreamingSession
-from repro.detection.sharded import (
-    DEFAULT_RETRY_BACKOFF_MAX,
-    ShardedStreamingSession,
-)
 from repro.forecast.arima import ArimaForecaster
 from repro.forecast.holtwinters import (
     HoltWintersForecaster,
@@ -71,6 +67,8 @@ from repro.streams.keys import DstPrefixKey, make_key_scheme, make_value_scheme
 PathLike = Union[str, os.PathLike]
 
 _FORMAT = "streaming-session"
+#: The one session kind checkpoints carry (meta ``"session"``).
+_SESSION = "serial"
 
 #: Forecaster classes that checkpoint/restore knows how to rebuild --
 #: the paper's six models plus the seasonal extension.
@@ -134,26 +132,15 @@ def checkpoint_session(session: StreamingSession) -> bytes:
     the returned bytes (:func:`restore_session`) and feeding every record
     with ``timestamp > session.watermark`` yields reports bit-identical
     to continuing this session uninterrupted.
-
-    Pipelined sessions are drained first (a barrier on the in-flight
-    seals) so the captured forecaster and cursors are quiescent; any
-    reports the barrier completes are *stashed*, not dropped -- the
-    session's next ``ingest``/``flush``/``drain`` call returns them
-    ahead of newer reports.  The pipeline itself is an execution choice
-    and is not recorded in the checkpoint (see :func:`restore_session`'s
-    ``pipeline`` override).
     """
-    sharded = isinstance(session, ShardedStreamingSession)
-    if getattr(session, "pipeline", False):
-        session._barrier()
-    if type(session) not in (StreamingSession, ShardedStreamingSession):
+    if type(session) is not StreamingSession:
         raise ValueError(
             f"cannot checkpoint a {type(session).__name__}; only "
-            "StreamingSession and ShardedStreamingSession are supported"
+            "StreamingSession is supported"
         )
     meta = {
         "format": _FORMAT,
-        "session": "sharded" if sharded else "serial",
+        "session": _SESSION,
         "schema": schema_identity(session.schema),
         "forecaster": _forecaster_spec(session.forecaster),
         "config": {
@@ -172,17 +159,6 @@ def checkpoint_session(session: StreamingSession) -> bytes:
             "watermark": session.watermark,
         },
     }
-    if sharded:
-        engine = session._engine
-        meta["sharded"] = {
-            "n_workers": engine.n_workers,
-            "backend": engine.backend,
-            "partition": engine.partition,
-            "task_timeout": engine.task_timeout,
-            "max_retries": engine.max_retries,
-            "retry_backoff": engine.retry_backoff,
-            "retry_backoff_max": engine.retry_backoff_max,
-        }
     body = {
         "forecaster": session.forecaster.get_state(),
         "accumulation": session._accumulation_state(),
@@ -190,13 +166,7 @@ def checkpoint_session(session: StreamingSession) -> bytes:
     return dumps_checkpoint(meta, body)
 
 
-def restore_session(
-    data: bytes,
-    schema=None,
-    backend: Optional[str] = None,
-    pipeline: bool = False,
-    pipeline_depth: int = 2,
-) -> StreamingSession:
+def restore_session(data: bytes, schema=None) -> StreamingSession:
     """Rebuild a streaming session from :func:`checkpoint_session` bytes.
 
     Parameters
@@ -206,22 +176,16 @@ def restore_session(
     schema:
         Optional pre-built schema to attach to (avoids re-deriving hash
         tables).  Its identity must match the checkpointed one exactly.
-    backend:
-        For sharded checkpoints only: override the seal backend (e.g.
-        restore a ``"process"`` checkpoint as ``"serial"`` on a
-        single-core recovery box).  The backend is an execution choice,
-        not part of the result -- reports are identical either way.
-    pipeline, pipeline_depth:
-        Execution choices for the restored session, exactly like the
-        :class:`StreamingSession` constructor knobs.  Checkpoints never
-        record whether the writer was pipelined (checkpointing drains
-        the pipeline, so there is nothing in flight to capture); the
-        restorer picks the execution mode for the resumed run.
     """
     peek = checkpoint_meta(data)
     if peek.get("format") != _FORMAT:
         raise ValueError(
             f"not a streaming-session checkpoint (format={peek.get('format')!r})"
+        )
+    if peek.get("session") != _SESSION:
+        raise ValueError(
+            f"cannot restore a {peek.get('session')!r} session checkpoint; "
+            f"only {_SESSION!r} sessions are supported"
         )
     schema = schema_from_identity(peek["schema"], schema=schema)
     meta, body = loads_checkpoint(data, schema=schema)
@@ -233,43 +197,21 @@ def restore_session(
     forecaster = fc_cls(**fc_spec["config"])
 
     config = meta["config"]
-    common = {
-        "interval_seconds": config["interval_seconds"],
-        "key_scheme": make_key_scheme(
+    session = StreamingSession(
+        schema,
+        forecaster,
+        interval_seconds=config["interval_seconds"],
+        key_scheme=make_key_scheme(
             config["key_scheme"]["name"], **config["key_scheme"]["params"]
         ),
-        "value_scheme": make_value_scheme(config["value_scheme"]["name"]),
-        "t_fraction": config["t_fraction"],
-        "top_n": config["top_n"],
-        "lateness_tolerance": config["lateness_tolerance"],
+        value_scheme=make_value_scheme(config["value_scheme"]["name"]),
+        t_fraction=config["t_fraction"],
+        top_n=config["top_n"],
+        lateness_tolerance=config["lateness_tolerance"],
         # Pre-key-source checkpoints (through PR 6) implicitly used the
         # two-pass collection strategy; .get keeps them restorable.
-        "key_source": config.get("key_source", "twopass"),
-        "pipeline": pipeline,
-        "pipeline_depth": pipeline_depth,
-    }
-    if meta["session"] == "sharded":
-        sharded = meta["sharded"]
-        session: StreamingSession = ShardedStreamingSession(
-            schema,
-            forecaster,
-            n_workers=sharded["n_workers"],
-            backend=backend if backend is not None else sharded["backend"],
-            partition=sharded["partition"],
-            task_timeout=sharded["task_timeout"],
-            max_retries=sharded["max_retries"],
-            retry_backoff=sharded["retry_backoff"],
-            # Pre-cap checkpoints (through PR 7) carry no ceiling; they
-            # restore with the default cap rather than unbounded sleeps.
-            retry_backoff_max=sharded.get(
-                "retry_backoff_max", DEFAULT_RETRY_BACKOFF_MAX
-            ),
-            **common,
-        )
-    else:
-        if backend is not None:
-            raise ValueError("backend override only applies to sharded checkpoints")
-        session = StreamingSession(schema, forecaster, **common)
+        key_source=config.get("key_source", "twopass"),
+    )
 
     session.forecaster.set_state(body["forecaster"])
     cursor = meta["cursor"]
@@ -311,16 +253,7 @@ def save_checkpoint(session: StreamingSession, path: PathLike) -> None:
         )
 
 
-def load_checkpoint(
-    path: PathLike,
-    schema=None,
-    backend: Optional[str] = None,
-    pipeline: bool = False,
-    pipeline_depth: int = 2,
-) -> StreamingSession:
+def load_checkpoint(path: PathLike, schema=None) -> StreamingSession:
     """Read a session checkpoint from a file and restore it."""
     with open(path, "rb") as fh:
-        return restore_session(
-            fh.read(), schema=schema, backend=backend,
-            pipeline=pipeline, pipeline_depth=pipeline_depth,
-        )
+        return restore_session(fh.read(), schema=schema)

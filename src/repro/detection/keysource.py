@@ -127,8 +127,7 @@ def collect_replay_keys(recent_keys) -> np.ndarray:
     ``recent_keys`` is a sequence of per-interval deduplicated key
     arrays, most recent last (the two-pass detector's lookback window).
     With a single interval the array passes through unchanged -- bit for
-    bit the pre-registry behavior of both ``OfflineTwoPassDetector.run``
-    and ``parallel_trace_detect``.
+    bit the pre-registry behavior of ``OfflineTwoPassDetector.run``.
     """
     recent = list(recent_keys)
     if not recent:

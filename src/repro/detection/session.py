@@ -21,16 +21,13 @@ Section 6 argues the technique is capable of.
 
 :class:`IntervalSealer` is the seal step itself -- forecast, candidate
 keys, alarm rule, observability -- shared by every driver in the package
-(sessions, the two-pass and online detectors, the coordinator, archive
+(the session, the two-pass and online detectors, the coordinator, archive
 replay).
 """
 
 from __future__ import annotations
 
-import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -222,26 +219,40 @@ class IntervalSealer:
             )
 
 
+def _merge_distinct(merged: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The sorted union of two sorted arrays of distinct keys.
+
+    Binary-searches ``new`` in ``merged`` and inserts the keys not found,
+    so the cost is linear in ``len(merged)``, with no re-sort.
+    """
+    at = np.searchsorted(merged, new)
+    found = merged[np.minimum(at, len(merged) - 1)] == new
+    return np.insert(merged, at[~found], new[~found])
+
+
 class _OpenInterval:
-    """The open interval: its sketch, buffered records and flushed key sets.
+    """The open interval: its sketch, buffered records and flushed keys.
 
     Records are buffered as owned ``(keys, values)`` arrays and folded into
-    the sketch by one UPDATE over their concatenation -- then one
-    ``np.unique`` when keys are collected -- once the buffer holds
-    :data:`_BUFFER_CAP` records or the interval closes.  UPDATE is a
-    per-row, stream-order scatter, so the counters do not depend on where
-    flushes fall.  The invertible sketch aggregates votes per UPDATE
-    batch, so its candidate planes do: with one flush per interval they
-    equal ``schema.from_items`` over the interval.
+    the sketch by one UPDATE over their concatenation -- then, when keys
+    are collected, one ``np.unique`` over the flushed keys -- once the
+    buffer holds :data:`_BUFFER_CAP` records or the interval closes.  Each
+    flush's distinct keys are merged into the interval's key set, one
+    sorted array of distinct keys, without re-sorting it; so the key set's
+    memory is bounded by the interval's distinct keys, not its records.
+    UPDATE is a per-row, stream-order scatter, so the counters do not
+    depend on where flushes fall.  The invertible sketch aggregates votes
+    per UPDATE batch, so its candidate planes do: with one flush per
+    interval they equal ``schema.from_items`` over the interval.
     """
 
-    __slots__ = ("sketch", "collect_keys", "key_sets", "buffer", "buffered")
+    __slots__ = ("sketch", "collect_keys", "unique_keys", "buffer", "buffered")
 
     def __init__(self, sketch, collect_keys: bool) -> None:
         self.sketch = sketch
         self.collect_keys = collect_keys
-        #: The deduplicated keys of each flush (empty unless collecting).
-        self.key_sets: List[np.ndarray] = []
+        #: Every flushed key once, sorted (empty unless collecting).
+        self.unique_keys = np.array([], dtype=np.uint64)
         self.buffer: List[Tuple[np.ndarray, np.ndarray]] = []
         self.buffered = 0
 
@@ -274,20 +285,15 @@ class _OpenInterval:
         self.buffer, self.buffered = [], 0
         if self.collect_keys:
             # Not dedup_keys: the e2e tracer times detection.dedup via np.unique.
-            self.key_sets.append(np.unique(keys))
-
-    def unique_keys(self) -> np.ndarray:
-        """Every flushed key once, sorted; a single flush's set as is."""
-        if len(self.key_sets) == 1:
-            return self.key_sets[0]
-        if not self.key_sets:
-            return np.array([], dtype=np.uint64)
-        return np.unique(np.concatenate(self.key_sets))
+            keys = np.unique(keys)
+            if len(self.unique_keys):
+                keys = _merge_distinct(self.unique_keys, keys)
+            self.unique_keys = keys
 
     def collect(self):
         """Flush and return ``(observed_summary, unique_keys)``."""
         self.flush()
-        return self.sketch, self.unique_keys()
+        return self.sketch, self.unique_keys
 
 
 class StreamingSession:
@@ -320,28 +326,6 @@ class StreamingSession:
         candidates from the sealed error summary, skipping key
         deduplication entirely (the schema must produce the matching
         summary type).  Checkpointed with the session config.
-    pipeline:
-        Pipelined sealing (default off).  When on, each interval
-        boundary detaches the finished interval on the calling thread
-        (cheap) and hands the seal -- final buffer flush, forecast step,
-        threshold, report build, recovery -- to a single background
-        worker, so interval ``t``'s detection work overlaps interval
-        ``t+1``'s ingestion.
-        One worker executing FIFO means reports are still emitted in
-        interval order and the forecast recursion still consumes sealed
-        summaries in sequence -- reports are **bit-identical** to the
-        blocking path.  An execution choice, not result state:
-        checkpoints never record it (but see
-        :func:`~repro.detection.checkpoint.restore_session`'s
-        ``pipeline`` override), and :func:`checkpoint_session` drains
-        in-flight seals first so captured state is always quiescent.
-        Call :meth:`close` (or :meth:`drain`) at end of life to collect
-        the last in-flight reports.
-    pipeline_depth:
-        Max sealed-but-unfinished intervals in flight (default 2).
-        Ingestion blocks (in order) once the queue is full, bounding
-        memory at ``pipeline_depth`` detached intervals (a summary plus
-        at most one buffer cap of unflushed records each).
     sink:
         Optional callable ``sink(observed, keys, index)`` invoked for
         every sealed interval *before* the forecast step consumes the
@@ -349,14 +333,12 @@ class StreamingSession:
         archive (pass ``archive.ingest``).  The sink receives the live
         summary object and collected key array by reference and must
         not mutate them (copy what it keeps; the forecaster retains
-        ``observed`` in its model state).  Runs on whatever thread
-        executes the seal: inline for a blocking session, the single
-        FIFO pipeline worker when ``pipeline=True`` -- either way,
-        strictly in interval order, one seal at a time.  ``keys`` is
-        the interval's deduplicated key set under ``key_source=
-        "twopass"`` and empty for recovery key sources.  An execution
-        attachment, not result state: reports are identical with or
-        without one, and checkpoints never carry it.
+        ``observed`` in its model state).  Runs inline in the seal,
+        strictly in interval order.  ``keys`` is the interval's
+        deduplicated key set under ``key_source="twopass"`` and empty
+        for recovery key sources.  An execution attachment, not result
+        state: reports are identical with or without one, and
+        checkpoints never carry it.
     recorder:
         Optional :class:`~repro.obs.recorder.PipelineRecorder`.  When
         attached, the session reports stage timings (ingest, seal,
@@ -381,8 +363,6 @@ class StreamingSession:
         top_n: int = 0,
         lateness_tolerance: float = 0.0,
         key_source: str = "twopass",
-        pipeline: bool = False,
-        pipeline_depth: int = 2,
         sink=None,
         recorder=None,
         **model_params,
@@ -397,8 +377,6 @@ class StreamingSession:
             raise ValueError(
                 f"lateness_tolerance must be >= 0, got {lateness_tolerance}"
             )
-        if pipeline_depth < 1:
-            raise ValueError(f"pipeline_depth must be >= 1, got {pipeline_depth}")
         self.schema = schema
         if isinstance(forecaster, str):
             forecaster = make_forecaster(forecaster, **model_params)
@@ -428,13 +406,6 @@ class StreamingSession:
                 f"sink must be callable, got {type(sink).__name__}"
             )
         self.sink = sink
-        self.pipeline = bool(pipeline)
-        self.pipeline_depth = int(pipeline_depth)
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._pending: deque = deque()
-        self._stashed_reports: List[IntervalDetection] = []
-        self._pipe_seal_seconds = 0.0
-        self._pipe_wait_seconds = 0.0
         self._sealer = IntervalSealer(
             schema,
             forecaster,
@@ -455,11 +426,9 @@ class StreamingSession:
         """Adopt the sealer's recorder; create session-owned series at zero."""
         self.recorder = obs = self._sealer.recorder
         obs.preregister("repro_records_ingested_total")
-        obs.preregister_stage("collect", "pipeline_wait")
+        obs.preregister_stage("collect")
         if self.sink is not None:
             obs.preregister_stage("archive_sink")
-        if obs.enabled:
-            obs.gauge("repro_pipeline_queue_depth", 0)
 
     def attach_recorder(self, recorder) -> None:
         """Attach (or replace) the observability recorder on a live session.
@@ -524,10 +493,6 @@ class StreamingSession:
             return []
         with self.recorder.time("ingest"):
             reports = self._ingest_sorted(records)
-        # Reports stashed by a checkpoint barrier surface on the next
-        # public call, still ahead of anything sealed after them.
-        if self._stashed_reports:
-            reports = self._take_stash() + reports
         obs = self.recorder
         if obs.enabled:
             obs.count("repro_records_ingested_total", len(records))
@@ -627,9 +592,8 @@ class StreamingSession:
         with self.recorder.time("ingest"):
             reports = self._advance_to(index)
             if len(keys):
-                self._accumulate_columns(keys, values)
-        if self._stashed_reports:
-            reports = self._take_stash() + reports
+                # Copied: the caller owns the arrays once this returns.
+                self._interval.add(keys.copy(), values.copy())
         self._records_ingested += len(keys)
         # Columnar blocks carry no per-record timestamps; the recovery
         # cursor advances to the open interval's start, so a columnar
@@ -650,15 +614,10 @@ class StreamingSession:
             self._open_interval()
             return reports
         while self._current_index < interval_index:
-            if self.pipeline:
-                reports.extend(self._seal_current_async())
-            else:
-                reports.extend(self._seal_current())
+            reports.extend(self._seal_current())
             self._current_index += 1
             self._open_interval()
         return reports
-
-    # -- accumulation hooks (overridden by ShardedStreamingSession) ----------
 
     def _open_interval(self) -> None:
         """Start accumulating a fresh interval."""
@@ -682,19 +641,7 @@ class StreamingSession:
             values = values.copy()
         self._interval.add(keys, values)
 
-    def _accumulate_columns(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Buffer one single-interval columnar batch into the open interval.
-
-        ``keys``/``values`` are already extracted and dtype-correct; they
-        are copied, because the caller owns them once ingestion returns.
-        """
-        self._interval.add(keys.copy(), values.copy())
-
-    def _collect_current(self):
-        """Finish accumulation: return ``(observed_summary, unique_keys)``."""
-        return self._interval.collect()
-
-    # -- checkpoint hooks (overridden by ShardedStreamingSession) ------------
+    # -- checkpoint state ----------------------------------------------------
 
     def _accumulation_state(self) -> dict:
         """Open-interval accumulation state, in checkpoint-codec values.
@@ -702,10 +649,9 @@ class StreamingSession:
         Capturing never flushes: the buffered records are stored raw, as
         one keys and one values array, so the restored session flushes at
         the same points and an invertible sketch votes over the same
-        batches as the uninterrupted run.  The flushed key sets collapse
-        to one deduplicated array (``np.unique`` is idempotent and
-        order-insensitive), and the half-built sketch's float64 counters
-        round-trip exactly.
+        batches as the uninterrupted run.  The flushed keys are already
+        one deduplicated array, and the half-built sketch's float64
+        counters round-trip exactly.
         """
         interval = self._interval
         if interval is None:
@@ -713,7 +659,7 @@ class StreamingSession:
         buffer_keys, buffer_values = interval.pending()
         return {
             "sketch": interval.sketch,
-            "keys": interval.unique_keys(),
+            "keys": interval.unique_keys,
             "buffer_keys": buffer_keys,
             "buffer_values": buffer_values,
         }
@@ -731,7 +677,7 @@ class StreamingSession:
             state["sketch"], self.key_source == "twopass"
         )
         if len(state["keys"]):
-            interval.key_sets.append(state["keys"])
+            interval.unique_keys = state["keys"]
         buffer_keys = state.get("buffer_keys")
         if buffer_keys is not None and len(buffer_keys):
             interval.add(buffer_keys, state["buffer_values"])
@@ -739,21 +685,10 @@ class StreamingSession:
     # -- sealing -------------------------------------------------------------
 
     def _seal_current(self) -> List[IntervalDetection]:
-        """Blocking seal of the open interval (collect + seal inline)."""
+        """Seal the open interval: archive sink, forecast step, report."""
+        index = self._current_index
         with self.recorder.time("collect"):
-            observed, keys = self._collect_current()
-        return self._seal_interval(observed, keys, self._current_index)
-
-    def _seal_interval(
-        self, observed, keys: np.ndarray, index: int
-    ) -> List[IntervalDetection]:
-        """Archive-sink and seal one detached interval.
-
-        Takes everything it needs by value (``observed`` summary,
-        collected ``keys``, interval ``index``) so it can run on the
-        pipeline's background worker as well as inline; the pipeline runs
-        at most one seal at a time, so the sealer needs no locking.
-        """
+            observed, keys = self._interval.collect()
         with self.recorder.time("seal"):
             if self.sink is not None:
                 # Archive hook: before the forecast step so the sink sees
@@ -765,123 +700,6 @@ class StreamingSession:
             report = self._sealer.seal(observed, keys, index)
         return [] if report is None else [report]
 
-    # -- pipelined sealing ---------------------------------------------------
-
-    def _detach_current(self) -> Callable[[], List[IntervalDetection]]:
-        """Snapshot the open interval into a seal thunk (caller's thread).
-
-        The thunk takes the open interval -- sketch, buffer and key sets
-        -- whole, so its final flush runs on the worker and overlaps the
-        next interval's ingestion, which accumulates into a fresh
-        interval.  Subclasses override to keep their own expensive half of
-        collection (e.g. the sharded COMBINE) on the worker.
-        """
-        interval, index = self._interval, self._current_index
-
-        def work() -> List[IntervalDetection]:
-            with self.recorder.time("collect"):
-                observed, keys = interval.collect()
-            return self._seal_interval(observed, keys, index)
-
-        return work
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        # Exactly one worker: seals execute FIFO, so the forecast
-        # recursion sees sealed summaries in interval order and report
-        # emission order matches the blocking path.
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-seal"
-            )
-        return self._executor
-
-    def _timed_seal(self, work) -> List[IntervalDetection]:
-        t0 = time.perf_counter()
-        try:
-            return work()
-        finally:
-            self._pipe_seal_seconds += time.perf_counter() - t0
-
-    def _await_head(self) -> List[IntervalDetection]:
-        """Block on the oldest in-flight seal; returns its reports."""
-        t0 = time.perf_counter()
-        with self.recorder.time("pipeline_wait"):
-            result = self._pending.popleft().result()
-        self._pipe_wait_seconds += time.perf_counter() - t0
-        return result
-
-    def _seal_current_async(self) -> List[IntervalDetection]:
-        """Detach the open interval and queue its seal on the worker.
-
-        Returns reports from previously queued seals that have finished
-        (in interval order) -- plus, when the in-flight queue is full,
-        whatever it had to wait for (backpressure).
-        """
-        reports: List[IntervalDetection] = []
-        if self._stashed_reports:
-            reports.extend(self._take_stash())
-        work = self._detach_current()
-        while len(self._pending) >= self.pipeline_depth:
-            reports.extend(self._await_head())
-        self._pending.append(self._ensure_executor().submit(self._timed_seal, work))
-        while self._pending and self._pending[0].done():
-            reports.extend(self._pending.popleft().result())
-        obs = self.recorder
-        if obs.enabled:
-            obs.gauge("repro_pipeline_queue_depth", len(self._pending))
-        return reports
-
-    def _take_stash(self) -> List[IntervalDetection]:
-        out, self._stashed_reports = self._stashed_reports, []
-        return out
-
-    def _barrier(self) -> None:
-        """Wait for every in-flight seal; stash (never drop) the reports.
-
-        The checkpoint layer calls this before capturing state so the
-        forecaster and detection stats are quiescent; the stashed
-        reports surface on the next public call, still in order.
-        """
-        while self._pending:
-            self._stashed_reports.extend(self._await_head())
-        obs = self.recorder
-        if obs.enabled:
-            obs.gauge("repro_pipeline_queue_depth", 0)
-            if self._pipe_seal_seconds > 0.0:
-                overlap = 1.0 - self._pipe_wait_seconds / self._pipe_seal_seconds
-                obs.gauge(
-                    "repro_pipeline_overlap_ratio",
-                    min(1.0, max(0.0, overlap)),
-                )
-
-    def drain(self) -> List[IntervalDetection]:
-        """Complete all in-flight seals and return their reports.
-
-        A no-op returning ``[]`` on a blocking session (nothing is ever
-        in flight).  The open interval stays open -- this is a barrier,
-        not a flush.
-        """
-        self._barrier()
-        return self._take_stash()
-
-    def close(self) -> List[IntervalDetection]:
-        """Drain the pipeline and release the background worker.
-
-        Returns any reports completed by the drain.  The session remains
-        usable; a later interval boundary simply restarts the worker.
-        """
-        reports = self.drain()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        return reports
-
-    def __enter__(self) -> "StreamingSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def flush(self) -> List[IntervalDetection]:
         """Seal the currently open interval (end of stream / shutdown).
 
@@ -889,13 +707,7 @@ class StreamingSession:
         opens a fresh interval (which must not predate the flushed one).
         """
         if self._current_index is None:
-            return self.drain() if self.pipeline else []
-        if self.pipeline:
-            reports = self._seal_current_async()
-            self._current_index += 1
-            self._open_interval()
-            reports.extend(self.drain())
-            return reports
+            return []
         reports = self._seal_current()
         self._current_index += 1
         self._open_interval()

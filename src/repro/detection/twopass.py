@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, List, Optional, Union
 import numpy as np
 
 from repro.detection.keysource import collect_replay_keys
+from repro.detection.pipeline import summarize_stream
 from repro.detection.session import IntervalSealer
 from repro.detection.threshold import (
     Alarm,  # noqa: F401  (re-exported for backwards compatibility)
@@ -25,6 +26,7 @@ from repro.detection.threshold import (
 )
 from repro.forecast.base import Forecaster
 from repro.forecast.model_zoo import make_forecaster
+from repro.sketch.mergeable import merge
 from repro.streams.keys import dedup_keys
 from repro.streams.model import KeyedUpdates
 
@@ -166,18 +168,31 @@ class OfflineTwoPassDetector:
         """Convenience: materialize :meth:`run` into a list."""
         return list(self.run(batches))
 
-    def detect_many(
-        self,
-        streams,
-        n_workers: Optional[int] = None,
-    ) -> List[IntervalDetection]:
+    def detect_many(self, streams) -> List[IntervalDetection]:
         """Network-wide detection over R interval streams (one per router).
 
-        Sketches every stream concurrently, COMBINEs each interval's
-        summaries into the network-wide summary, then detects -- reports
-        are identical to :meth:`detect` over the merged raw trace (sketch
-        linearity; see :mod:`repro.detection.sharded`).
+        Sketches every stream, COMBINEs each interval's summaries into the
+        network-wide summary, then detects -- reports are identical to
+        :meth:`detect` over the merged raw trace (sketch linearity, paper
+        §3.1).  Streams are aligned positionally and must agree on
+        interval indices; a mismatch raises ``ValueError``.
         """
-        from repro.detection.sharded import parallel_trace_detect
-
-        return parallel_trace_detect(self, streams, n_workers=n_workers)
+        per_stream = [list(stream) for stream in streams]
+        if not per_stream:
+            return []
+        observed = [summarize_stream(batches, self.schema) for batches in per_stream]
+        combined = []
+        for t in range(min(len(batches) for batches in per_stream)):
+            indices = {batches[t].index for batches in per_stream}
+            if len(indices) != 1:
+                raise ValueError(
+                    f"streams disagree on interval index at position {t}: "
+                    f"{sorted(indices)}"
+                )
+            keys = dedup_keys(
+                np.concatenate([batches[t].keys for batches in per_stream])
+            )
+            combined.append(
+                (indices.pop(), merge([summaries[t] for summaries in observed]), keys)
+            )
+        return list(self.seal_intervals(combined))

@@ -70,7 +70,7 @@ class LocalSketcher(StreamingSession):
 
     def _seal_current(self) -> list:
         with self.recorder.time("seal"):
-            observed, keys = self._collect_current()
+            observed, keys = self._interval.collect()
         self._intervals_sealed += 1
         self.outbox.append(
             SealedInterval(int(self._current_index), observed, keys)

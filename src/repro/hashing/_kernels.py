@@ -119,15 +119,13 @@ _C_SOURCE = r"""
  * part (workers whose slot exceeds the part count just decrement the
  * join counter), and the main thread runs part 0 itself before joining.
  * A dispatch mutex serializes concurrent pool_run callers (ctypes drops
- * the GIL, so the pipelined session's seal thread and the ingest thread
- * can both be inside kernels at once).
+ * the GIL, so two Python threads can both be inside kernels at once).
  *
  * fork() safety: a child forked while workers hold pool_mu would inherit
  * a locked mutex and no threads, so an atfork child handler (registered
  * the first time repro_set_threads runs, i.e. before any dispatch) resets
- * the primitives and worker count; the child's first parallel call simply
- * respawns the pool.  The sharded process backend forks its workers, so
- * this path is exercised in production, not just in theory. */
+ * the primitives and worker count; the child's first parallel call (in,
+ * e.g., a forked process-pool worker) simply respawns the pool. */
 
 typedef void (*pool_task_fn)(void* arg, int64_t part, int64_t nparts);
 

@@ -2,8 +2,8 @@
 
 The paper's Section 6 deployment story -- near real-time change
 detection on live traffic -- presumes an operator who can *see* the
-monitor: interval lag, seal latency, alarm rates, prescreen effectiveness,
-worker health.  This package is that layer, dependency-free:
+monitor: interval lag, seal latency, alarm rates, prescreen
+effectiveness.  This package is that layer, dependency-free:
 
 * :mod:`repro.obs.registry` -- :class:`MetricsRegistry` holding
   counters, gauges and fixed-bucket histograms with labels;

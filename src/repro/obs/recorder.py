@@ -164,10 +164,10 @@ class PipelineRecorder:
         self._trace_capacity = int(trace_capacity)
         self._seq = itertools.count()
         self._clock = clock
-        # One recorder may be fed from several threads at once (the
-        # pipelined session's seal worker overlaps the ingest thread),
-        # so every mutating verb serializes on this lock.  The blocking
-        # path takes it uncontended -- a few ns per verb.
+        # One recorder may be fed from several threads at once (callers
+        # may share it across threads), so every mutating verb
+        # serializes on this lock.  A single-threaded caller takes it
+        # uncontended -- a few ns per verb.
         self._lock = threading.Lock()
         self.registry.histogram(
             STAGE_HISTOGRAM,
@@ -196,8 +196,8 @@ class PipelineRecorder:
         """Mirror an externally-maintained monotonic tally into a counter.
 
         Used to absorb pre-existing cumulative counts (kernel call
-        tallies, supervision tallies) without double-counting: the source stays
-        authoritative, the registry converges to it at each sync point.
+        tallies) without double-counting: the source stays authoritative,
+        the registry converges to it at each sync point.
         """
         with self._lock:
             self.registry.counter(name, labels=tuple(sorted(labels))).set_to(

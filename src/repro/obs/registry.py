@@ -13,8 +13,8 @@ series per distinct label-value tuple.  The design goals, in order:
 
 Naming scheme (see DESIGN.md §11): ``repro_<subsystem>_<what>[_unit]``,
 with ``_total`` suffix for counters and ``_seconds`` for latency
-histograms; variable dimensions (forecast model, stage, supervision
-event kind) are labels, never baked into names.
+histograms; variable dimensions (forecast model, stage, distributed
+site) are labels, never baked into names.
 """
 
 from __future__ import annotations

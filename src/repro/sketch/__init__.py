@@ -29,18 +29,11 @@ from repro.sketch.exact import DictVector, ExactSchema
 from repro.sketch.invertible import InvertibleKArySchema, InvertibleKArySketch
 from repro.sketch.kary import KArySchema, KArySketch
 from repro.sketch.mergeable import (
-    SchemaHandle,
-    SharedTableBlock,
     combine,
-    detach_shared,
     fold_width,
-    from_shared,
     half_width_schema,
     kind_of,
     merge,
-    summary_from_table,
-    table_shape,
-    to_shared,
 )
 from repro.sketch.serialization import (
     SketchDecodeError,
@@ -66,22 +59,15 @@ __all__ = [
     "KArySketch",
     "KeyIndex",
     "LinearSummary",
-    "SchemaHandle",
-    "SharedTableBlock",
     "SketchDecodeError",
     "SketchStack",
     "SummaryConvention",
     "combine",
     "fold_width",
     "half_width_schema",
-    "detach_shared",
-    "from_shared",
     "kind_of",
     "merge",
-    "summary_from_table",
-    "table_shape",
     "tables_estimate_f2",
-    "to_shared",
     "dump",
     "dumps",
     "linear_combination",

@@ -47,10 +47,10 @@ COMBINE
 -------
 Counter planes combine linearly as always.  Candidate planes merge with
 the same MV rule (votes scaled by ``|c_i|``), folded pairwise left to
-right.  The fold is order-*dependent* (MV is not associative), so sharded
-recovery is validated against serial at the report level; the counter
-planes remain bit-exact regardless of shard order because integral
-float64 sums are order-independent.
+right.  The fold is order-*dependent* (MV is not associative), so a
+merged sketch can elect a different bucket candidate than one stream's
+votes would; the counter planes remain bit-exact regardless of merge
+order because integral float64 sums are order-independent.
 """
 
 from __future__ import annotations

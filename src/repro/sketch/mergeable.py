@@ -1,42 +1,30 @@
-"""Uniform mergeable-summary API: COMBINE across workers and processes.
+"""Uniform mergeable-summary API: COMBINE for every summary type.
 
 The paper's COMBINE operation makes sketches a vector space, so summaries
-built *independently* -- per worker thread, per process, per router -- can
-be merged into the summary of the union stream without a second pass.
-This module is the machinery that makes merging practical for every
-summary type in the package (k-ary, Count-Min, Count Sketch, and the
-group-testing variant):
+built *independently* -- per process, per host, per router -- can be
+merged into the summary of the union stream without a second pass.  This
+module is the type-generic front for every summary type in the package
+(k-ary, invertible k-ary, Count-Min, Count Sketch, and the group-testing
+variant):
 
-:func:`combine`
+:func:`combine` / :func:`merge`
     Type-generic COMBINE over same-schema summaries.
-:class:`SchemaHandle`
-    A pickle-cheap (~100 byte) schema identity.  Hash tables are
-    megabytes but fully determined by ``(kind, dims, family, seed)``, so
-    only the identity crosses the process boundary; each worker process
-    rebuilds -- and caches -- the actual schema on first use.
-:class:`SharedTableBlock` / :func:`to_shared` / :func:`from_shared`
-    Counter tables placed in :mod:`multiprocessing.shared_memory`, with
-    **zero-copy** summary views over each slot.  A worker process updates
-    its slot in place; the parent wraps the same physical memory in a
-    summary object and COMBINEs -- no table ever travels through a pipe.
+:func:`fold_width` / :func:`half_width_schema`
+    Width-halving FOLD, the archive's item aggregation.
 
-Every function dispatches on the schema *kind* (``"kary"``,
-``"countmin"``, ``"countsketch"``, ``"grouptesting"``) resolved by
-:func:`kind_of`.
+:func:`kind_of` names a schema's kind (``"kary"``, ``"invertible"``,
+``"countmin"``, ``"countsketch"``, ``"grouptesting"``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
-
-import numpy as np
+from typing import Iterable
 
 from repro.sketch.base import LinearSummary
-from repro.sketch.countmin import CountMinSchema, CountMinSketch
-from repro.sketch.countsketch import CountSketch, CountSketchSchema
-from repro.sketch.invertible import InvertibleKArySchema, InvertibleKArySketch
-from repro.sketch.kary import KArySchema, KArySketch
+from repro.sketch.countmin import CountMinSchema
+from repro.sketch.countsketch import CountSketchSchema
+from repro.sketch.invertible import InvertibleKArySchema
+from repro.sketch.kary import KArySchema
 
 KINDS = ("kary", "invertible", "countmin", "countsketch", "grouptesting")
 
@@ -65,36 +53,6 @@ def kind_of(schema) -> str:
     if isinstance(schema, gt.GroupTestingSchema):
         return "grouptesting"
     raise TypeError(f"unsupported schema type {type(schema).__name__}")
-
-
-def table_shape(schema) -> Tuple[int, ...]:
-    """Counter-table shape for one summary of ``schema``."""
-    kind = kind_of(schema)
-    if kind == "grouptesting":
-        return (schema.depth, schema.width, 1 + schema.key_bits)
-    if kind == "invertible":
-        # counters + candidate keys (uint64 bit patterns) + votes
-        return (3, schema.depth, schema.width)
-    return (schema.depth, schema.width)
-
-
-def summary_from_table(schema, table: np.ndarray) -> LinearSummary:
-    """Wrap an existing counter table in a summary object -- zero-copy.
-
-    The table must already be C-contiguous float64 of
-    :func:`table_shape`; summaries write through to it, which is what
-    makes shared-memory slots live views rather than snapshots.
-    """
-    kind = kind_of(schema)
-    if kind == "invertible":
-        return InvertibleKArySketch(schema, table)
-    if kind == "kary":
-        return KArySketch(schema, table)
-    if kind == "countmin":
-        return CountMinSketch(schema, table)
-    if kind == "countsketch":
-        return CountSketch(schema, table)
-    return _grouptesting().GroupTestingSketch(schema, table)
 
 
 def combine(
@@ -153,245 +111,3 @@ def fold_width(summary: LinearSummary, schema=None) -> LinearSummary:
     ``None`` builds a fresh one per call.
     """
     return summary.fold_width(schema=schema)
-
-
-# -- pickle-cheap schema identity -------------------------------------------
-
-_RESOLVE_CACHE: Dict["SchemaHandle", object] = {}
-
-
-@dataclass(frozen=True)
-class SchemaHandle:
-    """Everything needed to rebuild a schema, in ~100 picklable bytes.
-
-    Worker processes must share the parent's hash functions (COMBINE is
-    only meaningful over identical hashes), but tabulation tables are
-    ~2 MiB per row.  Since hash tables are derived deterministically from
-    the seed, shipping ``(kind, depth, width, key_bits, seed, family)``
-    and rebuilding is equivalent -- and :meth:`resolve` caches per
-    process, so the rebuild happens once per worker, not per task.
-    """
-
-    kind: str
-    depth: int
-    width: int
-    seed: int
-    family: str
-    key_bits: int = 0
-
-    @classmethod
-    def from_schema(cls, schema) -> "SchemaHandle":
-        kind = kind_of(schema)
-        seed = schema.seed
-        if seed is None:
-            raise ValueError(
-                "schemas seeded from OS entropy (seed=None) cannot be "
-                "handed to other processes: the rebuilt hash functions "
-                "would differ, silently breaking COMBINE"
-            )
-        return cls(
-            kind=kind,
-            depth=schema.depth,
-            width=schema.width,
-            seed=int(seed),
-            family=schema.family,
-            key_bits=schema.key_bits if kind == "grouptesting" else 0,
-        )
-
-    def resolve(self):
-        """Rebuild (or fetch the cached) schema object in this process."""
-        schema = _RESOLVE_CACHE.get(self)
-        if schema is None:
-            if self.kind == "kary":
-                schema = KArySchema(
-                    depth=self.depth, width=self.width,
-                    seed=self.seed, family=self.family,
-                )
-            elif self.kind == "invertible":
-                schema = InvertibleKArySchema(
-                    depth=self.depth, width=self.width,
-                    seed=self.seed, family=self.family,
-                )
-            elif self.kind == "countmin":
-                schema = CountMinSchema(
-                    depth=self.depth, width=self.width,
-                    seed=self.seed, family=self.family,
-                )
-            elif self.kind == "countsketch":
-                schema = CountSketchSchema(
-                    depth=self.depth, width=self.width,
-                    seed=self.seed, family=self.family,
-                )
-            elif self.kind == "grouptesting":
-                schema = _grouptesting().GroupTestingSchema(
-                    depth=self.depth, width=self.width,
-                    key_bits=self.key_bits, seed=self.seed, family=self.family,
-                )
-            else:
-                raise ValueError(f"unknown schema kind {self.kind!r}")
-            _RESOLVE_CACHE[self] = schema
-        return schema
-
-
-# -- shared-memory counter tables -------------------------------------------
-
-
-class SharedTableBlock:
-    """``n_slots`` counter tables for one schema in a shared-memory segment.
-
-    Layout: one :class:`multiprocessing.shared_memory.SharedMemory`
-    segment holding a C-contiguous float64 array of shape
-    ``(n_slots, *table_shape(schema))``.  Worker ``i`` owns slot ``i``:
-    it zeroes and updates ``slot(i)`` in place; the parent wraps the same
-    slot with :meth:`summary` and COMBINEs the live views.  Nothing is
-    copied in either direction.
-
-    The creating process owns the segment (``unlink`` on :meth:`close`);
-    attachers only detach.  Attaching unregisters the segment from the
-    resource tracker so worker exits do not tear down memory the parent
-    still uses (the tracker assumes per-process ownership, which is wrong
-    for this deliberately shared block).
-    """
-
-    def __init__(self, schema, n_slots: int, shm, owner: bool) -> None:
-        self._schema = schema
-        self._n_slots = int(n_slots)
-        self._shm = shm
-        self._owner = owner
-        shape = (self._n_slots,) + table_shape(schema)
-        self._tables = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
-
-    @classmethod
-    def create(cls, schema, n_slots: int) -> "SharedTableBlock":
-        """Allocate a zeroed block for ``n_slots`` summaries of ``schema``."""
-        from multiprocessing import shared_memory
-
-        if n_slots < 1:
-            raise ValueError(f"n_slots must be >= 1, got {n_slots}")
-        nbytes = int(np.prod(table_shape(schema))) * 8 * int(n_slots)
-        shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        block = cls(schema, n_slots, shm, owner=True)
-        block._tables[:] = 0.0
-        return block
-
-    @classmethod
-    def attach(cls, name: str, handle: SchemaHandle, n_slots: int) -> "SharedTableBlock":
-        """Attach to an existing block by segment name (worker side)."""
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=name)
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals vary
-            pass
-        schema = handle.resolve() if isinstance(handle, SchemaHandle) else handle
-        return cls(schema, n_slots, shm, owner=False)
-
-    @property
-    def name(self) -> str:
-        """Shared-memory segment name (pass to :meth:`attach`)."""
-        return self._shm.name
-
-    @property
-    def schema(self):
-        """The schema every slot's summary uses."""
-        return self._schema
-
-    @property
-    def n_slots(self) -> int:
-        """Number of summary slots in the block."""
-        return self._n_slots
-
-    def slot(self, i: int) -> np.ndarray:
-        """Writable counter-table view of slot ``i`` (no copy).
-
-        Valid only while the block is alive and open: ``SharedMemory``
-        tears down the mapping when the block is garbage-collected, and
-        numpy's flattened base chain does not keep the block reachable.
-        Hold the block for as long as any slot view or summary is in use.
-        """
-        if not 0 <= i < self._n_slots:
-            raise IndexError(f"slot {i} out of range [0, {self._n_slots})")
-        return self._tables[i]
-
-    def summary(self, i: int) -> LinearSummary:
-        """Zero-copy summary over slot ``i`` -- updates write to the block."""
-        return summary_from_table(self._schema, self.slot(i))
-
-    def reset(self) -> None:
-        """Zero every slot in place."""
-        self._tables[:] = 0.0
-
-    def close(self) -> None:
-        """Detach; the creator also unlinks the segment."""
-        # Views into shm.buf must be dropped before close() or the
-        # exported-pointer check raises.
-        self._tables = None
-        self._shm.close()
-        if self._owner:
-            try:
-                # A same-process attach() unregistered the segment; put the
-                # registration back so unlink()'s own unregister matches and
-                # the tracker daemon stays quiet.
-                from multiprocessing import resource_tracker
-
-                resource_tracker.register(self._shm._name, "shared_memory")
-            except Exception:  # pragma: no cover - tracker internals vary
-                pass
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-    def __enter__(self) -> "SharedTableBlock":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def to_shared(summary: LinearSummary) -> SharedTableBlock:
-    """Copy a summary's table into a fresh one-slot shared-memory block.
-
-    The returned block's ``summary(0)`` is a live view: further updates
-    through it are visible to every process attached to the block.
-    """
-    block = SharedTableBlock.create(summary.schema, 1)
-    # .table is the full backing store (for the invertible sketch that is
-    # the (3, H, K) block including candidate planes, not just counters).
-    block.slot(0)[:] = summary.table
-    return block
-
-
-# Blocks attached via from_shared(), pinned so the returned summary's
-# memory mapping outlives the call (a block that is garbage-collected
-# closes its mapping under the summary).  Released by detach_shared().
-_ATTACHED_VIEW_BLOCKS: Dict[str, SharedTableBlock] = {}
-
-
-def from_shared(
-    name: str, handle: SchemaHandle, n_slots: int = 1, slot: int = 0
-) -> LinearSummary:
-    """Attach to a shared block by name and view one slot as a summary.
-
-    Convenience for the worker side of a one-summary exchange: the
-    attached block is pinned in a module registry so the zero-copy view
-    stays mapped; call :func:`detach_shared` when done with the segment.
-    Engines managing many slots should instead hold the
-    :class:`SharedTableBlock` from :meth:`SharedTableBlock.attach` and
-    call :meth:`~SharedTableBlock.summary`.
-    """
-    block = _ATTACHED_VIEW_BLOCKS.get(name)
-    if block is None:
-        block = SharedTableBlock.attach(name, handle, n_slots)
-        _ATTACHED_VIEW_BLOCKS[name] = block
-    return block.summary(slot)
-
-
-def detach_shared(name: str) -> None:
-    """Release a block pinned by :func:`from_shared` (no-op if unknown)."""
-    block = _ATTACHED_VIEW_BLOCKS.pop(name, None)
-    if block is not None:
-        block.close()

@@ -60,23 +60,12 @@ from repro.streams.sampling import (
     sample_records,
     sampling_error_scale,
 )
-from repro.streams.sharding import (
-    SHARD_METHODS,
-    BoundedChunkFeeder,
-    iter_interval_chunks,
-    iter_interval_columns,
-    partition_columns,
-    partition_records,
-    shard_assignments,
-    splitmix64,
-)
+from repro.streams.sharding import iter_interval_chunks, iter_interval_columns
 
 __all__ = [
-    "BoundedChunkFeeder",
     "ColumnarBlock",
     "FLOW_RECORD_DTYPE",
     "IntervalSlicer",
-    "SHARD_METHODS",
     "IntervalStream",
     "KeyScheme",
     "KeyedUpdates",
@@ -93,17 +82,13 @@ __all__ = [
     "make_key_scheme",
     "make_records",
     "make_value_scheme",
-    "partition_columns",
-    "partition_records",
     "read_trace",
     "read_trace_csv",
     "sample_and_hold_keys",
     "sample_records",
     "sampling_error_scale",
-    "shard_assignments",
     "slice_by_interval",
     "sort_by_time",
-    "splitmix64",
     "validate_records",
     "write_trace",
     "write_trace_csv",

@@ -49,7 +49,7 @@ class ColumnarBlock:
     and ``float64`` value arrays (typically unit-stride views into
     columns extracted once per trace) instead of per-chunk record
     objects.  Downstream consumers (:meth:`StreamingSession.ingest_columns`,
-    the sharded engine, :class:`OfflineTwoPassDetector`) pass these
+    :class:`OfflineTwoPassDetector`) pass these
     arrays straight into the fused UPDATE kernels without copying --
     ``np.shares_memory`` holds from feeder to sketch.
 

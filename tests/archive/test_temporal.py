@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.archive import ArchiveSpan, TemporalArchive, load_archive, save_archive
-from repro.detection import ShardedStreamingSession, StreamingSession
+from repro.detection import StreamingSession
 from repro.obs import PipelineRecorder
 from repro.sketch import KArySchema
 from repro.sketch.serialization import dumps_checkpoint
@@ -34,14 +34,11 @@ def _session_kwargs():
     )
 
 
-def _run_live(schema, records, archive, session_cls=StreamingSession, **extra):
-    session = session_cls(
-        schema, "ma", sink=archive.ingest, **_session_kwargs(), **extra
+def _run_live(schema, records, archive):
+    session = StreamingSession(
+        schema, "ma", sink=archive.ingest, **_session_kwargs()
     )
-    reports = session.ingest(records) + session.flush()
-    if hasattr(session, "close"):
-        session.close()
-    return reports
+    return session.ingest(records) + session.flush()
 
 
 def _assert_report_identical(a, b):
@@ -115,36 +112,6 @@ class TestBitIdentity:
             _assert_report_identical(result.report, report)
             assert result.scale == 1.0
             assert result.range_a == (t, t + 1)
-
-    def test_sharded_session_sink(self, schema, rng):
-        records = _records(rng, intervals=8)
-        serial_archive = TemporalArchive(schema, INTERVAL)
-        live = _run_live(schema, records, serial_archive)
-
-        sharded_archive = TemporalArchive(schema, INTERVAL)
-        sharded = _run_live(
-            schema, records, sharded_archive,
-            session_cls=ShardedStreamingSession,
-            n_workers=2, backend="thread",
-        )
-        assert sharded_archive.coverage == serial_archive.coverage
-        for a, b in zip(sharded, live):
-            _assert_report_identical(a, b)
-        for a, b in zip(
-            sharded_archive.replay("ma", window=1, t_fraction=0.05, top_n=8),
-            live,
-        ):
-            _assert_report_identical(a, b)
-
-    def test_pipelined_session_sink(self, schema, rng):
-        records = _records(rng, intervals=8)
-        archive = TemporalArchive(schema, INTERVAL)
-        live = _run_live(schema, records, archive, pipeline=True)
-        assert archive.stats["intervals_ingested"] == 8
-        for a, b in zip(
-            archive.replay("ma", window=1, t_fraction=0.05, top_n=8), live
-        ):
-            _assert_report_identical(a, b)
 
 
 def _fill(archive, schema, rng, intervals, population=400, per_interval=800):

@@ -6,7 +6,7 @@ strategy, never a result change.  These tests assert **bit-for-bit**
 equal :class:`IntervalDetection` reports (thresholds, alarms in order,
 top-N keys and errors) between the shipped drivers and the reference
 seal path (:mod:`tests.detection.oracle`) across every forecast model,
-serial and sharded sessions, the offline two-pass detector, the NumPy
+the streaming session, the offline two-pass detector, the NumPy
 hashing fallback, and checkpoint/restore mid-run.
 """
 
@@ -15,7 +15,6 @@ import pytest
 
 from repro.detection import (
     OfflineTwoPassDetector,
-    ShardedStreamingSession,
     StreamingSession,
     checkpoint_session,
     restore_session,
@@ -75,8 +74,6 @@ def _run_session(session, records, chunk=CHUNK):
     for start in range(0, len(records), chunk):
         reports.extend(session.ingest(records[start : start + chunk]))
     reports.extend(session.flush())
-    if hasattr(session, "close"):
-        session.close()
     return reports
 
 
@@ -167,16 +164,6 @@ class TestSessionEquivalence:
             _run_session(session, records),
             _oracle(schema, records, model, **params),
         )
-
-    def test_sharded_session(self, schema, records):
-        amortized = _run_session(
-            ShardedStreamingSession(
-                schema, "ewma", alpha=0.4, interval_seconds=INTERVAL,
-                t_fraction=0.05, top_n=10, n_workers=2,
-            ),
-            records,
-        )
-        assert_reports_identical(amortized, _oracle(schema, records))
 
 
 class TestCheckpointInteraction:

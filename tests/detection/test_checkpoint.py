@@ -3,14 +3,13 @@
 The acceptance property: ``restore(checkpoint(session))`` fed the
 remainder of the trace emits reports **bit-identical** to the
 uninterrupted run -- same thresholds, same alarms, same top-N -- for
-every forecast model, at any cut point, serial and sharded.
+every forecast model, at any cut point.
 """
 
 import numpy as np
 import pytest
 
 from repro.detection import (
-    ShardedStreamingSession,
     StreamingSession,
     checkpoint_session,
     load_checkpoint,
@@ -80,15 +79,11 @@ def _interrupted_run(make_session, records, cut_chunks, restore=restore_session,
     for start in range(0, cut_chunks * CHUNK, CHUNK):
         reports.extend(session.ingest(records[start : start + CHUNK]))
     blob = checkpoint_session(session)
-    if hasattr(session, "close"):
-        session.close()
     del session
 
     resumed = restore(blob, **restore_kwargs)
     rest = records[records["timestamp"] > resumed.watermark]
     reports.extend(_run(resumed, rest))
-    if hasattr(resumed, "close"):
-        resumed.close()
     return reports
 
 
@@ -195,84 +190,6 @@ class TestSerialResumeEquivalence:
         _assert_reports_identical(reports, reference)
 
 
-class TestShardedResumeEquivalence:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_backends_resume_bit_identical(self, schema, records, backend):
-        reference = _run(
-            StreamingSession(
-                schema, "ewma", interval_seconds=INTERVAL,
-                t_fraction=0.02, top_n=5, alpha=0.4,
-            ),
-            records,
-        )
-
-        def make():
-            return ShardedStreamingSession(
-                schema, "ewma", n_workers=4, backend=backend,
-                interval_seconds=INTERVAL, t_fraction=0.02, top_n=5, alpha=0.4,
-            )
-
-        got = _interrupted_run(make, records, cut_chunks=9)
-        _assert_reports_identical(got, reference)
-
-    @pytest.mark.parametrize("model,params", MODELS[2:4], ids=MODEL_IDS[2:4])
-    def test_models_resume_sharded(self, schema, records, model, params):
-        reference = _run(
-            StreamingSession(
-                schema, model, interval_seconds=INTERVAL,
-                t_fraction=0.02, **params,
-            ),
-            records,
-        )
-
-        def make():
-            return ShardedStreamingSession(
-                schema, model, n_workers=4, backend="thread",
-                interval_seconds=INTERVAL, t_fraction=0.02, **params,
-            )
-
-        got = _interrupted_run(make, records, cut_chunks=7)
-        _assert_reports_identical(got, reference)
-
-    def test_backend_override_on_restore(self, schema, records):
-        reference = _run(
-            StreamingSession(
-                schema, "ewma", interval_seconds=INTERVAL,
-                t_fraction=0.02, alpha=0.4,
-            ),
-            records,
-        )
-
-        def make():
-            return ShardedStreamingSession(
-                schema, "ewma", n_workers=3, backend="thread",
-                interval_seconds=INTERVAL, t_fraction=0.02, alpha=0.4,
-            )
-
-        got = _interrupted_run(
-            make, records, cut_chunks=9, backend="serial"
-        )
-        _assert_reports_identical(got, reference)
-
-    def test_sharded_config_roundtrips(self, schema, records):
-        session = ShardedStreamingSession(
-            schema, "ewma", n_workers=3, backend="thread", partition="hash",
-            task_timeout=30.0, max_retries=5, retry_backoff=0.25, alpha=0.4,
-        )
-        session.ingest(records[:4000])
-        restored = restore_session(checkpoint_session(session))
-        session.close()
-        assert isinstance(restored, ShardedStreamingSession)
-        assert restored.n_workers == 3
-        assert restored.backend == "thread"
-        assert restored.partition == "hash"
-        engine = restored._engine
-        assert engine.task_timeout == 30.0
-        assert engine.max_retries == 5
-        assert engine.retry_backoff == 0.25
-        restored.close()
-
-
 class TestCheckpointRefusals:
     def test_entropy_seeded_schema_refused(self):
         session = StreamingSession(
@@ -343,10 +260,23 @@ class TestCheckpointRefusals:
         with pytest.raises(ValueError, match="seed"):
             restore_session(blob, schema=other)
 
-    def test_backend_override_rejected_for_serial(self, schema):
-        blob = checkpoint_session(StreamingSession(schema, "ewma", alpha=0.4))
-        with pytest.raises(ValueError, match="sharded"):
-            restore_session(blob, backend="thread")
+    def test_sharded_checkpoint_refused(self, schema, records):
+        """A sharded session's checkpoint meta (kind ``"sharded"`` plus a
+        ``sharded`` block) is refused by kind, before anything is built."""
+        from repro.sketch.serialization import dumps_checkpoint, loads_checkpoint
+
+        session = StreamingSession(schema, "ewma", alpha=0.4)
+        session.ingest(records[:2000])
+        meta, body = loads_checkpoint(checkpoint_session(session), schema=schema)
+        meta["session"] = "sharded"
+        meta["sharded"] = {
+            "n_workers": 2, "backend": "thread", "partition": "chunk",
+            "task_timeout": None, "max_retries": 2, "retry_backoff": 0.1,
+            "retry_backoff_max": 5.0,
+        }
+        blob = dumps_checkpoint(meta, body)
+        with pytest.raises(ValueError, match="'sharded' session"):
+            restore_session(blob, schema=schema)
 
 
 class TestCheckpointMeta:

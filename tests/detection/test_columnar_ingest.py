@@ -9,11 +9,7 @@ reports.
 import numpy as np
 import pytest
 
-from repro.detection import (
-    OfflineTwoPassDetector,
-    ShardedStreamingSession,
-    StreamingSession,
-)
+from repro.detection import OfflineTwoPassDetector, StreamingSession
 from repro.sketch import KArySchema
 from repro.streams import (
     ColumnarBlock,
@@ -59,8 +55,6 @@ def _run_records(session, records, chunk=CHUNK):
     for start in range(0, len(records), chunk):
         reports.extend(session.ingest(records[start : start + chunk]))
     reports.extend(session.flush())
-    if hasattr(session, "close"):
-        session.close()
     return reports
 
 
@@ -70,8 +64,6 @@ def _run_columns(session, records, chunk_records=None):
                                        chunk_records=chunk_records):
         reports.extend(session.ingest_columns(block))
     reports.extend(session.flush())
-    if hasattr(session, "close"):
-        session.close()
     return reports
 
 
@@ -89,17 +81,6 @@ class TestColumnarEquivalence:
             self._session(schema), records, chunk_records=chunk_records
         )
         _assert_reports_identical(columnar, reference)
-
-    def test_sharded_session(self, schema, records):
-        reference = _run_records(self._session(schema), records)
-        for n_workers in (1, 3):
-            session = ShardedStreamingSession(
-                schema, "ewma", alpha=0.4, interval_seconds=INTERVAL,
-                t_fraction=0.05, top_n=10, n_workers=n_workers,
-            )
-            _assert_reports_identical(
-                _run_columns(session, records), reference
-            )
 
     def test_block_arrays_reusable_after_ingest(self, schema, records):
         """The session buffers its own copy: a caller overwriting a

@@ -1,6 +1,6 @@
 """End-to-end replay-free recovery: the ``key_source`` axis.
 
-Three contracts, layered on the PR-4 amortization matrix:
+Two contracts, layered on the PR-4 amortization matrix:
 
 * **Counter-plane identity** -- a two-pass run over an
   :class:`InvertibleKArySchema` produces reports bit-identical to the
@@ -9,9 +9,6 @@ Three contracts, layered on the PR-4 amortization matrix:
 * **Oracle identity** -- for every key source, the shipped seal path
   (scratch summaries, median prescreen) reports exactly what the
   reference seal path does.
-* **Sharded == serial** -- invertible recovery after COMBINE across
-  shards yields the same reports as the serial session, for every seal
-  backend.
 """
 
 import numpy as np
@@ -19,7 +16,6 @@ import pytest
 
 from repro.detection import (
     OfflineTwoPassDetector,
-    ShardedStreamingSession,
     StreamingSession,
     checkpoint_session,
     restore_session,
@@ -148,26 +144,6 @@ class TestSessionKeySource:
         )
         reports = session.ingest(records)
         reports.extend(session.flush())
-        _assert_reports_identical(reports, reference)
-
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_sharded_equals_serial(self, records, inv_schema, backend):
-        serial = StreamingSession(
-            inv_schema, "ewma", alpha=0.4, t_fraction=0.05, top_n=10,
-            key_source="invertible",
-        )
-        reference = serial.ingest(records)
-        reference.extend(serial.flush())
-
-        sharded = ShardedStreamingSession(
-            inv_schema, "ewma", alpha=0.4, t_fraction=0.05, top_n=10,
-            key_source="invertible", n_workers=3, backend=backend,
-        )
-        try:
-            reports = sharded.ingest(records)
-            reports.extend(sharded.flush())
-        finally:
-            sharded.close()
         _assert_reports_identical(reports, reference)
 
     def test_checkpoint_preserves_key_source(self, records, inv_schema):

@@ -3,12 +3,12 @@
 All detection drivers close an interval through one
 :class:`~repro.detection.session.IntervalSealer`; they differ only in how
 they produce its ``(observed, keys, index)`` input -- chunked or whole,
-pipelined, sharded, per-site and merged over TCP, or replayed from the
-archive.  On one small trace, each driver's reports (interval,
-threshold, ``error_l2``, alarms, top-N) must equal the reference seal
-path of :mod:`tests.detection.oracle` bit for bit, for EWMA with
-two-pass keys and for an invertible schema with invertible recovery
-(two drivers run two-pass keys there; see :data:`TWO_PASS_ONLY`).
+per-site and merged over TCP, or replayed from the archive.  On one
+small trace, each driver's reports (interval, threshold, ``error_l2``,
+alarms, top-N) must equal the reference seal path of
+:mod:`tests.detection.oracle` bit for bit, for EWMA with two-pass keys
+and for an invertible schema with invertible recovery (two drivers run
+two-pass keys there; see :data:`TWO_PASS_ONLY`).
 Byte counts are integral, so every COMBINE of partial sketches is exact.
 """
 
@@ -16,11 +16,7 @@ import numpy as np
 import pytest
 
 from repro.archive import TemporalArchive
-from repro.detection import (
-    OfflineTwoPassDetector,
-    ShardedStreamingSession,
-    StreamingSession,
-)
+from repro.detection import OfflineTwoPassDetector, StreamingSession
 from repro.distributed import run_loopback
 from repro.sketch import InvertibleKArySchema, KArySchema
 from repro.streams import IntervalStream, make_records
@@ -50,12 +46,11 @@ def trace(rng):
 
 
 def _session_reports(session, records):
-    with session:
-        reports = []
-        for start in range(0, len(records), CHUNK):
-            reports.extend(session.ingest(records[start : start + CHUNK]))
-        reports.extend(session.flush())
-        return reports + session.drain()
+    reports = []
+    for start in range(0, len(records), CHUNK):
+        reports.extend(session.ingest(records[start : start + CHUNK]))
+    reports.extend(session.flush())
+    return reports
 
 
 def _session(cls, schema, key_source, **kwargs):
@@ -86,15 +81,6 @@ def _archive_replay(schema, key_source, records):
 DRIVERS = {
     "blocking": lambda schema, ks, records: _session_reports(
         _session(StreamingSession, schema, ks), records
-    ),
-    "pipelined": lambda schema, ks, records: _session_reports(
-        _session(StreamingSession, schema, ks, pipeline=True), records
-    ),
-    "sharded": lambda schema, ks, records: _session_reports(
-        _session(
-            ShardedStreamingSession, schema, ks, n_workers=2, backend="serial"
-        ),
-        records,
     ),
     "twopass_run": lambda schema, ks, records: list(
         _detector(schema, ks).run(IntervalStream(records, INTERVAL))

@@ -394,6 +394,68 @@ class TestIntervalBuffer:
             ),
         )
 
+    def test_key_set_bounded_by_distinct_keys(self, rng, monkeypatch):
+        """Each flush merges its keys into the interval's one sorted key
+        array, so the key set grows with distinct keys, not records."""
+        cap, chunk, distinct = 40, 7, 12
+        monkeypatch.setattr(session_module, "_BUFFER_CAP", cap)
+        flushes = []
+        flush = session_module._OpenInterval.flush
+
+        def checked_flush(self):
+            flushed = self.pending()[0]
+            before = self.unique_keys
+            flush(self)
+            if len(flushed):
+                flushes.append(len(flushed))
+                assert isinstance(self.unique_keys, np.ndarray)
+                assert np.array_equal(
+                    self.unique_keys,
+                    np.unique(np.concatenate([before, flushed])),
+                )
+                assert len(self.unique_keys) <= distinct
+
+        monkeypatch.setattr(session_module._OpenInterval, "flush", checked_flush)
+        n = 4 * 2000
+        records = make_records(
+            timestamps=np.sort(rng.uniform(0, 4 * BUF_INTERVAL, n)),
+            dst_ips=rng.integers(0, distinct, n).astype(np.uint32),
+            byte_counts=rng.integers(40, 1500, n),
+        )
+        schema = KArySchema(depth=5, width=1024, seed=11)
+        reports, sealed = _sealed_run(
+            BUF_KWARGS, schema, [records[i : i + chunk] for i in range(0, n, chunk)]
+        )
+
+        blocks = list(iter_interval_columns(records, BUF_INTERVAL))
+        assert len(flushes) > 10 * len(blocks)
+        for (index, table, keys), block in zip(sealed, blocks):
+            assert np.array_equal(keys, np.unique(block.keys))
+        assert_reports_identical(
+            reports,
+            oracle_reports(
+                schema, "ewma", blocks, t_fraction=0.05, top_n=10, alpha=0.5,
+            ),
+        )
+
+    @pytest.mark.parametrize(
+        "merged, new",
+        [
+            ([5, 9], []),
+            ([5, 9], [1, 2]),
+            ([5, 9], [10, 2**64 - 1]),
+            ([5, 9], [0, 5, 7, 9, 2**64 - 1]),
+            ([5, 9], [5, 9]),
+            ([0, 2**64 - 1], [1, 2**63]),
+        ],
+    )
+    def test_merge_distinct_is_sorted_union(self, merged, new):
+        merged = np.array(merged, dtype=np.uint64)
+        new = np.array(new, dtype=np.uint64)
+        out = session_module._merge_distinct(merged, new)
+        assert out.dtype == np.uint64
+        assert np.array_equal(out, np.unique(np.concatenate([merged, new])))
+
     def test_unhashable_keys_fail_the_flush_and_stay_buffered(self):
         """Keys are hashed at the flush, so a key the schema rejects (64-bit
         pairs under 32-bit tabulation) fails the seal, and the failed

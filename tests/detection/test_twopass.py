@@ -5,9 +5,11 @@ import pytest
 
 from repro.detection import OfflineTwoPassDetector
 from repro.sketch import ExactSchema, KArySchema
+from repro.streams import IntervalStream, concat_records, make_records, sort_by_time
 from repro.streams.model import KeyedUpdates
 
 from tests.conftest import make_batches
+from tests.detection.oracle import assert_reports_identical
 
 
 def _spiked_batches(rng, spike_key=99999999, spike_interval=8, spike_value=5e6):
@@ -127,3 +129,51 @@ class TestOfflineTwoPass:
         # Symmetric difference should be tiny relative to the union.
         union = len(sk | ex) or 1
         assert len(sk ^ ex) / union < 0.2
+
+
+def _records(rng, n=20000, duration=3000.0, population=800):
+    keys = rng.integers(0, population, n).astype(np.uint32)
+    return make_records(
+        timestamps=np.sort(rng.uniform(0, duration, n)),
+        dst_ips=keys,
+        byte_counts=rng.pareto(1.3, n) * 500 + 40,
+    )
+
+
+class TestDetectMany:
+    """Network-wide view: sketch each router's stream, COMBINE per
+    interval, detect -- identical to detecting over the merged trace."""
+
+    @pytest.fixture
+    def schema(self):
+        return KArySchema(depth=5, width=4096, seed=0)
+
+    def _traces(self, rng, n_traces=3):
+        return [_records(rng, n=6000, duration=1800.0) for _ in range(n_traces)]
+
+    def test_detect_many_matches_merged_trace(self, rng, schema):
+        traces = self._traces(rng)
+        detector = OfflineTwoPassDetector(schema, "ewma", alpha=0.5, t_fraction=0.1)
+        merged = sort_by_time(concat_records(traces))
+        expected = detector.detect(IntervalStream(merged, interval_seconds=300.0))
+        got = detector.detect_many(
+            [IntervalStream(t, interval_seconds=300.0) for t in traces]
+        )
+        assert_reports_identical(got, expected)
+
+    def test_misaligned_streams_rejected(self, schema):
+        def batch(index):
+            return KeyedUpdates(
+                index=index,
+                keys=np.array([1], dtype=np.uint64),
+                values=np.array([1.0]),
+                duration=300.0,
+            )
+
+        detector = OfflineTwoPassDetector(schema, "ewma", alpha=0.5)
+        with pytest.raises(ValueError, match="interval index"):
+            detector.detect_many([[batch(0)], [batch(1)]])
+
+    def test_empty_stream_list(self, schema):
+        detector = OfflineTwoPassDetector(schema, "ewma", alpha=0.5)
+        assert detector.detect_many([]) == []

@@ -12,8 +12,6 @@ from repro.sketch import (
     dumps,
     kind_of,
     loads,
-    summary_from_table,
-    table_shape,
 )
 
 
@@ -65,11 +63,11 @@ class TestSchema:
 
     def test_kind_and_table_shape(self, inv_schema):
         assert kind_of(inv_schema) == "invertible"
-        assert table_shape(inv_schema) == (3, 5, 1024)
+        assert inv_schema.empty().table.shape == (3, 5, 1024)
 
     def test_summary_from_table_shares_store(self, inv_schema):
         store = np.zeros((3, 5, 1024), dtype=np.float64)
-        sketch = summary_from_table(inv_schema, store)
+        sketch = InvertibleKArySketch(inv_schema, store)
         assert isinstance(sketch, InvertibleKArySketch)
         sketch.update_batch([11], [3.0])
         assert store[0].sum() == pytest.approx(3.0 * 5)

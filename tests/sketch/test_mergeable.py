@@ -1,7 +1,5 @@
 """Tests for the uniform mergeable-summary API (COMBINE everywhere)."""
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -10,16 +8,9 @@ from repro.sketch import (
     CountMinSchema,
     CountSketchSchema,
     KArySchema,
-    SchemaHandle,
-    SharedTableBlock,
     combine,
-    detach_shared,
-    from_shared,
     kind_of,
     merge,
-    summary_from_table,
-    table_shape,
-    to_shared,
 )
 
 SCHEMA_FACTORIES = {
@@ -113,22 +104,6 @@ class TestUniformSurface:
         with pytest.raises(TypeError):
             kind_of(object())
 
-    def test_table_shape(self, kind, schema):
-        shape = table_shape(schema)
-        assert shape == schema.empty()._table.shape
-        if kind == "grouptesting":
-            assert shape == (schema.depth, schema.width, 1 + schema.key_bits)
-        else:
-            assert shape == (schema.depth, schema.width)
-
-    def test_summary_from_table_is_zero_copy(self, schema, items):
-        ka, va, _, _ = items
-        table = np.zeros(table_shape(schema), dtype=np.float64)
-        summary = summary_from_table(schema, table)
-        summary.update_batch(ka, va)
-        assert table.any()  # writes landed in the caller's buffer
-        assert np.array_equal(table, schema.from_items(ka, va)._table)
-
     def test_reset_and_copy(self, schema, items):
         ka, va, _, _ = items
         sketch = schema.from_items(ka, va)
@@ -136,96 +111,3 @@ class TestUniformSurface:
         sketch.reset()
         assert not sketch._table.any()
         assert clone._table.any()  # the copy is independent
-
-
-class TestSchemaHandle:
-    def test_pickle_roundtrip_resolves_equal_schema(self, schema):
-        handle = SchemaHandle.from_schema(schema)
-        restored = pickle.loads(pickle.dumps(handle))
-        assert restored.resolve() == schema
-
-    def test_resolve_is_cached_per_process(self, schema):
-        handle = SchemaHandle.from_schema(schema)
-        assert handle.resolve() is handle.resolve()
-
-    def test_handle_is_small_on_the_wire(self, schema):
-        # The point of the handle: identity travels, not hash tables.
-        assert len(pickle.dumps(SchemaHandle.from_schema(schema))) < 512
-
-    def test_entropy_seeded_schema_rejected(self):
-        schema = KArySchema(depth=2, width=64, seed=None)
-        with pytest.raises(ValueError, match="entropy"):
-            SchemaHandle.from_schema(schema)
-
-
-class TestSharedTableBlock:
-    def test_slots_are_live_summary_views(self, schema, items):
-        ka, va, kb, vb = items
-        with SharedTableBlock.create(schema, 2) as block:
-            block.summary(0).update_batch(ka, va)
-            block.summary(1).update_batch(kb, vb)
-            direct = schema.from_items(
-                np.concatenate([ka, kb]), np.concatenate([va, vb])
-            )
-            assert np.array_equal(
-                merge([block.summary(0), block.summary(1)])._table,
-                direct._table,
-            )
-
-    def test_attach_sees_creator_writes(self, schema, items):
-        ka, va, _, _ = items
-        handle = SchemaHandle.from_schema(schema)
-        with SharedTableBlock.create(schema, 1) as block:
-            block.summary(0).update_batch(ka, va)
-            attached = SharedTableBlock.attach(block.name, handle, 1)
-            assert np.array_equal(attached.slot(0), block.slot(0))
-            # Writes through the attached view land in the same memory.
-            attached.slot(0)[:] = 0.0
-            assert not block.slot(0).any()
-            attached.close()
-
-    def test_slot_bounds_checked(self, schema):
-        with SharedTableBlock.create(schema, 2) as block:
-            with pytest.raises(IndexError):
-                block.slot(2)
-
-    def test_reset_zeroes_all_slots(self, schema, items):
-        ka, va, _, _ = items
-        with SharedTableBlock.create(schema, 2) as block:
-            block.summary(0).update_batch(ka, va)
-            block.reset()
-            assert not block.slot(0).any()
-
-    def test_create_rejects_zero_slots(self, schema):
-        with pytest.raises(ValueError):
-            SharedTableBlock.create(schema, 0)
-
-
-class TestToFromShared:
-    def test_to_shared_copies_then_views(self, schema, items):
-        ka, va, kb, vb = items
-        sketch = schema.from_items(ka, va)
-        with to_shared(sketch) as block:
-            view = block.summary(0)
-            assert np.array_equal(view._table, sketch._table)
-            view.update_batch(kb, vb)
-            direct = schema.from_items(
-                np.concatenate([ka, kb]), np.concatenate([va, vb])
-            )
-            assert np.array_equal(block.slot(0), direct._table)
-            # The original sketch was copied, not aliased.
-            assert np.array_equal(sketch._table, schema.from_items(ka, va)._table)
-
-    def test_from_shared_attaches_by_name(self, schema, items):
-        ka, va, _, _ = items
-        sketch = schema.from_items(ka, va)
-        with to_shared(sketch) as block:
-            try:
-                view = from_shared(
-                    block.name, SchemaHandle.from_schema(schema)
-                )
-                assert np.array_equal(view._table, sketch._table)
-            finally:
-                detach_shared(block.name)
-        # Detaching an unknown segment is a no-op.
-        detach_shared("nonexistent-segment")

@@ -12,14 +12,12 @@ import numpy as np
 import pytest
 
 from repro.streams import (
-    ColumnarBlock,
     IntervalStream,
     iter_interval_chunks,
     iter_interval_columns,
     make_key_scheme,
     make_records,
     make_value_scheme,
-    partition_columns,
 )
 
 INTERVAL = 300.0
@@ -130,58 +128,3 @@ class TestIterIntervalColumns:
                 block.keys, batch.keys.astype(np.uint64)
             )
             np.testing.assert_array_equal(block.values, batch.values)
-
-
-class TestPartitionColumns:
-    def _block(self, rng, n=4096):
-        return ColumnarBlock(
-            index=3,
-            keys=rng.integers(0, 2**32, n).astype(np.uint64),
-            values=rng.normal(100.0, 30.0, n),
-            duration=INTERVAL,
-        )
-
-    def test_block_method_is_zero_copy_partition(self, rng):
-        block = self._block(rng)
-        parts = partition_columns(block, 4, method="block")
-        assert len(parts) == 4
-        for part in parts:
-            assert np.shares_memory(part.keys, block.keys)
-            assert np.shares_memory(part.values, block.values)
-            assert part.index == block.index
-        np.testing.assert_array_equal(
-            np.concatenate([p.keys for p in parts]), block.keys
-        )
-        np.testing.assert_array_equal(
-            np.concatenate([p.values for p in parts]), block.values
-        )
-
-    @pytest.mark.parametrize("method", ["hash", "round_robin"])
-    def test_grouping_methods_preserve_multiset_and_order(self, rng, method):
-        block = self._block(rng)
-        parts = partition_columns(block, 3, method=method)
-        all_keys = np.concatenate([p.keys for p in parts])
-        all_values = np.concatenate([p.values for p in parts])
-        np.testing.assert_array_equal(np.sort(all_keys), np.sort(block.keys))
-        np.testing.assert_array_equal(
-            np.sort(all_values), np.sort(block.values)
-        )
-        if method == "hash":
-            from repro.streams import splitmix64
-
-            for s, part in enumerate(parts):
-                assert np.all(
-                    splitmix64(part.keys) % np.uint64(3) == np.uint64(s)
-                )
-
-    def test_single_shard_returns_block_itself(self, rng):
-        block = self._block(rng)
-        (part,) = partition_columns(block, 1)
-        assert part is block
-
-    def test_validation(self, rng):
-        block = self._block(rng, n=16)
-        with pytest.raises(ValueError):
-            partition_columns(block, 0)
-        with pytest.raises(ValueError):
-            partition_columns(block, 2, method="bogus")

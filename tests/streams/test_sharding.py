@@ -1,17 +1,9 @@
-"""Tests for record partitioning and the bounded chunk feeder."""
+"""Tests for interval-aligned record chunking."""
 
 import numpy as np
 import pytest
 
-from repro.streams import (
-    BoundedChunkFeeder,
-    iter_interval_chunks,
-    make_records,
-    partition_records,
-    shard_assignments,
-    sort_by_time,
-    splitmix64,
-)
+from repro.streams import iter_interval_chunks, make_records
 
 
 @pytest.fixture
@@ -22,75 +14,6 @@ def records(rng):
         dst_ips=rng.integers(0, 5000, n),
         byte_counts=rng.integers(40, 1500, n),
     )
-
-
-class TestSplitmix64:
-    def test_deterministic(self):
-        x = np.arange(100, dtype=np.uint64)
-        assert np.array_equal(splitmix64(x), splitmix64(x))
-
-    def test_mixes(self):
-        # Consecutive inputs must land on very different outputs.
-        out = splitmix64(np.arange(10000, dtype=np.uint64))
-        assert len(np.unique(out)) == 10000
-        assert len(np.unique(out % np.uint64(4))) == 4
-
-
-class TestShardAssignments:
-    @pytest.mark.parametrize("method", ["hash", "round_robin", "block"])
-    def test_in_range_and_deterministic(self, records, method):
-        shards = shard_assignments(records, 4, method=method)
-        assert shards.min() >= 0 and shards.max() < 4
-        assert np.array_equal(
-            shards, shard_assignments(records, 4, method=method)
-        )
-
-    def test_hash_is_key_affine(self, records):
-        shards = shard_assignments(records, 4, method="hash")
-        # All records of one key land on one shard.
-        for key in np.unique(records["dst_ip"])[:200]:
-            assert len(np.unique(shards[records["dst_ip"] == key])) == 1
-
-    def test_round_robin_balances(self, records):
-        counts = np.bincount(
-            shard_assignments(records, 4, method="round_robin"), minlength=4
-        )
-        assert counts.max() - counts.min() <= 1
-
-    def test_block_is_contiguous(self, records):
-        shards = shard_assignments(records, 4, method="block")
-        assert np.all(np.diff(shards) >= 0)
-
-    def test_invalid_args(self, records):
-        with pytest.raises(ValueError, match="n_shards"):
-            shard_assignments(records, 0)
-        with pytest.raises(ValueError, match="method"):
-            shard_assignments(records, 2, method="bogus")
-
-
-class TestPartitionRecords:
-    @pytest.mark.parametrize("method", ["hash", "round_robin", "block"])
-    def test_partition_is_conservative(self, records, method):
-        parts = partition_records(records, 4, method=method)
-        assert len(parts) == 4
-        assert sum(len(p) for p in parts) == len(records)
-        rebuilt = sort_by_time(np.concatenate(parts))
-        assert np.array_equal(rebuilt, records)
-
-    def test_in_shard_order_preserved(self, records):
-        for part in partition_records(records, 4, method="hash"):
-            if len(part) > 1:
-                assert np.all(np.diff(part["timestamp"]) >= 0)
-
-    def test_single_shard_passthrough(self, records):
-        (only,) = partition_records(records, 1)
-        assert only is records
-
-    def test_empty_shards_are_empty_arrays(self):
-        records = make_records([1.0], [7], [100])
-        parts = partition_records(records, 4, method="hash")
-        assert sum(len(p) for p in parts) == 1
-        assert all(p.dtype == records.dtype for p in parts)
 
 
 class TestIterIntervalChunks:
@@ -121,67 +44,3 @@ class TestIterIntervalChunks:
             list(iter_interval_chunks(records, 0.0))
         with pytest.raises(ValueError, match="chunk_records"):
             list(iter_interval_chunks(records, 300.0, chunk_records=0))
-
-
-class TestBoundedChunkFeeder:
-    def test_yields_in_order(self, records):
-        chunks = list(iter_interval_chunks(records, 300.0, chunk_records=256))
-        with BoundedChunkFeeder(iter(chunks), maxsize=3) as feeder:
-            fed = list(feeder)
-        assert len(fed) == len(chunks)
-        assert np.array_equal(np.concatenate(fed), records)
-
-    def test_source_error_propagates(self, records):
-        def source():
-            yield records[:10]
-            raise RuntimeError("collector went away")
-
-        with BoundedChunkFeeder(source()) as feeder:
-            with pytest.raises(RuntimeError, match="collector went away"):
-                list(feeder)
-
-    def test_close_without_draining(self, records):
-        chunks = iter_interval_chunks(records, 300.0, chunk_records=64)
-        feeder = BoundedChunkFeeder(chunks, maxsize=2)
-        feeder.close()  # must not hang even with a blocked producer
-
-    def test_iterate_after_close_terminates(self, records):
-        # Regression: close() drains the queue and can swallow the _DONE
-        # sentinel; the old blocking-get iterator then hung forever.
-        chunks = iter_interval_chunks(records, 300.0, chunk_records=64)
-        feeder = BoundedChunkFeeder(chunks, maxsize=2)
-        feeder.close()
-        assert list(feeder) == []  # must return promptly, not deadlock
-
-    def test_close_mid_iteration_terminates(self, records):
-        chunks = iter_interval_chunks(records, 300.0, chunk_records=64)
-        feeder = BoundedChunkFeeder(chunks, maxsize=2)
-        it = iter(feeder)
-        next(it)
-        feeder.close()
-        remaining = list(it)  # stops cleanly; buffered chunks discarded
-        assert len(remaining) <= 2
-
-    def test_error_surfaces_after_close(self):
-        # Regression: a pending source error was dropped when close()
-        # drained the _DONE sentinel that carried it.
-        import threading
-
-        produced = threading.Event()
-
-        def source():
-            yield np.zeros(1, dtype=[("timestamp", "f8")])
-            produced.set()
-            raise RuntimeError("collector went away")
-
-        feeder = BoundedChunkFeeder(source(), maxsize=4)
-        assert produced.wait(timeout=5.0)
-        # Give the producer a moment to store the error and finish.
-        feeder._thread.join(timeout=5.0)
-        feeder.close()
-        with pytest.raises(RuntimeError, match="collector went away"):
-            list(feeder)
-
-    def test_invalid_maxsize(self):
-        with pytest.raises(ValueError, match="maxsize"):
-            BoundedChunkFeeder(iter([]), maxsize=0)

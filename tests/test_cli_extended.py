@@ -123,22 +123,6 @@ class TestCheckpointResumeCommands:
                  if line.startswith("interval")]
         assert before + after == reference
 
-    def test_sharded_checkpoint_resume_with_backend_override(
-        self, trace, tmp_path, capsys
-    ):
-        reference = self._full_run_output(trace, tmp_path, capsys)
-
-        ckpt = tmp_path / "sess.kcp"
-        main(["checkpoint", str(trace), "--until", "900", "--out", str(ckpt),
-              "--workers", "3", "--backend", "thread", *self.ARGS])
-        before = [line for line in capsys.readouterr().out.splitlines()
-                  if line.startswith("interval")]
-        code = main(["resume", str(ckpt), str(trace), "--backend", "serial"])
-        assert code == 0
-        after = [line for line in capsys.readouterr().out.splitlines()
-                 if line.startswith("interval")]
-        assert before + after == reference
-
     def test_resume_can_rewrite_checkpoint(self, trace, tmp_path, capsys):
         ckpt = tmp_path / "sess.kcp"
         main(["checkpoint", str(trace), "--until", "600",
