@@ -1,15 +1,17 @@
 """Table 1: running time of hash computation, UPDATE and ESTIMATE.
 
 True microbenchmarks of the three operations the paper times (H=5,
-K=2**16), plus ESTIMATEF2 and COMBINE for completeness.  pytest-benchmark
-reports per-batch times; the companion exhibit (`table1` experiment)
-converts them to the paper's seconds-per-10M-operations form.
+K=2**16), plus ESTIMATEF2, COMBINE and one forecast step for
+completeness.  pytest-benchmark reports per-batch times; the companion
+exhibit (`table1` experiment) converts them to the paper's
+seconds-per-10M-operations form.
 """
 
 import numpy as np
 import pytest
 
 from benchmarks._util import run_exhibit
+from repro.forecast import HoltWintersForecaster
 from repro.sketch import KArySchema
 
 BATCH = 100_000
@@ -65,6 +67,17 @@ def test_combine(benchmark, setup):
         return 0.6 * sketch + 0.4 * other
 
     benchmark(do_combine)
+
+
+def test_forecast_step(benchmark, setup):
+    """One NSHW ``step_into``: Se and the new state in one COMBINE sweep."""
+    schema, _, _, sketch, other = setup
+    forecaster = HoltWintersForecaster(alpha=0.5, beta=0.2)
+    scratch = {"error_out": schema.empty(), "forecast_out": schema.empty()}
+    for observed in (sketch, other):  # warm-up: the trend needs two
+        forecaster.step_into(observed, **scratch)
+
+    benchmark(forecaster.step_into, sketch, **scratch)
 
 
 def test_table1_exhibit(benchmark):

@@ -33,6 +33,7 @@ run queries from the thread that drives the session.
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -55,6 +56,7 @@ from repro.sketch.serialization import (
     schema_from_identity,
     schema_identity,
 )
+from repro.streams.intervals import checked_index, interval_index
 from repro.streams.keys import dedup_keys
 
 _FORMAT = "temporal-archive"
@@ -273,8 +275,16 @@ class TemporalArchive:
         return {**self._stats, "spans": len(self._spans), "bytes": self.nbytes}
 
     def index_of(self, timestamp: float) -> int:
-        """Interval index containing ``timestamp`` (seconds, origin 0)."""
-        return int(np.floor(timestamp / self.interval_seconds))
+        """Interval index containing ``timestamp`` (seconds, origin 0).
+
+        Uses the sessions' and slicers' interval edges
+        (:func:`~repro.streams.intervals.interval_index`); a NaN or
+        infinite timestamp raises ``ValueError``.
+        """
+        timestamp = float(timestamp)
+        if not math.isfinite(timestamp):
+            raise ValueError(f"timestamp must be finite, got {timestamp}")
+        return interval_index(timestamp, self.interval_seconds)
 
     def _schema_at(self, folds: int):
         while len(self._schemas) <= folds:
@@ -420,6 +430,8 @@ class TemporalArchive:
     # -- queries -------------------------------------------------------------
 
     def _select(self, lo: int, hi: int) -> List[ArchiveSpan]:
+        lo = checked_index(lo, "range start")
+        hi = checked_index(hi, "range end")
         if hi <= lo:
             raise ValueError(f"empty interval range [{lo}, {hi})")
         picked = [s for s in self._spans if s.start < hi and s.end > lo]
@@ -443,7 +455,9 @@ class TemporalArchive:
         COMBINE, so this loses nothing the coarse span had not already
         lost).
 
-        Returns ``(summary, actual_lo, actual_hi)``.
+        Returns ``(summary, actual_lo, actual_hi)``.  Bounds must be
+        integers: anything else (``0.5``, ``"3"``, ``True``) raises
+        ``ValueError`` instead of being truncated.
         """
         picked = self._select(lo, hi)
         folds = max(s.folds for s in picked)
@@ -497,8 +511,9 @@ class TemporalArchive:
     ) -> "ArchiveDiff":
         """Retrospective change query: range ``a`` versus baseline ``b``.
 
-        Both ranges are interval-index ranges ``(lo, hi)`` (half-open;
-        convert times with :meth:`index_of`).  The error summary is
+        Both ranges are interval-index ranges ``(lo, hi)`` of integers
+        (half-open; convert times with :meth:`index_of`).  The error
+        summary is
 
             ``Se = S_a - (n_a / n_b) * S_b``
 

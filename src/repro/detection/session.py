@@ -47,6 +47,7 @@ from repro.hashing._kernels import (
 )
 from repro.obs.recorder import NULL_RECORDER
 from repro.sketch.base import SummaryConvention
+from repro.streams.intervals import interval_index
 from repro.streams.keys import KeyScheme, ValueScheme, make_key_scheme, make_value_scheme
 from repro.streams.records import finite_time_span, validate_records
 
@@ -526,9 +527,12 @@ class StreamingSession:
         # Records are time-sorted, so indices are nondecreasing: when both
         # ends share an interval, so does the whole chunk -- the common
         # case, settled on two scalars without a per-record index array.
-        first_index, last_index = self._interval_indices(
-            timestamps[[0, -1]]
-        ).tolist()
+        first_index = interval_index(first, self.interval_seconds)
+        last_index = interval_index(last, self.interval_seconds)
+        if self._current_index is not None:
+            # Late-but-tolerated records are clamped into the open interval.
+            first_index = max(first_index, self._current_index)
+            last_index = max(last_index, self._current_index)
         if first_index == last_index:
             reports.extend(self._advance_to(first_index))
             self._accumulate(records)
@@ -539,9 +543,9 @@ class StreamingSession:
             indices = self._interval_indices(timestamps)
             uniq, starts = np.unique(indices, return_index=True)
             bounds = np.append(starts, len(records))
-            for ui, interval_index in enumerate(uniq):
+            for ui, index in enumerate(uniq):
                 chunk = records[bounds[ui] : bounds[ui + 1]]
-                reports.extend(self._advance_to(int(interval_index)))
+                reports.extend(self._advance_to(int(index)))
                 self._accumulate(chunk)
         self._records_ingested += len(records)
         self._watermark = max(self._watermark, last)
@@ -549,7 +553,7 @@ class StreamingSession:
 
     def _interval_indices(self, timestamps: np.ndarray) -> np.ndarray:
         """Interval index of each timestamp, clamped to the open interval."""
-        indices = (timestamps // self.interval_seconds).astype(np.int64)
+        indices = interval_index(timestamps, self.interval_seconds)
         # Late-but-tolerated records are clamped into the open interval.
         if self._current_index is not None:
             indices = np.maximum(indices, self._current_index)

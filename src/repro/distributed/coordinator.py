@@ -69,6 +69,7 @@ from repro.sketch.serialization import (
     schema_identity,
 )
 from repro.sketch.serialization import loads as sketch_loads
+from repro.streams.intervals import checked_index
 from repro.streams.keys import dedup_keys
 
 _EMPTY_KEYS = np.array([], dtype=np.uint64)
@@ -859,7 +860,7 @@ class CoordinatorServer:
                 summary = sketch_loads(
                     payload["sketch"], schema=merger.schema
                 )
-                interval = int(payload["interval"])
+                interval = checked_index(payload["interval"], "frame interval")
             except (SketchDecodeError, KeyError, TypeError, ValueError) as exc:
                 merger.on_decode_error(site, str(exc))
                 return []
@@ -872,16 +873,12 @@ class CoordinatorServer:
             )
         if kind == "digest":
             try:
-                interval = int(payload["interval"])
+                interval = checked_index(payload["interval"], "frame interval")
+                drift = float(payload.get("drift", 0.0))
             except (KeyError, TypeError, ValueError) as exc:
                 merger.on_decode_error(site, str(exc))
                 return []
-            return merger.on_digest(
-                site,
-                interval,
-                drift=float(payload.get("drift", 0.0)),
-                nbytes=nbytes,
-            )
+            return merger.on_digest(site, interval, drift=drift, nbytes=nbytes)
         if kind == "heartbeat":
             return merger.on_heartbeat(site, nbytes=nbytes)
         if kind == "bye":

@@ -18,7 +18,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Generic, Iterable, Iterator, List, Optional, TypeVar
+from typing import (
+    Any, Generic, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar,
+)
+
+from repro.sketch.base import Statement, sweep_statements
 
 State = TypeVar("State")
 
@@ -40,6 +44,28 @@ def combine_terms(terms: List[tuple]) -> Any:
     for coeff, state in terms[1:]:
         acc = acc + state * coeff
     return acc
+
+
+def owned_copy(value: Any) -> Any:
+    """A copy of ``value`` its new holder may rewrite in place.
+
+    Summaries and arrays are copied; immutable scalars and ``None`` are
+    returned as they are.
+    """
+    return value.copy() if hasattr(value, "copy") else value
+
+
+def _sweep_table(summary: Any, schema: Any):
+    """``summary``'s counter table if a statement sweep may run over it.
+
+    Only summaries exposing ``_sweep_table`` (plain k-ary sketches)
+    qualify, and only over ``schema``, so a mismatch falls back to the
+    COMBINE path and raises there as it always did.
+    """
+    sweep_table = getattr(summary, "_sweep_table", None)
+    if sweep_table is None or summary.schema != schema:
+        return None
+    return sweep_table()
 
 
 @dataclass
@@ -70,10 +96,28 @@ class ForecastStep(Generic[State]):
 
 
 class Forecaster(abc.ABC):
-    """Streaming one-step-ahead forecaster over a linear state space."""
+    """Streaming one-step-ahead forecaster over a linear state space.
+
+    A model whose per-interval update is a fixed linear map states it
+    once, as COMBINE statements (:meth:`_update_statements`) over
+    ``observed`` and its state names (:attr:`_STATE_NAMES`, held as
+    attributes ``_<name>``, one of them ``forecast``).  :meth:`observe`
+    runs them through :func:`combine_terms` into fresh summaries, and
+    :meth:`step_into` over plain k-ary sketches runs them as one in-place
+    sweep (:func:`~repro.sketch.base.sweep_statements`).  The sweep
+    rewrites state tables, so such a model owns every summary it holds:
+    it copies ``observed`` where the update keeps it verbatim and copies
+    what :meth:`set_state` loads and :meth:`get_state` returns.
+    """
+
+    #: State names the update statements read and write (``_<name>``).
+    _STATE_NAMES: Tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self._t = 0  # number of observations consumed
+        # The sweep's second forecast table: the one step_into returned
+        # last time, rewritten by the next sweep.
+        self._spare: Optional[Any] = None
 
     @property
     def observations_seen(self) -> int:
@@ -90,6 +134,23 @@ class Forecaster(abc.ABC):
     @abc.abstractmethod
     def _consume(self, observed: Any) -> None:
         """Fold the newest observation into model state."""
+
+    def _update_statements(self) -> Optional[Sequence[Statement]]:
+        """The post-warm-up state update as COMBINE statements, or ``None``.
+
+        Names are ``observed``, the :attr:`_STATE_NAMES` and temporaries;
+        the statement writing ``forecast`` comes last.
+        """
+        return None
+
+    def _apply_update(self, observed: Any) -> None:
+        """Run :meth:`_update_statements` into fresh summaries."""
+        env = {name: getattr(self, "_" + name) for name in self._STATE_NAMES}
+        env["observed"] = observed
+        for dst, terms in self._update_statements():
+            env[dst] = combine_terms([(c, env[src]) for c, src in terms])
+        for name in self._STATE_NAMES:
+            setattr(self, "_" + name, env[name])
 
     def observe(self, observed: Any) -> None:
         """Feed the observed summary for the interval just ended."""
@@ -136,9 +197,16 @@ class Forecaster(abc.ABC):
         (same floats; only the sign of exact-zero cells may differ).
         ``observed`` is consumed exactly as :meth:`step` does -- models
         retain it in their state, so it must NOT be a reused scratch.
+
+        Models that state their update as COMBINE statements (EWMA and
+        NSHW) step plain k-ary sketches in one in-place sweep instead
+        (see :meth:`_sweep_step`); ``forecast_out`` then goes unused.
         """
         if error_out is not None and error_out is forecast_out:
             raise ValueError("error_out and forecast_out must be distinct")
+        swept = self._sweep_step(observed, error_out)
+        if swept is not None:
+            return swept
         index = self._t
         if forecast_out is not None and hasattr(forecast_out, "combine_into"):
             predicted = self.forecast_into(forecast_out)
@@ -159,6 +227,45 @@ class Forecaster(abc.ABC):
             index=index, observed=observed, forecast=predicted, error=error
         )
 
+    def _sweep_step(
+        self, observed: Any, error_out: Any
+    ) -> Optional[ForecastStep]:
+        """:meth:`step_into` as one statement sweep, where that applies.
+
+        It applies past warm-up, to models with update statements, when
+        ``observed``, ``error_out`` and every state summary are plain
+        k-ary sketches over one schema.  ``Se = So - Sf`` goes first,
+        the state is rewritten in place, and the new forecast goes to
+        the spare table, so the returned ``forecast`` is still ``Sf(t)``
+        and becomes the spare for the next sweep.  Every table written
+        is one this forecaster allocated (see the class docstring) or
+        ``error_out``.  Returns ``None`` where the sweep does not apply.
+        """
+        statements = self._update_statements()
+        if statements is None or error_out is None:
+            return None
+        schema = getattr(observed, "schema", None)
+        named = {"observed": observed, "error": error_out}
+        named.update((n, getattr(self, "_" + n)) for n in self._STATE_NAMES)
+        tables = {name: _sweep_table(s, schema) for name, s in named.items()}
+        if any(table is None for table in tables.values()):
+            return None
+        forecast = named["forecast"]
+        spare = self._spare
+        if spare is None or spare is observed:
+            spare = forecast.copy()
+        tables["next"] = spare._sweep_table()
+        program = [("error", ((1.0, "observed"), (-1.0, "forecast")))]
+        for dst, terms in statements:
+            program.append(("next" if dst == "forecast" else dst, terms))
+        sweep_statements(program, tables)
+        self._spare, self._forecast = forecast, spare
+        index = self._t
+        self._t += 1
+        return ForecastStep(
+            index=index, observed=observed, forecast=forecast, error=error_out
+        )
+
     def run(self, observations: Iterable[Any]) -> Iterator[ForecastStep]:
         """Stream :meth:`step` over an iterable of observed summaries."""
         for observed in observations:
@@ -167,6 +274,7 @@ class Forecaster(abc.ABC):
     def reset(self) -> None:
         """Restore the freshly constructed state."""
         self._t = 0
+        self._spare = None
         self._reset_state()
 
     @abc.abstractmethod
@@ -203,6 +311,7 @@ class Forecaster(abc.ABC):
         """Restore a :meth:`get_state` snapshot (replaces current state)."""
         state = dict(state)
         t = state.pop("t")
+        self._spare = None
         self._reset_state()
         self._load_state_dict(state)
         self._t = int(t)

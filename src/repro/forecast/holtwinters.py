@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from repro.forecast.base import Forecaster, combine_terms
+from repro.forecast.base import Forecaster, combine_terms, owned_copy
 
 
 class HoltWintersForecaster(Forecaster):
@@ -22,6 +22,8 @@ class HoltWintersForecaster(Forecaster):
     ``t = 3``.
     """
 
+    _STATE_NAMES = ("smooth", "trend", "forecast")
+
     def __init__(self, alpha: float, beta: float) -> None:
         super().__init__()
         if not 0.0 <= alpha <= 1.0:
@@ -38,29 +40,34 @@ class HoltWintersForecaster(Forecaster):
     def forecast(self) -> Optional[Any]:
         return self._forecast
 
+    def _update_statements(self):
+        alpha, beta = self.alpha, self.beta
+        level = ((alpha, "observed"), (1.0 - alpha, "forecast"))
+        return (
+            # Ss(t) - Ss(t-1), summing the new level inline: adding
+            # -1 * Ss(t-1) is the same float operation as subtracting it.
+            ("delta", level + ((-1.0, "smooth"),)),
+            ("smooth", level),
+            ("trend", ((beta, "delta"), (1.0 - beta, "trend"))),
+            ("forecast", ((1.0, "smooth"), (1.0, "trend"))),
+        )
+
     def _consume(self, observed: Any) -> None:
         if self._first is None and self._smooth is None:
             # So(1): becomes the initial level.
             self._first = observed
             return
         if self._smooth is None:
-            # So(2): initialize level, trend and the t=3 forecast.
-            self._smooth = self._first
+            # So(2): initialize level, trend and the t=3 forecast.  The
+            # level is a copy: the sweep rewrites the state in place.
+            self._smooth = owned_copy(self._first)
             self._trend = observed - self._first
             self._first = None
             # Paper's Sf(2) = Ss(2) + St(2) = So(2); used only as the
             # recursion seed for Ss(3).
             self._forecast = self._smooth + self._trend
             return
-        new_smooth = combine_terms(
-            [(self.alpha, observed), (1.0 - self.alpha, self._forecast)]
-        )
-        delta = new_smooth - self._smooth
-        self._trend = combine_terms(
-            [(self.beta, delta), (1.0 - self.beta, self._trend)]
-        )
-        self._smooth = new_smooth
-        self._forecast = self._smooth + self._trend
+        self._apply_update(observed)
 
     def _reset_state(self) -> None:
         self._first = None
@@ -73,17 +80,17 @@ class HoltWintersForecaster(Forecaster):
 
     def _state_dict(self) -> dict:
         return {
-            "first": self._first,
-            "smooth": self._smooth,
-            "trend": self._trend,
-            "forecast": self._forecast,
+            "first": owned_copy(self._first),
+            "smooth": owned_copy(self._smooth),
+            "trend": owned_copy(self._trend),
+            "forecast": owned_copy(self._forecast),
         }
 
     def _load_state_dict(self, state: dict) -> None:
-        self._first = state["first"]
-        self._smooth = state["smooth"]
-        self._trend = state["trend"]
-        self._forecast = state["forecast"]
+        self._first = owned_copy(state["first"])
+        self._smooth = owned_copy(state["smooth"])
+        self._trend = owned_copy(state["trend"])
+        self._forecast = owned_copy(state["forecast"])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HoltWintersForecaster(alpha={self.alpha}, beta={self.beta})"

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, List, Optional
 
-from repro.forecast.base import Forecaster, combine_terms
+from repro.forecast.base import Forecaster, combine_terms, owned_copy
 
 
 class MovingAverageForecaster(Forecaster):
@@ -146,6 +146,8 @@ class EWMAForecaster(Forecaster):
     weighs new samples against history.
     """
 
+    _STATE_NAMES = ("forecast",)
+
     def __init__(self, alpha: float) -> None:
         super().__init__()
         if not 0.0 <= alpha <= 1.0:
@@ -156,14 +158,22 @@ class EWMAForecaster(Forecaster):
     def forecast(self) -> Optional[Any]:
         return self._forecast
 
+    def _update_statements(self):
+        alpha = self.alpha
+        return (
+            ("forecast", ((alpha, "observed"), (1.0 - alpha, "forecast"))),
+        )
+
     def _consume(self, observed: Any) -> None:
         if self._forecast is None:
-            # Sf(2) = So(1)
-            self._forecast = observed
+            # Sf(2) = So(1), evaluated as the one-term COMBINE 1 * So(1):
+            # a fresh summary with So(1)'s bits, which the sweep may then
+            # rewrite in place without touching the caller's observation.
+            # It is the one COMBINE an EWMA session issues, and the
+            # end-to-end tracer's session test asserts a span for it.
+            self._forecast = combine_terms([(1.0, observed)])
         else:
-            self._forecast = combine_terms(
-                [(self.alpha, observed), (1.0 - self.alpha, self._forecast)]
-            )
+            self._apply_update(observed)
 
     def _reset_state(self) -> None:
         self._forecast = None
@@ -172,10 +182,10 @@ class EWMAForecaster(Forecaster):
         return {"alpha": self.alpha}
 
     def _state_dict(self) -> dict:
-        return {"forecast": self._forecast}
+        return {"forecast": owned_copy(self._forecast)}
 
     def _load_state_dict(self, state: dict) -> None:
-        self._forecast = state["forecast"]
+        self._forecast = owned_copy(state["forecast"])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EWMAForecaster(alpha={self.alpha})"

@@ -56,6 +56,12 @@ import numpy as np
 #: configuration is H = 25).
 MAX_ESTIMATE_DEPTH = 64
 
+#: Temporaries one ``combine_sweep`` call can hold: the kernel keeps each
+#: in a fixed block-local buffer.  Mirrors the C constant of the same name;
+#: :func:`repro.sketch.base.sweep_statements` rejects longer lists on both
+#: paths, and the kernel returns without writing if one gets through.
+SWEEP_MAX_TEMPS = 8
+
 #: Every kernel entry point, as exported by :func:`kernel_call_counts`
 #: (and pre-registered by the observability layer so "never called"
 #: stays distinguishable from "not instrumented").
@@ -78,6 +84,7 @@ KERNEL_NAMES = (
     "mv_merge",
     "mv_combine2",
     "mv_recover",
+    "combine_sweep",
     "tab_update_mt",
     "tab_update_signed_mt",
     "poly_update_mt",
@@ -691,6 +698,66 @@ void mv_recover_mask(const double* table, const double* votes,
     }
 }
 
+/* --- COMBINE statement sweep --------------------------------------------
+ * Evaluates a list of COMBINE statements  dst = c1*src1 + c2*src2 + ...
+ * over equally shaped float64 tables in ONE pass, block by block: every
+ * statement runs over a block of cells before the next block starts, so
+ * a forecast model's whole per-interval step (Se, new state, Sf) reads
+ * and writes each table once instead of once per statement.  Slots below
+ * n_tables are tables; the rest are block-local temporaries.  Statement
+ * s writes slot dst[s] from the n_terms[s] next (src, coeff) pairs.
+ *
+ * Each term replays accumulate_arrays (repro/sketch/base.py) operation
+ * for operation: the first term is copied (c == 1), negated (c == -1) or
+ * multiplied; later terms are added, subtracted, or multiplied and then
+ * added, left to right.  A statement accumulates into a block buffer and
+ * stores it last, so its destination may also be one of its sources
+ * (the old value is read).  The object is built with -ffp-contract=off:
+ * a fused multiply-add skips the product's rounding, which would move
+ * results by ulps away from NumPy's separate multiply and add. */
+#define SWEEP_BLOCK 512
+#define SWEEP_MAX_TEMPS 8
+
+void combine_sweep(double* const* tables, int64_t n_tables, int64_t n_temps,
+                   int64_t n_cells, int64_t n_stmts, const int64_t* dst,
+                   const int64_t* n_terms, const int64_t* src,
+                   const double* coeff) {
+    double temps[SWEEP_MAX_TEMPS][SWEEP_BLOCK];
+    double acc[SWEEP_BLOCK];
+    if (n_temps > SWEEP_MAX_TEMPS) return;
+    for (int64_t base = 0; base < n_cells; base += SWEEP_BLOCK) {
+        int64_t len = n_cells - base;
+        if (len > SWEEP_BLOCK) len = SWEEP_BLOCK;
+        int64_t t = 0;
+        for (int64_t s = 0; s < n_stmts; ++s) {
+            for (int64_t j = 0; j < n_terms[s]; ++j, ++t) {
+                const double* x = src[t] < n_tables
+                    ? tables[src[t]] + base : temps[src[t] - n_tables];
+                double c = coeff[t];
+                if (j == 0) {
+                    if (c == 1.0)
+                        for (int64_t i = 0; i < len; ++i) acc[i] = x[i];
+                    else if (c == -1.0)
+                        for (int64_t i = 0; i < len; ++i) acc[i] = -x[i];
+                    else
+                        for (int64_t i = 0; i < len; ++i) acc[i] = x[i] * c;
+                } else {
+                    if (c == 1.0)
+                        for (int64_t i = 0; i < len; ++i) acc[i] += x[i];
+                    else if (c == -1.0)
+                        for (int64_t i = 0; i < len; ++i) acc[i] -= x[i];
+                    else
+                        for (int64_t i = 0; i < len; ++i)
+                            acc[i] += x[i] * c;
+                }
+            }
+            double* out = dst[s] < n_tables
+                ? tables[dst[s]] + base : temps[dst[s] - n_tables];
+            for (int64_t i = 0; i < len; ++i) out[i] = acc[i];
+        }
+    }
+}
+
 /* --- Thread-parallel variants ------------------------------------------
  * UPDATE-family kernels shard by sketch ROW: each thread owns a
  * contiguous band of the H rows and scans the whole key batch, so no two
@@ -1101,6 +1168,7 @@ class SketchKernels:
             "mv_merge": [p, p, p, p, f64, i64],
             "mv_combine2": [p, p, f64, p, p, f64, p, p, i64],
             "mv_recover_mask": [p, p, f64, f64, f64, i64, p],
+            "combine_sweep": [p, i64, i64, i64, i64, p, p, p, p],
             "tab_update_u16_mt": [p, p, i64, i64, i64, p, p, p, p],
             "tab_update_signed_u16_mt": [p, p, i64, i64, i64,
                                          p, p, p, p, p, p, p],
@@ -1399,6 +1467,23 @@ class SketchKernels:
         self._tock("mv_recover", t0)
         return mask.view(np.bool_)
 
+    def combine_sweep(self, addresses, n_temps: int, n_cells: int, dst,
+                      n_terms, src, coeff) -> None:
+        """Run an encoded COMBINE statement list over tables in place.
+
+        ``addresses`` are the data pointers of equally shaped
+        C-contiguous float64 tables of ``n_cells`` cells; the statement
+        arrays are as :func:`repro.sketch.base.sweep_statements` encodes
+        them (int64 slots and counts, float64 coefficients).
+        """
+        t0 = self._tick("combine_sweep")
+        self._lib.combine_sweep(
+            (ctypes.c_void_p * len(addresses))(*addresses), len(addresses),
+            n_temps, n_cells, len(dst), dst.ctypes.data,
+            n_terms.ctypes.data, src.ctypes.data, coeff.ctypes.data,
+        )
+        self._tock("combine_sweep", t0)
+
 
 #: Backwards-compatible alias from when the kernels covered tabulation only.
 TabulationKernels = SketchKernels
@@ -1407,9 +1492,14 @@ TabulationKernels = SketchKernels
 #: Flag sets tried in order; host-tuned codegen first, portable fallback
 #: second (``-march=native`` is unsupported by some compilers/arches).
 #: ``-pthread`` covers both compile- and link-side needs of the pool.
+#: ``-ffp-contract=off`` keeps ``a + b * c`` a rounded multiply and a
+#: rounded add, as NumPy computes it: GCC's default for GNU C contracts
+#: such pairs into fused multiply-adds wherever the target has FMA,
+#: which would move ``combine_sweep``'s results by ulps.
 _FLAG_SETS = (
-    ["-O3", "-march=native", "-funroll-loops", "-pthread"],
-    ["-O3", "-pthread"],
+    ["-O3", "-march=native", "-funroll-loops", "-ffp-contract=off",
+     "-pthread"],
+    ["-O3", "-ffp-contract=off", "-pthread"],
 )
 
 

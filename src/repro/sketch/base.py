@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
+
+from repro.hashing._kernels import SWEEP_MAX_TEMPS, get_kernels
 
 
 class SummaryConvention:
@@ -114,6 +116,127 @@ def accumulate_arrays(
             np.multiply(arr, coeff, out=scratch)
             np.add(out, scratch, out=out)
     return out
+
+
+#: One COMBINE statement: ``(dst, ((coeff, src), ...))`` sets the name
+#: ``dst`` to ``sum(coeff * src)``, each term multiplied, then added left
+#: to right.  A list of them runs in order, later statements reading the
+#: values earlier ones wrote.
+Statement = Tuple[str, Sequence[Tuple[float, str]]]
+
+
+def accumulate_statements(
+    statements: Sequence[Statement], tables: Mapping[str, np.ndarray]
+) -> None:
+    """Run COMBINE statements one by one through :func:`accumulate_arrays`.
+
+    ``tables`` binds names to equally shaped float64 arrays, which the
+    statements read and overwrite in place; every other name is a
+    temporary.  A destination may appear among its own sources: it reads
+    the old value.  This is the reference semantics of
+    :func:`sweep_statements` and its fallback without compiled kernels.
+    """
+    env = dict(tables)
+    scratch = None
+    for dst, terms in statements:
+        arrays = [(float(c), env[src]) for c, src in terms]
+        out = env.get(dst)
+        if scratch is None:
+            scratch = np.empty_like(arrays[0][1])
+        if out is None:
+            env[dst] = accumulate_arrays(
+                np.empty_like(arrays[0][1]), arrays, scratch
+            )
+        elif any(arr is out for _, arr in arrays):
+            result = accumulate_arrays(np.empty_like(out), arrays, scratch)
+            np.copyto(out, result)
+        else:
+            accumulate_arrays(out, arrays, scratch)
+
+
+def _encode_statements(statements, names: tuple) -> tuple:
+    """Slot-encode a statement list for ``combine_sweep``.
+
+    Names in ``names`` are table slots in that order; every other name
+    gets a temporary slot after them, at most ``SWEEP_MAX_TEMPS`` of
+    them.  Returns ``(n_temps, written, code)``: the table slots some
+    statement writes, and the four statement arrays the kernel reads.
+    """
+    slots = {name: i for i, name in enumerate(names)}
+    dst, n_terms, src, coeff = [], [], [], []
+    for target, terms in statements:
+        if not terms:
+            raise ValueError(f"statement for {target!r} has no terms")
+        for c, name in terms:
+            if name not in slots:
+                raise ValueError(
+                    f"{name!r} is read before any statement writes it"
+                )
+            src.append(slots[name])
+            coeff.append(float(c))
+        n_terms.append(len(terms))
+        dst.append(slots.setdefault(target, len(slots)))
+    n_temps = len(slots) - len(names)
+    if n_temps > SWEEP_MAX_TEMPS:
+        raise ValueError(
+            f"{n_temps} temporaries; a sweep holds at most {SWEEP_MAX_TEMPS}"
+        )
+    written = tuple(sorted({slot for slot in dst if slot < len(names)}))
+    code = (
+        np.array(dst, dtype=np.int64), np.array(n_terms, dtype=np.int64),
+        np.array(src, dtype=np.int64), np.array(coeff, dtype=np.float64),
+    )
+    return n_temps, written, code
+
+
+def sweep_statements(
+    statements: Sequence[Statement], tables: Mapping[str, np.ndarray]
+) -> None:
+    """Run COMBINE statements in place in one pass over ``tables``.
+
+    Same contract and same bits as :func:`accumulate_statements`.  With
+    the compiled kernels the whole list runs as one ``combine_sweep``:
+    block by block, every statement over a block of cells before the
+    next, with temporaries in block-local buffers, so each table is
+    read and written once per call instead of once per statement.
+    Raises ``ValueError`` for an empty statement, a name read before
+    anything writes it, more than ``SWEEP_MAX_TEMPS`` temporaries (the
+    kernel's block-local buffers), tables that are not equally shaped
+    C-contiguous float64 arrays, or a written table that overlaps
+    another table.
+    """
+    arrays = tuple(tables.values())
+    n_temps, written, code = _encode_statements(statements, tuple(tables))
+    shape = arrays[0].shape
+    for arr in arrays:
+        if (
+            arr.dtype != np.float64
+            or arr.shape != shape
+            or not arr.flags.c_contiguous
+        ):
+            raise ValueError(
+                "statement tables must be equally shaped, C-contiguous "
+                "float64 arrays"
+            )
+    # Equal-sized contiguous tables overlap iff their starts are closer
+    # than one table's bytes.
+    addresses = [arr.ctypes.data for arr in arrays]
+    nbytes = arrays[0].nbytes
+    for slot in written:
+        if not arrays[slot].flags.writeable or any(
+            abs(addresses[slot] - address) < nbytes
+            for other, address in enumerate(addresses)
+            if other != slot
+        ):
+            raise ValueError(
+                f"table {list(tables)[slot]!r} is written, so it must be "
+                "writeable and overlap no other table"
+            )
+    kernels = get_kernels()
+    if kernels is None:
+        accumulate_statements(statements, tables)
+        return
+    kernels.combine_sweep(addresses, n_temps, arrays[0].size, *code)
 
 
 class LinearSummary(abc.ABC):

@@ -329,6 +329,10 @@ class InvertibleKArySketch(KArySketch):
         self._merge_candidates(terms)
         return self
 
+    # Candidate planes fold by majority vote, not linearly, so a COMBINE
+    # statement sweep over the counters alone would drop them.
+    _sweep_table = None
+
     def _linear_combination(
         self, terms: Sequence[Tuple[float, LinearSummary]]
     ) -> "InvertibleKArySketch":

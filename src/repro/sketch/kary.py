@@ -432,6 +432,15 @@ class KArySketch(LinearSummary):
         accumulate_arrays(result._table, self._check_terms(terms))
         return result
 
+    def _sweep_table(self) -> np.ndarray:
+        """The live counter table, for in-place COMBINE statement sweeps.
+
+        :func:`~repro.sketch.base.sweep_statements` reads and rewrites
+        it directly; the forecasters call this only on sketches they
+        own (see :class:`~repro.forecast.base.Forecaster`).
+        """
+        return self._table
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"KArySketch(H={self._schema.depth}, K={self._schema.width}, "

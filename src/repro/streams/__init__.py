@@ -26,6 +26,7 @@ from repro.streams.intervals import (
     RandomizedIntervalSlicer,
     interval_bounds,
     interval_edge,
+    interval_index,
     slice_by_interval,
 )
 from repro.streams.keys import (
@@ -77,6 +78,7 @@ __all__ = [
     "empty_records",
     "interval_bounds",
     "interval_edge",
+    "interval_index",
     "iter_interval_chunks",
     "iter_interval_columns",
     "make_key_scheme",

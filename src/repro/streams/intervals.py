@@ -13,6 +13,8 @@ the normalization sound; :class:`RandomizedIntervalSlicer` implements it.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -31,6 +33,45 @@ def interval_edge(index: int, interval_seconds: float, start: float = 0.0) -> fl
     depending on which derivation the caller used.
     """
     return start + interval_seconds * index
+
+
+def interval_index(timestamps, interval_seconds: float, start: float = 0.0):
+    """The interval holding each timestamp: the ``i`` with
+    ``interval_edge(i) <= t < interval_edge(i + 1)``.
+
+    The one timestamp-to-index formula, so sessions, chunkers, slicers
+    and the archive all agree with the edges the slicers cut at.
+    ``t // interval_seconds`` does not: at non-dyadic lengths the
+    quotient rounds across an edge (at 59.97 s,
+    ``interval_edge(7, 59.97) // 59.97 == 6``), so the floored quotient
+    is only a first guess, moved at most one step onto the edge's side.
+    A Python float gives an ``int`` without touching NumPy; an array
+    gives an ``int64`` array.  Timestamps must be finite.
+    """
+    if isinstance(timestamps, float):
+        index = math.floor((timestamps - start) / interval_seconds)
+        if interval_edge(index, interval_seconds, start) > timestamps:
+            return index - 1
+        if interval_edge(index + 1, interval_seconds, start) <= timestamps:
+            return index + 1
+        return index
+    timestamps = np.asarray(timestamps, dtype=np.float64)
+    index = np.floor((timestamps - start) / interval_seconds)
+    index -= interval_edge(index, interval_seconds, start) > timestamps
+    index += interval_edge(index + 1, interval_seconds, start) <= timestamps
+    return index.astype(np.int64)
+
+
+def checked_index(value, what: str = "interval index") -> int:
+    """``value`` as an ``int``; ``ValueError`` unless it is an integer.
+
+    For interval indices arriving from outside (wire frames, query
+    ranges): ``int()`` would read ``2.7`` as 2, ``"7"`` as 7 and ``True``
+    as 1, and raises ``OverflowError`` on ``inf``.  ``bool`` is refused.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _require_finite(timestamps: np.ndarray) -> None:
@@ -126,12 +167,7 @@ def slice_by_interval(
     last = timestamps[-1]
     if last < start:  # the whole trace predates start: nothing to slice
         return
-    n_intervals = int((last - start) // interval_seconds) + 1
-    # Floor division can land one short under adversarial rounding (e.g.
-    # (last - start) evaluating just below a multiple); extend until the
-    # final edge strictly exceeds the last record so nothing is truncated.
-    while interval_edge(n_intervals, interval_seconds, start) <= last:
-        n_intervals += 1
+    n_intervals = interval_index(float(last), interval_seconds, start) + 1
     edges = start + interval_seconds * np.arange(n_intervals + 1)
     positions = np.searchsorted(timestamps, edges)
     for index in range(n_intervals):

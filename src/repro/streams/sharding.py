@@ -17,6 +17,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
+from repro.streams.intervals import interval_index
 from repro.streams.keys import (
     KeyScheme,
     ValueScheme,
@@ -34,13 +35,13 @@ def iter_interval_chunks(
 ) -> Iterator[np.ndarray]:
     """Yield time-sorted chunks that never straddle an interval boundary.
 
-    Splits first on analysis-interval boundaries (``timestamp //
-    interval_seconds``), then caps each piece at ``chunk_records`` rows.
-    The concatenation of the yielded chunks is exactly ``records`` in
-    time order, so feeding them to any session reproduces single-stream
-    ingestion; the boundary guarantee means each chunk maps to exactly
-    one per-interval sketch.  A NaN or infinite timestamp raises
-    ``ValueError`` before any chunk is yielded.
+    Splits first on analysis-interval boundaries (those of
+    :func:`~repro.streams.intervals.interval_index`), then caps each
+    piece at ``chunk_records`` rows.  The concatenation of the yielded
+    chunks is exactly ``records`` in time order, so feeding them to any
+    session reproduces single-stream ingestion; the boundary guarantee
+    means each chunk maps to exactly one per-interval sketch.  A NaN or
+    infinite timestamp raises ``ValueError`` before any chunk is yielded.
     """
     validate_records(records)
     if interval_seconds <= 0:
@@ -55,7 +56,7 @@ def iter_interval_chunks(
         records = records[order]
         timestamps = records["timestamp"]
     finite_time_span(timestamps)
-    indices = (timestamps // interval_seconds).astype(np.int64)
+    indices = interval_index(timestamps, interval_seconds)
     _, starts = np.unique(indices, return_index=True)
     bounds = np.append(starts, len(records))
     for b in range(len(bounds) - 1):
@@ -111,7 +112,7 @@ def iter_interval_columns(
     values = np.ascontiguousarray(
         value_scheme.extract(records), dtype=np.float64
     )
-    indices = (timestamps // interval_seconds).astype(np.int64)
+    indices = interval_index(timestamps, interval_seconds)
     uniq, starts = np.unique(indices, return_index=True)
     bounds = np.append(starts, len(records))
     duration = float(interval_seconds)

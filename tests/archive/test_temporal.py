@@ -281,6 +281,29 @@ class TestQueries:
             archive.range_summary(10, 12)
 
     @pytest.mark.parametrize(
+        "lo, hi", [(0.5, 2.7), (0, 2.0), ("0", 2), (False, True), (0, None)]
+    )
+    def test_non_integer_ranges_rejected(self, schema, rng, lo, hi):
+        archive = TemporalArchive(schema, INTERVAL)
+        _fill(archive, schema, rng, intervals=4)
+        with pytest.raises(ValueError, match="must be an integer"):
+            archive.range_summary(lo, hi)
+        with pytest.raises(ValueError, match="must be an integer"):
+            archive.diff((lo, hi), (2, 4), keys=[1, 2])
+        assert archive.range_summary(np.int64(0), 2)[1:] == (0, 2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_times_rejected(self, schema, rng, bad):
+        archive = TemporalArchive(schema, INTERVAL)
+        _fill(archive, schema, rng, intervals=4)
+        with pytest.raises(ValueError, match="finite"):
+            archive.index_of(bad)
+        with pytest.raises(ValueError, match="finite"):
+            archive.snap(0.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            archive.estimate(1, bad, INTERVAL)
+
+    @pytest.mark.parametrize(
         "keys",
         [
             [1.7, 2.2],

@@ -10,7 +10,11 @@ import pytest
 
 from repro.distributed import partition_records, run_serial_reference
 from repro.distributed.agent import LocalSketcher
-from repro.distributed.coordinator import IntervalMerger, restore_merger
+from repro.distributed.coordinator import (
+    CoordinatorServer,
+    IntervalMerger,
+    restore_merger,
+)
 from repro.sketch import KArySchema
 from repro.sketch.mergeable import merge
 from repro.streams import make_records
@@ -274,6 +278,42 @@ class TestNetworkWideDetection:
         merger = _merger(schema)
         merger.on_decode_error("a", "bad blob")
         assert merger.stats["decode_errors"] == 1
+
+
+class TestFrameIntervals:
+    """SKETCH and DIGEST frames carry an integer interval or are dropped."""
+
+    @pytest.mark.parametrize("kind", ["sketch", "digest"])
+    @pytest.mark.parametrize(
+        "interval",
+        [float("inf"), float("nan"), 2.7, "7", True, None],
+        ids=["inf", "nan", "2.7", "str7", "True", "None"],
+    )
+    def test_non_integer_interval_is_a_decode_error(
+        self, schema, rng, kind, interval
+    ):
+        from repro.sketch.serialization import dumps
+
+        merger = _merger(schema)
+        merger.register("a")
+        server = CoordinatorServer(merger)
+        payload = {"interval": interval}
+        if kind == "sketch":
+            summary, keys = _sketch(schema, rng)
+            payload.update(sketch=dumps(summary), keys=keys)
+        assert server._dispatch(kind, "a", payload) == []
+        assert merger.stats["decode_errors"] == 1
+        assert merger.stats["intervals_sealed"] == 0
+        assert merger.sealed_through is None
+
+    @pytest.mark.parametrize("interval", [3, np.int64(3)])
+    def test_integer_interval_is_accepted(self, schema, interval):
+        merger = _merger(schema)
+        merger.register("a")
+        server = CoordinatorServer(merger)
+        server._dispatch("digest", "a", {"interval": interval})
+        assert merger.stats["decode_errors"] == 0
+        assert merger.sealed_through == 3
 
 
 class TestDurability:

@@ -1,0 +1,145 @@
+"""``step_into`` as one statement sweep: EWMA and NSHW over k-ary sketches.
+
+The sweep rewrites model state in place, so these tests pin the
+ownership rule: it writes only tables the forecaster allocated -- never
+a caller's observation, a ``set_state`` input or a ``get_state``
+snapshot -- and each step's ``forecast`` and ``error`` equal what
+:meth:`Forecaster.step` returns for the same interval, bit for bit,
+including when a stream switches from ``step`` to ``step_into``.
+"""
+
+import numpy as np
+import pytest
+
+from repro.forecast import EWMAForecaster, HoltWintersForecaster
+from repro.sketch import InvertibleKArySchema, KArySchema, KArySketch
+
+MODELS = {
+    "ewma": lambda: EWMAForecaster(alpha=0.35),
+    "nshw": lambda: HoltWintersForecaster(alpha=0.4, beta=0.25),
+}
+N_STEPS = 9  # NSHW warms up for two, leaving seven swept intervals
+
+
+@pytest.fixture
+def schema():
+    return KArySchema(depth=3, width=700, seed=8)
+
+
+def _observations(schema, rng, n=N_STEPS):
+    series = []
+    for _ in range(n):
+        keys = rng.integers(0, 3000, 400, dtype=np.uint64)
+        values = rng.integers(1, 1000, 400).astype(np.float64)
+        series.append(schema.from_items(keys, values))
+    return series
+
+
+def _bytes(summary):
+    return np.asarray(summary.table).tobytes()
+
+
+def _state_bytes(state):
+    return {k: _bytes(v) for k, v in state.items() if hasattr(v, "table")}
+
+
+def _forbidden_combine(self, terms):
+    raise AssertionError("the sweep step allocated a COMBINE")
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("switch_at", [0, 1, 2, 4])
+def test_step_into_matches_step_and_owns_its_tables(model, switch_at, schema, rng):
+    """``step()`` for ``switch_at`` intervals, then ``step_into``."""
+    series = _observations(schema, rng)
+    originals = [_bytes(s) for s in series]
+    reference, swept = MODELS[model](), MODELS[model]()
+    error_out, forecast_out = schema.empty(), schema.empty()
+    warmup = 1 if model == "ewma" else 2
+    for t, observed in enumerate(series):
+        want = reference.step(observed)
+        if t < switch_at:
+            got = swept.step(observed)
+        else:
+            with pytest.MonkeyPatch.context() as mp:
+                if t >= warmup:  # past warm-up the step is one sweep
+                    mp.setattr(KArySketch, "_linear_combination", _forbidden_combine)
+                got = swept.step_into(
+                    observed, error_out=error_out, forecast_out=forecast_out
+                )
+        assert (got.error is None) == (want.error is None)
+        if want.error is not None:
+            assert _bytes(got.forecast) == _bytes(want.forecast), t
+            assert _bytes(got.error) == _bytes(want.error), t
+    assert [_bytes(s) for s in series] == originals
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_snapshots_and_restored_inputs_stay_untouched(model, schema, rng):
+    series = _observations(schema, rng, n=N_STEPS + 4)
+    cut = 4
+    original = MODELS[model]()
+    error_out, forecast_out = schema.empty(), schema.empty()
+    for observed in series[:cut]:
+        original.step_into(observed, error_out=error_out, forecast_out=forecast_out)
+    snapshot = original.get_state()
+    snapshot_bytes = _state_bytes(snapshot)
+    restored = type(original)(**original.get_config())
+    restored.set_state(snapshot)
+    reference = MODELS[model]()
+    for observed in series[:cut]:
+        reference.step(observed)
+    error_b, forecast_b = schema.empty(), schema.empty()
+    for observed in series[cut:]:
+        want = reference.step(observed)
+        a = original.step_into(observed, error_out=error_out, forecast_out=forecast_out)
+        b = restored.step_into(observed, error_out=error_b, forecast_out=forecast_b)
+        for got in (a, b):
+            assert _bytes(got.forecast) == _bytes(want.forecast)
+            assert _bytes(got.error) == _bytes(want.error)
+    # Neither the snapshot nor the set_state input (the same dict) moved.
+    assert _state_bytes(snapshot) == snapshot_bytes
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_forecast_is_double_buffered(model, schema, rng):
+    """The returned forecast stays Sf(t) while the state moves on."""
+    series = _observations(schema, rng)
+    f = MODELS[model]()
+    error_out, forecast_out = schema.empty(), schema.empty()
+    tables = set()
+    for observed in series:
+        step = f.step_into(observed, error_out=error_out, forecast_out=forecast_out)
+        if step.forecast is None:
+            continue
+        assert step.forecast is not f.forecast()
+        assert step.error is error_out
+        tables.add(id(step.forecast))
+    # Steady state alternates between two forecast tables plus the
+    # warm-up one the first sweep displaced.
+    assert len(tables) <= 3
+
+
+def test_invertible_sketches_keep_the_combine_path(rng):
+    schema = InvertibleKArySchema(depth=3, width=256, seed=4)
+    reference, stepped = EWMAForecaster(0.5), EWMAForecaster(0.5)
+    error_out, forecast_out = schema.empty(), schema.empty()
+    for _ in range(5):
+        keys = rng.integers(0, 500, 200, dtype=np.uint64)
+        observed = schema.from_items(keys, np.ones(len(keys)))
+        want = reference.step(observed)
+        got = stepped.step_into(observed, error_out=error_out, forecast_out=forecast_out)
+        assert stepped._spare is None
+        if want.error is not None:
+            assert _bytes(got.error) == _bytes(want.error)
+            np.testing.assert_array_equal(
+                got.error.candidate_keys, want.error.candidate_keys
+            )
+
+
+def test_schema_mismatch_still_raises(schema, rng):
+    other = KArySchema(depth=3, width=700, seed=9)
+    f = EWMAForecaster(0.5)
+    f.step(schema.empty())
+    with pytest.raises(ValueError, match="schemas"):
+        f.step_into(other.empty(), error_out=other.empty(), forecast_out=other.empty())

@@ -14,7 +14,7 @@ from repro.streams import (
     make_records,
     slice_by_interval,
 )
-from repro.streams.intervals import interval_edge
+from repro.streams.intervals import interval_edge, interval_index
 
 
 class TestIntervalBounds:
@@ -326,3 +326,85 @@ class TestAdversarialFloatPartition:
             [rng.uniform(0, 3000, 500), np.asarray(edges)]
         )
         self._assert_partition(timestamps, interval)
+
+
+class TestOneIndexFormula:
+    """Every ingestion path maps a timestamp to the interval its edges
+    bracket.
+
+    At non-dyadic lengths ``t // len`` and ``floor(t / len)`` round
+    across edges (at 59.97 s, ``interval_edge(7) // 59.97 == 6``), so
+    before one helper owned the formula a record on an edge landed in
+    different intervals depending on the path that ingested it.
+    """
+
+    #: Edges whose floored quotient lands one interval low, and the
+    #: float just below each edge, which belongs to the interval before.
+    EDGES = {59.97: [7, 11, 14, 35], 300.1: [5, 9, 13, 31]}
+
+    @pytest.mark.parametrize("interval", sorted(EDGES))
+    def test_paths_agree_on_edge_records(self, interval):
+        from repro.archive import TemporalArchive
+        from repro.detection import StreamingSession
+        from repro.sketch import KArySchema
+        from repro.streams import iter_interval_columns
+
+        timestamps, expected = [], []
+        for i in self.EDGES[interval]:
+            edge = interval_edge(i, interval)
+            assert edge // interval != i  # the old formula's blind spot
+            timestamps += [float(np.nextafter(edge, -np.inf)), edge]
+            expected += [i - 1, i]
+        keys = np.arange(1, len(timestamps) + 1)
+        records = make_records(timestamps, keys, [1] * len(keys))
+        want = dict(zip(keys.tolist(), expected))
+
+        def landed(pairs):
+            return {int(k): int(index) for index, ks in pairs for k in ks}
+
+        assert landed(
+            (item.index, item.keys) for item in IntervalStream(records, interval)
+        ) == want
+        assert landed(
+            (block.index, block.keys)
+            for block in iter_interval_columns(records, interval)
+        ) == want
+        chunks = [
+            set(chunk["dst_ip"].tolist())
+            for chunk in iter_interval_chunks(records, interval)
+        ]
+        groups = {}
+        for key, index in want.items():
+            groups.setdefault(index, set()).add(key)
+        assert sorted(map(sorted, chunks)) == sorted(map(sorted, groups.values()))
+        schema = KArySchema(depth=3, width=64, seed=1)
+        archive = TemporalArchive(schema, interval)
+        assert [archive.index_of(t) for t in timestamps] == expected
+        assert [interval_index(t, interval) for t in timestamps] == expected
+        assert interval_index(np.asarray(timestamps), interval).tolist() == expected
+        # The session: one record per call (the two-scalar check) and
+        # the whole trace in one call (the per-record index array).
+        for feed in ([records[i : i + 1] for i in range(len(records))], [records]):
+            sealed = []
+            session = StreamingSession(
+                schema, "ewma", interval_seconds=interval, alpha=0.5,
+                sink=lambda observed, ks, index: sealed.append((index, ks)),
+            )
+            for chunk in feed:
+                session.ingest(chunk)
+            session.flush()
+            assert landed(sealed) == want
+
+    @given(
+        interval=st.floats(min_value=1e-3, max_value=1e4,
+                           allow_nan=False, allow_infinity=False),
+        index=st.integers(min_value=0, max_value=10**9),
+        offset=st.sampled_from([-1, 0, 1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_index_is_bracketed_by_edges(self, interval, index, offset):
+        t = interval_edge(index, interval)
+        t = float(np.nextafter(t, np.inf * offset)) if offset else t
+        got = interval_index(t, interval)
+        assert interval_edge(got, interval) <= t < interval_edge(got + 1, interval)
+        assert interval_index(np.asarray([t]), interval).tolist() == [got]
