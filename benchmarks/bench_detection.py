@@ -112,12 +112,10 @@ def run_reference(schema, observed, per_interval_keys):
 def run_amortized(schema, observed, per_interval_keys, stats):
     """Amortized seal+detect: step_into scratches, prescreen."""
     forecaster = make_forecaster(MODEL[0], **MODEL[1])
-    error_out, forecast_out = schema.empty(), schema.empty()
+    error_out = schema.empty()
     reports = []
     for t, (obs, keys) in enumerate(zip(observed, per_interval_keys)):
-        step = forecaster.step_into(
-            obs, error_out=error_out, forecast_out=forecast_out
-        )
+        step = forecaster.step_into(obs, error_out=error_out)
         if step.error is None:
             continue
         reports.append(

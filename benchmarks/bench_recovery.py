@@ -192,13 +192,11 @@ def run_twopass(schema, observed, batches):
 def run_twopass_amortized(schema, observed, batches):
     """Amortized replay: step_into scratches, prescreen."""
     forecaster = make_forecaster(MODEL[0], **MODEL[1])
-    error_out, forecast_out = schema.empty(), schema.empty()
+    error_out = schema.empty()
     reports = []
     for obs, batch in zip(observed, batches):
         keys = np.unique(batch.keys)  # the replay pass
-        step = forecaster.step_into(
-            obs, error_out=error_out, forecast_out=forecast_out
-        )
+        step = forecaster.step_into(obs, error_out=error_out)
         if step.error is None:
             continue
         reports.append(
@@ -213,12 +211,10 @@ def run_twopass_amortized(schema, observed, batches):
 def run_invertible(schema, observed, batches, candidate_counts=None):
     """Recovery path: walk the sealed error sketch's candidate buckets."""
     forecaster = make_forecaster(MODEL[0], **MODEL[1])
-    error_out, forecast_out = schema.empty(), schema.empty()
+    error_out = schema.empty()
     reports = []
     for obs, batch in zip(observed, batches):
-        step = forecaster.step_into(
-            obs, error_out=error_out, forecast_out=forecast_out
-        )
+        step = forecaster.step_into(obs, error_out=error_out)
         if step.error is None:
             continue
         keys = resolve_key_source(

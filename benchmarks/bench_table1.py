@@ -73,7 +73,7 @@ def test_forecast_step(benchmark, setup):
     """One NSHW ``step_into``: Se and the new state in one COMBINE sweep."""
     schema, _, _, sketch, other = setup
     forecaster = HoltWintersForecaster(alpha=0.5, beta=0.2)
-    scratch = {"error_out": schema.empty(), "forecast_out": schema.empty()}
+    scratch = {"error_out": schema.empty()}
     for observed in (sketch, other):  # warm-up: the trend needs two
         forecaster.step_into(observed, **scratch)
 

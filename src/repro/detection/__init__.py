@@ -5,9 +5,10 @@ Built from small pieces:
 * :mod:`~repro.detection.pipeline` -- the summarize/forecast/error engine
   shared by sketch and per-flow paths (only the schema differs).
 * :mod:`~repro.detection.threshold` -- the alarm rule
-  ``|error(a)| >= T * sqrt(ESTIMATEF2(Se(t)))``.
+  ``|error(a)| >= T * sqrt(ESTIMATEF2(Se(t)))`` and the top-N ranking,
+  both written once in ``build_interval_report``.
 * :mod:`~repro.detection.topn` -- top-N ranking of keys by absolute
-  forecast error.
+  forecast error on its own, and the paper's top-N similarity metric.
 * :mod:`~repro.detection.twopass` -- the offline two-pass detector used in
   all the paper's experiments (pass 1 builds sketches, pass 2 replays the
   interval's keys against the error sketch).
@@ -19,10 +20,10 @@ Built from small pieces:
 * :mod:`~repro.detection.grouptesting` -- combinatorial group testing
   sketch that recovers changed keys directly from (modified) sketch state,
   with no key stream at all (the paper's Section 3.3 fourth alternative).
-* :mod:`~repro.detection.keysource` -- the registry that names those
-  candidate-key strategies (``twopass``, ``online``, ``invertible``,
-  ``grouptesting``) and resolves one per sealed interval, so detectors and
-  sessions share a single code path for "where do the keys come from".
+* :mod:`~repro.detection.keysource` -- names those candidate-key
+  strategies (``twopass``, ``online``, ``invertible``, ``grouptesting``)
+  and resolves one per sealed interval, so detectors and sessions share
+  a single function for "where do the keys come from".
 * :mod:`~repro.detection.session` -- the streaming session and
   :class:`~repro.detection.session.IntervalSealer`, the one seal step
   (forecast, candidate keys, alarm rule) every driver shares.
@@ -53,7 +54,6 @@ from repro.detection.heavyhitters import HeavyHitterTracker, heavy_hitters
 from repro.detection.keysource import (
     KEY_SOURCES,
     collect_replay_keys,
-    register_key_source,
     resolve_key_source,
 )
 from repro.detection.online import OnlineDetector
@@ -107,7 +107,6 @@ __all__ = [
     "save_checkpoint",
     "forecast_error_stream",
     "interval_key_sets",
-    "register_key_source",
     "resolve_key_source",
     "run_per_flow",
     "summarize_stream",

@@ -1,4 +1,4 @@
-"""Key-source registry: where an interval's candidate keys come from.
+"""Key sources: where an interval's candidate keys come from.
 
 Every detector ends at the same place -- :func:`build_interval_report`
 probing an error summary with a set of candidate keys -- but the package
@@ -20,16 +20,15 @@ now has four distinct ways of *producing* those candidates:
     (:meth:`~repro.detection.grouptesting.GroupTestingSketch.recover_keys`).
 
 Historically the first two were open-coded in ``detection/twopass.py``
-and ``detection/online.py``; this module centralizes selection so a new
-source is a :func:`register_key_source` call, not another copy of the
-collection logic.  Every resolution of a recovering source is timed into
-``repro_stage_seconds{stage="recover"}`` and tallied per source in
+and ``detection/online.py``; :func:`resolve_key_source` now selects among
+the four in one place.  Every resolution of a recovering source is timed
+into ``repro_stage_seconds{stage="recover"}`` and tallied per source in
 ``repro_key_source_candidates_total{source=...}``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -40,33 +39,21 @@ from repro.streams.keys import dedup_keys
 __all__ = [
     "KEY_SOURCES",
     "collect_replay_keys",
-    "register_key_source",
     "resolve_key_source",
 ]
 
 #: Counter tallying candidates produced, labelled by key source.
 CANDIDATES_COUNTER = "repro_key_source_candidates_total"
 
-#: Resolver signature: ``(error_summary, threshold, collected) -> keys``.
-#: ``threshold`` is the interval's alarm threshold (``None`` when
-#: thresholding is disabled); ``collected`` is whatever key material the
-#: detector gathered from the stream (replay keys, future keys), or
-#: ``None`` for sources that recover keys from the summary itself.
-Resolver = Callable[[object, Optional[float], Optional[np.ndarray]], np.ndarray]
+#: The key sources, in CLI/documentation order.
+KEY_SOURCES = ("twopass", "online", "invertible", "grouptesting")
+
+#: Sources that pass stream-collected keys through; the others recover
+#: keys from the error summary itself.
+_COLLECTED_SOURCES = ("twopass", "online")
 
 
-def _collected_source(name: str):
-    def resolver(error_summary, threshold, collected):
-        if collected is None:
-            raise ValueError(
-                f"key source {name!r} needs stream-collected keys, got None"
-            )
-        return collected
-
-    return resolver
-
-
-def _invertible_source(error_summary, threshold, collected):
+def _recover_invertible(error_summary, threshold):
     recover = getattr(error_summary, "recover_candidates", None)
     if recover is None:
         raise TypeError(
@@ -77,7 +64,7 @@ def _invertible_source(error_summary, threshold, collected):
     return recover(0.0 if threshold is None else threshold)
 
 
-def _grouptesting_source(error_summary, threshold, collected):
+def _recover_grouptesting(error_summary, threshold):
     recover = getattr(error_summary, "recover_keys", None)
     if recover is None:
         raise TypeError(
@@ -94,40 +81,13 @@ def _grouptesting_source(error_summary, threshold, collected):
     return np.array(sorted(recovered), dtype=np.uint64)
 
 
-_REGISTRY: Dict[str, Tuple[Resolver, bool]] = {}
-
-
-def register_key_source(
-    name: str, resolver: Resolver, *, recovers: bool = True
-) -> None:
-    """Register a candidate-key source under ``name``.
-
-    ``recovers=True`` marks sources that extract keys from the summary
-    itself; their resolution is timed into the ``recover`` stage.
-    Collected sources (two-pass, online) pass keys through untimed --
-    their collection cost lives in the detector's ingest loop.
-    """
-    if not name:
-        raise ValueError("key source name must be non-empty")
-    _REGISTRY[name] = (resolver, bool(recovers))
-
-
-register_key_source("twopass", _collected_source("twopass"), recovers=False)
-register_key_source("online", _collected_source("online"), recovers=False)
-register_key_source("invertible", _invertible_source)
-register_key_source("grouptesting", _grouptesting_source)
-
-#: The built-in sources, in CLI/documentation order.
-KEY_SOURCES = ("twopass", "online", "invertible", "grouptesting")
-
-
 def collect_replay_keys(recent_keys) -> np.ndarray:
     """Merge per-interval replay key sets into one sorted unique array.
 
     ``recent_keys`` is a sequence of per-interval deduplicated key
     arrays, most recent last (the two-pass detector's lookback window).
-    With a single interval the array passes through unchanged -- bit for
-    bit the pre-registry behavior of ``OfflineTwoPassDetector.run``.
+    With a single interval the array passes through unchanged, bit for
+    bit.
     """
     recent = list(recent_keys)
     if not recent:
@@ -150,7 +110,7 @@ def resolve_key_source(
     Parameters
     ----------
     source:
-        A registered key-source name (see :data:`KEY_SOURCES`).
+        One of :data:`KEY_SOURCES`.
     error_summary:
         The interval's sealed error summary (recovery sources walk it).
     t_fraction:
@@ -164,24 +124,30 @@ def resolve_key_source(
         ``repro_stage_seconds{stage="recover"}`` and every resolution
         tallies ``repro_key_source_candidates_total{source=...}``.
     """
-    entry = _REGISTRY.get(source)
-    if entry is None:
+    if source not in KEY_SOURCES:
         raise ValueError(
-            f"unknown key source {source!r}; registered: "
-            f"{tuple(sorted(_REGISTRY))}"
+            f"unknown key source {source!r}; known: {KEY_SOURCES}"
         )
-    resolver, recovers = entry
     obs = NULL_RECORDER if recorder is None else recorder
-    if recovers:
+    if source in _COLLECTED_SOURCES:
+        # Collection cost lives in the detector's ingest loop: untimed.
+        if collected is None:
+            raise ValueError(
+                f"key source {source!r} needs stream-collected keys, got None"
+            )
+        keys = collected
+    else:
         # Recovery sources derive the bucket cutoff from the same rule
         # the report will apply; pass-through sources skip the F2 pass.
         threshold = None
         if t_fraction is not None:
             threshold = alarm_threshold(error_summary, t_fraction)
+        recover = (
+            _recover_invertible if source == "invertible"
+            else _recover_grouptesting
+        )
         with obs.time("recover"):
-            keys = resolver(error_summary, threshold, collected)
-    else:
-        keys = resolver(error_summary, None, collected)
+            keys = recover(error_summary, threshold)
     if obs.enabled:
         obs.count(CANDIDATES_COUNTER, len(keys), source=source)
     return keys

@@ -47,7 +47,7 @@ from repro.hashing._kernels import (
 )
 from repro.obs.recorder import NULL_RECORDER
 from repro.sketch.base import SummaryConvention
-from repro.streams.intervals import interval_index
+from repro.streams.intervals import checked_index, interval_index
 from repro.streams.keys import KeyScheme, ValueScheme, make_key_scheme, make_value_scheme
 from repro.streams.records import finite_time_span, validate_records
 
@@ -73,15 +73,15 @@ class IntervalSealer:
     :meth:`seal` takes one closed interval as ``(observed, keys, index)``
     -- the observed summary ``So(t)``, the keys the driver collected (empty
     for recovering key sources) and the interval index -- steps the
-    forecaster into a reusable ``Sf``/``Se`` scratch pair, and hands the
-    error summary to :meth:`report`.  :meth:`report` is the second half on
-    its own, for drivers that step their forecaster themselves: resolve
+    forecaster into a reusable ``Se`` summary, and hands it to
+    :meth:`report`.  :meth:`report` is the second half on its own, for
+    drivers that step their forecaster themselves: resolve
     the candidate keys through ``key_source``, raise alarms on
     ``|ESTIMATE| >= T * sqrt(ESTIMATEF2(Se))`` and rank the top-N
     (:func:`~repro.detection.threshold.build_interval_report`), then
     record the outcome on the recorder.
 
-    Single-writer: the forecaster, the scratch pair and :attr:`stats` are
+    Single-writer: the forecaster, the ``Se`` scratch and :attr:`stats` are
     touched only here, and every driver runs one seal at a time.
     ``forecaster`` may be ``None`` for report-only use.
     """
@@ -119,22 +119,20 @@ class IntervalSealer:
         if obs.enabled:
             obs.gauge("repro_kernel_threads", kernel_thread_count())
 
-    def _scratch_summaries(self):
-        """Lazily built ``(error_out, forecast_out)`` scratch pair.
+    def _error_scratch(self):
+        """The reusable summary that receives ``Se(t)``, built on first use.
 
-        Two distinct reusable summaries that receive ``Se(t)`` / ``Sf(t)``
-        in place each seal (``(None, None)`` for summary types without
-        ``combine_into``).  Safe to reuse across intervals: the report
-        consumes the error within the seal, and the forecaster only
-        retains ``observed``, which drivers always allocate fresh.
+        ``None`` for summary types without ``combine_into``.  Safe to
+        reuse across intervals: the report consumes the error within the
+        seal, and the forecaster only retains ``observed``, which drivers
+        always allocate fresh.
         """
         if self._scratch is None:
             error_out = self.schema.empty()
-            if hasattr(error_out, "combine_into"):
-                self._scratch = (error_out, self.schema.empty())
-            else:
-                self._scratch = (None, None)
-        return self._scratch
+            self._scratch = (
+                error_out if hasattr(error_out, "combine_into") else None,
+            )
+        return self._scratch[0]
 
     def seal(
         self, observed, keys: np.ndarray, index: int
@@ -145,10 +143,9 @@ class IntervalSealer:
         still count as sealed.
         """
         obs = self.recorder
-        error_out, forecast_out = self._scratch_summaries()
         with obs.time("forecast_step"):
             step = self.forecaster.step_into(
-                observed, error_out=error_out, forecast_out=forecast_out
+                observed, error_out=self._error_scratch()
             )
         obs.count("repro_intervals_sealed_total")
         if step.error is None:
@@ -572,11 +569,11 @@ class StreamingSession:
         returns.  Blocks must arrive in nondecreasing interval order (each
         block already belongs to exactly one interval, so there is no
         lateness window to tolerate); results are bit-identical to
-        record-chunk ingestion of the same data.  Mismatched shapes or a
-        non-finite value reject the block with ``ValueError`` before any
-        session state changes.
+        record-chunk ingestion of the same data.  A non-integer index,
+        mismatched shapes or a non-finite value reject the block with
+        ``ValueError`` before any session state changes.
         """
-        index = int(block.index)
+        index = checked_index(block.index, "columnar block index")
         if self._current_index is not None and index < self._current_index:
             raise ValueError(
                 f"columnar block for interval {index} predates the open "

@@ -148,9 +148,9 @@ def build_interval_report(
         call per stage.
 
     The estimates are computed once and reused by both the alarm scan and
-    the top-N ranking -- output is identical to running
-    :func:`alarms_for_interval` and :func:`~repro.detection.topn.top_n_keys`
-    separately, at roughly half the reconstruction cost.
+    the top-N ranking.  :func:`alarms_for_interval` and
+    :func:`~repro.detection.topn.top_n_keys` are this function with one
+    half switched off.
     """
     obs = NULL_RECORDER if recorder is None else recorder
     keys = np.asarray(candidate_keys, dtype=np.uint64)
@@ -327,6 +327,8 @@ def alarms_for_interval(
 ) -> List[Alarm]:
     """Raise alarms over candidate keys against one interval's error summary.
 
+    The alarms of :func:`build_interval_report` on its own.
+
     Parameters
     ----------
     error_summary:
@@ -339,23 +341,13 @@ def alarms_for_interval(
     interval:
         Interval index recorded in the alarms.
     indices:
-        Optional precomputed bucket indices for the candidate keys.
+        Optional precomputed bucket indices for the deduplicated,
+        sorted candidate keys.
     """
+    if t_fraction < 0:
+        raise ValueError(f"t_fraction must be >= 0, got {t_fraction}")
     keys = dedup_keys(np.asarray(candidate_keys, dtype=np.uint64))
-    if not len(keys):
-        return []
-    threshold = alarm_threshold(error_summary, t_fraction)
-    estimates = error_summary.estimate_batch(keys, indices=indices)
-    magnitudes = np.abs(estimates)
-    # Same zero-threshold rule as build_interval_report: exact-zero
-    # errors never alarm.
-    hits = magnitudes >= threshold if threshold > 0.0 else magnitudes > 0.0
-    return [
-        Alarm(
-            interval=interval,
-            key=int(key),
-            estimated_error=float(err),
-            threshold=threshold,
-        )
-        for key, err in zip(keys[hits].tolist(), estimates[hits].tolist())
-    ]
+    return build_interval_report(
+        error_summary, keys, interval=interval, t_fraction=t_fraction,
+        indices=indices,
+    ).alarms

@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.detection.threshold import build_interval_report
 from repro.streams.keys import dedup_keys
 
 
@@ -23,6 +24,8 @@ def top_n_keys(
     return_estimates: bool = False,
 ):
     """The ``n`` candidate keys with largest absolute estimated error.
+
+    The top-N ranking of :func:`build_interval_report` on its own.
 
     Parameters
     ----------
@@ -48,17 +51,13 @@ def top_n_keys(
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     keys = dedup_keys(np.asarray(candidate_keys, dtype=np.uint64))
-    if not len(keys) or n == 0:
-        empty_keys = np.array([], dtype=np.uint64)
-        if return_estimates:
-            return empty_keys, np.array([], dtype=np.float64)
-        return empty_keys
-    estimates = error_summary.estimate_batch(keys, indices=indices)
-    order = np.lexsort((keys, -np.abs(estimates)))
-    chosen = order[:n]
+    report = build_interval_report(
+        error_summary, keys, interval=0, t_fraction=None, top_n=n,
+        indices=indices,
+    )
     if return_estimates:
-        return keys[chosen], estimates[chosen]
-    return keys[chosen]
+        return report.top_keys, report.top_errors
+    return report.top_keys
 
 
 def similarity(set_a: np.ndarray, set_b: np.ndarray, n: Optional[int] = None) -> float:

@@ -45,16 +45,16 @@ class FigureResult:
         return "\n".join(parts)
 
 
-_REGISTRY: Dict[str, Callable[..., FigureResult]] = {}
+_EXPERIMENTS: Dict[str, Callable[..., FigureResult]] = {}
 
 
 def register(experiment_id: str):
     """Decorator adding an experiment function to the registry."""
 
     def _register(func: Callable[..., FigureResult]):
-        if experiment_id in _REGISTRY:
+        if experiment_id in _EXPERIMENTS:
             raise ValueError(f"duplicate experiment id {experiment_id!r}")
-        _REGISTRY[experiment_id] = func
+        _EXPERIMENTS[experiment_id] = func
         return func
 
     return _register
@@ -63,16 +63,16 @@ def register(experiment_id: str):
 def list_experiments() -> List[str]:
     """Registered experiment ids, sorted."""
     _ensure_loaded()
-    return sorted(_REGISTRY)
+    return sorted(_EXPERIMENTS)
 
 
 def run_experiment(experiment_id: str, **kwargs) -> FigureResult:
     """Run one registered experiment by id."""
     _ensure_loaded()
     try:
-        func = _REGISTRY[experiment_id]
+        func = _EXPERIMENTS[experiment_id]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
+        known = ", ".join(sorted(_EXPERIMENTS))
         raise ValueError(
             f"unknown experiment {experiment_id!r}; known: {known}"
         ) from None

@@ -159,18 +159,6 @@ class ArimaForecaster(Forecaster):
         # Undifference: Sf(t) = S(t-1) + Zhat_t.
         return self._raw[-1] + self._pending_forecast_z
 
-    def forecast_into(self, out: Any) -> Optional[Any]:
-        if self._pending_forecast_z is None:
-            return None
-        if self.order.d == 0:
-            # The forecast *is* stored state; no combination to materialize.
-            return self._pending_forecast_z
-        if not hasattr(out, "combine_into"):
-            return self.forecast()
-        return out.combine_into(
-            [(1.0, self._raw[-1]), (1.0, self._pending_forecast_z)]
-        )
-
     def _consume(self, observed: Any) -> None:
         if self._zero is None:
             self._zero = observed * 0.0

@@ -165,53 +165,31 @@ class Forecaster(abc.ABC):
         self.observe(observed)
         return ForecastStep(index=index, observed=observed, forecast=predicted, error=error)
 
-    def forecast_into(self, out: Any) -> Optional[Any]:
-        """:meth:`forecast`, materialized into ``out`` when possible.
-
-        Models whose forecast is a fresh linear combination (MA, SMA,
-        seasonal HW, differenced ARIMA) overwrite ``out`` via its
-        ``combine_into`` and return it; models that store the forecast as
-        state (EWMA, NSHW) return that state directly.  Either way the
-        caller must treat the result as **read-only** -- it may be internal
-        model state.  Returns ``None`` in warm-up.  The base implementation
-        (and any model handed an ``out`` without ``combine_into``) falls
-        back to the allocating :meth:`forecast`.
-        """
-        return self.forecast()
-
     def step_into(
-        self,
-        observed: Any,
-        error_out: Optional[Any] = None,
-        forecast_out: Optional[Any] = None,
+        self, observed: Any, error_out: Optional[Any] = None
     ) -> ForecastStep:
-        """:meth:`step` with caller-provided scratch summaries.
+        """:meth:`step` with a caller-provided error summary.
 
-        ``error_out`` / ``forecast_out`` are reusable summaries (same
-        schema as ``observed``, exposing ``combine_into``) that receive
-        ``Se(t)`` and ``Sf(t)`` in place, so the seal path of a long-running
-        session allocates no fresh tables per interval.  They must be two
-        distinct objects, reserved for this call: the returned step aliases
-        them, so the caller must consume the step before the next
-        ``step_into``.  Results are value-identical to :meth:`step`
-        (same floats; only the sign of exact-zero cells may differ).
-        ``observed`` is consumed exactly as :meth:`step` does -- models
-        retain it in their state, so it must NOT be a reused scratch.
+        ``error_out`` is a reusable summary (same schema as ``observed``,
+        exposing ``combine_into``) that receives ``Se(t)`` in place, so
+        the seal path of a long-running session allocates no fresh error
+        table per interval.  It is reserved for this call: the returned
+        step aliases it, so the caller must consume the step before the
+        next ``step_into``.  ``Sf(t)`` comes from :meth:`forecast`.
+        Results are value-identical to :meth:`step` (same floats; only
+        the sign of exact-zero cells may differ).  ``observed`` is
+        consumed exactly as :meth:`step` does -- models retain it in
+        their state, so it must NOT be a reused scratch.
 
         Models that state their update as COMBINE statements (EWMA and
         NSHW) step plain k-ary sketches in one in-place sweep instead
-        (see :meth:`_sweep_step`); ``forecast_out`` then goes unused.
+        (see :meth:`_sweep_step`).
         """
-        if error_out is not None and error_out is forecast_out:
-            raise ValueError("error_out and forecast_out must be distinct")
         swept = self._sweep_step(observed, error_out)
         if swept is not None:
             return swept
         index = self._t
-        if forecast_out is not None and hasattr(forecast_out, "combine_into"):
-            predicted = self.forecast_into(forecast_out)
-        else:
-            predicted = self.forecast()
+        predicted = self.forecast()
         if predicted is None:
             error = None
         elif (

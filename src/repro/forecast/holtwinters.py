@@ -135,20 +135,6 @@ class SeasonalHoltWintersForecaster(Forecaster):
         season_index = self._t % self.period
         return self._level + self._trend + self._season[season_index]
 
-    def forecast_into(self, out: Any) -> Optional[Any]:
-        if self._level is None:
-            return None
-        if not hasattr(out, "combine_into"):
-            return self.forecast()
-        season_index = self._t % self.period
-        return out.combine_into(
-            [
-                (1.0, self._level),
-                (1.0, self._trend),
-                (1.0, self._season[season_index]),
-            ]
-        )
-
     def _consume(self, observed: Any) -> None:
         if self._level is None:
             self._bootstrap.append(observed)

@@ -35,14 +35,6 @@ class MovingAverageForecaster(Forecaster):
             acc = acc + state * (1.0 / self.window)
         return acc
 
-    def forecast_into(self, out: Any) -> Optional[Any]:
-        if len(self._history) < self.window:
-            return None
-        if not hasattr(out, "combine_into"):
-            return self.forecast()
-        weight = 1.0 / self.window
-        return out.combine_into([(weight, state) for state in self._history])
-
     def _consume(self, observed: Any) -> None:
         self._history.append(observed)
 
@@ -105,19 +97,6 @@ class SShapedMovingAverageForecaster(Forecaster):
             term = states[-lag] * (weight / self._norm)
             acc = term if acc is None else acc + term
         return acc
-
-    def forecast_into(self, out: Any) -> Optional[Any]:
-        if len(self._history) < self.window:
-            return None
-        if not hasattr(out, "combine_into"):
-            return self.forecast()
-        states = list(self._history)
-        return out.combine_into(
-            [
-                (weight / self._norm, states[-lag])
-                for lag, weight in enumerate(self.weights, start=1)
-            ]
-        )
 
     def _consume(self, observed: Any) -> None:
         self._history.append(observed)

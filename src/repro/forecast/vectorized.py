@@ -16,8 +16,7 @@ states -- the property the equivalence tests assert and the batched grid
 search objective relies on.
 
 ARIMA is intentionally absent: its error-feedback recursion cannot be
-expressed as a fixed whole-series stencil, so it keeps the per-object path
-(optionally fanned out over processes by ``grid_search(n_jobs=...)``).
+expressed as a fixed whole-series stencil, so it keeps the per-object path.
 """
 
 from __future__ import annotations

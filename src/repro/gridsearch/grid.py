@@ -19,11 +19,8 @@ scored is pluggable:
   :func:`~repro.gridsearch.objective.estimated_total_energy_batched` for
   the broadcastable smoothing models, so one vectorized sweep over the
   sketch tensor replaces hundreds of per-object forecast runs.
-* ``n_jobs`` -- ``ProcessPoolExecutor`` fan-out over candidates for models
-  that cannot broadcast (ARIMA); requires a picklable objective such as a
-  :func:`~repro.gridsearch.objective.stack_total_energy` partial.
 
-All engines score the same candidate list in the same order, so the
+Both engines score the same candidate list in the same order, so the
 winning point (first minimum) is identical across them.
 """
 
@@ -31,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -72,7 +68,6 @@ def grid_search(
     objective: Callable[[Forecaster], float],
     passes: int = 2,
     evaluate_many: Optional[Callable[[List[ParamDict]], Sequence[float]]] = None,
-    n_jobs: Optional[int] = None,
     recorder=None,
 ) -> GridSearchResult:
     """Minimize ``objective`` over a parameter space by multi-pass grid.
@@ -91,10 +86,6 @@ def grid_search(
         Optional batch scorer: maps the full list of admissible candidate
         parameter dicts of a pass to their energies (same order).  When
         given, ``objective`` is not called.
-    n_jobs:
-        Optional process count for parallel per-candidate evaluation
-        (ignored when ``evaluate_many`` is given or ``n_jobs <= 1``).
-        ``objective`` must be picklable.
     recorder:
         Optional :class:`~repro.obs.recorder.PipelineRecorder`: times each
         refinement pass (``gridsearch_pass`` stage), counts candidate
@@ -133,7 +124,7 @@ def grid_search(
 
         with obs.time("gridsearch_pass"):
             energies = _evaluate_candidates(
-                space, objective, combos, evaluate_many, n_jobs
+                space, objective, combos, evaluate_many
             )
         evaluations += len(combos)
         for params, energy in zip(combos, energies):
@@ -181,7 +172,6 @@ def _evaluate_candidates(
     objective: Callable[[Forecaster], float],
     combos: List[ParamDict],
     evaluate_many: Optional[Callable[[List[ParamDict]], Sequence[float]]],
-    n_jobs: Optional[int],
 ) -> Sequence[float]:
     if not combos:
         return []
@@ -193,11 +183,6 @@ def _evaluate_candidates(
                 f"{len(combos)} candidates"
             )
         return energies
-    if n_jobs is not None and n_jobs > 1 and len(combos) > 1:
-        forecasters = [space.build(params) for params in combos]
-        chunksize = max(1, len(forecasters) // (int(n_jobs) * 4))
-        with ProcessPoolExecutor(max_workers=int(n_jobs)) as pool:
-            return list(pool.map(objective, forecasters, chunksize=chunksize))
     return [objective(space.build(params)) for params in combos]
 
 
@@ -205,12 +190,11 @@ def search_integer_window(
     space: ParameterSpace,
     objective: Callable[[Forecaster], float],
     evaluate_many: Optional[Callable[[List[ParamDict]], Sequence[float]]] = None,
-    n_jobs: Optional[int] = None,
     recorder=None,
 ) -> GridSearchResult:
     """Direct sweep for window-only models (MA/SMA): one pass is exact."""
     return grid_search(
-        space, objective, passes=1, evaluate_many=evaluate_many, n_jobs=n_jobs,
+        space, objective, passes=1, evaluate_many=evaluate_many,
         recorder=recorder,
     )
 
@@ -222,7 +206,6 @@ def search_model(
     passes: int = 2,
     max_window: int = 10,
     engine: str = "auto",
-    n_jobs: Optional[int] = None,
     recorder=None,
 ) -> GridSearchResult:
     """Convenience wrapper: search a model over pre-built observed summaries.
@@ -236,13 +219,10 @@ def search_model(
     engine:
         ``"auto"`` (default) scores candidates against the sketch tensor:
         broadcastable models (MA/SMA/EWMA/NSHW) use the batched
-        single-pass objective; others run per-candidate on raw tables
-        (optionally across ``n_jobs`` processes).  ``"reference"`` forces
-        the original per-object evaluation path.  When the observations
-        cannot be stacked (e.g. exact ``DictVector`` summaries), ``auto``
-        silently degrades to the reference path.
-    n_jobs:
-        Process fan-out for non-broadcastable models under ``auto``.
+        single-pass objective; others run per-candidate on raw tables.
+        ``"reference"`` forces the original per-object evaluation path.
+        When the observations cannot be stacked (e.g. exact ``DictVector``
+        summaries), ``auto`` silently degrades to the reference path.
     recorder:
         Optional :class:`~repro.obs.recorder.PipelineRecorder`, forwarded
         to :func:`grid_search` (pass timings + evaluation counters).
@@ -262,7 +242,7 @@ def search_model(
     evaluate_many = None
     if coerced is not None:
         tables, width = coerced
-        # Picklable objective over raw tables (reference-identical values).
+        # Objective over raw tables (reference-identical values).
         objective = functools.partial(
             stack_total_energy, tables, width, skip_intervals=skip_intervals
         )
@@ -274,17 +254,14 @@ def search_model(
                 skip_intervals=skip_intervals,
             )
     else:
-        n_jobs = None  # closures over arbitrary summaries do not pickle
-
         def objective(forecaster: Forecaster) -> float:
             return estimated_total_energy(observed, forecaster, skip_intervals)
 
     if space.continuous:
         return grid_search(
             space, objective, passes=passes,
-            evaluate_many=evaluate_many, n_jobs=n_jobs, recorder=recorder,
+            evaluate_many=evaluate_many, recorder=recorder,
         )
     return search_integer_window(
-        space, objective, evaluate_many=evaluate_many, n_jobs=n_jobs,
-        recorder=recorder,
+        space, objective, evaluate_many=evaluate_many, recorder=recorder,
     )

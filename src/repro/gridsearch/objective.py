@@ -13,8 +13,8 @@ Three evaluation tiers share one definition of the objective:
 * :func:`estimated_total_energy` -- the reference per-object loop over any
   sequence of summaries (sketches, exact vectors, a ``SketchStack``).
 * :func:`stack_total_energy` -- the same loop over a raw ``(T, H, K)``
-  table tensor with an arbitrary forecaster; picklable arguments, so it is
-  the worker for ``grid_search(n_jobs=...)`` process fan-out.
+  table tensor with an arbitrary forecaster; ``search_model``'s ``auto``
+  objective for models that cannot broadcast (ARIMA).
 * :func:`estimated_total_energy_batched` -- scores *many* candidate
   parameter points of one vectorizable model against one stack in a single
   pass; smoothing recursions broadcast over a leading candidate axis
@@ -139,8 +139,8 @@ def stack_total_energy(
     Runs an arbitrary forecaster directly on the ``(H, K)`` ndarrays of a
     stack (forecasters are state-agnostic), computing each scored
     interval's ESTIMATEF2 with the k-ary estimator.  Results equal the
-    sketch-based reference; every argument is picklable, making this the
-    process-pool worker for models that cannot broadcast (ARIMA).
+    sketch-based reference.  ``search_model(engine="auto")`` scores
+    models that cannot broadcast (ARIMA) with it.
     """
     if skip_intervals < 0:
         raise ValueError(f"skip_intervals must be >= 0, got {skip_intervals}")

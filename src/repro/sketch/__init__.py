@@ -21,7 +21,7 @@ by a scalar, which is what lets the forecasting module run time-series
 models directly in sketch space (paper Section 3.2).
 """
 
-from repro.sketch.base import LinearSummary, SummaryConvention, linear_combination
+from repro.sketch.base import LinearSummary, SummaryConvention
 from repro.sketch.countmin import CountMinSketch, CountMinSchema
 from repro.sketch.countsketch import CountSketch, CountSketchSchema
 from repro.sketch.dense import DenseSchema, DenseVector, KeyIndex
@@ -70,7 +70,6 @@ __all__ = [
     "tables_estimate_f2",
     "dump",
     "dumps",
-    "linear_combination",
     "load",
     "loads",
 ]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -360,17 +360,3 @@ def resolve_folded_schema(schema, folded):
         )
     return folded
 
-
-def linear_combination(
-    coefficients: Iterable[float], summaries: Iterable[LinearSummary]
-) -> LinearSummary:
-    """Compute ``sum(c_i * S_i)`` -- the paper's COMBINE operation.
-
-    All summaries must share a schema.  This is more efficient than chained
-    ``+``/``*`` operators because intermediate summaries are not
-    materialized.
-    """
-    terms = [(float(c), s) for c, s in zip(coefficients, summaries)]
-    if not terms:
-        raise ValueError("linear_combination requires at least one term")
-    return terms[0][1]._linear_combination(terms)

@@ -36,7 +36,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -420,7 +420,8 @@ class KArySketch(LinearSummary):
         Reuses this sketch's table (and an optional caller-provided
         ``(H, K)`` float64 ``scratch`` for non-unit coefficients) so a
         seal-path COMBINE allocates nothing.  Bit-identical to
-        :func:`combine`; the receiver must not itself appear in ``terms``.
+        :func:`~repro.sketch.mergeable.combine`; the receiver must not
+        itself appear in ``terms``.
         """
         accumulate_arrays(self._table, self._check_terms(terms), scratch)
         return self
@@ -447,16 +448,3 @@ class KArySketch(LinearSummary):
             f"total={self.total():.6g})"
         )
 
-
-def combine(
-    coefficients: Iterable[float], sketches: Iterable[KArySketch]
-) -> KArySketch:
-    """COMBINE: return ``sum(c_i * S_i)`` over same-schema sketches.
-
-    This is the paper's fourth sketch operation, exposed as a free function
-    mirroring the ``COMBINE(c1, S1, ..., cl, Sl)`` signature.
-    """
-    terms = [(float(c), s) for c, s in zip(coefficients, sketches)]
-    if not terms:
-        raise ValueError("combine requires at least one term")
-    return terms[0][1]._linear_combination(terms)

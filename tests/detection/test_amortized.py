@@ -31,6 +31,7 @@ MODELS = [
     ("nshw", {"alpha": 0.5, "beta": 0.3}),
     ("arima0", {"ar": (0.5, -0.2), "ma": (0.3,)}),
     ("arima1", {"ar": (0.4,), "ma": (0.2,)}),
+    ("shw", {"alpha": 0.4, "beta": 0.2, "gamma": 0.3, "period": 3}),
 ]
 MODEL_IDS = [name for name, _ in MODELS]
 

@@ -135,6 +135,28 @@ class TestColumnarEquivalence:
                 ColumnarBlock(index=3, keys=keys, values=values)
             )
 
+    @pytest.mark.parametrize("bad", [2.7, True, "3", np.inf, np.nan])
+    def test_non_integer_index_rejected_before_state_changes(self, schema, bad):
+        session = self._session(schema)
+        keys = np.arange(4, dtype=np.uint64)
+        session.ingest_columns(ColumnarBlock(index=1, keys=keys, values=np.ones(4)))
+        with pytest.raises(ValueError, match="integer"):
+            session.ingest_columns(
+                ColumnarBlock(index=bad, keys=keys, values=np.ones(4))
+            )
+        assert session.current_interval == 1
+        assert session.records_ingested == 4
+        assert session.watermark == INTERVAL
+
+    def test_numpy_integer_index_accepted(self, schema):
+        session = self._session(schema)
+        keys = np.arange(4, dtype=np.uint64)
+        session.ingest_columns(
+            ColumnarBlock(index=np.int64(2), keys=keys, values=np.ones(4))
+        )
+        assert session.current_interval == 2
+        assert type(session.current_interval) is int
+
     def test_shape_validation(self, schema):
         session = self._session(schema)
         with pytest.raises(ValueError, match="1-D"):

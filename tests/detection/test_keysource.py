@@ -6,10 +6,7 @@ import pytest
 from repro.detection import GroupTestingSchema
 from repro.detection.keysource import (
     CANDIDATES_COUNTER,
-    KEY_SOURCES,
-    _REGISTRY,
     collect_replay_keys,
-    register_key_source,
     resolve_key_source,
 )
 from repro.detection.threshold import alarm_threshold
@@ -44,9 +41,6 @@ class TestResolve:
     def test_unknown_source_raises(self, error_sketch):
         with pytest.raises(ValueError, match="unknown key source"):
             resolve_key_source("psychic", error_sketch)
-
-    def test_builtin_sources_registered(self):
-        assert set(KEY_SOURCES) <= set(_REGISTRY)
 
     def test_passthrough_returns_collected(self, error_sketch):
         keys = np.array([2, 4, 6], dtype=np.uint64)
@@ -90,17 +84,6 @@ class TestResolve:
         want = error.recover_candidates(alarm_threshold(error, 0.05))
         assert np.array_equal(got, want)
         assert 0xABCD in got.tolist()
-
-    def test_custom_registration(self, error_sketch):
-        def fixed(error_summary, threshold, collected):
-            return np.array([99], dtype=np.uint64)
-
-        register_key_source("fixed-test", fixed)
-        try:
-            out = resolve_key_source("fixed-test", error_sketch)
-            assert out.tolist() == [99]
-        finally:
-            _REGISTRY.pop("fixed-test", None)
 
 
 class TestObservability:

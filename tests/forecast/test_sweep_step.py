@@ -54,7 +54,7 @@ def test_step_into_matches_step_and_owns_its_tables(model, switch_at, schema, rn
     series = _observations(schema, rng)
     originals = [_bytes(s) for s in series]
     reference, swept = MODELS[model](), MODELS[model]()
-    error_out, forecast_out = schema.empty(), schema.empty()
+    error_out = schema.empty()
     warmup = 1 if model == "ewma" else 2
     for t, observed in enumerate(series):
         want = reference.step(observed)
@@ -64,9 +64,7 @@ def test_step_into_matches_step_and_owns_its_tables(model, switch_at, schema, rn
             with pytest.MonkeyPatch.context() as mp:
                 if t >= warmup:  # past warm-up the step is one sweep
                     mp.setattr(KArySketch, "_linear_combination", _forbidden_combine)
-                got = swept.step_into(
-                    observed, error_out=error_out, forecast_out=forecast_out
-                )
+                got = swept.step_into(observed, error_out=error_out)
         assert (got.error is None) == (want.error is None)
         if want.error is not None:
             assert _bytes(got.forecast) == _bytes(want.forecast), t
@@ -79,9 +77,9 @@ def test_snapshots_and_restored_inputs_stay_untouched(model, schema, rng):
     series = _observations(schema, rng, n=N_STEPS + 4)
     cut = 4
     original = MODELS[model]()
-    error_out, forecast_out = schema.empty(), schema.empty()
+    error_out = schema.empty()
     for observed in series[:cut]:
-        original.step_into(observed, error_out=error_out, forecast_out=forecast_out)
+        original.step_into(observed, error_out=error_out)
     snapshot = original.get_state()
     snapshot_bytes = _state_bytes(snapshot)
     restored = type(original)(**original.get_config())
@@ -89,11 +87,11 @@ def test_snapshots_and_restored_inputs_stay_untouched(model, schema, rng):
     reference = MODELS[model]()
     for observed in series[:cut]:
         reference.step(observed)
-    error_b, forecast_b = schema.empty(), schema.empty()
+    error_b = schema.empty()
     for observed in series[cut:]:
         want = reference.step(observed)
-        a = original.step_into(observed, error_out=error_out, forecast_out=forecast_out)
-        b = restored.step_into(observed, error_out=error_b, forecast_out=forecast_b)
+        a = original.step_into(observed, error_out=error_out)
+        b = restored.step_into(observed, error_out=error_b)
         for got in (a, b):
             assert _bytes(got.forecast) == _bytes(want.forecast)
             assert _bytes(got.error) == _bytes(want.error)
@@ -106,10 +104,10 @@ def test_forecast_is_double_buffered(model, schema, rng):
     """The returned forecast stays Sf(t) while the state moves on."""
     series = _observations(schema, rng)
     f = MODELS[model]()
-    error_out, forecast_out = schema.empty(), schema.empty()
+    error_out = schema.empty()
     tables = set()
     for observed in series:
-        step = f.step_into(observed, error_out=error_out, forecast_out=forecast_out)
+        step = f.step_into(observed, error_out=error_out)
         if step.forecast is None:
             continue
         assert step.forecast is not f.forecast()
@@ -123,12 +121,12 @@ def test_forecast_is_double_buffered(model, schema, rng):
 def test_invertible_sketches_keep_the_combine_path(rng):
     schema = InvertibleKArySchema(depth=3, width=256, seed=4)
     reference, stepped = EWMAForecaster(0.5), EWMAForecaster(0.5)
-    error_out, forecast_out = schema.empty(), schema.empty()
+    error_out = schema.empty()
     for _ in range(5):
         keys = rng.integers(0, 500, 200, dtype=np.uint64)
         observed = schema.from_items(keys, np.ones(len(keys)))
         want = reference.step(observed)
-        got = stepped.step_into(observed, error_out=error_out, forecast_out=forecast_out)
+        got = stepped.step_into(observed, error_out=error_out)
         assert stepped._spare is None
         if want.error is not None:
             assert _bytes(got.error) == _bytes(want.error)
@@ -142,4 +140,4 @@ def test_schema_mismatch_still_raises(schema, rng):
     f = EWMAForecaster(0.5)
     f.step(schema.empty())
     with pytest.raises(ValueError, match="schemas"):
-        f.step_into(other.empty(), error_out=other.empty(), forecast_out=other.empty())
+        f.step_into(other.empty(), error_out=other.empty())

@@ -1,9 +1,8 @@
 """Equivalence tests for the shared-work grid-search engine.
 
-The batched objective, the picklable stack worker, the ``evaluate_many``
-hook, and the process-pool fan-out must all reproduce the reference
-per-object search exactly (same energies, same winner, same evaluation
-count).
+The batched objective, the stack objective and the ``evaluate_many``
+hook must all reproduce the reference per-object search exactly (same
+energies, same winner, same evaluation count).
 """
 
 from __future__ import annotations
@@ -156,24 +155,6 @@ def test_search_model_auto_matches_reference(model, observed, stack):
     assert auto.best_params == ref.best_params
     assert auto.best_energy == ref.best_energy
     assert auto.evaluations == ref.evaluations
-
-
-def test_search_model_arima_n_jobs_matches_sequential(rng):
-    schema = KArySchema(depth=1, width=128, seed=23)
-    sketches = []
-    for _ in range(16):
-        s = KArySketch(schema)
-        keys = rng.integers(0, 2**32, size=150, dtype=np.uint64)
-        s.update_batch(keys, rng.normal(40.0, 12.0, size=150))
-        sketches.append(s)
-    stack = SketchStack.from_sketches(sketches)
-    seq = search_model("arima0", stack, skip_intervals=3, passes=1, engine="auto")
-    par = search_model(
-        "arima0", stack, skip_intervals=3, passes=1, engine="auto", n_jobs=2
-    )
-    assert par.best_params == seq.best_params
-    assert par.best_energy == seq.best_energy
-    assert par.evaluations == seq.evaluations
 
 
 def test_search_model_rejects_bad_engine(stack):
