@@ -102,7 +102,7 @@ def test_collision_correction_vs_raw_cell(benchmark, stream):
             sketch = schema.from_items(keys, values)
             indices = schema.bucket_indices(probe)
             raw = np.take_along_axis(np.asarray(sketch.table), indices, axis=1)[0]
-            corrected = sketch.estimate_batch(probe, indices=indices)
+            corrected = sketch.estimate_batch(probe)
             corrected_bias += float(np.mean(corrected - truth))
             raw_bias += float(np.mean(raw - truth))
         return corrected_bias / len(seeds), raw_bias / len(seeds)

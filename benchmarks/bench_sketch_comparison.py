@@ -49,13 +49,10 @@ def _pipeline_similarity(batches, perflow, schema, signed_estimates=False):
         if step.error is None or step.index < 2:
             continue
         keys = step.keys
-        indices = schema.bucket_indices(keys)
         if signed_estimates:
-            estimates = step.error.estimate_batch(
-                keys, indices=indices, signed=True
-            )
+            estimates = step.error.estimate_batch(keys, signed=True)
         else:
-            estimates = step.error.estimate_batch(keys, indices=indices)
+            estimates = step.error.estimate_batch(keys)
         order = np.lexsort((keys, -np.abs(estimates)))
         sims.append(
             similarity(keys[order[:TOP_N]], perflow.top_n(step.index, TOP_N), TOP_N)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -46,7 +45,7 @@ from repro.detection.threshold import IntervalDetection, build_interval_report
 from repro.forecast.base import Forecaster
 from repro.forecast.model_zoo import make_forecaster
 from repro.obs.recorder import NULL_RECORDER
-from repro.sketch.base import LinearSummary
+from repro.sketch.base import LinearSummary, SummaryConvention
 from repro.sketch.mergeable import combine, fold_width, half_width_schema, merge
 from repro.sketch.serialization import (
     dumps,
@@ -68,39 +67,6 @@ _ARCHIVE_COUNTERS = (
     "repro_archive_keys_dropped_total",
 )
 _COMPACTION_AXES = ("time", "item")
-
-
-def _query_keys(keys) -> np.ndarray:
-    """Caller-supplied ``diff`` keys as a sorted, deduplicated uint64 array.
-
-    A plain uint64 cast would probe float keys truncated, read booleans
-    as keys 0 and 1 and flatten 2-D input, so anything but a 1-D
-    sequence or array of integers in ``[0, 2**64)`` raises ``ValueError``.
-    An empty sequence is valid.
-    """
-    if isinstance(keys, np.ndarray):
-        arr = keys
-        valid = arr.ndim == 1 and (
-            not len(arr)
-            or arr.dtype.kind == "u"
-            or (arr.dtype.kind == "i" and arr.min() >= 0)
-        )
-    else:
-        # A scalar is not a sequence of keys: ``None`` fails the check.
-        items = list(keys) if isinstance(keys, Iterable) else [None]
-        valid = all(
-            isinstance(k, (int, np.integer))
-            and not isinstance(k, bool)
-            and 0 <= int(k) < 2**64
-            for k in items
-        )
-        arr = np.array(items if valid else [], dtype=np.uint64)
-    if not valid:
-        raise ValueError(
-            "diff keys must be a 1-D sequence or array of integers in "
-            f"[0, 2**64), got {keys!r:.80}"
-        )
-    return dedup_keys(arr.astype(np.uint64, copy=False))
 
 
 @dataclass
@@ -472,7 +438,7 @@ class TemporalArchive:
         contributes its own-resolution estimate, summed.
         """
         lo, hi = self.index_of(t0), self.index_of(t1 - 1e-9) + 1
-        key_arr = np.asarray([key], dtype=np.uint64)
+        key_arr = SummaryConvention.as_key_array([key])
         return float(
             sum(
                 float(s.summary.estimate_batch(key_arr)[0])
@@ -539,7 +505,7 @@ class TemporalArchive:
         candidate key sets are the same arrays.
         """
         if keys is not None:
-            keys = _query_keys(keys)
+            keys = dedup_keys(SummaryConvention.as_key_array(keys))
         summary_a, lo_a, hi_a = self.range_summary(*range_a)
         summary_b, lo_b, hi_b = self.range_summary(*range_b)
         folds = max(

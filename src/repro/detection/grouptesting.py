@@ -167,11 +167,9 @@ class GroupTestingSketch(LinearSummary):
         """Sum of all inserted values."""
         return float(self._totals()[0].sum())
 
-    def estimate_batch(self, keys, indices: Optional[np.ndarray] = None) -> np.ndarray:
+    def estimate_batch(self, keys) -> np.ndarray:
         """Per-key estimate using the totals plane (same math as k-ary)."""
-        keys = SummaryConvention.as_key_array(keys)
-        if indices is None:
-            indices = self._schema.bucket_indices(keys)
+        indices = self._schema.bucket_indices(keys)
         k = self._schema.width
         raw = np.take_along_axis(self._totals(), indices, axis=1)
         per_row = (raw - self.total() / k) / (1.0 - 1.0 / k)

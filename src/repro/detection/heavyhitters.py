@@ -15,10 +15,11 @@ demonstration.)
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
+from repro.sketch.base import SummaryConvention
 from repro.streams.keys import dedup_keys
 
 
@@ -26,7 +27,6 @@ def heavy_hitters(
     summary,
     candidate_keys: np.ndarray,
     phi: float,
-    indices: Optional[np.ndarray] = None,
 ) -> Dict[int, float]:
     """Keys whose estimated total is at least ``phi`` of the stream total.
 
@@ -39,8 +39,6 @@ def heavy_hitters(
     phi:
         Heaviness fraction in (0, 1); the classical guarantee regime is
         ``phi > 1/K`` for a width-``K`` sketch.
-    indices:
-        Optional precomputed bucket indices.
 
     Returns
     -------
@@ -48,11 +46,11 @@ def heavy_hitters(
     """
     if not 0.0 < phi < 1.0:
         raise ValueError(f"phi must be in (0, 1), got {phi}")
-    keys = dedup_keys(np.asarray(candidate_keys, dtype=np.uint64))
+    keys = dedup_keys(SummaryConvention.as_key_array(candidate_keys))
     if not len(keys):
         return {}
     threshold = phi * summary.total()
-    estimates = summary.estimate_batch(keys, indices=indices)
+    estimates = summary.estimate_batch(keys)
     hits = estimates >= threshold
     return {
         int(k): float(v)

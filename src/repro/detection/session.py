@@ -39,6 +39,7 @@ from repro.detection.keysource import (
 from repro.detection.threshold import IntervalDetection, build_interval_report
 from repro.forecast.base import Forecaster
 from repro.forecast.model_zoo import make_forecaster
+from repro.hashing import family_key_bits
 from repro.hashing._kernels import (
     KERNEL_NAMES,
     kernel_call_counts,
@@ -390,6 +391,16 @@ class StreamingSession:
             if isinstance(value_scheme, str)
             else value_scheme
         )
+        # Keys are hashed only at a flush, so a key the schema's hash
+        # family cannot take is refused where it enters, not there.
+        family = getattr(schema, "family", None)
+        self._key_bits = 64 if family is None else family_key_bits(family)
+        if self.key_scheme.bits > self._key_bits:
+            raise ValueError(
+                f"key scheme {self.key_scheme.name!r} makes "
+                f"{self.key_scheme.bits}-bit keys; the {family!r} hash "
+                f"family takes at most {self._key_bits} bits"
+            )
         self.t_fraction = float(t_fraction)
         self.top_n = int(top_n)
         self.lateness_tolerance = float(lateness_tolerance)
@@ -570,8 +581,10 @@ class StreamingSession:
         block already belongs to exactly one interval, so there is no
         lateness window to tolerate); results are bit-identical to
         record-chunk ingestion of the same data.  A non-integer index,
-        mismatched shapes or a non-finite value reject the block with
-        ``ValueError`` before any session state changes.
+        keys that are not non-negative integers, a key wider than the
+        schema's hash family takes, mismatched shapes or a non-finite
+        value reject the block with ``ValueError`` before any session
+        state changes.
         """
         index = checked_index(block.index, "columnar block index")
         if self._current_index is not None and index < self._current_index:
@@ -580,16 +593,25 @@ class StreamingSession:
                 f"interval {self._current_index}; blocks must arrive in "
                 "nondecreasing interval order"
             )
-        keys = np.asarray(block.keys, dtype=np.uint64)
+        keys = SummaryConvention.as_key_array(block.keys)
         values = np.asarray(block.values, dtype=np.float64)
-        if keys.shape != values.shape or keys.ndim != 1:
+        if keys.shape != values.shape:
             raise ValueError(
                 f"keys/values must be matching 1-D arrays, got "
                 f"{keys.shape} and {values.shape}"
             )
-        # Buffered values reach the sketch's own check only at the next
+        # Buffered records reach the sketch's own checks only at the next
         # flush, so a bad block is rejected here, on its own call.
         SummaryConvention.as_value_array(values, len(values))
+        if (
+            self._key_bits < 64
+            and len(keys)
+            and keys.max() >> np.uint64(self._key_bits)
+        ):
+            raise ValueError(
+                f"key {int(keys.max())} is wider than the {self._key_bits} "
+                "bits the schema's hash family takes"
+            )
         with self.recorder.time("ingest"):
             reports = self._advance_to(index)
             if len(keys):

@@ -25,6 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.obs.recorder import NULL_RECORDER, STAGE_HISTOGRAM
+from repro.sketch.base import SummaryConvention
 from repro.streams.keys import dedup_keys
 
 from time import perf_counter as _perf_counter
@@ -96,7 +97,6 @@ def build_interval_report(
     interval: int,
     t_fraction: Optional[float],
     top_n: int = 0,
-    indices: Optional[np.ndarray] = None,
     schema=None,
     prescreen: bool = True,
     stats: Optional[dict] = None,
@@ -119,13 +119,11 @@ def build_interval_report(
         then carries ``threshold=0.0`` and no alarms).
     top_n:
         Also rank the ``top_n`` keys by absolute error (0 disables).
-    indices:
-        Optional precomputed bucket indices for ``candidate_keys``.
     schema:
-        When given (and ``indices`` is not), the keys are hashed once via
-        ``schema.bucket_indices`` so thresholding and top-N share the
-        work; schemas without ``bucket_indices`` (exact/dense) pass
-        through untouched.
+        When given, the prescreen hashes the keys once via
+        ``schema.bucket_indices`` and reads their rows by index;
+        without it (or for schemas without ``bucket_indices``) the rows
+        are read by key.  Either way the report is the same.
     prescreen:
         Exact median prescreen (default on).  The median over rows is
         bounded by the per-key max absolute row estimate, which one
@@ -153,7 +151,7 @@ def build_interval_report(
     half switched off.
     """
     obs = NULL_RECORDER if recorder is None else recorder
-    keys = np.asarray(candidate_keys, dtype=np.uint64)
+    keys = SummaryConvention.as_key_array(candidate_keys)
     with obs.time("f2_threshold"):
         l2 = error_summary.l2_norm()
         threshold = 0.0 if t_fraction is None else t_fraction * l2
@@ -181,15 +179,14 @@ def build_interval_report(
     top_errors = _EMPTY_ERRORS
     evaluated_count = 0
     if t_fraction is not None or top_n:
-        if indices is None:
-            with obs.time("hash_index"):
-                bucket_indices = getattr(schema, "bucket_indices", None)
-                if bucket_indices is not None:
-                    indices = bucket_indices(keys)
-        _t0 = _perf_counter() if obs.enabled else 0.0
         estimate_rows = (
             getattr(error_summary, "estimate_rows", None) if prescreen else None
         )
+        indices = None
+        if estimate_rows is not None and hasattr(schema, "bucket_indices"):
+            with obs.time("hash_index"):
+                indices = schema.bucket_indices(keys)
+        _t0 = _perf_counter() if obs.enabled else 0.0
         if estimate_rows is not None:
             rows = estimate_rows(keys, indices=indices)
             # |median over rows| <= max over rows |row estimate|: an exact
@@ -262,7 +259,7 @@ def build_interval_report(
                 top_errors = estimates[chosen]
             evaluated_count = int(np.count_nonzero(evaluated))
         else:
-            estimates = error_summary.estimate_batch(keys, indices=indices)
+            estimates = error_summary.estimate_batch(keys)
             evaluated_count = n
             magnitudes = np.abs(estimates)
             if t_fraction is not None:
@@ -323,7 +320,6 @@ def alarms_for_interval(
     candidate_keys: np.ndarray,
     t_fraction: float,
     interval: int = 0,
-    indices: Optional[np.ndarray] = None,
 ) -> List[Alarm]:
     """Raise alarms over candidate keys against one interval's error summary.
 
@@ -340,14 +336,10 @@ def alarms_for_interval(
         The threshold parameter ``T``.
     interval:
         Interval index recorded in the alarms.
-    indices:
-        Optional precomputed bucket indices for the deduplicated,
-        sorted candidate keys.
     """
     if t_fraction < 0:
         raise ValueError(f"t_fraction must be >= 0, got {t_fraction}")
-    keys = dedup_keys(np.asarray(candidate_keys, dtype=np.uint64))
+    keys = dedup_keys(SummaryConvention.as_key_array(candidate_keys))
     return build_interval_report(
         error_summary, keys, interval=interval, t_fraction=t_fraction,
-        indices=indices,
     ).alarms

@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from repro.detection.threshold import build_interval_report
+from repro.sketch.base import SummaryConvention
 from repro.streams.keys import dedup_keys
 
 
@@ -20,7 +21,6 @@ def top_n_keys(
     error_summary,
     candidate_keys: np.ndarray,
     n: int,
-    indices: Optional[np.ndarray] = None,
     return_estimates: bool = False,
 ):
     """The ``n`` candidate keys with largest absolute estimated error.
@@ -36,10 +36,6 @@ def top_n_keys(
         Keys to rank; duplicates are collapsed first.
     n:
         How many to return (fewer if there are fewer candidates).
-    indices:
-        Optional precomputed bucket indices aligned with the *deduplicated,
-        sorted* candidate key array (i.e. computed on
-        ``dedup_keys(candidate_keys)``).
     return_estimates:
         When true, also return the signed estimated errors.
 
@@ -50,10 +46,9 @@ def top_n_keys(
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    keys = dedup_keys(np.asarray(candidate_keys, dtype=np.uint64))
+    keys = dedup_keys(SummaryConvention.as_key_array(candidate_keys))
     report = build_interval_report(
         error_summary, keys, interval=0, t_fraction=None, top_n=n,
-        indices=indices,
     )
     if return_estimates:
         return report.top_keys, report.top_errors

@@ -59,6 +59,7 @@ from repro.distributed.frames import (
     write_frame,
 )
 from repro.forecast.model_zoo import make_forecaster
+from repro.sketch.base import SummaryConvention
 from repro.sketch.mergeable import merge
 from repro.sketch.serialization import (
     SketchDecodeError,
@@ -339,13 +340,13 @@ class IntervalMerger:
         nbytes: int = 0,
     ) -> List[IntervalDetection]:
         """One site's sealed sketch for ``interval``; returns new reports."""
+        keys = (
+            _EMPTY_KEYS if keys is None else SummaryConvention.as_key_array(keys)
+        )
         state = self._site(site)
         self._count_frame(state, nbytes)
         state.sketches += 1
         self.stats["sketches"] += 1
-        keys = (
-            _EMPTY_KEYS if keys is None else np.asarray(keys, dtype=np.uint64)
-        )
         if self._is_late(interval):
             self._drop_late(state, interval)
             return []
@@ -861,15 +862,14 @@ class CoordinatorServer:
                     payload["sketch"], schema=merger.schema
                 )
                 interval = checked_index(payload["interval"], "frame interval")
+                keys = payload.get("keys")
+                if keys is not None:
+                    keys = SummaryConvention.as_key_array(keys)
             except (SketchDecodeError, KeyError, TypeError, ValueError) as exc:
                 merger.on_decode_error(site, str(exc))
                 return []
             return merger.on_sketch(
-                site,
-                interval,
-                summary,
-                keys=payload.get("keys"),
-                nbytes=nbytes,
+                site, interval, summary, keys=keys, nbytes=nbytes
             )
         if kind == "digest":
             try:

@@ -134,8 +134,7 @@ def sweep_thresholds(
         keys = step.keys
         if not len(keys):
             continue
-        indices = schema.bucket_indices(keys)
-        estimates = np.abs(step.error.estimate_batch(keys, indices=indices))
+        estimates = np.abs(step.error.estimate_batch(keys))
         l2 = step.error.l2_norm()
         for t in thresholds:
             hits = keys[estimates >= t * l2]

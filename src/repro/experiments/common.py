@@ -90,9 +90,8 @@ def run_sketch(
 
         if not (rank_depth or thresholds):
             continue
-        indices = schema.bucket_indices(keys) if len(keys) else None
         estimates = (
-            error.estimate_batch(keys, indices=indices)
+            error.estimate_batch(keys)
             if len(keys)
             else np.array([], dtype=np.float64)
         )

@@ -44,7 +44,6 @@ from repro.hashing.stacked import (
     StackedHash,
     StackedPolynomialHash,
     StackedTabulationHash,
-    estimate_median_indices,
     fused_signed_update,
     gather_indices,
     make_stacked,
@@ -52,10 +51,9 @@ from repro.hashing.stacked import (
     mv_merge_planes,
     mv_recover_mask,
     mv_vote_indices,
-    scatter_add_indices,
 )
 from repro.hashing.tabulation import TabulationHash
-from repro.hashing.universal import HashFamily, make_family
+from repro.hashing.universal import HashFamily, family_key_bits, make_family
 
 __all__ = [
     "HashFamily",
@@ -68,10 +66,10 @@ __all__ = [
     "TabulationHash",
     "TwoUniversalHash",
     "derive_seeds",
+    "family_key_bits",
     "validate_master_seed",
     "KERNEL_NAMES",
     "MAX_MASTER_SEED",
-    "estimate_median_indices",
     "fused_signed_update",
     "gather_indices",
     "get_num_threads",
@@ -85,5 +83,4 @@ __all__ = [
     "mv_merge_planes",
     "mv_recover_mask",
     "mv_vote_indices",
-    "scatter_add_indices",
 ]

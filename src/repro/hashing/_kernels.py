@@ -11,9 +11,11 @@ the key batch:
 * **Carter-Wegman polynomial / two-universal**: the same set, with the
   Horner recursion over ``P61 = 2**61 - 1`` evaluated per key in exact
   64-bit integer arithmetic that replicates the NumPy fold step for step;
-* **precomputed-index** variants serving UPDATE/gather/ESTIMATE when the
-  ``(H, n)`` bucket indices already exist (e.g. hashed once and shared
-  by the detection report's passes).
+* **precomputed-index** gather and majority vote, serving callers that
+  already hold the ``(H, n)`` bucket indices: the detection report hashes
+  its candidate keys once and reads their rows with ``idx_gather``, and
+  invertible sketches over the polynomial and two-universal families
+  vote with ``idx_update_mv``.
 
 NumPy executes each of those pipelines as several full passes over the
 batch (gather, gather, xor/mul, scatter or median); the kernels do one
@@ -76,9 +78,7 @@ KERNEL_NAMES = (
     "poly_update_signed",
     "poly_gather",
     "poly_estimate",
-    "idx_update",
     "idx_gather",
-    "idx_estimate",
     "tab_update_mv",
     "idx_update_mv",
     "mv_merge",
@@ -89,12 +89,10 @@ KERNEL_NAMES = (
     "tab_update_signed_mt",
     "poly_update_mt",
     "poly_update_signed_mt",
-    "idx_update_mt",
     "tab_update_mv_mt",
     "idx_update_mv_mt",
     "tab_estimate_mt",
     "poly_estimate_mt",
-    "idx_estimate_mt",
 )
 
 #: Hard ceiling on pool worker threads inside the compiled object (the
@@ -550,21 +548,9 @@ void poly_estimate(const uint64_t* keys, int64_t n, int64_t h_rows,
     }
 }
 
-/* Precomputed-index variants: serve UPDATE/gather/ESTIMATE when the
- * (H, n) bucket indices already exist (e.g. from the persistent
- * bucket-index cache), skipping the hash entirely.  Per-row stream order
- * matches the per-row np.add.at reference, so accumulation is
- * bit-identical. */
-void idx_update(const int64_t* idx, const double* values, int64_t n,
-                int64_t h_rows, int64_t k_width, double* table) {
-    for (int64_t i = 0; i < h_rows; ++i) {
-        const int64_t* row = idx + i * n;
-        double* trow = table + i * k_width;
-        for (int64_t j = 0; j < n; ++j)
-            trow[row[j]] += values[j];
-    }
-}
-
+/* Precomputed-index gather: reads the (H, n) cells when the bucket
+ * indices already exist (the detection report hashes its candidate keys
+ * once), skipping the hash entirely. */
 void idx_gather(const int64_t* idx, int64_t n, int64_t h_rows,
                 int64_t k_width, const double* table, double* out) {
     for (int64_t i = 0; i < h_rows; ++i) {
@@ -573,18 +559,6 @@ void idx_gather(const int64_t* idx, int64_t n, int64_t h_rows,
         double* orow = out + i * n;
         for (int64_t j = 0; j < n; ++j)
             orow[j] = trow[row[j]];
-    }
-}
-
-void idx_estimate(const int64_t* idx, int64_t n, int64_t h_rows,
-                  int64_t k_width, const double* table, double mean_share,
-                  double denom, double* out) {
-    double buf[EST_MAX_H];
-    for (int64_t j = 0; j < n; ++j) {
-        for (int64_t i = 0; i < h_rows; ++i)
-            buf[i] = (table[i * k_width + idx[i * n + j]] - mean_share)
-                     / denom;
-        out[j] = row_median(buf, h_rows);
     }
 }
 
@@ -883,19 +857,6 @@ static void tab_update_mv_rows(const uint64_t* keys, const double* weights,
     }
 }
 
-static void idx_estimate_range(const int64_t* idx, int64_t n, int64_t h_rows,
-                               int64_t k_width, const double* table,
-                               double mean_share, double denom, double* out,
-                               int64_t jlo, int64_t jhi) {
-    double buf[EST_MAX_H];
-    for (int64_t j = jlo; j < jhi; ++j) {
-        for (int64_t i = 0; i < h_rows; ++i)
-            buf[i] = (table[i * k_width + idx[i * n + j]] - mean_share)
-                     / denom;
-        out[j] = row_median(buf, h_rows);
-    }
-}
-
 typedef struct {
     const uint64_t* keys;
     const double* values;
@@ -949,15 +910,6 @@ static void mt_poly_update_signed(void* argp, int64_t part, int64_t nparts) {
                                 lo, hi);
 }
 
-static void mt_idx_update(void* argp, int64_t part, int64_t nparts) {
-    mt_ctx* c = (mt_ctx*)argp;
-    int64_t lo, hi;
-    part_range(c->h, part, nparts, &lo, &hi);
-    if (lo < hi)
-        idx_update(c->idx + lo * c->n, c->values, c->n, hi - lo, c->k,
-                   c->table + lo * c->k);
-}
-
 static void mt_tab_update_mv(void* argp, int64_t part, int64_t nparts) {
     mt_ctx* c = (mt_ctx*)argp;
     int64_t lo, hi;
@@ -994,15 +946,6 @@ static void mt_poly_estimate(void* argp, int64_t part, int64_t nparts) {
     if (lo < hi)
         poly_estimate(c->keys + lo, hi - lo, c->h, c->degree, c->bcoeffs,
                       c->k, c->rtable, c->mean_share, c->denom, c->out + lo);
-}
-
-static void mt_idx_estimate(void* argp, int64_t part, int64_t nparts) {
-    mt_ctx* c = (mt_ctx*)argp;
-    int64_t lo, hi;
-    part_range(c->n, part, nparts, &lo, &hi);
-    if (lo < hi)
-        idx_estimate_range(c->idx, c->n, c->h, c->k, c->rtable,
-                           c->mean_share, c->denom, c->out, lo, hi);
 }
 
 void tab_update_u16_mt(const uint64_t* keys, const double* values, int64_t n,
@@ -1048,14 +991,6 @@ void poly_update_signed_mt(const uint64_t* keys, const double* values,
     pool_run(mt_poly_update_signed, &c, h_rows);
 }
 
-void idx_update_mt(const int64_t* idx, const double* values, int64_t n,
-                   int64_t h_rows, int64_t k_width, double* table) {
-    mt_ctx c = {0};
-    c.idx = idx; c.values = values; c.n = n; c.h = h_rows; c.k = k_width;
-    c.table = table;
-    pool_run(mt_idx_update, &c, h_rows);
-}
-
 void tab_update_mv_mt(const uint64_t* keys, const double* weights, int64_t n,
                       int64_t h_rows, int64_t k_width,
                       const uint16_t* r0, const uint16_t* r1,
@@ -1098,14 +1033,6 @@ void poly_estimate_mt(const uint64_t* keys, int64_t n, int64_t h_rows,
     pool_run(mt_poly_estimate, &c, n);
 }
 
-void idx_estimate_mt(const int64_t* idx, int64_t n, int64_t h_rows,
-                     int64_t k_width, const double* table, double mean_share,
-                     double denom, double* out) {
-    mt_ctx c = {0};
-    c.idx = idx; c.n = n; c.h = h_rows; c.k = k_width; c.rtable = table;
-    c.mean_share = mean_share; c.denom = denom; c.out = out;
-    pool_run(mt_idx_estimate, &c, n);
-}
 """
 
 _COMPILERS = ("cc", "gcc", "clang")
@@ -1160,9 +1087,7 @@ class SketchKernels:
             "poly_update_signed": [p, p, i64, i64, i64, p, i64, p, p],
             "poly_gather": [p, i64, i64, i64, p, i64, p, p],
             "poly_estimate": [p, i64, i64, i64, p, i64, p, f64, f64, p],
-            "idx_update": [p, p, i64, i64, i64, p],
             "idx_gather": [p, i64, i64, i64, p, p],
-            "idx_estimate": [p, i64, i64, i64, p, f64, f64, p],
             "tab_update_mv": [p, p, i64, i64, i64, p, p, p, p, p],
             "idx_update_mv": [p, p, p, i64, i64, i64, p, p],
             "mv_merge": [p, p, p, p, f64, i64],
@@ -1174,13 +1099,11 @@ class SketchKernels:
                                          p, p, p, p, p, p, p],
             "poly_update_mt": [p, p, i64, i64, i64, p, i64, p],
             "poly_update_signed_mt": [p, p, i64, i64, i64, p, i64, p, p],
-            "idx_update_mt": [p, p, i64, i64, i64, p],
             "tab_update_mv_mt": [p, p, i64, i64, i64, p, p, p, p, p],
             "idx_update_mv_mt": [p, p, p, i64, i64, i64, p, p],
             "tab_estimate_u16_mt": [p, i64, i64, i64, p, p, p, p,
                                     f64, f64, p],
             "poly_estimate_mt": [p, i64, i64, i64, p, i64, p, f64, f64, p],
-            "idx_estimate_mt": [p, i64, i64, i64, p, f64, f64, p],
             "repro_set_threads": [i64],
         }
         for name, argtypes in signatures.items():
@@ -1359,21 +1282,6 @@ class SketchKernels:
 
     # -- precomputed indices -------------------------------------------------
 
-    def update_indices(self, table, indices, values) -> None:
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        depth, width = table.shape
-        if self._mt(indices.shape[1]):
-            name, fn = "idx_update_mt", self._lib.idx_update_mt
-        else:
-            name, fn = "idx_update", self._lib.idx_update
-        t0 = self._tick(name)
-        fn(
-            _ptr(indices), _ptr(values), indices.shape[1], depth, width,
-            _ptr(table),
-        )
-        self._tock(name, t0)
-
     def gather_indices(self, table, indices) -> np.ndarray:
         t0 = self._tick("idx_gather")
         indices = np.ascontiguousarray(indices, dtype=np.int64)
@@ -1384,24 +1292,6 @@ class SketchKernels:
             _ptr(indices), n, depth, width, _ptr(table), _ptr(out)
         )
         self._tock("idx_gather", t0)
-        return out
-
-    def estimate_indices(self, table, indices,
-                         mean_share: float, denom: float) -> np.ndarray:
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
-        depth, width = table.shape
-        n = indices.shape[1]
-        out = np.empty(n, dtype=np.float64)
-        if self._mt(n):
-            name, fn = "idx_estimate_mt", self._lib.idx_estimate_mt
-        else:
-            name, fn = "idx_estimate", self._lib.idx_estimate
-        t0 = self._tick(name)
-        fn(
-            _ptr(indices), n, depth, width, _ptr(table),
-            mean_share, denom, _ptr(out),
-        )
-        self._tock(name, t0)
         return out
 
     # -- invertible-sketch majority-vote candidates --------------------------
@@ -1483,10 +1373,6 @@ class SketchKernels:
             n_terms.ctypes.data, src.ctypes.data, coeff.ctypes.data,
         )
         self._tock("combine_sweep", t0)
-
-
-#: Backwards-compatible alias from when the kernels covered tabulation only.
-TabulationKernels = SketchKernels
 
 
 #: Flag sets tried in order; host-tuned codegen first, portable fallback

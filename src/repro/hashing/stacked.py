@@ -187,20 +187,10 @@ class StackedTabulationHash(StackedHash):
             self._kernels = None
 
     def _characters(self, keys: np.ndarray):
-        keys = self._check_keys(keys)
+        keys = TabulationHash.check_keys(keys)
         c0 = (keys & np.uint64(_CHAR_MASK)).astype(np.int64)
         c1 = (keys >> np.uint64(_CHAR_BITS)).astype(np.int64)
         return c0, c1
-
-    @staticmethod
-    def _check_keys(keys: np.ndarray) -> np.ndarray:
-        keys = keys.astype(np.uint64, copy=False)
-        if keys.size and keys.max() > np.uint64(0xFFFFFFFF):
-            raise ValueError(
-                "TabulationHash supports keys up to 32 bits; use "
-                "PolynomialHash for wider keys"
-            )
-        return keys
 
     @property
     def kernel_accelerated(self) -> bool:
@@ -209,7 +199,7 @@ class StackedTabulationHash(StackedHash):
     def hash_all(self, keys: np.ndarray) -> np.ndarray:
         if self._r0 is not None:
             if self._kernels is not None:
-                keys = self._check_keys(keys)
+                keys = TabulationHash.check_keys(keys)
                 return self._kernels.hash_all(
                     keys, self._r0, self._r1, self._r2, self._depth
                 )
@@ -230,7 +220,7 @@ class StackedTabulationHash(StackedHash):
             and table.flags.c_contiguous
             and table.dtype == np.float64
         ):
-            keys = self._check_keys(keys)
+            keys = TabulationHash.check_keys(keys)
             self._kernels.update(table, keys, values, self._r0, self._r1, self._r2)
             return
         super().scatter_add(table, keys, values)
@@ -241,7 +231,7 @@ class StackedTabulationHash(StackedHash):
             and table.flags.c_contiguous
             and table.dtype == np.float64
         ):
-            keys = self._check_keys(keys)
+            keys = TabulationHash.check_keys(keys)
             return self._kernels.gather(table, keys, self._r0, self._r1, self._r2)
         return super().gather(table, keys)
 
@@ -252,7 +242,7 @@ class StackedTabulationHash(StackedHash):
             and table.flags.c_contiguous
             and table.dtype == np.float64
         ):
-            keys = self._check_keys(keys)
+            keys = TabulationHash.check_keys(keys)
             return self._kernels.estimate(
                 table, keys, self._r0, self._r1, self._r2, mean_share, denom
             )
@@ -265,7 +255,7 @@ class StackedTabulationHash(StackedHash):
             and votes.flags.c_contiguous
             and votes.dtype == np.float64
         ):
-            keys = self._check_keys(keys)
+            keys = TabulationHash.check_keys(keys)
             self._kernels.update_mv(
                 cand, votes, keys, weights, self._r0, self._r1, self._r2
             )
@@ -369,37 +359,6 @@ def make_stacked(rows: Sequence[HashFamily], num_buckets: int) -> StackedHash:
     return LoopStackedHash(rows, num_buckets)
 
 
-def scatter_add_indices(table: np.ndarray, indices: np.ndarray,
-                        values: np.ndarray) -> None:
-    """UPDATE from precomputed bucket indices: ``table[i][idx[i,j]] += u_j``.
-
-    The hash-free half of the stacked scatter: when the ``(H, n)`` indices
-    already exist (from :meth:`StackedHash.hash_all`, shared across the
-    detection report's threshold and top-N passes) the C kernel scatters them directly; the fallback
-    is one flat-index ``np.add.at`` over the raveled table.  Both process
-    rows in stream order, bit-identical to per-row ``np.add.at``.
-    """
-    indices = np.asarray(indices, dtype=np.int64)
-    kernels = get_kernels()
-    if (
-        kernels is not None
-        and table.flags.c_contiguous
-        and table.dtype == np.float64
-    ):
-        kernels.update_indices(table, indices, values)
-        return
-    depth, width = table.shape
-    offsets = np.arange(depth, dtype=np.int64) * width
-    # Values spelled out to the (H, n) index shape (a view, no copy):
-    # ``np.add.at`` misapplies the implicit broadcast of 1-D values for
-    # n >= 2 on some NumPy releases (2.4.6 among them).
-    np.add.at(
-        table.reshape(-1),
-        indices + offsets[:, None],
-        np.broadcast_to(values, indices.shape),
-    )
-
-
 def gather_indices(table: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Raw cells ``table[i][idx[i,j]]`` from precomputed bucket indices."""
     indices = np.asarray(indices, dtype=np.int64)
@@ -411,30 +370,6 @@ def gather_indices(table: np.ndarray, indices: np.ndarray) -> np.ndarray:
     ):
         return kernels.gather_indices(table, indices)
     return np.take_along_axis(table, indices, axis=1)
-
-
-def estimate_median_indices(
-    table: np.ndarray,
-    indices: np.ndarray,
-    mean_share: float,
-    denom: float,
-) -> Optional[np.ndarray]:
-    """Fused ESTIMATE from precomputed ``(H, n)`` bucket indices.
-
-    Returns ``median_i((table[i][idx[i,j]] - mean_share) / denom)`` as an
-    ``(n,)`` vector when the kernel covers the request, else ``None``
-    (caller falls back to gather + transform + ``np.median``).
-    """
-    kernels = get_kernels()
-    if (
-        kernels is not None
-        and table.shape[0] <= MAX_ESTIMATE_DEPTH
-        and table.flags.c_contiguous
-        and table.dtype == np.float64
-    ):
-        indices = np.asarray(indices, dtype=np.int64)
-        return kernels.estimate_indices(table, indices, mean_share, denom)
-    return None
 
 
 def mv_vote_indices(
@@ -636,7 +571,7 @@ def fused_signed_update(
         and sign_stack._r0 is not None
         and bucket_stack._kernels is not None
     ):
-        keys = bucket_stack._check_keys(keys)
+        keys = TabulationHash.check_keys(keys)
         bucket_stack._kernels.update_signed(
             table, keys, values,
             bucket_stack._r0, bucket_stack._r1, bucket_stack._r2,

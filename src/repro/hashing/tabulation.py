@@ -75,6 +75,8 @@ class TabulationHash(HashFamily):
     """
 
     independence = 4
+    #: two 16-bit characters
+    key_bits = 2 * _CHAR_BITS
 
     def __init__(self, num_buckets: int, seed: Optional[int] = None) -> None:
         super().__init__(num_buckets, seed)
@@ -85,13 +87,19 @@ class TabulationHash(HashFamily):
         self._t1 = _draw_table(rng, 1 << _CHAR_BITS)
         self._t2 = _draw_table(rng, 1 << (_CHAR_BITS + 1))
 
-    def hash_array(self, keys: np.ndarray) -> np.ndarray:
+    @classmethod
+    def check_keys(cls, keys: np.ndarray) -> np.ndarray:
+        """``keys`` as uint64; ``ValueError`` if one is wider than ``key_bits``."""
         keys = keys.astype(np.uint64, copy=False)
-        if keys.size and keys.max() > np.uint64(0xFFFFFFFF):
+        if keys.size and keys.max() >> np.uint64(cls.key_bits):
             raise ValueError(
-                "TabulationHash supports keys up to 32 bits; use "
-                "PolynomialHash for wider keys"
+                f"TabulationHash supports keys up to {cls.key_bits} bits; "
+                "use PolynomialHash for wider keys"
             )
+        return keys
+
+    def hash_array(self, keys: np.ndarray) -> np.ndarray:
+        keys = self.check_keys(keys)
         c0 = (keys & np.uint64(_CHAR_MASK)).astype(np.int64)
         c1 = (keys >> np.uint64(_CHAR_BITS)).astype(np.int64)
         h = self._t0[c0] ^ self._t1[c1] ^ self._t2[c0 + c1]

@@ -37,6 +37,8 @@ class HashFamily(abc.ABC):
 
     #: independence level guaranteed by the family (2 or 4 here)
     independence: int = 0
+    #: the family hashes keys in ``[0, 2**key_bits)``
+    key_bits: int = 64
 
     def __init__(self, num_buckets: int, seed: Optional[int] = None) -> None:
         if num_buckets < 1:
@@ -89,6 +91,19 @@ def register_family(name: str):
     return _register
 
 
+def _family_class(name: str) -> type:
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        known = ", ".join(sorted(_FAMILIES))
+        raise ValueError(f"unknown hash family {name!r}; known: {known}") from None
+
+
+def family_key_bits(name: str) -> int:
+    """Width in bits of the keys the family registered under ``name`` hashes."""
+    return _family_class(name).key_bits
+
+
 def make_family(name: str, num_buckets: int, seed: Optional[int] = None) -> HashFamily:
     """Construct a hash function from the family registered under ``name``.
 
@@ -103,9 +118,4 @@ def make_family(name: str, num_buckets: int, seed: Optional[int] = None) -> Hash
         are independent, which is how the sketch obtains its ``H``
         independent rows.
     """
-    try:
-        cls = _FAMILIES[name]
-    except KeyError:
-        known = ", ".join(sorted(_FAMILIES))
-        raise ValueError(f"unknown hash family {name!r}; known: {known}") from None
-    return cls(num_buckets, seed=seed)
+    return _family_class(name)(num_buckets, seed=seed)

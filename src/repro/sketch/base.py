@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import abc
 import math
+from collections.abc import Iterable
 from typing import Mapping, Sequence, Tuple
 
 import numpy as np
@@ -41,11 +42,37 @@ class SummaryConvention:
 
     @staticmethod
     def as_key_array(keys) -> np.ndarray:
-        """Coerce keys to a 1-D uint64 array."""
-        arr = np.asarray(keys, dtype=np.uint64)
-        if arr.ndim != 1:
-            raise ValueError(f"keys must be one-dimensional, got shape {arr.shape}")
-        return arr
+        """Caller keys as a 1-D uint64 array, or ``ValueError``.
+
+        A plain uint64 cast would truncate float keys, wrap negative ones
+        to ``2**64 - k`` and read booleans as keys 0 and 1, so anything
+        but a 1-D sequence or array of integers in ``[0, 2**64)`` raises.
+        An empty sequence or array of any dtype is valid.  A uint64 array
+        passes through as it is, after one dtype check.
+        """
+        if isinstance(keys, np.ndarray):
+            arr = keys
+            valid = arr.ndim == 1 and (
+                not len(arr)
+                or arr.dtype.kind == "u"
+                or (arr.dtype.kind == "i" and arr.min() >= 0)
+            )
+        else:
+            # A scalar is not a sequence of keys: ``None`` fails the check.
+            items = list(keys) if isinstance(keys, Iterable) else [None]
+            valid = all(
+                isinstance(k, (int, np.integer))
+                and not isinstance(k, bool)
+                and 0 <= int(k) < 2**64
+                for k in items
+            )
+            arr = np.array(items if valid else [], dtype=np.uint64)
+        if not valid:
+            raise ValueError(
+                "keys must be a 1-D sequence or array of integers in "
+                f"[0, 2**64), got {keys!r:.80}"
+            )
+        return arr.astype(np.uint64, copy=False)
 
     @staticmethod
     def as_value_array(values, length: int) -> np.ndarray:
@@ -255,9 +282,7 @@ class LinearSummary(abc.ABC):
 
     def update(self, key: int, value: float) -> None:
         """Apply a single point update ``A[key] += value``."""
-        self.update_batch(
-            np.asarray([key], dtype=np.uint64), np.asarray([value], dtype=np.float64)
-        )
+        self.update_batch([key], [value])
 
     @abc.abstractmethod
     def estimate_batch(self, keys) -> np.ndarray:
@@ -265,7 +290,7 @@ class LinearSummary(abc.ABC):
 
     def estimate(self, key: int) -> float:
         """Reconstruct the total for a single key."""
-        return float(self.estimate_batch(np.asarray([key], dtype=np.uint64))[0])
+        return float(self.estimate_batch([key])[0])
 
     @abc.abstractmethod
     def estimate_f2(self) -> float:

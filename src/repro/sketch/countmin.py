@@ -18,13 +18,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hashing import (
-    derive_seeds,
-    gather_indices,
-    make_family,
-    make_stacked,
-    scatter_add_indices,
-)
+from repro.hashing import derive_seeds, gather_indices, make_family, make_stacked
 from repro.sketch.base import (
     LinearSummary,
     SummaryConvention,
@@ -155,18 +149,6 @@ class CountMinSketch(LinearSummary):
         values = SummaryConvention.as_value_array(values, len(keys))
         self._schema._stacked.scatter_add(self._table, keys, values)
 
-    def update_from_indices(self, indices: np.ndarray, values) -> None:
-        """UPDATE with precomputed bucket indices (shape ``(depth, n)``).
-
-        Same surface as :meth:`KArySketch.update_from_indices`, so callers
-        holding precomputed ``schema.bucket_indices(keys)`` (the detection
-        report, recovery verification) can feed any summary kind
-        uniformly.  Bit-identical to :meth:`update_batch` on the same
-        keys: accumulation order per cell is stream order within each row.
-        """
-        values = SummaryConvention.as_value_array(values, indices.shape[1])
-        scatter_add_indices(self._table, indices, values)
-
     def estimate_rows(
         self, keys, indices: Optional[np.ndarray] = None
     ) -> np.ndarray:
@@ -186,9 +168,7 @@ class CountMinSketch(LinearSummary):
             return self._schema._stacked.gather(self._table, keys)
         return gather_indices(self._table, indices)
 
-    def estimate_batch(
-        self, keys, indices: Optional[np.ndarray] = None, signed: bool = False
-    ) -> np.ndarray:
+    def estimate_batch(self, keys, signed: bool = False) -> np.ndarray:
         """Point estimates: row minimum, or row median when ``signed``.
 
         The classical Count-Min guarantee (``est <= true + eps * F1`` with
@@ -196,10 +176,7 @@ class CountMinSketch(LinearSummary):
         ``signed=True`` for turnstile streams.
         """
         keys = SummaryConvention.as_key_array(keys)
-        if indices is None:
-            raw = self._schema._stacked.gather(self._table, keys)
-        else:
-            raw = gather_indices(self._table, indices)
+        raw = self._schema._stacked.gather(self._table, keys)
         if signed:
             return np.median(raw, axis=0)
         return raw.min(axis=0)

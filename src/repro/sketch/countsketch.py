@@ -194,11 +194,9 @@ class CountSketch(LinearSummary):
         signs *= raw
         return signs
 
-    def estimate_batch(
-        self, keys, indices: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def estimate_batch(self, keys) -> np.ndarray:
         """Median over rows of ``s_i(a) * T[i][h_i(a)]`` (unbiased)."""
-        return np.median(self.estimate_rows(keys, indices=indices), axis=0)
+        return np.median(self.estimate_rows(keys), axis=0)
 
     def estimate_f2(self) -> float:
         """Median over rows of the row sum-of-squares (AMS-style, unbiased).

@@ -126,8 +126,8 @@ class DenseVector(LinearSummary):
         pos = self._index.positions(keys)
         np.add.at(self._values, pos, values)
 
-    def estimate_batch(self, keys, indices=None) -> np.ndarray:
-        """Exact totals (``indices`` ignored; kept for API parity)."""
+    def estimate_batch(self, keys) -> np.ndarray:
+        """Exact totals for an array of keys."""
         pos = self._index.positions(keys)
         return self._values[pos]
 

@@ -71,12 +71,8 @@ class DictVector(LinearSummary):
 
     # -- queries -----------------------------------------------------------
 
-    def estimate_batch(self, keys, indices=None) -> np.ndarray:
-        """Exact totals for an array of keys.
-
-        ``indices`` is accepted (and ignored) for signature compatibility
-        with :meth:`repro.sketch.kary.KArySketch.estimate_batch`.
-        """
+    def estimate_batch(self, keys) -> np.ndarray:
+        """Exact totals for an array of keys."""
         keys = SummaryConvention.as_key_array(keys)
         data = self._data
         return np.array([data.get(k, 0.0) for k in keys.tolist()], dtype=np.float64)

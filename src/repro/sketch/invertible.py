@@ -220,14 +220,6 @@ class InvertibleKArySketch(KArySketch):
             self._cand_keys, self._cand_votes, uniq, weights
         )
 
-    def update_from_indices(self, indices: np.ndarray, values) -> None:
-        """Unsupported: precomputed indices carry no keys to vote with."""
-        raise TypeError(
-            "InvertibleKArySketch.update_from_indices is unsupported: "
-            "bucket indices do not identify the keys, so candidate votes "
-            "cannot be maintained; use update_batch"
-        )
-
     # -- RECOVER -----------------------------------------------------------
 
     def recover_candidates(self, threshold: float = 0.0) -> np.ndarray:

@@ -40,14 +40,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hashing import (
-    derive_seeds,
-    estimate_median_indices,
-    gather_indices,
-    make_family,
-    make_stacked,
-    scatter_add_indices,
-)
+from repro.hashing import derive_seeds, gather_indices, make_family, make_stacked
 from repro.sketch.base import (
     LinearSummary,
     SummaryConvention,
@@ -123,26 +116,18 @@ class KArySchema:
         """The per-row hash functions."""
         return self._hashes
 
-    def hash_all_rows(self, keys) -> np.ndarray:
+    def bucket_indices(self, keys) -> np.ndarray:
         """Hash ``keys`` with every row function: shape ``(H, n)`` int64.
 
         This is the stacked fast path -- one vectorized pass over the batch
         computes all ``H`` rows (for tabulation: three gathers into
         interleaved pre-reduced strips plus two XORs), bit-identical to
-        evaluating the per-row functions one by one.
+        evaluating the per-row functions one by one.  The detection
+        report hashes its candidate keys once with it and reads their
+        rows through :meth:`KArySketch.estimate_rows`.
         """
         keys = SummaryConvention.as_key_array(keys)
         return self._stacked.hash_all(keys)
-
-    def bucket_indices(self, keys) -> np.ndarray:
-        """Alias of :meth:`hash_all_rows`.
-
-        Detection code that estimates many sketches over the same key set
-        (e.g. reconstructing forecast errors for every key of an interval)
-        should compute this once and pass it to
-        :meth:`KArySketch.estimate_batch`.
-        """
-        return self.hash_all_rows(keys)
 
     def empty(self) -> "KArySketch":
         """Return a fresh all-zeros sketch over this schema."""
@@ -267,17 +252,6 @@ class KArySketch(LinearSummary):
         values = SummaryConvention.as_value_array(values, len(keys))
         self._schema._stacked.scatter_add(self._table, keys, values)
 
-    def update_from_indices(self, indices: np.ndarray, values) -> None:
-        """UPDATE with precomputed bucket indices (shape ``(H, n)``).
-
-        One scatter over the whole table (C kernel, or a single flat-index
-        ``np.add.at`` over the raveled table) instead of a Python-level
-        per-row loop; accumulation order per cell is stream order within
-        each row, bit-identical to the per-row reference.
-        """
-        values = SummaryConvention.as_value_array(values, indices.shape[1])
-        scatter_add_indices(self._table, indices, values)
-
     # -- ESTIMATE ----------------------------------------------------------
 
     def total(self) -> float:
@@ -319,40 +293,25 @@ class KArySketch(LinearSummary):
         raw /= 1.0 - 1.0 / k
         return raw
 
-    def estimate_batch(
-        self, keys, indices: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def estimate_batch(self, keys) -> np.ndarray:
         """ESTIMATE for a batch of keys: median of per-row unbiased estimates.
 
-        Parameters
-        ----------
-        keys:
-            Keys to reconstruct.
-        indices:
-            Optional precomputed ``schema.bucket_indices(keys)`` to avoid
-            re-hashing when several sketches are probed with one key set.
-
         When the compiled kernels are available the whole pipeline --
-        hash (or index gather), the per-row unbiased transform, and the
-        median across rows -- runs fused in C, one pass per key, with no
-        ``(H, n)`` intermediate.  The result is bit-identical to the
-        NumPy reference either way.
+        hash, the per-row unbiased transform, and the median across rows
+        -- runs fused in C, one pass per key, with no ``(H, n)``
+        intermediate.  The result is bit-identical to the NumPy reference
+        either way.
         """
+        keys = SummaryConvention.as_key_array(keys)
         k = self._schema.width
         mean_share = self.total() / k
         denom = 1.0 - 1.0 / k
-        if indices is None:
-            keys = SummaryConvention.as_key_array(keys)
-            fused = self._schema._stacked.estimate_median(
-                self._table, keys, mean_share, denom
-            )
-        else:
-            fused = estimate_median_indices(
-                self._table, indices, mean_share, denom
-            )
+        fused = self._schema._stacked.estimate_median(
+            self._table, keys, mean_share, denom
+        )
         if fused is not None:
             return fused
-        return np.median(self.estimate_rows(keys, indices=indices), axis=0)
+        return np.median(self.estimate_rows(keys), axis=0)
 
     # -- ESTIMATEF2 --------------------------------------------------------
 

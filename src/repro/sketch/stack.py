@@ -143,24 +143,6 @@ class SketchStack:
         """
         return tables_estimate_f2(self._tables, self._schema.width)
 
-    def estimate_all(
-        self, keys, indices: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """ESTIMATE ``keys`` against every interval: shape ``(T, n)``.
-
-        Keys are hashed once (stacked evaluator) and gathered from all
-        ``T`` tables; bit-identical to per-interval ``estimate_batch``.
-        """
-        if indices is None:
-            indices = self._schema.hash_all_rows(keys)
-        k = self._schema.width
-        depth = self._schema.depth
-        # raw[t, i, j] = tables[t, i, indices[i, j]]
-        raw = self._tables[:, np.arange(depth)[:, None], indices]
-        mean_share = self.totals() / k
-        per_row = (raw - mean_share[:, None, None]) / (1.0 - 1.0 / k)
-        return np.median(per_row, axis=1)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         t, h, k = self._tables.shape
         return f"SketchStack(T={t}, H={h}, K={k})"

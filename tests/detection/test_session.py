@@ -7,6 +7,7 @@ import repro.detection.session as session_module
 from repro.detection import OfflineTwoPassDetector, StreamingSession
 from repro.sketch import InvertibleKArySchema, KArySchema
 from repro.streams import (
+    ColumnarBlock,
     IntervalStream,
     iter_interval_chunks,
     iter_interval_columns,
@@ -458,11 +459,17 @@ class TestIntervalBuffer:
 
     def test_unhashable_keys_fail_the_flush_and_stay_buffered(self):
         """Keys are hashed at the flush, so a key the schema rejects (64-bit
-        pairs under 32-bit tabulation) fails the seal, and the failed
-        flush leaves the buffer and sketch as they were."""
+        pairs under 32-bit tabulation, from a scheme that under-declares
+        its width) fails the seal, and the failed flush leaves the buffer
+        and sketch as they were."""
+        from repro.streams.keys import SrcDstPairKey
+
+        class UnderDeclaredPairKey(SrcDstPairKey):
+            bits = 32
+
         schema = KArySchema(depth=3, width=256, seed=11)
         session = StreamingSession(
-            schema, "ewma", key_scheme="src_dst_pair", **BUF_KWARGS,
+            schema, "ewma", key_scheme=UnderDeclaredPairKey(), **BUF_KWARGS,
         )
         records = make_records(
             timestamps=np.arange(10.0), dst_ips=np.arange(10),
@@ -474,3 +481,63 @@ class TestIntervalBuffer:
             session.flush()
         assert interval.buffered == 10
         assert not interval.sketch.table.any()
+
+
+class TestKeyWidth:
+    """A key the schema's hash family cannot take is refused on the call
+    that supplies it, so it never wedges a later flush."""
+
+    def test_wide_key_scheme_refused_at_construction(self):
+        from repro.distributed.agent import LocalSketcher
+
+        schema = KArySchema(depth=3, width=256, seed=11)
+        with pytest.raises(ValueError, match="at most 32 bits"):
+            StreamingSession(schema, "ewma", key_scheme="src_dst_pair")
+        with pytest.raises(ValueError, match="at most 32 bits"):
+            LocalSketcher(schema, key_scheme="src_dst_pair")
+
+    def test_wide_key_scheme_accepted_on_polynomial_schema(self):
+        schema = KArySchema(depth=3, width=256, seed=11, family="polynomial")
+        session = StreamingSession(
+            schema, "ewma", key_scheme="src_dst_pair", **BUF_KWARGS,
+        )
+        n = 200
+        records = make_records(
+            timestamps=np.arange(n, dtype=np.float64), dst_ips=np.arange(n),
+            byte_counts=np.full(n, 100), src_ips=np.full(n, 7),
+        )
+        session.ingest(records)
+        session.flush()
+        assert session.intervals_sealed == 4
+
+    def test_wide_block_refused_on_its_own_call(self, rng):
+        schema = KArySchema(depth=3, width=256, seed=11)
+        blocks = [
+            ColumnarBlock(
+                index=i,
+                keys=rng.integers(0, 500, 300).astype(np.uint64),
+                values=rng.pareto(1.3, 300) * 100 + 40,
+            )
+            for i in range(5)
+        ]
+        clean = StreamingSession(schema, "ewma", **BUF_KWARGS)
+        reference = [r for b in blocks for r in clean.ingest_columns(b)]
+        reference += clean.flush()
+
+        session = StreamingSession(schema, "ewma", **BUF_KWARGS)
+        reports = session.ingest_columns(blocks[0])
+        wide = ColumnarBlock(
+            index=0, keys=np.array([1, 2**40], dtype=np.uint64),
+            values=np.ones(2),
+        )
+        with pytest.raises(ValueError, match="32 bits"):
+            session.ingest_columns(wide)
+        assert session.current_interval == 0
+        assert session.records_ingested == 300
+        assert session.watermark == 0.0
+        assert session._interval.buffered == 300
+        for block in blocks[1:]:
+            reports += session.ingest_columns(block)
+        reports += session.flush()
+        assert len(reference) == 4
+        assert_reports_identical(reports, reference)

@@ -59,7 +59,7 @@ class TestAlarmsForInterval:
         keys = rng.integers(0, 2**32, 5000, dtype=np.uint64)
         values = rng.normal(0, 10.0, 5000)
         # One genuinely large key.
-        keys = np.concatenate([keys, [42]])
+        keys = np.concatenate([keys, np.array([42], dtype=np.uint64)])
         values = np.concatenate([values, [5000.0]])
         sketch = schema.from_items(keys, values)
         alarms = alarms_for_interval(sketch, np.unique(keys), 0.5)

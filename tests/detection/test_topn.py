@@ -59,17 +59,6 @@ class TestTopNKeys:
         ex_top = top_n_keys(exact, keys, 10)
         assert similarity(sk_top, ex_top, 10) >= 0.9
 
-    def test_precomputed_indices(self, rng):
-        schema = KArySchema(depth=3, width=512, seed=3)
-        keys = np.arange(50, dtype=np.uint64)
-        sketch = schema.from_items(keys, rng.random(50))
-        unique = np.unique(keys)
-        indices = schema.bucket_indices(unique)
-        assert np.array_equal(
-            top_n_keys(sketch, keys, 5),
-            top_n_keys(sketch, keys, 5, indices=indices),
-        )
-
 
 class TestSimilarity:
     def test_identical_sets(self):

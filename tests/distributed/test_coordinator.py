@@ -316,6 +316,57 @@ class TestFrameIntervals:
         assert merger.sealed_through == 3
 
 
+class TestFrameKeys:
+    """A SKETCH frame's keys field is vetted inside the decode guard."""
+
+    BAD_KEYS = ["abc", ["x"], [[1, 2], [3, 4]], [1.7, 2.2], [-1]]
+
+    @pytest.mark.parametrize(
+        "keys", BAD_KEYS, ids=["str", "str-list", "2-D", "float", "negative"]
+    )
+    def test_bad_keys_are_a_decode_error(self, schema, rng, keys):
+        from repro.sketch.serialization import dumps
+
+        merger = _merger(schema)
+        merger.register("a")
+        server = CoordinatorServer(merger)
+        summary, _ = _sketch(schema, rng)
+        payload = {"interval": 0, "sketch": dumps(summary), "keys": keys}
+        assert server._dispatch("sketch", "a", payload) == []
+        assert merger.stats["decode_errors"] == 1
+        assert merger.stats["sketches"] == 0
+        assert merger.stats["intervals_sealed"] == 0
+        assert merger.sealed_through is None
+
+    def test_started_server_seals_after_a_bad_frame(self, schema, rng):
+        import asyncio
+
+        from repro.sketch.serialization import dumps
+
+        merger = _merger(schema)
+        merger.register("a")
+        summary, keys = _sketch(schema, rng)
+
+        async def run():
+            server = CoordinatorServer(merger, deadline_tick=0.01)
+            await server.start()
+            try:
+                for frame_keys in self.BAD_KEYS + [keys]:
+                    payload = {
+                        "interval": 0, "sketch": dumps(summary),
+                        "keys": frame_keys,
+                    }
+                    await server._queue.put(("sketch", "a", payload, 0))
+                await asyncio.wait_for(server._queue.join(), timeout=10.0)
+            finally:
+                await server.stop()
+
+        asyncio.run(run())
+        assert merger.stats["decode_errors"] == len(self.BAD_KEYS)
+        assert merger.stats["intervals_sealed"] == 1
+        assert merger.sealed_through == 0
+
+
 class TestDurability:
     def test_checkpoint_roundtrip(self, schema, rng):
         merger = _merger(schema)

@@ -139,8 +139,7 @@ class TestOnDetectionPipeline:
             for step in run_pipeline(batches, schema, EWMAForecaster(0.5)):
                 if step.error is None:
                     continue
-                indices = schema.bucket_indices(step.keys)
-                estimates = step.error.estimate_batch(step.keys, indices=indices)
+                estimates = step.error.estimate_batch(step.keys)
                 order = np.lexsort((step.keys, -np.abs(estimates)))
                 sk_top = step.keys[order[:50]]
                 sims.append(similarity(sk_top, perflow.top_n(step.index, 50), 50))

@@ -19,9 +19,7 @@ from repro.hashing import (
     TwoUniversalHash,
     fused_signed_update,
     make_stacked,
-    scatter_add_indices,
 )
-from repro.hashing import stacked as stacked_module
 from repro.hashing.stacked import StackedHash
 from repro.hashing.tabulation import _draw_table
 
@@ -99,25 +97,6 @@ def test_scatter_add_matches_reference(family, width, rng):
     expected = np.zeros_like(table)
     for i, h in enumerate(rows):
         np.add.at(expected[i], h.hash_array(keys), values)
-    assert np.array_equal(table, expected)
-
-
-@pytest.mark.parametrize("n", [1, 2, 64, 4000])
-def test_scatter_add_indices_numpy_fallback_matches_reference(
-    n, rng, monkeypatch
-):
-    """The NumPy branch runs even where the kernels are compiled."""
-    monkeypatch.setattr(stacked_module, "get_kernels", lambda: None)
-    depth, width = 4, 512
-    indices = rng.integers(0, width, size=(depth, n))
-    values = rng.normal(10.0, 5.0, size=n)
-
-    table = np.zeros((depth, width), dtype=np.float64)
-    scatter_add_indices(table, indices, values)
-
-    expected = np.zeros_like(table)
-    for i in range(depth):
-        np.add.at(expected[i], indices[i], values)
     assert np.array_equal(table, expected)
 
 

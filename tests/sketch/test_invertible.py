@@ -122,13 +122,6 @@ class TestUpdateAndRecovery:
         with pytest.raises(ValueError, match="threshold"):
             inv_schema.empty().recover_candidates(-1.0)
 
-    def test_update_from_indices_unsupported(self, inv_schema):
-        sketch = inv_schema.empty()
-        with pytest.raises(TypeError, match="update_batch"):
-            sketch.update_from_indices(
-                np.zeros((5, 1), dtype=np.int64), [1.0]
-            )
-
     def test_copy_and_reset(self, rng, inv_schema):
         keys, values = _stream(rng, n=2000)
         sketch = inv_schema.from_items(keys, values)

@@ -93,15 +93,6 @@ class TestUpdate:
         sketch.update_batch([1, 2, 1], [10.0, 5.0, -10.0])
         assert sketch.total() == pytest.approx(5.0)
 
-    def test_update_from_indices(self):
-        schema = KArySchema(depth=3, width=64, seed=2)
-        keys = np.array([1, 2, 3], dtype=np.uint64)
-        values = np.array([1.0, 2.0, 3.0])
-        direct = schema.from_items(keys, values)
-        via_indices = schema.empty()
-        via_indices.update_from_indices(schema.bucket_indices(keys), values)
-        assert np.array_equal(direct.table, via_indices.table)
-
     def test_empty_batch(self):
         schema = KArySchema(depth=3, width=64, seed=2)
         sketch = schema.empty()
@@ -150,17 +141,6 @@ class TestEstimate:
         batch = sketch.estimate_batch(probe)
         for key, expected in zip(probe.tolist(), batch.tolist()):
             assert sketch.estimate(key) == pytest.approx(expected)
-
-    def test_estimate_with_precomputed_indices(self, rng):
-        schema = KArySchema(depth=5, width=512, seed=4)
-        keys, values = _stream(rng, n=2000)
-        sketch = schema.from_items(keys, values)
-        probe = np.unique(keys)[:50]
-        indices = schema.bucket_indices(probe)
-        assert np.allclose(
-            sketch.estimate_batch(probe),
-            sketch.estimate_batch(probe, indices=indices),
-        )
 
     def test_single_key_sketch_estimates_exactly(self):
         """With one key there are no collisions to correct for."""

@@ -96,24 +96,6 @@ def test_totals_match_per_sketch(schema, rng):
     assert np.array_equal(stack.totals(), expected)
 
 
-def test_estimate_all_matches_per_sketch(schema, rng):
-    sketches = _filled_sketches(schema, rng)
-    stack = SketchStack.from_sketches(sketches)
-    keys = rng.integers(0, 2**32, size=100, dtype=np.uint64)
-    got = stack.estimate_all(keys)
-    expected = np.stack([s.estimate_batch(keys) for s in sketches])
-    assert np.array_equal(got, expected)
-
-
-def test_estimate_all_accepts_precomputed_indices(schema, rng):
-    stack = SketchStack.from_sketches(_filled_sketches(schema, rng, t_len=3))
-    keys = rng.integers(0, 2**32, size=50, dtype=np.uint64)
-    indices = schema.hash_all_rows(keys)
-    assert np.array_equal(
-        stack.estimate_all(keys, indices=indices), stack.estimate_all(keys)
-    )
-
-
 def test_tables_estimate_f2_validates_width(schema, rng):
     stack = SketchStack.from_sketches(_filled_sketches(schema, rng, t_len=2))
     with pytest.raises(ValueError, match="width"):
@@ -184,5 +166,4 @@ def test_countsketch_update_estimate_batch(rng):
 def test_kary_hash_all_rows_matches_bucket_indices(schema, rng):
     keys = rng.integers(0, 2**32, size=128, dtype=np.uint64)
     expected = np.stack([h.hash_array(keys) for h in schema.hashes])
-    assert np.array_equal(schema.hash_all_rows(keys), expected)
     assert np.array_equal(schema.bucket_indices(keys), expected)
