@@ -152,13 +152,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         key_scheme=args.key,
         value_scheme=args.value,
     )
-    model_params = {}
-    if args.alpha is not None:
-        model_params["alpha"] = args.alpha
-    if args.beta is not None:
-        model_params["beta"] = args.beta
-    if args.window is not None:
-        model_params["window"] = args.window
     recorder = _make_recorder(args)
     # The key source dictates the summary type: invertible recovery needs
     # the candidate/vote planes, group testing needs per-bit subcounters;
@@ -179,7 +172,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             args.model,
             t_fraction=args.threshold,
             recorder=recorder,
-            **model_params,
+            **_model_params(args),
         )
     else:
         detector = OfflineTwoPassDetector(
@@ -189,23 +182,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             top_n=args.top_n,
             key_source=args.key_source,
             recorder=recorder,
-            **model_params,
+            **_model_params(args),
         )
     for report in detector.run(stream):
-        line = (
-            f"interval {report.index:4d}  "
-            f"L2={report.error_l2:12.4g}  alarms={report.alarm_count:5d}"
-        )
-        if args.top_n:
-            top = ", ".join(
-                f"{key}:{err:.3g}"
-                for key, err in zip(
-                    report.top_keys[: args.top_n].tolist(),
-                    report.top_errors[: args.top_n].tolist(),
-                )
-            )
-            line += f"  top=[{top}]"
-        print(line)
+        _print_session_report(report, args.top_n)
     if args.stats:
         stats = {}
         if getattr(detector, "stats", None) is not None:
@@ -233,6 +213,18 @@ def _print_session_report(report, top_n: int) -> None:
     print(line)
 
 
+def _model_params(args) -> dict:
+    """The forecast-model keywords among ``--alpha/--beta/--window`` given.
+
+    A subcommand that lacks one of these flags never passes it.
+    """
+    return {
+        name: getattr(args, name)
+        for name in ("alpha", "beta", "window")
+        if getattr(args, name, None) is not None
+    }
+
+
 def _apply_threads(args) -> None:
     """Apply ``--threads`` to the kernel layer before any session work."""
     threads = getattr(args, "threads", None)
@@ -242,17 +234,10 @@ def _apply_threads(args) -> None:
         set_num_threads(threads)
 
 
-def _build_session(args, schema, recorder=None):
+def _build_session(args, schema, recorder=None, sink=None):
     from repro.detection import StreamingSession
 
     _apply_threads(args)
-    model_params = {}
-    if args.alpha is not None:
-        model_params["alpha"] = args.alpha
-    if args.beta is not None:
-        model_params["beta"] = args.beta
-    if args.window is not None:
-        model_params["window"] = args.window
     return StreamingSession(
         schema,
         args.model,
@@ -261,8 +246,9 @@ def _build_session(args, schema, recorder=None):
         value_scheme=args.value,
         t_fraction=args.threshold,
         top_n=args.top_n,
+        sink=sink,
         recorder=recorder,
-        **model_params,
+        **_model_params(args),
     )
 
 
@@ -377,13 +363,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.sketch import KArySchema
 
     recorder = _make_recorder(args)
-    model_params = {}
-    if args.alpha is not None:
-        model_params["alpha"] = args.alpha
-    if args.beta is not None:
-        model_params["beta"] = args.beta
-    if args.window is not None:
-        model_params["window"] = args.window
     if args.resume is not None:
         merger = load_merger_checkpoint(args.resume, recorder=recorder)
         merger.checkpoint_path = args.checkpoint
@@ -408,7 +387,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
             recorder=recorder,
-            **model_params,
+            **_model_params(args),
         )
 
     async def _serve() -> None:
@@ -548,15 +527,12 @@ def _cmd_drilldown(args: argparse.Namespace) -> int:
 
     records = read_trace(args.trace)
     levels = tuple(int(level) for level in args.levels.split(","))
-    model_params = {}
-    if args.alpha is not None:
-        model_params["alpha"] = args.alpha
     drilldown = PrefixDrilldown(
         levels=levels,
         model=args.model,
         t_fraction=args.threshold,
         seed=args.seed,
-        **model_params,
+        **_model_params(args),
     )
     for report in drilldown.run(records, interval_seconds=args.interval):
         if report.roots or args.verbose:
@@ -566,11 +542,9 @@ def _cmd_drilldown(args: argparse.Namespace) -> int:
 
 def _cmd_archive(args: argparse.Namespace) -> int:
     from repro.archive import TemporalArchive
-    from repro.detection import StreamingSession
     from repro.sketch import KArySchema
     from repro.streams import read_trace
 
-    _apply_threads(args)
     records = read_trace(args.trace)
     schema = KArySchema(depth=args.depth, width=args.width, seed=args.seed)
     recorder = _make_recorder(args)
@@ -585,23 +559,7 @@ def _cmd_archive(args: argparse.Namespace) -> int:
         tail_intervals=args.tail,
         recorder=recorder,
     )
-    model_params = {}
-    if args.alpha is not None:
-        model_params["alpha"] = args.alpha
-    if args.window is not None:
-        model_params["window"] = args.window
-    session = StreamingSession(
-        schema,
-        args.model,
-        interval_seconds=args.interval,
-        key_scheme=args.key,
-        value_scheme=args.value,
-        t_fraction=args.threshold,
-        top_n=args.top_n,
-        sink=archive.ingest,
-        recorder=recorder,
-        **model_params,
-    )
+    session = _build_session(args, schema, recorder=recorder, sink=archive.ingest)
     for report in session.ingest(records):
         _print_session_report(report, args.top_n)
     for report in session.flush():
@@ -671,14 +629,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
             )
         return 0
     if args.replay:
-        model_params = {}
-        if args.window is not None:
-            model_params["window"] = args.window
         for report in archive.replay(
             args.model,
             t_fraction=args.threshold,
             top_n=args.top_n,
-            **model_params,
+            **_model_params(args),
         ):
             _print_session_report(report, args.top_n)
         return 0

@@ -17,6 +17,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.streams.intervals import checked_index, interval_index, require_finite
 from repro.streams.keys import KeyScheme, make_key_scheme
 from repro.streams.records import validate_records
 
@@ -103,6 +104,7 @@ def explain_alarm(
         How many top talkers to include.
     """
     validate_records(records)
+    interval = checked_index(interval, "interval")
     if interval < 0:
         raise ValueError(f"interval must be >= 0, got {interval}")
     if interval_seconds <= 0:
@@ -111,12 +113,13 @@ def explain_alarm(
         make_key_scheme(key_scheme) if isinstance(key_scheme, str) else key_scheme
     )
     keys = scheme.extract(records)
-    mask_key = keys == np.uint64(key)
     timestamps = records["timestamp"]
-    start = interval * interval_seconds
-    end = start + interval_seconds
-    in_interval = mask_key & (timestamps >= start) & (timestamps < end)
-    subset = records[in_interval]
+    require_finite(timestamps)
+    # The detector's own binning, so a record on an interval edge counts
+    # in exactly the interval that sketched it.
+    indices = interval_index(timestamps, interval_seconds)
+    mask_key = keys == np.uint64(key)
+    subset = records[mask_key & (indices == interval)]
 
     total_bytes = float(subset["bytes"].sum())
 
@@ -149,9 +152,9 @@ def explain_alarm(
         }
 
     # Trailing history baseline for this key.
-    history_start = max(0.0, start - history_intervals * interval_seconds)
-    in_history = mask_key & (timestamps >= history_start) & (timestamps < start)
-    spanned = max(1, int(round((start - history_start) / interval_seconds)))
+    history_start = max(0, interval - history_intervals)
+    in_history = mask_key & (indices >= history_start) & (indices < interval)
+    spanned = max(1, interval - history_start)
     history_mean = float(records[in_history]["bytes"].sum()) / spanned
     history_ratio = (
         total_bytes / history_mean if history_mean > 0 else float("inf")

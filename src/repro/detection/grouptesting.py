@@ -21,21 +21,17 @@ The cost trade-off the paper warns about is explicit here: UPDATE touches
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.hashing import derive_seeds, make_family
-from repro.sketch.base import (
-    LinearSummary,
-    SummaryConvention,
-    folded_width,
-    resolve_folded_schema,
-)
+from repro.sketch.base import HashedSchema, HashedSketch, SummaryConvention
 
 
-class GroupTestingSchema:
+class GroupTestingSchema(HashedSchema):
     """Dimensions and hash functions for group-testing sketches."""
+
+    kind = "grouptesting"
 
     def __init__(
         self,
@@ -45,102 +41,31 @@ class GroupTestingSchema:
         seed: Optional[int] = 0,
         family: str = "tabulation",
     ) -> None:
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
-        if width < 2:
-            raise ValueError(f"width must be >= 2, got {width}")
+        super().__init__(depth=depth, width=width, seed=seed, family=family)
         if not 1 <= key_bits <= 64:
             raise ValueError(f"key_bits must be in [1, 64], got {key_bits}")
-        self.depth = int(depth)
-        self.width = int(width)
         self.key_bits = int(key_bits)
-        self.seed = seed
-        self.family = family
-        seeds = derive_seeds(seed, depth)
-        self.hashes = tuple(make_family(family, width, seed=s) for s in seeds)
 
-    def __eq__(self, other) -> bool:
-        """Structural equality: same dimensions, family and *explicit* seed."""
-        if self is other:
-            return True
-        if not isinstance(other, GroupTestingSchema):
-            return NotImplemented
-        return (
-            self.seed is not None
-            and other.seed is not None
-            and self.seed == other.seed
-            and self.depth == other.depth
-            and self.width == other.width
-            and self.key_bits == other.key_bits
-            and self.family == other.family
+    @classmethod
+    def from_config(cls, depth, width, seed, family, key_bits=0):
+        return cls(
+            depth=depth, width=width, key_bits=key_bits, seed=seed,
+            family=family,
         )
 
-    def __hash__(self) -> int:
-        return hash((self.depth, self.width, self.key_bits, self.family, self.seed))
-
-    def empty(self) -> "GroupTestingSketch":
-        """Return a fresh zeroed group-testing sketch."""
-        return GroupTestingSketch(self)
-
-    def from_items(self, keys, values) -> "GroupTestingSketch":
-        """Build a sketch from arrays of keys and updates."""
-        sketch = self.empty()
-        sketch.update_batch(keys, values)
-        return sketch
-
-    def bucket_indices(self, keys) -> np.ndarray:
-        """Bucket index per row for each key: shape ``(depth, n)``."""
-        keys = SummaryConvention.as_key_array(keys)
-        return np.stack([h.hash_array(keys) for h in self.hashes])
-
-    def folded(self) -> "GroupTestingSchema":
-        """The half-width schema this family folds into (same depth/seed)."""
-        return type(self)(
-            depth=self.depth, width=folded_width(self),
-            key_bits=self.key_bits, seed=self.seed, family=self.family,
-        )
+    @property
+    def table_shape(self) -> tuple:
+        """``(depth, width, 1 + key_bits)``: a total and one counter per bit."""
+        return (self._depth, self._width, 1 + self.key_bits)
 
 
-class GroupTestingSketch(LinearSummary):
+class GroupTestingSketch(HashedSketch):
     """Sketch with per-bit subcounters enabling direct key decoding.
 
     Table shape is ``(depth, width, 1 + key_bits)``: slot 0 is the bucket
     total (exactly a k-ary sketch row), slots ``1 + b`` count only updates
     whose key has bit ``b`` set.
     """
-
-    __slots__ = ("_schema", "_table")
-
-    def __init__(self, schema: GroupTestingSchema, table: Optional[np.ndarray] = None):
-        self._schema = schema
-        shape = (schema.depth, schema.width, 1 + schema.key_bits)
-        if table is None:
-            table = np.zeros(shape, dtype=np.float64)
-        else:
-            table = np.asarray(table, dtype=np.float64)
-            if table.shape != shape:
-                raise ValueError(f"table shape {table.shape} != {shape}")
-        self._table = table
-
-    @property
-    def schema(self) -> GroupTestingSchema:
-        """The schema (dimensions and hash functions)."""
-        return self._schema
-
-    @property
-    def table(self) -> np.ndarray:
-        """Underlying ``(depth, width, 1 + key_bits)`` table (read-only view)."""
-        view = self._table.view()
-        view.flags.writeable = False
-        return view
-
-    def copy(self) -> "GroupTestingSketch":
-        """Return an independent copy sharing the schema."""
-        return GroupTestingSketch(self._schema, self._table.copy())
-
-    def reset(self) -> None:
-        """Zero all counters in place."""
-        self._table[:] = 0.0
 
     def update_batch(self, keys, values) -> None:
         keys = SummaryConvention.as_key_array(keys)
@@ -155,8 +80,9 @@ class GroupTestingSketch(LinearSummary):
         contributions = np.concatenate(
             [values[:, None], values[:, None] * bit_matrix], axis=1
         )
-        for i, h in enumerate(self._schema.hashes):
-            np.add.at(self._table[i], h.hash_array(keys), contributions)
+        indices = self._schema._stacked.hash_all(keys)
+        for i in range(self._schema.depth):
+            np.add.at(self._table[i], indices[i], contributions)
 
     # -- k-ary-equivalent estimation over the totals plane -----------------
 
@@ -239,33 +165,5 @@ class GroupTestingSketch(LinearSummary):
             recovered[int(key)] = est
         return recovered
 
-    def fold_width(
-        self, schema: Optional[GroupTestingSchema] = None
-    ) -> "GroupTestingSketch":
-        """Halve the width exactly (Hokusai item aggregation).
 
-        The per-bit subcounters are linear, so all ``1 + key_bits``
-        subcells of buckets ``j`` and ``j + K/2`` sum into bucket
-        ``j mod K/2`` -- the folded table equals the half-width build of
-        the same stream (bit-for-bit for integer-valued updates), and
-        decoding works unchanged at the coarser collision rate.
-        """
-        folded = resolve_folded_schema(self._schema, schema)
-        half = folded.width
-        return GroupTestingSketch(
-            folded, self._table[:, :half, :] + self._table[:, half:, :]
-        )
-
-    def _linear_combination(
-        self, terms: Sequence[Tuple[float, LinearSummary]]
-    ) -> "GroupTestingSketch":
-        table = np.zeros_like(self._table)
-        for coeff, summary in terms:
-            if not isinstance(summary, GroupTestingSketch):
-                raise TypeError(
-                    f"cannot combine GroupTestingSketch with {type(summary).__name__}"
-                )
-            if summary._schema != self._schema:
-                raise ValueError("cannot combine sketches with different schemas")
-            table += coeff * summary._table
-        return GroupTestingSketch(self._schema, table)
+GroupTestingSchema.sketch_type = GroupTestingSketch

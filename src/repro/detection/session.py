@@ -123,17 +123,13 @@ class IntervalSealer:
     def _error_scratch(self):
         """The reusable summary that receives ``Se(t)``, built on first use.
 
-        ``None`` for summary types without ``combine_into``.  Safe to
-        reuse across intervals: the report consumes the error within the
-        seal, and the forecaster only retains ``observed``, which drivers
-        always allocate fresh.
+        Safe to reuse across intervals: the report consumes the error
+        within the seal, and the forecaster only retains ``observed``,
+        which drivers always allocate fresh.
         """
         if self._scratch is None:
-            error_out = self.schema.empty()
-            self._scratch = (
-                error_out if hasattr(error_out, "combine_into") else None,
-            )
-        return self._scratch[0]
+            self._scratch = self.schema.empty()
+        return self._scratch
 
     def seal(
         self, observed, keys: np.ndarray, index: int

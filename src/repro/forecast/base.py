@@ -170,10 +170,10 @@ class Forecaster(abc.ABC):
     ) -> ForecastStep:
         """:meth:`step` with a caller-provided error summary.
 
-        ``error_out`` is a reusable summary (same schema as ``observed``,
-        exposing ``combine_into``) that receives ``Se(t)`` in place, so
-        the seal path of a long-running session allocates no fresh error
-        table per interval.  It is reserved for this call: the returned
+        ``error_out`` is a reusable summary (same schema as ``observed``)
+        that receives ``Se(t)`` in place, so the seal path of a
+        long-running session allocates no fresh error table per
+        interval.  It is reserved for this call: the returned
         step aliases it, so the caller must consume the step before the
         next ``step_into``.  ``Sf(t)`` comes from :meth:`forecast`.
         Results are value-identical to :meth:`step` (same floats; only
@@ -192,11 +192,7 @@ class Forecaster(abc.ABC):
         predicted = self.forecast()
         if predicted is None:
             error = None
-        elif (
-            error_out is not None
-            and hasattr(error_out, "combine_into")
-            and error_out is not predicted
-        ):
+        elif error_out is not None and error_out is not predicted:
             error = error_out.combine_into([(1.0, observed), (-1.0, predicted)])
         else:
             error = observed - predicted

@@ -16,6 +16,14 @@ its four operations (UPDATE, ESTIMATE, ESTIMATEF2, COMBINE).  Alongside it:
   the same linear-summary interface, used as the per-flow ground truth in
   every accuracy experiment.
 
+The hashed kinds (k-ary, invertible, Count-Min, Count Sketch and
+:mod:`repro.detection.grouptesting`'s group-testing sketch) derive from
+one base, :class:`~repro.sketch.base.HashedSchema` and
+:class:`~repro.sketch.base.HashedSketch`: the schema's validation, row
+hashes, identity and FOLD target, and the sketch's table, COMBINE and
+FOLD are written once there.  Each kind adds its ``kind`` name, UPDATE
+and estimators.
+
 All summaries are **linear**: they support ``+``, ``-`` and multiplication
 by a scalar, which is what lets the forecasting module run time-series
 models directly in sketch space (paper Section 3.2).

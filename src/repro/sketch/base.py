@@ -30,10 +30,11 @@ from __future__ import annotations
 import abc
 import math
 from collections.abc import Iterable
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.hashing import derive_seeds, make_family, make_stacked
 from repro.hashing._kernels import SWEEP_MAX_TEMPS, get_kernels
 
 
@@ -267,14 +268,7 @@ def sweep_statements(
 
 
 class LinearSummary(abc.ABC):
-    """Abstract base class for linear summaries of keyed update streams.
-
-    Concrete types additionally implement ``combine_into(terms)`` -- the
-    in-place counterpart of :meth:`_linear_combination` that overwrites the
-    receiver with ``sum(c * s)`` without allocating a new summary, which is
-    what lets the detection seal path reuse scratch summaries interval
-    after interval.
-    """
+    """Abstract base class for linear summaries of keyed update streams."""
 
     @abc.abstractmethod
     def update_batch(self, keys, values) -> None:
@@ -306,6 +300,20 @@ class LinearSummary(abc.ABC):
         return math.sqrt(max(self.estimate_f2(), 0.0))
 
     # -- linear arithmetic -------------------------------------------------
+
+    @abc.abstractmethod
+    def combine_into(
+        self,
+        terms: Sequence[Tuple[float, "LinearSummary"]],
+        scratch: "np.ndarray | None" = None,
+    ) -> "LinearSummary":
+        """In-place COMBINE: overwrite this summary with ``sum(c * s)``.
+
+        The counterpart of :meth:`_linear_combination` that allocates no
+        new summary, which lets the detection seal path reuse one scratch
+        interval after interval.  ``scratch`` is an optional buffer for
+        non-unit coefficients; the receiver must not appear in ``terms``.
+        """
 
     @abc.abstractmethod
     def _linear_combination(
@@ -377,11 +385,309 @@ def resolve_folded_schema(schema, folded):
         or folded.depth != schema.depth
         or folded.seed != schema.seed
         or folded.family != schema.family
-        or getattr(folded, "key_bits", 0) != getattr(schema, "key_bits", 0)
+        or folded.key_bits != schema.key_bits
     ):
         raise ValueError(
             f"folded schema {folded!r} does not match half of {schema!r}: "
-            "it must share depth, seed, and family at exactly half the width"
+            "it must share depth, seed, family and key_bits at exactly half "
+            "the width"
         )
     return folded
 
+
+class HashedSchema:
+    """Dimensions and row hashes shared by every sketch of one kind.
+
+    ``depth`` rows of ``width`` buckets, row ``i`` paired with its own
+    hash function from ``family``, seeded from ``seed``.  Every sketch
+    :meth:`empty` builds shares these functions, so sketches of one
+    schema can be combined and compared cell for cell.  Each kind
+    subclasses this with its :attr:`kind` name and :attr:`sketch_type`;
+    a kind whose cells hold more than one counter widens
+    :attr:`table_shape`.
+
+    Parameters
+    ----------
+    depth:
+        Number of hash functions / table rows ``H``.
+    width:
+        Buckets per row ``K``, at least :attr:`min_width`.
+    seed:
+        Master seed; per-row seeds are derived deterministically.
+        ``None`` draws OS entropy.
+    family:
+        Hash family name (``"tabulation"``, ``"polynomial"``, or
+        ``"two-universal"`` for ablations).
+    """
+
+    #: The kind name: :func:`~repro.sketch.mergeable.kind_of` and the
+    #: wire format's kind code.
+    kind: str
+    #: The sketch class over this schema; each kind's module sets it once
+    #: both classes exist.
+    sketch_type: type
+    #: The narrowest legal width (estimators dividing by ``K - 1`` need 2).
+    min_width = 2
+    #: Per-bit subcounters in each cell; only group testing has any.
+    key_bits = 0
+
+    def __init__(
+        self,
+        depth: int = 5,
+        width: int = 8192,
+        seed: Optional[int] = 0,
+        family: str = "tabulation",
+    ) -> None:
+        if depth < 1:
+            raise ValueError(f"depth must be >= 1, got {depth}")
+        if width < self.min_width:
+            raise ValueError(f"width must be >= {self.min_width}, got {width}")
+        self._depth = int(depth)
+        self._width = int(width)
+        self._seed = seed
+        self._family = family
+        self._hashes = tuple(
+            make_family(family, self._width, seed=s)
+            for s in derive_seeds(seed, self._depth)
+        )
+        # Stacked evaluator serving all H rows per pass (bit-identical to
+        # looping over the row functions; see repro.hashing.stacked).
+        self._stacked = make_stacked(self._hashes, self._width)
+
+    @classmethod
+    def from_config(
+        cls, depth: int, width: int, seed: Optional[int], family: str,
+        key_bits: int = 0,
+    ) -> "HashedSchema":
+        """Build a schema of this kind from its identity fields.
+
+        ``key_bits`` is ignored by every kind but group testing.
+        """
+        return cls(depth=depth, width=width, seed=seed, family=family)
+
+    @property
+    def depth(self) -> int:
+        """Number of rows ``H``."""
+        return self._depth
+
+    @property
+    def width(self) -> int:
+        """Number of buckets per row ``K``."""
+        return self._width
+
+    @property
+    def family(self) -> str:
+        """Name of the hash family in use."""
+        return self._family
+
+    @property
+    def seed(self) -> Optional[int]:
+        """Master seed (None when seeded from OS entropy)."""
+        return self._seed
+
+    @property
+    def hashes(self) -> tuple:
+        """The per-row hash functions."""
+        return self._hashes
+
+    @property
+    def table_shape(self) -> tuple:
+        """Shape of one sketch's table: ``(H, K)`` unless a kind widens it."""
+        return (self._depth, self._width)
+
+    @property
+    def table_bytes(self) -> int:
+        """Memory footprint of one sketch table (excluding hash tables)."""
+        return 8 * math.prod(self.table_shape)
+
+    def bucket_indices(self, keys) -> np.ndarray:
+        """Hash ``keys`` with every row function: shape ``(H, n)`` int64.
+
+        One stacked pass over the batch computes all ``H`` rows,
+        bit-identical to evaluating the per-row functions one by one.
+        """
+        return self._stacked.hash_all(SummaryConvention.as_key_array(keys))
+
+    def empty(self) -> "HashedSketch":
+        """Return a fresh all-zeros sketch over this schema."""
+        return self.sketch_type(self)
+
+    def from_items(self, keys, values) -> "HashedSketch":
+        """Build a sketch directly from arrays of keys and updates."""
+        sketch = self.empty()
+        sketch.update_batch(keys, values)
+        return sketch
+
+    def folded(self) -> "HashedSchema":
+        """The half-width schema this one folds into (same depth/seed).
+
+        Because every hash family reduces a width-independent 64-bit
+        value modulo ``K``, the returned schema's bucket index for any
+        key equals this schema's index mod ``K/2`` -- the structural fact
+        :meth:`HashedSketch.fold_width` relies on.
+        """
+        return self.from_config(
+            self._depth, folded_width(self), self._seed, self._family,
+            self.key_bits,
+        )
+
+    def _config(self) -> tuple:
+        return (self._depth, self._width, self.key_bits, self._family)
+
+    def __eq__(self, other) -> bool:
+        """Structural equality: same kind, config and *explicit* seed.
+
+        Two schemas with explicit equal seeds derive identical hash
+        functions, so their sketches are COMBINE-compatible even when the
+        objects were built independently (e.g. after wire transfer).
+        Schemas seeded from OS entropy (``seed=None``) are only equal to
+        themselves -- their hash functions genuinely differ.  Kinds never
+        compare equal to each other, not even the invertible sketch's
+        schema and its k-ary parent: merging would drop candidate votes.
+        """
+        if self is other:
+            return True
+        if not isinstance(other, HashedSchema):
+            return NotImplemented
+        return (
+            type(self) is type(other)
+            and self._seed is not None
+            and self._seed == other._seed
+            and self._config() == other._config()
+        )
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._seed) + self._config())
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        key_bits = f", key_bits={self.key_bits}" if self.key_bits else ""
+        return (
+            f"{type(self).__name__}(depth={self._depth}, width={self._width}, "
+            f"seed={self._seed}, family={self._family!r}{key_bits})"
+        )
+
+
+class HashedSketch(LinearSummary):
+    """A counter table over a :class:`HashedSchema`.
+
+    Holds what every hashed kind shares: the table and its shape check,
+    copy/reset, FOLD and COMBINE.  Kinds add UPDATE and their estimators.
+    COMBINE is entry-wise over whole tables, so it applies to every
+    linear per-cell layout (group testing's bit counters included).
+    """
+
+    __slots__ = ("_schema", "_table")
+
+    def __init__(
+        self, schema: HashedSchema, table: Optional[np.ndarray] = None
+    ) -> None:
+        shape = schema.table_shape
+        if table is None:
+            table = np.zeros(shape, dtype=np.float64)
+        else:
+            # C-contiguity lets the fused update/gather kernels run; an
+            # already-contiguous float64 array passes through unchanged.
+            table = np.ascontiguousarray(table, dtype=np.float64)
+            if table.shape != shape:
+                raise ValueError(
+                    f"table shape {table.shape} does not match schema {shape}"
+                )
+        self._schema = schema
+        self._table = table
+
+    @property
+    def schema(self) -> HashedSchema:
+        """The schema (hash functions and dimensions) this sketch uses."""
+        return self._schema
+
+    @property
+    def table(self) -> np.ndarray:
+        """The underlying counter table (read-only view)."""
+        view = self._table.view()
+        view.flags.writeable = False
+        return view
+
+    @property
+    def nbytes(self) -> int:
+        """Memory used by the counter table."""
+        return self._table.nbytes
+
+    def copy(self) -> "HashedSketch":
+        """Return an independent copy sharing the schema."""
+        return type(self)(self._schema, self._table.copy())
+
+    def reset(self) -> None:
+        """Zero all counters in place."""
+        self._table[...] = 0.0
+
+    # -- FOLD --------------------------------------------------------------
+
+    def fold_width(
+        self, schema: Optional[HashedSchema] = None
+    ) -> "HashedSketch":
+        """Halve the width exactly (Hokusai item aggregation).
+
+        ``T'[i][j] = T[i][j] + T[i][j + K/2]`` over a half-width schema
+        with the same depth, seed, and family (for group testing, over
+        every subcounter of the cell).  Because bucket indices at width
+        ``K/2`` are the width-``K`` indices mod ``K/2`` (see
+        :meth:`HashedSchema.folded`) and Count Sketch's sign hashes do
+        not depend on the width, the result is **exactly** the sketch
+        the half-width schema would have built from the same stream --
+        not an approximation of it -- and linearity makes the fold
+        commute with COMBINE.  ("Exactly" is bit-for-bit when updates
+        are integer-valued counts, the archive's case; for arbitrary
+        float updates the fold regroups the per-cell summation order,
+        so equality holds up to float associativity.)  Estimation
+        variance roughly doubles: resolution is traded for memory,
+        which is the point of aging archives.
+
+        Pass the prebuilt half-width ``schema`` when folding repeatedly;
+        building one on the fly re-derives the hash tables.
+        """
+        folded = resolve_folded_schema(self._schema, schema)
+        half = folded.width
+        return type(self)(folded, self._table[:, :half] + self._table[:, half:])
+
+    # -- COMBINE -----------------------------------------------------------
+
+    def _check_terms(
+        self, terms: Sequence[Tuple[float, LinearSummary]]
+    ) -> list:
+        tables = []
+        for coeff, summary in terms:
+            if not isinstance(summary, type(self)):
+                raise TypeError(
+                    f"cannot combine {type(self).__name__} with "
+                    f"{type(summary).__name__}"
+                )
+            if summary._schema != self._schema:
+                raise ValueError(
+                    "cannot combine sketches with different schemas "
+                    "(hash functions must be identical)"
+                )
+            tables.append((float(coeff), summary._table))
+        return tables
+
+    def combine_into(
+        self,
+        terms: Sequence[Tuple[float, LinearSummary]],
+        scratch: Optional[np.ndarray] = None,
+    ) -> "HashedSketch":
+        """In-place COMBINE: overwrite this sketch with ``sum(c_i * S_i)``.
+
+        Reuses this sketch's table (and an optional caller-provided
+        table-shaped float64 ``scratch`` for non-unit coefficients) so a
+        seal-path COMBINE allocates nothing.  Bit-identical to
+        :func:`~repro.sketch.mergeable.combine`; the receiver must not
+        itself appear in ``terms``.
+        """
+        accumulate_arrays(self._table, self._check_terms(terms), scratch)
+        return self
+
+    def _linear_combination(
+        self, terms: Sequence[Tuple[float, LinearSummary]]
+    ) -> "HashedSketch":
+        result = type(self)(self._schema)
+        accumulate_arrays(result._table, self._check_terms(terms))
+        return result

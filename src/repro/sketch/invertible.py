@@ -25,15 +25,16 @@ Storage layout
 --------------
 One contiguous ``(3, H, K)`` float64 block:
 
-* plane 0 -- the ordinary k-ary counters.  It is handed to the
-  :class:`~repro.sketch.kary.KArySketch` base constructor unchanged (a
-  contiguous slice of a contiguous block is itself contiguous), so every
-  inherited operation (UPDATE scatter, ESTIMATE, ESTIMATEF2, prescreen
-  gathers, fused kernels) runs on it exactly as on a plain sketch.
+* plane 0 -- the ordinary k-ary counters.  The sketch's counter table
+  is this plane (a contiguous slice of a contiguous block is itself
+  contiguous), so every operation inherited from
+  :class:`~repro.sketch.kary.KArySketch` (UPDATE scatter, ESTIMATE,
+  ESTIMATEF2, prescreen gathers, fused kernels) runs on it exactly as on
+  a plain sketch.
 * plane 1 -- candidate keys, stored as the ``uint64`` bit-cast view of the
   float64 plane.  Same-dtype copies are memcpy, so key bit patterns
-  survive serialization, shared-memory transfer, and checkpointing
-  without a separate integer buffer.
+  survive serialization and checkpointing without a separate integer
+  buffer.
 * plane 2 -- candidate votes (nonnegative float64).
 
 Counter bit-identity
@@ -68,6 +69,7 @@ from repro.sketch.base import (
     LinearSummary,
     SummaryConvention,
     accumulate_arrays,
+    resolve_folded_schema,
 )
 from repro.sketch.kary import KArySchema, KArySketch
 
@@ -82,36 +84,12 @@ class InvertibleKArySchema(KArySchema):
     is restricted to other invertible schemas.
     """
 
-    def empty(self) -> "InvertibleKArySketch":
-        """Return a fresh all-zeros invertible sketch over this schema."""
-        return InvertibleKArySketch(self)
+    kind = "invertible"
 
     @property
-    def table_bytes(self) -> int:
-        """Footprint of one sketch: counters + candidate keys + votes."""
-        return 3 * self._depth * self._width * 8
-
-    def __eq__(self, other) -> bool:
-        """Equality additionally requires the invertible layout.
-
-        Python dispatches to the subclass ``__eq__`` first whenever either
-        operand is an :class:`InvertibleKArySchema`, so a plain
-        :class:`KArySchema` never compares equal to an invertible one in
-        either direction.
-        """
-        if self is other:
-            return True
-        if not isinstance(other, InvertibleKArySchema):
-            return False
-        return KArySchema.__eq__(self, other)
-
-    __hash__ = KArySchema.__hash__
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"InvertibleKArySchema(depth={self._depth}, width={self._width}, "
-            f"seed={self._seed}, family={self._family!r})"
-        )
+    def table_shape(self) -> tuple:
+        """Counters, candidate keys and votes: ``(3, H, K)``."""
+        return (3, self._depth, self._width)
 
 
 class InvertibleKArySketch(KArySketch):
@@ -128,20 +106,13 @@ class InvertibleKArySketch(KArySketch):
             raise TypeError(
                 "InvertibleKArySketch requires an InvertibleKArySchema"
             )
-        shape = (3, schema.depth, schema.width)
-        if store is None:
-            store = np.zeros(shape, dtype=np.float64)
-        else:
-            store = np.ascontiguousarray(store, dtype=np.float64)
-            if store.shape != shape:
-                raise ValueError(
-                    f"store shape {store.shape} does not match schema "
-                    f"{shape}"
-                )
-        self._store = store
-        self._cand_keys = store[1].view(np.uint64)
-        self._cand_votes = store[2]
-        super().__init__(schema, store[0])
+        super().__init__(schema, store)
+        # The base checked and holds the whole block; the inherited k-ary
+        # operations run on plane 0.
+        self._store = self._table
+        self._table = self._store[0]
+        self._cand_keys = self._store[1].view(np.uint64)
+        self._cand_votes = self._store[2]
 
     # -- accessors ---------------------------------------------------------
 
@@ -151,9 +122,9 @@ class InvertibleKArySketch(KArySketch):
 
         Plane 0 holds the counters, plane 1 the candidate keys (as float64
         bit patterns; view as ``uint64`` to read them), plane 2 the votes.
-        Exposing the whole store here is what lets the serialization and
-        shared-memory layers round-trip the candidate planes without
-        special-casing every call site.
+        Exposing the whole store here is what lets serialization and
+        checkpoints round-trip the candidate planes without special-casing
+        this kind.
         """
         view = self._store.view()
         view.flags.writeable = False
@@ -272,8 +243,6 @@ class InvertibleKArySketch(KArySketch):
         bucket.  Counters stay exact; candidate recovery after a fold is
         best-effort exactly as it is after any COMBINE.
         """
-        from repro.sketch.base import resolve_folded_schema
-
         folded = resolve_folded_schema(self._schema, schema)
         half = folded.width
         store = np.empty((3, self._schema.depth, half), dtype=np.float64)
@@ -291,17 +260,6 @@ class InvertibleKArySketch(KArySketch):
         return result
 
     # -- COMBINE -----------------------------------------------------------
-
-    def _check_terms(
-        self, terms: Sequence[Tuple[float, LinearSummary]]
-    ) -> list:
-        for _, summary in terms:
-            if not isinstance(summary, InvertibleKArySketch):
-                raise TypeError(
-                    "cannot combine InvertibleKArySketch with "
-                    f"{type(summary).__name__}"
-                )
-        return super()._check_terms(terms)
 
     def combine_into(
         self,
@@ -377,3 +335,6 @@ class InvertibleKArySketch(KArySketch):
             f"K={self._schema.width}, total={self.total():.6g}, "
             f"live_candidates={live})"
         )
+
+
+InvertibleKArySchema.sketch_type = InvertibleKArySketch

@@ -36,21 +36,15 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.hashing import derive_seeds, gather_indices, make_family, make_stacked
-from repro.sketch.base import (
-    LinearSummary,
-    SummaryConvention,
-    accumulate_arrays,
-    folded_width,
-    resolve_folded_schema,
-)
+from repro.hashing import gather_indices
+from repro.sketch.base import HashedSchema, HashedSketch, SummaryConvention
 
 
-class KArySchema:
+class KArySchema(HashedSchema):
     """Immutable description of a k-ary sketch family: ``(H, K, hashes)``.
 
     Every sketch produced by :meth:`empty` shares these hash functions, so
@@ -70,51 +64,7 @@ class KArySchema:
         ``"two-universal"`` for ablations).
     """
 
-    def __init__(
-        self,
-        depth: int = 5,
-        width: int = 8192,
-        seed: Optional[int] = 0,
-        family: str = "tabulation",
-    ) -> None:
-        if depth < 1:
-            raise ValueError(f"depth (H) must be >= 1, got {depth}")
-        if width < 2:
-            raise ValueError(f"width (K) must be >= 2, got {width}")
-        self._depth = int(depth)
-        self._width = int(width)
-        self._seed = seed
-        self._family = family
-        seeds = derive_seeds(seed, depth)
-        self._hashes = tuple(make_family(family, width, seed=s) for s in seeds)
-        # Stacked evaluator serving all H rows per pass (bit-identical to
-        # looping over self._hashes; see repro.hashing.stacked).
-        self._stacked = make_stacked(self._hashes, width)
-
-    @property
-    def depth(self) -> int:
-        """Number of rows ``H``."""
-        return self._depth
-
-    @property
-    def width(self) -> int:
-        """Number of buckets per row ``K``."""
-        return self._width
-
-    @property
-    def family(self) -> str:
-        """Name of the hash family in use."""
-        return self._family
-
-    @property
-    def seed(self) -> Optional[int]:
-        """Master seed (None when seeded from OS entropy)."""
-        return self._seed
-
-    @property
-    def hashes(self) -> tuple:
-        """The per-row hash functions."""
-        return self._hashes
+    kind = "kary"
 
     def bucket_indices(self, keys) -> np.ndarray:
         """Hash ``keys`` with every row function: shape ``(H, n)`` int64.
@@ -124,117 +74,15 @@ class KArySchema:
         interleaved pre-reduced strips plus two XORs), bit-identical to
         evaluating the per-row functions one by one.  The detection
         report hashes its candidate keys once with it and reads their
-        rows through :meth:`KArySketch.estimate_rows`.
+        rows through :meth:`KArySketch.estimate_rows`.  Defined on this
+        class, not only inherited, so a profiler can wrap the k-ary
+        prescreen's hashing here alone.
         """
-        keys = SummaryConvention.as_key_array(keys)
-        return self._stacked.hash_all(keys)
-
-    def empty(self) -> "KArySketch":
-        """Return a fresh all-zeros sketch over this schema."""
-        return KArySketch(self)
-
-    def from_items(self, keys, values) -> "KArySketch":
-        """Build a sketch directly from arrays of keys and updates."""
-        sketch = self.empty()
-        sketch.update_batch(keys, values)
-        return sketch
-
-    @property
-    def table_bytes(self) -> int:
-        """Memory footprint of one sketch table (excluding hash tables)."""
-        return self._depth * self._width * 8
-
-    def folded(self) -> "KArySchema":
-        """The half-width schema this family folds into (same depth/seed).
-
-        Because every hash family reduces a width-independent 64-bit
-        value modulo ``K``, the returned schema's bucket index for any
-        key equals this schema's index mod ``K/2`` -- the structural fact
-        :meth:`KArySketch.fold_width` relies on.
-        """
-        return type(self)(
-            depth=self._depth, width=folded_width(self),
-            seed=self._seed, family=self._family,
-        )
-
-    def __eq__(self, other) -> bool:
-        """Structural equality: same dimensions, family and *explicit* seed.
-
-        Two schemas with explicit equal seeds derive identical hash
-        functions, so their sketches are COMBINE-compatible even when the
-        objects were built independently (e.g. after wire transfer).
-        Schemas seeded from OS entropy (``seed=None``) are only equal to
-        themselves -- their hash functions genuinely differ.
-        """
-        if self is other:
-            return True
-        if not isinstance(other, KArySchema):
-            return NotImplemented
-        return (
-            self._seed is not None
-            and other._seed is not None
-            and self._seed == other._seed
-            and self._depth == other._depth
-            and self._width == other._width
-            and self._family == other._family
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._depth, self._width, self._family, self._seed))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"KArySchema(depth={self._depth}, width={self._width}, "
-            f"seed={self._seed}, family={self._family!r})"
-        )
+        return super().bucket_indices(keys)
 
 
-class KArySketch(LinearSummary):
+class KArySketch(HashedSketch):
     """One k-ary sketch instance: an ``H x K`` counter table over a schema."""
-
-    __slots__ = ("_schema", "_table")
-
-    def __init__(self, schema: KArySchema, table: Optional[np.ndarray] = None) -> None:
-        self._schema = schema
-        if table is None:
-            table = np.zeros((schema.depth, schema.width), dtype=np.float64)
-        else:
-            # C-contiguity lets the fused update/gather kernels run; an
-            # already-contiguous float64 array passes through unchanged.
-            table = np.ascontiguousarray(table, dtype=np.float64)
-            if table.shape != (schema.depth, schema.width):
-                raise ValueError(
-                    f"table shape {table.shape} does not match schema "
-                    f"({schema.depth}, {schema.width})"
-                )
-        self._table = table
-
-    # -- accessors ---------------------------------------------------------
-
-    @property
-    def schema(self) -> KArySchema:
-        """The schema (hash functions and dimensions) this sketch uses."""
-        return self._schema
-
-    @property
-    def table(self) -> np.ndarray:
-        """The underlying ``H x K`` counter table (read-only view)."""
-        view = self._table.view()
-        view.flags.writeable = False
-        return view
-
-    @property
-    def nbytes(self) -> int:
-        """Memory used by the counter table."""
-        return self._table.nbytes
-
-    def copy(self) -> "KArySketch":
-        """Return an independent copy sharing the schema."""
-        return KArySketch(self._schema, self._table.copy())
-
-    def reset(self) -> None:
-        """Zero all counters in place."""
-        self._table[:] = 0.0
 
     # -- UPDATE ------------------------------------------------------------
 
@@ -323,74 +171,7 @@ class KArySketch(LinearSummary):
         per_row = (k / (k - 1.0)) * sum_sq - (total * total) / (k - 1.0)
         return float(np.median(per_row))
 
-    # -- FOLD --------------------------------------------------------------
-
-    def fold_width(self, schema: Optional[KArySchema] = None) -> "KArySketch":
-        """Halve the width exactly (Hokusai item aggregation).
-
-        ``T'[i][j] = T[i][j] + T[i][j + K/2]`` over a half-width schema
-        with the same depth, seed, and family.  Because bucket indices at
-        width ``K/2`` are the width-``K`` indices mod ``K/2`` (see
-        :meth:`KArySchema.folded`), the result is **exactly** the sketch
-        the half-width schema would have built from the same stream --
-        not an approximation of it -- and linearity makes the fold
-        commute with COMBINE.  ("Exactly" is bit-for-bit when updates
-        are integer-valued counts, the archive's case; for arbitrary
-        float updates the fold regroups the per-cell summation order,
-        so equality holds up to float associativity.)  Estimation variance roughly doubles
-        (``F2/(K/2 - 1)``): resolution is traded for memory, which is the
-        point of aging archives.
-
-        Pass the prebuilt half-width ``schema`` when folding repeatedly;
-        building one on the fly re-derives the hash tables.
-        """
-        folded = resolve_folded_schema(self._schema, schema)
-        half = folded.width
-        return KArySketch(
-            folded, self._table[:, :half] + self._table[:, half:]
-        )
-
     # -- COMBINE -----------------------------------------------------------
-
-    def _check_terms(
-        self, terms: Sequence[Tuple[float, LinearSummary]]
-    ) -> list:
-        tables = []
-        for coeff, summary in terms:
-            if not isinstance(summary, KArySketch):
-                raise TypeError(
-                    f"cannot combine KArySketch with {type(summary).__name__}"
-                )
-            if summary._schema != self._schema:
-                raise ValueError(
-                    "cannot combine sketches with different schemas "
-                    "(hash functions must be identical)"
-                )
-            tables.append((float(coeff), summary._table))
-        return tables
-
-    def combine_into(
-        self,
-        terms: Sequence[Tuple[float, LinearSummary]],
-        scratch: Optional[np.ndarray] = None,
-    ) -> "KArySketch":
-        """In-place COMBINE: overwrite this sketch with ``sum(c_i * S_i)``.
-
-        Reuses this sketch's table (and an optional caller-provided
-        ``(H, K)`` float64 ``scratch`` for non-unit coefficients) so a
-        seal-path COMBINE allocates nothing.  Bit-identical to
-        :func:`~repro.sketch.mergeable.combine`; the receiver must not
-        itself appear in ``terms``.
-        """
-        accumulate_arrays(self._table, self._check_terms(terms), scratch)
-        return self
-
-    def _linear_combination(
-        self, terms: Sequence[Tuple[float, LinearSummary]]
-    ) -> "KArySketch":
-        result = KArySketch(self._schema)
-        accumulate_arrays(result._table, self._check_terms(terms))
-        return result
 
     def _sweep_table(self) -> np.ndarray:
         """The live counter table, for in-place COMBINE statement sweeps.
@@ -407,3 +188,5 @@ class KArySketch(LinearSummary):
             f"total={self.total():.6g})"
         )
 
+
+KArySchema.sketch_type = KArySketch

@@ -13,46 +13,22 @@ variant):
     Width-halving FOLD, the archive's item aggregation.
 
 :func:`kind_of` names a schema's kind (``"kary"``, ``"invertible"``,
-``"countmin"``, ``"countsketch"``, ``"grouptesting"``).
+``"countmin"``, ``"countsketch"``, ``"grouptesting"``): the ``kind`` its
+:class:`~repro.sketch.base.HashedSchema` subclass states.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.sketch.base import LinearSummary
-from repro.sketch.countmin import CountMinSchema
-from repro.sketch.countsketch import CountSketchSchema
-from repro.sketch.invertible import InvertibleKArySchema
-from repro.sketch.kary import KArySchema
-
-KINDS = ("kary", "invertible", "countmin", "countsketch", "grouptesting")
-
-
-def _grouptesting():
-    # Imported lazily: repro.detection pulls in repro.sketch at import
-    # time, so a module-level import here would be circular.
-    from repro.detection import grouptesting
-
-    return grouptesting
+from repro.sketch.base import HashedSchema, LinearSummary
 
 
 def kind_of(schema) -> str:
     """Return the schema kind string for any supported schema object."""
-    # The invertible schema subclasses KArySchema, so it must be checked
-    # first or it would silently lose its candidate planes as "kary".
-    if isinstance(schema, InvertibleKArySchema):
-        return "invertible"
-    if isinstance(schema, KArySchema):
-        return "kary"
-    if isinstance(schema, CountMinSchema):
-        return "countmin"
-    if isinstance(schema, CountSketchSchema):
-        return "countsketch"
-    gt = _grouptesting()
-    if isinstance(schema, gt.GroupTestingSchema):
-        return "grouptesting"
-    raise TypeError(f"unsupported schema type {type(schema).__name__}")
+    if not isinstance(schema, HashedSchema):
+        raise TypeError(f"unsupported schema type {type(schema).__name__}")
+    return schema.kind
 
 
 def combine(

@@ -85,10 +85,11 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.sketch.countmin import CountMinSchema, CountMinSketch
-from repro.sketch.countsketch import CountSketch, CountSketchSchema
-from repro.sketch.invertible import InvertibleKArySchema, InvertibleKArySketch
-from repro.sketch.kary import KArySchema, KArySketch
+from repro.sketch.countmin import CountMinSchema
+from repro.sketch.countsketch import CountSketchSchema
+from repro.sketch.invertible import InvertibleKArySchema
+from repro.sketch.kary import KArySchema
+from repro.sketch.mergeable import kind_of
 
 _MAGIC = b"KSK1"
 _HEADER = struct.Struct("<4sIIqH")
@@ -103,6 +104,10 @@ _KIND_CODES = {
     "invertible": 5,
 }
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
+_SCHEMA_TYPES = {
+    cls.kind: cls
+    for cls in (KArySchema, InvertibleKArySchema, CountMinSchema, CountSketchSchema)
+}
 
 PathLike = Union[str, os.PathLike]
 
@@ -144,8 +149,6 @@ def _seed_code(schema) -> int:
 
 def dumps(sketch) -> bytes:
     """Serialize any supported sketch (with schema identity) to bytes."""
-    from repro.sketch.mergeable import kind_of
-
     schema = sketch.schema
     kind = kind_of(schema)
     family = schema.family.encode("utf-8")
@@ -156,13 +159,12 @@ def dumps(sketch) -> bytes:
             _MAGIC, schema.depth, schema.width, _seed_code(schema), len(family)
         )
     else:
-        key_bits = schema.key_bits if kind == "grouptesting" else 0
         header = _HEADER2.pack(
             _MAGIC2,
             _KIND_CODES[kind],
             schema.depth,
             schema.width,
-            key_bits,
+            schema.key_bits,
             _seed_code(schema),
             len(family),
         )
@@ -170,8 +172,6 @@ def dumps(sketch) -> bytes:
 
 
 def _check_schema(schema, kind, depth, width, key_bits, seed, family) -> None:
-    from repro.sketch.mergeable import kind_of
-
     mismatches = []
     if kind_of(schema) != kind:
         mismatches.append(f"kind {kind_of(schema)!r} != {kind!r}")
@@ -179,9 +179,8 @@ def _check_schema(schema, kind, depth, width, key_bits, seed, family) -> None:
         mismatches.append(f"depth {schema.depth} != {depth}")
     if schema.width != width:
         mismatches.append(f"width {schema.width} != {width}")
-    schema_bits = schema.key_bits if kind == "grouptesting" else 0
-    if schema_bits != key_bits:
-        mismatches.append(f"key_bits {schema_bits} != {key_bits}")
+    if schema.key_bits != key_bits:
+        mismatches.append(f"key_bits {schema.key_bits} != {key_bits}")
     if schema.family != family:
         mismatches.append(f"family {schema.family!r} != {family!r}")
     if schema.seed != seed:
@@ -194,21 +193,13 @@ def _check_schema(schema, kind, depth, width, key_bits, seed, family) -> None:
 
 
 def _build_schema(kind, depth, width, key_bits, seed, family):
-    if kind == "kary":
-        return KArySchema(depth=depth, width=width, seed=seed, family=family)
-    if kind == "invertible":
-        return InvertibleKArySchema(
-            depth=depth, width=width, seed=seed, family=family
-        )
-    if kind == "countmin":
-        return CountMinSchema(depth=depth, width=width, seed=seed, family=family)
-    if kind == "countsketch":
-        return CountSketchSchema(depth=depth, width=width, seed=seed, family=family)
-    from repro.detection.grouptesting import GroupTestingSchema
-
-    return GroupTestingSchema(
-        depth=depth, width=width, key_bits=key_bits, seed=seed, family=family
-    )
+    if kind == "grouptesting":
+        # repro.detection imports this package, so group testing cannot be
+        # imported at module level.
+        from repro.detection.grouptesting import GroupTestingSchema as cls
+    else:
+        cls = _SCHEMA_TYPES[kind]
+    return cls.from_config(depth, width, seed, family, key_bits)
 
 
 def loads(data: bytes, schema=None):
@@ -275,14 +266,7 @@ def loads(data: bytes, schema=None):
     else:
         _check_schema(schema, kind, depth, width, key_bits, seed, family)
 
-    if kind == "grouptesting":
-        shape = (depth, width, 1 + key_bits)
-    elif kind == "invertible":
-        # counters + candidate-key bit patterns + votes; the same-dtype
-        # float64 round trip is a memcpy, so the uint64 key bits survive.
-        shape = (3, depth, width)
-    else:
-        shape = (depth, width)
+    shape = schema.table_shape
     expected = int(np.prod(shape)) * 8
     body = data[offset:]
     if len(body) != expected:
@@ -290,17 +274,7 @@ def loads(data: bytes, schema=None):
             f"table payload is {len(body)} bytes, expected {expected}"
         )
     table = np.frombuffer(body, dtype="<f8").reshape(shape).copy()
-    if kind == "kary":
-        return KArySketch(schema, table)
-    if kind == "invertible":
-        return InvertibleKArySketch(schema, table)
-    if kind == "countmin":
-        return CountMinSketch(schema, table)
-    if kind == "countsketch":
-        return CountSketch(schema, table)
-    from repro.detection.grouptesting import GroupTestingSketch
-
-    return GroupTestingSketch(schema, table)
+    return schema.sketch_type(schema, table)
 
 
 def schema_identity(schema) -> dict:
@@ -309,14 +283,11 @@ def schema_identity(schema) -> dict:
     Raises for entropy-seeded schemas (``seed=None``), exactly as
     :func:`dumps` does -- identity without a recoverable seed is useless.
     """
-    from repro.sketch.mergeable import kind_of
-
-    kind = kind_of(schema)
     return {
-        "kind": kind,
+        "kind": kind_of(schema),
         "depth": int(schema.depth),
         "width": int(schema.width),
-        "key_bits": int(schema.key_bits) if kind == "grouptesting" else 0,
+        "key_bits": int(schema.key_bits),
         "seed": _seed_code(schema),
         "family": schema.family,
     }

@@ -74,7 +74,7 @@ def checked_index(value, what: str = "interval index") -> int:
     return int(value)
 
 
-def _require_finite(timestamps: np.ndarray) -> None:
+def require_finite(timestamps: np.ndarray) -> None:
     """Raise ``ValueError`` if any timestamp is NaN or infinite.
 
     A full scan: the slicers trust their input to be sorted and never
@@ -153,7 +153,7 @@ def slice_by_interval(
     if not len(records):
         return
     timestamps = records["timestamp"]
-    _require_finite(timestamps)
+    require_finite(timestamps)
     n_before = int(np.searchsorted(timestamps, start, side="left"))
     if n_before:
         if on_before_start == "raise":
@@ -288,7 +288,7 @@ class RandomizedIntervalSlicer:
         if not len(records):
             return
         timestamps = records["timestamp"]
-        _require_finite(timestamps)
+        require_finite(timestamps)
         n_before = int(np.searchsorted(timestamps, self.start, side="left"))
         if n_before:
             if self.on_before_start == "raise":

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.detection import explain_alarm
-from repro.streams import concat_records, make_records
+from repro.streams import concat_records, interval_index, make_records
 from repro.traffic import TrafficGenerator, get_profile, inject_dos, inject_flash_crowd
 from repro.traffic.routers import RouterProfile
 
@@ -92,3 +92,36 @@ class TestExplainAlarm:
         explanation = explain_alarm(records, dos_event.keys[0], interval=6)
         # 3 attackers with similar volume: top talker ~1/3 of bytes or more.
         assert explanation.source_concentration >= 0.25
+
+
+class TestIntervalBinning:
+    """Records are binned with the detector's own ``interval_index``."""
+
+    INTERVAL = 59.97  # non-dyadic: 5 * L + L != interval_edge(6)
+
+    def _records(self):
+        # Key 7 at 358.82, 359.82 and 360.82 s: interval_index says 5, 6, 6.
+        return make_records([358.82, 359.82, 360.82], [7, 7, 7], [100, 200, 400])
+
+    def test_edge_record_counts_in_one_interval(self):
+        records = self._records()
+        assert interval_index(records["timestamp"], self.INTERVAL).tolist() == [
+            5, 6, 6,
+        ]
+        five = explain_alarm(records, 7, interval=5, interval_seconds=self.INTERVAL)
+        six = explain_alarm(records, 7, interval=6, interval_seconds=self.INTERVAL)
+        assert (five.record_count, five.total_bytes) == (1, 100.0)
+        assert (six.record_count, six.total_bytes) == (2, 600.0)
+        assert five.history_ratio == float("inf")
+        # Six trailing intervals hold only the 100-byte record.
+        assert six.history_ratio == pytest.approx(600.0 / (100.0 / 6))
+
+    def test_non_finite_timestamp_raises(self):
+        records = make_records([1.0, float("nan")], [7, 7], [100, 200])
+        with pytest.raises(ValueError, match="finite"):
+            explain_alarm(records, 7, interval=0)
+
+    def test_non_integer_interval_raises(self):
+        with pytest.raises(ValueError, match="integer"):
+            explain_alarm(self._records(), 7, interval=5.0,
+                          interval_seconds=self.INTERVAL)

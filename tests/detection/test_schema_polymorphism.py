@@ -71,6 +71,26 @@ class TestSummarizePolymorphism:
         reports = detector.detect(small_batches)
         assert len(reports) == 4
 
+    @pytest.mark.parametrize("name", ["countmin", "countsketch"])
+    def test_detector_over_baseline_schema(self, small_batches, name):
+        """The full detector (EWMA forecast in sketch space, COMBINE,
+        threshold) over each baseline raises the exact oracle's alarms:
+        at width 1024 over 300 keys no candidate collides."""
+        schemas = _all_schemas(small_batches)
+
+        def alarm_keys(schema):
+            detector = OfflineTwoPassDetector(
+                schema, "ewma", alpha=0.5, t_fraction=0.2,
+            )
+            return [
+                sorted(alarm.key for alarm in report.alarms)
+                for report in detector.detect(small_batches)
+            ]
+
+        expected = alarm_keys(schemas["dense"])
+        assert len(expected) == 4 and any(expected)
+        assert alarm_keys(schemas[name]) == expected
+
     def test_estimates_agree_across_summaries(self, small_batches):
         """On the same stream, all unbiased summaries agree on the top key
         within their noise scales."""
