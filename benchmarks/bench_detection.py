@@ -115,12 +115,12 @@ def run_amortized(schema, observed, per_interval_keys, stats):
     error_out = schema.empty()
     reports = []
     for t, (obs, keys) in enumerate(zip(observed, per_interval_keys)):
-        step = forecaster.step_into(obs, error_out=error_out)
-        if step.error is None:
+        error = forecaster.step_into(obs, error_out=error_out)
+        if error is None:
             continue
         reports.append(
             build_interval_report(
-                step.error, keys, interval=t, t_fraction=T_FRACTION,
+                error, keys, interval=t, t_fraction=T_FRACTION,
                 top_n=TOP_N, schema=schema, stats=stats,
             )
         )

@@ -196,12 +196,12 @@ def run_twopass_amortized(schema, observed, batches):
     reports = []
     for obs, batch in zip(observed, batches):
         keys = np.unique(batch.keys)  # the replay pass
-        step = forecaster.step_into(obs, error_out=error_out)
-        if step.error is None:
+        error = forecaster.step_into(obs, error_out=error_out)
+        if error is None:
             continue
         reports.append(
             build_interval_report(
-                step.error, keys, interval=batch.index,
+                error, keys, interval=batch.index,
                 t_fraction=T_FRACTION, top_n=TOP_N, schema=schema,
             )
         )
@@ -214,17 +214,17 @@ def run_invertible(schema, observed, batches, candidate_counts=None):
     error_out = schema.empty()
     reports = []
     for obs, batch in zip(observed, batches):
-        step = forecaster.step_into(obs, error_out=error_out)
-        if step.error is None:
+        error = forecaster.step_into(obs, error_out=error_out)
+        if error is None:
             continue
         keys = resolve_key_source(
-            "invertible", step.error, t_fraction=T_FRACTION
+            "invertible", error, t_fraction=T_FRACTION
         )
         if candidate_counts is not None:
             candidate_counts.append(len(keys))
         reports.append(
             build_interval_report(
-                step.error, keys, interval=batch.index,
+                error, keys, interval=batch.index,
                 t_fraction=T_FRACTION, top_n=TOP_N, schema=schema,
             )
         )

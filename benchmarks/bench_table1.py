@@ -73,11 +73,11 @@ def test_forecast_step(benchmark, setup):
     """One NSHW ``step_into``: Se and the new state in one COMBINE sweep."""
     schema, _, _, sketch, other = setup
     forecaster = HoltWintersForecaster(alpha=0.5, beta=0.2)
-    scratch = {"error_out": schema.empty()}
+    error_out = schema.empty()
     for observed in (sketch, other):  # warm-up: the trend needs two
-        forecaster.step_into(observed, **scratch)
+        forecaster.step_into(observed, error_out=error_out)
 
-    benchmark(forecaster.step_into, sketch, **scratch)
+    benchmark(forecaster.step_into, sketch, error_out=error_out)
 
 
 def test_table1_exhibit(benchmark):

@@ -141,18 +141,18 @@ class IntervalSealer:
         """
         obs = self.recorder
         with obs.time("forecast_step"):
-            step = self.forecaster.step_into(
+            error = self.forecaster.step_into(
                 observed, error_out=self._error_scratch()
             )
         obs.count("repro_intervals_sealed_total")
-        if step.error is None:
+        if error is None:
             if obs.enabled:
                 obs.event(
                     "interval_sealed", interval=index,
                     warmup=True, candidates=int(len(keys)),
                 )
             return None
-        return self.report(step.error, keys, index)
+        return self.report(error, keys, index)
 
     def report(self, error, keys: np.ndarray, index: int) -> IntervalDetection:
         """Threshold and rank one interval's error summary ``Se(t)``."""
@@ -640,6 +640,9 @@ class StreamingSession:
 
     def _open_interval(self) -> None:
         """Start accumulating a fresh interval."""
+        # Drop the sealed interval first: unless the forecaster kept it,
+        # its table is freed before the next one is allocated.
+        self._interval = None
         # Recovery key sources reconstruct candidates from the sealed
         # summary, so only the two-pass source pays for key dedup.
         self._interval = _OpenInterval(

@@ -101,13 +101,16 @@ class Forecaster(abc.ABC):
     A model whose per-interval update is a fixed linear map states it
     once, as COMBINE statements (:meth:`_update_statements`) over
     ``observed`` and its state names (:attr:`_STATE_NAMES`, held as
-    attributes ``_<name>``, one of them ``forecast``).  :meth:`observe`
-    runs them through :func:`combine_terms` into fresh summaries, and
-    :meth:`step_into` over plain k-ary sketches runs them as one in-place
-    sweep (:func:`~repro.sketch.base.sweep_statements`).  The sweep
-    rewrites state tables, so such a model owns every summary it holds:
-    it copies ``observed`` where the update keeps it verbatim and copies
-    what :meth:`set_state` loads and :meth:`get_state` returns.
+    attributes ``_<name>``).  The name ``forecast`` is ``Sf(t)``: a state
+    (EWMA's) or a temporary the statements derive from the state
+    (NSHW's ``smooth + trend``).  :meth:`observe` runs them through
+    :func:`combine_terms` into fresh summaries, and :meth:`step_into`
+    over plain k-ary sketches runs them as one in-place sweep
+    (:func:`~repro.sketch.base.sweep_statements`) that writes the new
+    state over the old.  The sweep rewrites state tables, so such a
+    model owns every summary it holds: it copies ``observed`` where the
+    update keeps it verbatim and copies what :meth:`set_state` loads and
+    :meth:`get_state` returns.
     """
 
     #: State names the update statements read and write (``_<name>``).
@@ -115,9 +118,6 @@ class Forecaster(abc.ABC):
 
     def __init__(self) -> None:
         self._t = 0  # number of observations consumed
-        # The sweep's second forecast table: the one step_into returned
-        # last time, rewritten by the next sweep.
-        self._spare: Optional[Any] = None
 
     @property
     def observations_seen(self) -> int:
@@ -129,6 +129,8 @@ class Forecaster(abc.ABC):
         """Return ``Sf`` for the upcoming interval, or ``None`` in warm-up.
 
         Must not mutate state: calling twice returns the same value.
+        A returned state summary is live: the next :meth:`step_into`
+        sweep may rewrite it in place.
         """
 
     @abc.abstractmethod
@@ -138,8 +140,10 @@ class Forecaster(abc.ABC):
     def _update_statements(self) -> Optional[Sequence[Statement]]:
         """The post-warm-up state update as COMBINE statements, or ``None``.
 
-        Names are ``observed``, the :attr:`_STATE_NAMES` and temporaries;
-        the statement writing ``forecast`` comes last.
+        Names are ``observed``, the :attr:`_STATE_NAMES` and temporaries.
+        A statement reads the old value of a state until it rewrites it;
+        a ``forecast`` that is not a state is the first statement's
+        temporary.
         """
         return None
 
@@ -167,28 +171,26 @@ class Forecaster(abc.ABC):
 
     def step_into(
         self, observed: Any, error_out: Optional[Any] = None
-    ) -> ForecastStep:
-        """:meth:`step` with a caller-provided error summary.
+    ) -> Optional[Any]:
+        """:meth:`step` into a caller-provided error summary.
 
         ``error_out`` is a reusable summary (same schema as ``observed``)
         that receives ``Se(t)`` in place, so the seal path of a
         long-running session allocates no fresh error table per
-        interval.  It is reserved for this call: the returned
-        step aliases it, so the caller must consume the step before the
-        next ``step_into``.  ``Sf(t)`` comes from :meth:`forecast`.
-        Results are value-identical to :meth:`step` (same floats; only
-        the sign of exact-zero cells may differ).  ``observed`` is
-        consumed exactly as :meth:`step` does -- models retain it in
-        their state, so it must NOT be a reused scratch.
+        interval.  Returns the summary holding ``Se(t)`` (``error_out``
+        when given), or ``None`` during warm-up; the caller must consume
+        it before the next ``step_into``.  The values are those of
+        :meth:`step` (same floats; only the sign of exact-zero cells may
+        differ).  ``observed`` is consumed exactly as :meth:`step` does
+        -- models retain it in their state, so it must NOT be a reused
+        scratch.
 
         Models that state their update as COMBINE statements (EWMA and
         NSHW) step plain k-ary sketches in one in-place sweep instead
         (see :meth:`_sweep_step`).
         """
-        swept = self._sweep_step(observed, error_out)
-        if swept is not None:
-            return swept
-        index = self._t
+        if self._sweep_step(observed, error_out):
+            return error_out
         predicted = self.forecast()
         if predicted is None:
             error = None
@@ -197,48 +199,38 @@ class Forecaster(abc.ABC):
         else:
             error = observed - predicted
         self.observe(observed)
-        return ForecastStep(
-            index=index, observed=observed, forecast=predicted, error=error
-        )
+        return error
 
-    def _sweep_step(
-        self, observed: Any, error_out: Any
-    ) -> Optional[ForecastStep]:
+    def _sweep_step(self, observed: Any, error_out: Any) -> bool:
         """:meth:`step_into` as one statement sweep, where that applies.
 
         It applies past warm-up, to models with update statements, when
         ``observed``, ``error_out`` and every state summary are plain
-        k-ary sketches over one schema.  ``Se = So - Sf`` goes first,
-        the state is rewritten in place, and the new forecast goes to
-        the spare table, so the returned ``forecast`` is still ``Sf(t)``
-        and becomes the spare for the next sweep.  Every table written
-        is one this forecaster allocated (see the class docstring) or
-        ``error_out``.  Returns ``None`` where the sweep does not apply.
+        k-ary sketches over one schema.  ``Se = So - Sf`` runs as soon as
+        ``forecast`` holds ``Sf(t)`` -- first when it is a state, else
+        right after the first statement, which derives it -- and the
+        same pass writes the new state over the old, so each state table
+        is held once and swept once.  Every table written is one this forecaster
+        allocated (see the class docstring) or ``error_out``.  Returns
+        whether the sweep ran.
         """
         statements = self._update_statements()
         if statements is None or error_out is None:
-            return None
+            return False
         schema = getattr(observed, "schema", None)
         named = {"observed": observed, "error": error_out}
         named.update((n, getattr(self, "_" + n)) for n in self._STATE_NAMES)
         tables = {name: _sweep_table(s, schema) for name, s in named.items()}
         if any(table is None for table in tables.values()):
-            return None
-        forecast = named["forecast"]
-        spare = self._spare
-        if spare is None or spare is observed:
-            spare = forecast.copy()
-        tables["next"] = spare._sweep_table()
-        program = [("error", ((1.0, "observed"), (-1.0, "forecast")))]
-        for dst, terms in statements:
-            program.append(("next" if dst == "forecast" else dst, terms))
-        sweep_statements(program, tables)
-        self._spare, self._forecast = forecast, spare
-        index = self._t
-        self._t += 1
-        return ForecastStep(
-            index=index, observed=observed, forecast=forecast, error=error_out
+            return False
+        program = list(statements)
+        program.insert(
+            0 if "forecast" in tables else 1,
+            ("error", ((1.0, "observed"), (-1.0, "forecast"))),
         )
+        sweep_statements(program, tables)
+        self._t += 1
+        return True
 
     def run(self, observations: Iterable[Any]) -> Iterator[ForecastStep]:
         """Stream :meth:`step` over an iterable of observed summaries."""
@@ -248,7 +240,6 @@ class Forecaster(abc.ABC):
     def reset(self) -> None:
         """Restore the freshly constructed state."""
         self._t = 0
-        self._spare = None
         self._reset_state()
 
     @abc.abstractmethod
@@ -285,7 +276,6 @@ class Forecaster(abc.ABC):
         """Restore a :meth:`get_state` snapshot (replaces current state)."""
         state = dict(state)
         t = state.pop("t")
-        self._spare = None
         self._reset_state()
         self._load_state_dict(state)
         self._t = int(t)

@@ -20,9 +20,12 @@ class HoltWintersForecaster(Forecaster):
     ``St(2) = So(2) - So(1)``.  Since the trend initialization consumes the
     second observation, the first forecast usable for change detection is at
     ``t = 3``.
+
+    The state is ``Ss`` and ``St``; ``Sf`` is derived from them whenever
+    it is needed, never stored.
     """
 
-    _STATE_NAMES = ("smooth", "trend", "forecast")
+    _STATE_NAMES = ("smooth", "trend")
 
     def __init__(self, alpha: float, beta: float) -> None:
         super().__init__()
@@ -35,21 +38,23 @@ class HoltWintersForecaster(Forecaster):
         self._first: Optional[Any] = None
         self._smooth: Optional[Any] = None
         self._trend: Optional[Any] = None
-        self._forecast: Optional[Any] = None
 
     def forecast(self) -> Optional[Any]:
-        return self._forecast
+        if self._smooth is None:
+            return None
+        return self._smooth + self._trend
 
     def _update_statements(self):
         alpha, beta = self.alpha, self.beta
         level = ((alpha, "observed"), (1.0 - alpha, "forecast"))
         return (
+            # Sf(t-1) = Ss(t-1) + St(t-1), the same floats forecast() gives.
+            ("forecast", ((1.0, "smooth"), (1.0, "trend"))),
             # Ss(t) - Ss(t-1), summing the new level inline: adding
             # -1 * Ss(t-1) is the same float operation as subtracting it.
             ("delta", level + ((-1.0, "smooth"),)),
             ("smooth", level),
             ("trend", ((beta, "delta"), (1.0 - beta, "trend"))),
-            ("forecast", ((1.0, "smooth"), (1.0, "trend"))),
         )
 
     def _consume(self, observed: Any) -> None:
@@ -58,14 +63,11 @@ class HoltWintersForecaster(Forecaster):
             self._first = observed
             return
         if self._smooth is None:
-            # So(2): initialize level, trend and the t=3 forecast.  The
-            # level is a copy: the sweep rewrites the state in place.
+            # So(2): initialize level and trend.  The level is a copy: the
+            # sweep rewrites the state in place.
             self._smooth = owned_copy(self._first)
             self._trend = observed - self._first
             self._first = None
-            # Paper's Sf(2) = Ss(2) + St(2) = So(2); used only as the
-            # recursion seed for Ss(3).
-            self._forecast = self._smooth + self._trend
             return
         self._apply_update(observed)
 
@@ -73,24 +75,24 @@ class HoltWintersForecaster(Forecaster):
         self._first = None
         self._smooth = None
         self._trend = None
-        self._forecast = None
 
     def get_config(self) -> dict:
         return {"alpha": self.alpha, "beta": self.beta}
 
     def _state_dict(self) -> dict:
+        # Sf is derived, but checkpoints keep carrying it, so their bytes
+        # stay the same; _load_state_dict ignores it.
         return {
             "first": owned_copy(self._first),
             "smooth": owned_copy(self._smooth),
             "trend": owned_copy(self._trend),
-            "forecast": owned_copy(self._forecast),
+            "forecast": self.forecast(),
         }
 
     def _load_state_dict(self, state: dict) -> None:
         self._first = owned_copy(state["first"])
         self._smooth = owned_copy(state["smooth"])
         self._trend = owned_copy(state["trend"])
-        self._forecast = owned_copy(state["forecast"])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HoltWintersForecaster(alpha={self.alpha}, beta={self.beta})"

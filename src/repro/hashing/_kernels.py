@@ -676,10 +676,11 @@ void mv_recover_mask(const double* table, const double* votes,
  * Evaluates a list of COMBINE statements  dst = c1*src1 + c2*src2 + ...
  * over equally shaped float64 tables in ONE pass, block by block: every
  * statement runs over a block of cells before the next block starts, so
- * a forecast model's whole per-interval step (Se, new state, Sf) reads
- * and writes each table once instead of once per statement.  Slots below
- * n_tables are tables; the rest are block-local temporaries.  Statement
- * s writes slot dst[s] from the n_terms[s] next (src, coeff) pairs.
+ * a forecast model's whole per-interval step (Se and the new state over
+ * the old) reads and writes each table once instead of once per
+ * statement.  Slots below n_tables are tables; the rest are block-local
+ * temporaries.  Statement s writes slot dst[s] from the n_terms[s] next
+ * (src, coeff) pairs.
  *
  * Each term replays accumulate_arrays (repro/sketch/base.py) operation
  * for operation: the first term is copied (c == 1), negated (c == -1) or

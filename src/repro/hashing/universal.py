@@ -18,6 +18,7 @@ and exposes both scalar and vectorized evaluation.  Concrete families:
 from __future__ import annotations
 
 import abc
+import copy
 from typing import Optional, Union
 
 import numpy as np
@@ -55,6 +56,21 @@ class HashFamily(abc.ABC):
     def seed(self) -> Optional[int]:
         """Seed the function was drawn with (``None`` means OS entropy)."""
         return self._seed
+
+    def with_buckets(self, num_buckets: int) -> "HashFamily":
+        """This function with its output range changed to ``num_buckets``.
+
+        Every family here draws its state (lookup tables, coefficients)
+        from the seed alone and reduces a width-independent 64-bit value
+        modulo the bucket count last, so the copy shares that state
+        instead of drawing it again.  It hashes every key as
+        ``type(self)(num_buckets, seed=self.seed)`` does.
+        """
+        if num_buckets < 1:
+            raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
+        twin = copy.copy(self)
+        twin._num_buckets = int(num_buckets)
+        return twin
 
     @abc.abstractmethod
     def hash_array(self, keys: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ Concrete implementations provide:
 from __future__ import annotations
 
 import abc
+import copy
 import math
 from collections.abc import Iterable
 from typing import Mapping, Optional, Sequence, Tuple
@@ -146,6 +147,10 @@ def accumulate_arrays(
     return out
 
 
+#: Cells per block of :func:`sweep_statements`' NumPy fallback (64 KiB
+#: of float64 per temporary).
+_FALLBACK_SWEEP_BLOCK = 8_192
+
 #: One COMBINE statement: ``(dst, ((coeff, src), ...))`` sets the name
 #: ``dst`` to ``sum(coeff * src)``, each term multiplied, then added left
 #: to right.  A list of them runs in order, later statements reading the
@@ -162,7 +167,8 @@ def accumulate_statements(
     statements read and overwrite in place; every other name is a
     temporary.  A destination may appear among its own sources: it reads
     the old value.  This is the reference semantics of
-    :func:`sweep_statements` and its fallback without compiled kernels.
+    :func:`sweep_statements`, whose fallback without compiled kernels
+    runs it block by block.
     """
     env = dict(tables)
     scratch = None
@@ -261,10 +267,17 @@ def sweep_statements(
                 "writeable and overlap no other table"
             )
     kernels = get_kernels()
-    if kernels is None:
-        accumulate_statements(statements, tables)
+    if kernels is not None:
+        kernels.combine_sweep(addresses, n_temps, arrays[0].size, *code)
         return
-    kernels.combine_sweep(addresses, n_temps, arrays[0].size, *code)
+    # The same block-by-block pass in NumPy: every operation is per cell,
+    # so the bits are the same, and the temporaries stay block-sized.
+    flat = {name: arr.reshape(-1) for name, arr in tables.items()}
+    for lo in range(0, arrays[0].size, _FALLBACK_SWEEP_BLOCK):
+        block = slice(lo, lo + _FALLBACK_SWEEP_BLOCK)
+        accumulate_statements(
+            statements, {name: arr[block] for name, arr in flat.items()}
+        )
 
 
 class LinearSummary(abc.ABC):
@@ -368,9 +381,10 @@ def folded_width(schema) -> int:
 def resolve_folded_schema(schema, folded):
     """Return the half-width schema for a fold, validating a supplied one.
 
-    ``folded=None`` builds a fresh schema via ``schema.folded()`` --
-    expensive for tabulation families (2 MiB of tables per row), so
-    callers folding repeatedly should build it once and pass it in.
+    ``folded=None`` builds one via ``schema.folded()``, which shares the
+    row hashes but rebuilds the stacked evaluator (for tabulation, half a
+    MiB of lookup strips per row), so callers folding repeatedly should
+    build it once and pass it in.
     """
     half = folded_width(schema)
     if folded is None:
@@ -524,12 +538,22 @@ class HashedSchema:
         Because every hash family reduces a width-independent 64-bit
         value modulo ``K``, the returned schema's bucket index for any
         key equals this schema's index mod ``K/2`` -- the structural fact
-        :meth:`HashedSketch.fold_width` relies on.
+        :meth:`HashedSketch.fold_width` relies on.  What computes that
+        value (a tabulation row's 2 MiB of tables, a polynomial's
+        coefficients) does not depend on the width either, so the
+        half-width rows share it with this schema's rows
+        (:meth:`~repro.hashing.universal.HashFamily.with_buckets`) and
+        only the stacked evaluator is rebuilt.  Everything else a kind
+        holds is shared as is (Count Sketch's sign hashes, group
+        testing's ``key_bits``).  The result equals
+        ``from_config(depth, width // 2, seed, family, key_bits)``.
         """
-        return self.from_config(
-            self._depth, folded_width(self), self._seed, self._family,
-            self.key_bits,
-        )
+        half = folded_width(self)
+        folded = copy.copy(self)
+        folded._width = half
+        folded._hashes = tuple(h.with_buckets(half) for h in self._hashes)
+        folded._stacked = make_stacked(folded._hashes, half)
+        return folded
 
     def _config(self) -> tuple:
         return (self._depth, self._width, self.key_bits, self._family)
@@ -643,7 +667,7 @@ class HashedSketch(LinearSummary):
         which is the point of aging archives.
 
         Pass the prebuilt half-width ``schema`` when folding repeatedly;
-        building one on the fly re-derives the hash tables.
+        building one on the fly rebuilds the stacked hash evaluator.
         """
         folded = resolve_folded_schema(self._schema, schema)
         half = folded.width

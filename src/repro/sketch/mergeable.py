@@ -56,8 +56,9 @@ def half_width_schema(schema):
     """The half-width schema ``schema`` folds into (same depth/seed/family).
 
     Type-generic front for the per-schema ``folded()`` constructors.
-    Building one re-derives hash tables (2 MiB per tabulation row), so
-    archive tiers cache the result per source schema.
+    The result shares ``schema``'s row hashes but builds its own stacked
+    evaluator (half a MiB of lookup strips per tabulation row), so
+    archive tiers cache it per source schema.
     """
     kind_of(schema)  # raises on unsupported types
     return schema.folded()

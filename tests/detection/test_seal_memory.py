@@ -1,0 +1,72 @@
+"""Resident sketch tables per steady-state seal, measured with tracemalloc.
+
+A seal needs the observed interval ``So(t)``, the error ``Se(t)`` and the
+model state: EWMA's ``Sf`` (3 tables), NSHW's level and trend (4).  The
+forecast step rewrites the state in place, NSHW derives ``Sf`` instead of
+storing it, and the session drops a sealed interval before it allocates
+the next one, so the traced peak over steady-state seals stays within
+half a table of those counts.  A spare forecast table, a stored NSHW
+``Sf`` or the next interval's table allocated early each add a whole
+table and fail here.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.detection import StreamingSession
+from repro.sketch import KArySchema
+from repro.streams.model import ColumnarBlock
+
+KEYS_PER_BLOCK = 2_000
+INTERVALS = 8
+
+#: Model, parameters, warm-up seals and the ceiling in tables.
+CASES = {
+    "ewma": ({"alpha": 0.4}, 1, 3.5),
+    "nshw": ({"alpha": 0.4, "beta": 0.2}, 2, 4.5),
+}
+
+
+@pytest.fixture(scope="module")
+def schema():
+    return KArySchema(depth=3, width=32_768, seed=17)
+
+
+def _block(index: int) -> ColumnarBlock:
+    i = np.arange(index * KEYS_PER_BLOCK, (index + 1) * KEYS_PER_BLOCK,
+                  dtype=np.uint64)
+    keys = (i * np.uint64(2654435761)) % np.uint64(50_021)
+    values = 40.0 + (i % np.uint64(1_499)).astype(np.float64)
+    return ColumnarBlock(index=index, keys=keys, values=values)
+
+
+def _steady_state_peak(schema, model: str) -> float:
+    """Peak traced bytes over the seals past warm-up, in tables."""
+    params, warmup, _ = CASES[model]
+    session = StreamingSession(
+        schema, model, interval_seconds=60.0, t_fraction=0.05, top_n=10,
+        **params,
+    )
+    peak = 0
+    for index in range(INTERVALS):
+        # Ingesting the block for ``index`` seals interval ``index - 1``.
+        tracemalloc.reset_peak()
+        session.ingest_columns(_block(index))
+        if index - 1 > warmup:
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
+    return peak / schema.table_bytes
+
+
+@pytest.mark.parametrize("model", sorted(CASES))
+def test_steady_state_seal_holds_each_table_once(schema, model):
+    # A throwaway session first: whatever the first seal builds once per
+    # process (kernel handles, caches) stays out of the count.
+    _steady_state_peak(schema, model)
+    tracemalloc.start()
+    try:
+        tables = _steady_state_peak(schema, model)
+    finally:
+        tracemalloc.stop()
+    assert tables <= CASES[model][2], f"{model}: {tables:.2f} tables"

@@ -57,3 +57,15 @@ class TestHashFamilyInterface:
     def test_abstract_base_not_instantiable(self):
         with pytest.raises(TypeError):
             HashFamily(16, seed=0)
+
+    @pytest.mark.parametrize("name", ["tabulation", "polynomial", "two-universal"])
+    def test_with_buckets_equals_a_fresh_draw(self, name):
+        keys = np.arange(0, 2**32, 2**32 // 3001, dtype=np.uint64)
+        wide = make_family(name, 1000, seed=5)
+        narrow = wide.with_buckets(37)
+        assert narrow.num_buckets == 37 and wide.num_buckets == 1000
+        np.testing.assert_array_equal(
+            narrow(keys), make_family(name, 37, seed=5)(keys)
+        )
+        with pytest.raises(ValueError):
+            wide.with_buckets(0)

@@ -108,6 +108,42 @@ class TestFoldExactness:
         assert estimate == pytest.approx(5e6, rel=0.25)
 
 
+class TestFoldedSchema:
+    """``folded()`` reuses the parent's row hashes instead of drawing them
+    again, so nothing but these checks -- the archive and the end-to-end
+    oracle both fold through ``folded()`` -- would see a wrong one."""
+
+    @pytest.mark.parametrize("family", ["tabulation", "polynomial", "two-universal"])
+    def test_folded_equals_a_fresh_half_width_schema(self, kind, family, rng):
+        schema = SCHEMA_FACTORIES[kind](seed=7, family=family)
+        keys = rng.integers(0, 2**32, 5000, dtype=np.uint64)
+        parent_indices = schema.bucket_indices(keys)
+        folded = schema
+        for _ in range(2):
+            folded = folded.folded()
+            fresh = type(schema).from_config(
+                schema.depth, folded.width, 7, family, schema.key_bits
+            )
+            assert folded == fresh
+            assert folded.table_shape == fresh.table_shape
+            indices = folded.bucket_indices(keys)
+            np.testing.assert_array_equal(indices, fresh.bucket_indices(keys))
+            np.testing.assert_array_equal(indices, parent_indices % folded.width)
+            assert [h.num_buckets for h in folded.hashes] == [folded.width] * 3
+            if kind == "countsketch":
+                np.testing.assert_array_equal(folded.signs(keys), fresh.signs(keys))
+                assert folded.sign_hashes is schema.sign_hashes
+            if family == "tabulation":
+                for row, parent_row in zip(folded.hashes, schema.hashes):
+                    for name in ("_t0", "_t1", "_t2"):
+                        assert np.shares_memory(
+                            getattr(row, name), getattr(parent_row, name)
+                        )
+        # Folding left the parent as it was.
+        assert [h.num_buckets for h in schema.hashes] == [schema.width] * 3
+        np.testing.assert_array_equal(schema.bucket_indices(keys), parent_indices)
+
+
 class TestFoldValidation:
     def test_entropy_seed_refused(self, kind):
         schema = SCHEMA_FACTORIES[kind](seed=None)

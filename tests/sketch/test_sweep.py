@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.hashing import kernel_call_counts
 from repro.hashing._kernels import SWEEP_MAX_TEMPS, get_kernels
+from repro.sketch import base
 from repro.sketch.base import accumulate_statements, sweep_statements
 
 TABLES = ("a", "b", "c")
@@ -118,6 +119,39 @@ def test_forecast_shaped_statements_match(shape, rng):
     reference = _run(accumulate_statements, program, tables)
     for name in names:
         _assert_same_bits(swept[name], reference[name], name)
+
+
+@pytest.mark.parametrize("kernels", [True, False], ids=["kernel", "numpy"])
+def test_in_place_model_steps_match(kernels, rng, monkeypatch):
+    """The steps as the forecasters run them: EWMA rewrites ``forecast``
+    in place, NSHW derives it as a temporary and rewrites its level and
+    trend.  The NumPy fallback runs block by block; the shape crosses
+    its block boundary twice and ends on a ragged tail."""
+    if kernels and get_kernels() is None:
+        pytest.skip("compiled kernels are off")
+    if not kernels:
+        monkeypatch.setattr(base, "get_kernels", lambda: None)
+    alpha, beta = 0.5, 0.2
+    error = ("error", ((1.0, "observed"), (-1.0, "forecast")))
+    level = ((alpha, "observed"), (1.0 - alpha, "forecast"))
+    ewma = [error, ("forecast", level)]
+    nshw = [
+        ("forecast", ((1.0, "smooth"), (1.0, "trend"))),
+        error,
+        ("delta", level + ((-1.0, "smooth"),)),
+        ("smooth", level),
+        ("trend", ((beta, "delta"), (1.0 - beta, "trend"))),
+    ]
+    shape = (3, 2 * base._FALLBACK_SWEEP_BLOCK // 3 + 11)
+    for program, names in (
+        (ewma, ("observed", "error", "forecast")),
+        (nshw, ("observed", "error", "smooth", "trend")),
+    ):
+        tables = {name: rng.normal(0, 1e4, shape) for name in names}
+        swept = _run(sweep_statements, program, tables)
+        reference = _run(accumulate_statements, program, tables)
+        for name in names:
+            _assert_same_bits(swept[name], reference[name], name)
 
 
 def test_destination_may_read_its_old_value():
