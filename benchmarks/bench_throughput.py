@@ -1,7 +1,7 @@
-"""Throughput benchmark for the vectorized sketch engine.
+"""Throughput benchmark for the batched sketch and grid-search paths.
 
-Measures, against a faithful reconstruction of the pre-engine reference
-paths:
+Measures, against a faithful reconstruction of the per-row or
+per-object reference paths:
 
 * **UPDATE** -- batched sketch updates (keys/sec), fused hash+scatter
   kernel (tabulation and polynomial families) vs the per-row
@@ -11,9 +11,10 @@ paths:
 * **columnar** -- end-to-end session ingest via zero-copy
   :class:`ColumnarBlock` views vs record chunks (parity check: same
   throughput, reports bit-identical, zero intermediate copies);
-* **grid search** -- ``search_model`` wall-clock, batched single-pass
-  engine (``engine="auto"``) vs per-object evaluation
-  (``engine="reference"``), asserting both return the identical winner.
+* **grid search** -- ``search_model`` wall-clock (candidates scored
+  against the stacked ``(T, H, K)`` tables) vs the per-object search
+  (``grid_search`` over ``estimated_total_energy``), asserting both
+  return the identical winner and energy.
 
 Writes ``BENCH_throughput.json`` next to this file (or ``--output``).
 Not a pytest module -- run directly:
@@ -33,10 +34,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.forecast.model_zoo import make_forecaster
-from repro.gridsearch.grid import search_model
+from repro.gridsearch.grid import grid_search, search_model
 from repro.gridsearch.objective import estimated_total_energy
+from repro.gridsearch.search_spaces import build_search_spaces
 from repro.hashing._kernels import get_kernels
-from repro.sketch import KArySchema, KArySketch, SketchStack
+from repro.sketch import KArySchema, KArySketch
 
 try:
     from benchmarks._util import environment_provenance
@@ -194,7 +196,7 @@ def bench_estimate(depth, width, n_keys, repeats, rng):
 
 
 def bench_grid_search(t_len, width, skip, models, repeats, rng):
-    """search_model wall-clock: batched engine vs per-object reference."""
+    """search_model wall-clock: stacked tables vs the per-object search."""
     schema = KArySchema(depth=1, width=width, seed=5)
     sketches = []
     for _ in range(t_len):
@@ -202,26 +204,29 @@ def bench_grid_search(t_len, width, skip, models, repeats, rng):
         keys = rng.integers(0, 2**32, size=2000, dtype=np.uint64)
         s.update_batch(keys, rng.normal(100.0, 30.0, size=2000))
         sketches.append(s)
-    stack = SketchStack.from_sketches(sketches)
+    spaces = build_search_spaces()
+
+    def reference(model):
+        space = spaces[model]
+        return grid_search(
+            space,
+            lambda f: estimated_total_energy(sketches, f, skip),
+            passes=2 if space.continuous else 1,
+        )
 
     per_model = {}
     total_ref = total_new = 0.0
     for model in models:
-        ref_result = search_model(model, sketches, skip_intervals=skip,
-                                  engine="reference")
-        new_result = search_model(model, stack, skip_intervals=skip,
-                                  engine="auto")
+        ref_result = reference(model)
+        new_result = search_model(model, sketches, skip_intervals=skip)
         assert new_result.best_params == ref_result.best_params, model
         assert new_result.best_energy == ref_result.best_energy, model
 
         t_ref = t_new = float("inf")
         for _ in range(repeats):
-            t_ref = min(t_ref, _best_of(
-                lambda: search_model(model, sketches, skip_intervals=skip,
-                                     engine="reference"), 1))
+            t_ref = min(t_ref, _best_of(lambda: reference(model), 1))
             t_new = min(t_new, _best_of(
-                lambda: search_model(model, stack, skip_intervals=skip,
-                                     engine="auto"), 1))
+                lambda: search_model(model, sketches, skip_intervals=skip), 1))
         total_ref += t_ref
         total_new += t_new
         per_model[model] = {

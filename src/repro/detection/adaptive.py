@@ -25,7 +25,7 @@ import numpy as np
 from repro.detection.session import IntervalSealer
 from repro.detection.threshold import IntervalDetection
 from repro.forecast.model_zoo import make_forecaster
-from repro.gridsearch.grid import grid_search, search_integer_window
+from repro.gridsearch.grid import grid_search
 from repro.gridsearch.objective import estimated_total_energy
 from repro.gridsearch.search_spaces import build_search_spaces
 from repro.sketch import KArySchema
@@ -117,10 +117,8 @@ class AdaptiveDetector:
         def objective(forecaster):
             return estimated_total_energy(history, forecaster)
 
-        if self._space.continuous:
-            result = grid_search(self._space, objective, passes=self.search_passes)
-        else:
-            result = search_integer_window(self._space, objective)
+        passes = self.search_passes if self._space.continuous else 1
+        result = grid_search(self._space, objective, passes=passes)
         self._params = self._space.to_model_kwargs(result.best_params)
         self._param_log.append((interval, dict(self._params)))
         self._intervals_since_refresh = 0

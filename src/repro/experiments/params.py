@@ -16,7 +16,7 @@ import numpy as np
 from repro.detection.pipeline import summarize_stream
 from repro.experiments.datasets import router_batches, warmup_intervals
 from repro.gridsearch import random_parameters, search_model
-from repro.sketch import KArySchema, SketchStack
+from repro.sketch import KArySchema
 
 #: Sketch dimensions the paper fixes during grid search.
 SEARCH_DEPTH = 1
@@ -39,12 +39,9 @@ def best_parameters(
     """
     batches = router_batches(router, interval_seconds)
     schema = KArySchema(depth=SEARCH_DEPTH, width=SEARCH_WIDTH, seed=0)
-    # Stack the interval sketches into one (T, H, K) tensor so the search
-    # runs on the vectorized engine (identical winner, one batched pass).
-    observed = SketchStack.from_sketches(summarize_stream(batches, schema))
     result = search_model(
         model,
-        observed,
+        summarize_stream(batches, schema),
         skip_intervals=warmup_intervals(interval_seconds),
         max_window=_max_window(interval_seconds),
     )

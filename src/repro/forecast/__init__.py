@@ -58,12 +58,6 @@ from repro.forecast.smoothing import (
     SShapedMovingAverageForecaster,
     sma_weights,
 )
-from repro.forecast.vectorized import (
-    VECTORIZABLE_MODELS,
-    forecast_first_index,
-    stack_errors,
-    stack_forecasts,
-)
 
 __all__ = [
     "ArimaForecaster",
@@ -82,11 +76,7 @@ __all__ = [
     "MovingAverageForecaster",
     "SShapedMovingAverageForecaster",
     "SeasonalHoltWintersForecaster",
-    "VECTORIZABLE_MODELS",
     "default_parameters",
-    "forecast_first_index",
-    "stack_errors",
-    "stack_forecasts",
     "is_invertible",
     "is_stationary",
     "make_forecaster",

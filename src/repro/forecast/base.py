@@ -55,6 +55,10 @@ def owned_copy(value: Any) -> Any:
     return value.copy() if hasattr(value, "copy") else value
 
 
+#: ``Se(t) = So(t) - Sf(t)`` as a COMBINE statement.
+_ERROR_STATEMENT: Statement = ("error", ((1.0, "observed"), (-1.0, "forecast")))
+
+
 def _sweep_table(summary: Any, schema: Any):
     """``summary``'s counter table if a statement sweep may run over it.
 
@@ -103,9 +107,10 @@ class Forecaster(abc.ABC):
     ``observed`` and its state names (:attr:`_STATE_NAMES`, held as
     attributes ``_<name>``).  The name ``forecast`` is ``Sf(t)``: a state
     (EWMA's) or a temporary the statements derive from the state
-    (NSHW's ``smooth + trend``).  :meth:`observe` runs them through
-    :func:`combine_terms` into fresh summaries, and :meth:`step_into`
-    over plain k-ary sketches runs them as one in-place sweep
+    (NSHW's ``smooth + trend``).  :meth:`observe` and :meth:`step` run
+    them through :func:`combine_terms` into fresh summaries (``step``
+    with ``Se = So - Sf`` inserted), and :meth:`step_into` over plain
+    k-ary sketches runs the same list as one in-place sweep
     (:func:`~repro.sketch.base.sweep_statements`) that writes the new
     state over the old.  The sweep rewrites state tables, so such a
     model owns every summary it holds: it copies ``observed`` where the
@@ -147,14 +152,46 @@ class Forecaster(abc.ABC):
         """
         return None
 
-    def _apply_update(self, observed: Any) -> None:
-        """Run :meth:`_update_statements` into fresh summaries."""
+    def _error_statements(self) -> Optional[List[Statement]]:
+        """:meth:`_update_statements` with ``Se = So - Sf`` inserted.
+
+        The error statement runs as soon as ``forecast`` holds ``Sf(t)``:
+        first when it is a state, else right after the first statement,
+        which derives it.  ``None`` for a model without update statements
+        and during warm-up, while a state is still unset.
+        """
+        statements = self._update_statements()
+        if statements is None or any(
+            getattr(self, "_" + name) is None for name in self._STATE_NAMES
+        ):
+            return None
+        program = list(statements)
+        program.insert(
+            0 if "forecast" in self._STATE_NAMES else 1, _ERROR_STATEMENT
+        )
+        return program
+
+    def _apply_update(
+        self, observed: Any, statements: Optional[Sequence[Statement]] = None
+    ) -> Tuple[Any, Any]:
+        """Run update statements into fresh summaries; store the new state.
+
+        ``statements`` defaults to :meth:`_update_statements`.  Returns
+        the value ``forecast`` held when an ``error`` statement ran, and
+        the error (both ``None`` when none ran).
+        """
+        if statements is None:
+            statements = self._update_statements()
         env = {name: getattr(self, "_" + name) for name in self._STATE_NAMES}
         env["observed"] = observed
-        for dst, terms in self._update_statements():
+        predicted = None
+        for dst, terms in statements:
+            if dst == "error":
+                predicted = env["forecast"]
             env[dst] = combine_terms([(c, env[src]) for c, src in terms])
         for name in self._STATE_NAMES:
             setattr(self, "_" + name, env[name])
+        return predicted, env.get("error")
 
     def observe(self, observed: Any) -> None:
         """Feed the observed summary for the interval just ended."""
@@ -162,11 +199,23 @@ class Forecaster(abc.ABC):
         self._t += 1
 
     def step(self, observed: Any) -> ForecastStep:
-        """Forecast, then observe: one full interval hand-shake."""
+        """Forecast, then observe: one full interval hand-shake.
+
+        Past warm-up, a model with update statements runs
+        :meth:`_error_statements` through :func:`combine_terms`, so it
+        derives ``Sf(t)`` once; the step's ``forecast`` is the value
+        ``forecast`` holds when the error statement runs, the same floats
+        :meth:`forecast` gives.
+        """
         index = self._t
-        predicted = self.forecast()
-        error = None if predicted is None else observed - predicted
-        self.observe(observed)
+        program = self._error_statements()
+        if program is None:
+            predicted = self.forecast()
+            error = None if predicted is None else observed - predicted
+            self.observe(observed)
+        else:
+            predicted, error = self._apply_update(observed, program)
+            self._t += 1
         return ForecastStep(index=index, observed=observed, forecast=predicted, error=error)
 
     def step_into(
@@ -206,16 +255,15 @@ class Forecaster(abc.ABC):
 
         It applies past warm-up, to models with update statements, when
         ``observed``, ``error_out`` and every state summary are plain
-        k-ary sketches over one schema.  ``Se = So - Sf`` runs as soon as
-        ``forecast`` holds ``Sf(t)`` -- first when it is a state, else
-        right after the first statement, which derives it -- and the
-        same pass writes the new state over the old, so each state table
-        is held once and swept once.  Every table written is one this forecaster
+        k-ary sketches over one schema.  The sweep runs
+        :meth:`_error_statements`, so the pass that writes ``Se`` also
+        writes the new state over the old, and each state table is held
+        once and swept once.  Every table written is one this forecaster
         allocated (see the class docstring) or ``error_out``.  Returns
         whether the sweep ran.
         """
-        statements = self._update_statements()
-        if statements is None or error_out is None:
+        program = self._error_statements()
+        if program is None or error_out is None:
             return False
         schema = getattr(observed, "schema", None)
         named = {"observed": observed, "error": error_out}
@@ -223,11 +271,6 @@ class Forecaster(abc.ABC):
         tables = {name: _sweep_table(s, schema) for name, s in named.items()}
         if any(table is None for table in tables.values()):
             return False
-        program = list(statements)
-        program.insert(
-            0 if "forecast" in tables else 1,
-            ("error", ((1.0, "observed"), (-1.0, "forecast"))),
-        )
         sweep_statements(program, tables)
         self._t += 1
         return True

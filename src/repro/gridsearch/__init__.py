@@ -18,7 +18,6 @@ from repro.gridsearch.factorial import (
 from repro.gridsearch.grid import (
     GridSearchResult,
     grid_search,
-    search_integer_window,
     search_model,
 )
 from repro.gridsearch.objective import (
@@ -49,7 +48,6 @@ __all__ = [
     "per_interval_energies",
     "random_parameters",
     "screening_report",
-    "search_integer_window",
     "search_model",
     "stack_total_energy",
     "yates",

@@ -7,21 +7,17 @@ subdivides range [a0-0.1, a0+0.1] into N=10 parts and repeats the
 process").  Integer dimensions are swept exhaustively.  Inadmissible
 points (e.g. non-stationary ARIMA coefficients) are skipped.
 
-Evaluation engines
-------------------
-The search itself is model-agnostic; how a pass's candidate points get
-scored is pluggable:
-
-* default -- build a forecaster per point and call ``objective`` (the
-  original per-object path; always available).
-* ``evaluate_many`` -- a batch scorer receiving the whole pass's candidate
-  list at once.  :func:`search_model` wires this to
-  :func:`~repro.gridsearch.objective.estimated_total_energy_batched` for
-  the broadcastable smoothing models, so one vectorized sweep over the
-  sketch tensor replaces hundreds of per-object forecast runs.
-
-Both engines score the same candidate list in the same order, so the
-winning point (first minimum) is identical across them.
+Scoring a pass
+--------------
+The search itself is model-agnostic: by default it builds a forecaster
+per point and calls ``objective``.  A caller may instead pass
+``evaluate_many``, a batch scorer that receives the whole pass's
+candidate list at once; :func:`search_model` wires it to
+:func:`~repro.gridsearch.objective.estimated_total_energy_batched` for
+MA, SMA, EWMA and NSHW, so one sweep over the ``(T, H, K)`` tables
+replaces hundreds of per-object forecast runs.  Both score the same
+candidate list in the same order to the same floats, so the winning
+point (first minimum) is the same either way.
 """
 
 from __future__ import annotations
@@ -34,9 +30,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.forecast.base import Forecaster
-from repro.forecast.vectorized import VECTORIZABLE_MODELS
 from repro.obs.recorder import NULL_RECORDER
 from repro.gridsearch.objective import (
+    BATCHED_MODELS,
     coerce_tables,
     estimated_total_energy,
     estimated_total_energy_batched,
@@ -186,43 +182,32 @@ def _evaluate_candidates(
     return [objective(space.build(params)) for params in combos]
 
 
-def search_integer_window(
-    space: ParameterSpace,
-    objective: Callable[[Forecaster], float],
-    evaluate_many: Optional[Callable[[List[ParamDict]], Sequence[float]]] = None,
-    recorder=None,
-) -> GridSearchResult:
-    """Direct sweep for window-only models (MA/SMA): one pass is exact."""
-    return grid_search(
-        space, objective, passes=1, evaluate_many=evaluate_many,
-        recorder=recorder,
-    )
-
-
 def search_model(
     model: str,
     observed: Sequence,
     skip_intervals: int = 0,
     passes: int = 2,
     max_window: int = 10,
-    engine: str = "auto",
     recorder=None,
 ) -> GridSearchResult:
     """Convenience wrapper: search a model over pre-built observed summaries.
 
     Uses estimated total energy on the supplied summaries as the objective
-    (the paper computes it on H=1, K=8K sketches; pass such sketches -- or
-    a :class:`~repro.sketch.stack.SketchStack` -- in).
+    (the paper computes it on H=1, K=8K sketches; pass such sketches in).
+    Window-only models (MA, SMA) are swept in one exact pass; ``passes``
+    applies to models with continuous parameters.
+
+    When the summaries stack into one ``(T, H, K)`` array (plain k-ary
+    sketches over one schema, see
+    :func:`~repro.gridsearch.objective.coerce_tables`), MA, SMA, EWMA and
+    NSHW candidates are scored a pass at a time by the batched objective
+    and ARIMA candidates one by one over the raw tables.  Any other
+    summaries -- exact vectors, other sketch kinds -- are scored per
+    object by ``estimated_total_energy``.  The energies are the same
+    floats either way.
 
     Parameters
     ----------
-    engine:
-        ``"auto"`` (default) scores candidates against the sketch tensor:
-        broadcastable models (MA/SMA/EWMA/NSHW) use the batched
-        single-pass objective; others run per-candidate on raw tables.
-        ``"reference"`` forces the original per-object evaluation path.
-        When the observations cannot be stacked (e.g. exact ``DictVector``
-        summaries), ``auto`` silently degrades to the reference path.
     recorder:
         Optional :class:`~repro.obs.recorder.PipelineRecorder`, forwarded
         to :func:`grid_search` (pass timings + evaluation counters).
@@ -235,18 +220,15 @@ def search_model(
     except KeyError:
         known = ", ".join(sorted(spaces))
         raise ValueError(f"unknown model {model!r}; known: {known}") from None
-    if engine not in ("auto", "reference"):
-        raise ValueError(f"engine must be 'auto' or 'reference', got {engine!r}")
 
-    coerced = coerce_tables(observed) if engine == "auto" else None
+    coerced = coerce_tables(observed)
     evaluate_many = None
     if coerced is not None:
         tables, width = coerced
-        # Objective over raw tables (reference-identical values).
         objective = functools.partial(
             stack_total_energy, tables, width, skip_intervals=skip_intervals
         )
-        if model in VECTORIZABLE_MODELS:
+        if model in BATCHED_MODELS:
             evaluate_many = functools.partial(
                 estimated_total_energy_batched,
                 tables,
@@ -257,11 +239,7 @@ def search_model(
         def objective(forecaster: Forecaster) -> float:
             return estimated_total_energy(observed, forecaster, skip_intervals)
 
-    if space.continuous:
-        return grid_search(
-            space, objective, passes=passes,
-            evaluate_many=evaluate_many, recorder=recorder,
-        )
-    return search_integer_window(
-        space, objective, evaluate_many=evaluate_many, recorder=recorder,
+    return grid_search(
+        space, objective, passes=passes if space.continuous else 1,
+        evaluate_many=evaluate_many, recorder=recorder,
     )

@@ -8,18 +8,16 @@ models with longer warm-up are not unfairly rewarded with fewer scored
 intervals... the paper scores only post-warm-up intervals; we align every
 model on the same scored range via ``skip_intervals``.
 
-Three evaluation tiers share one definition of the objective:
+The objective is defined once, by :func:`per_interval_energies` over any
+sequence of summaries.  Over one ``(T, H, K)`` array of k-ary tables it
+is also computed two faster ways, each bit-identical to it:
 
-* :func:`estimated_total_energy` -- the reference per-object loop over any
-  sequence of summaries (sketches, exact vectors, a ``SketchStack``).
-* :func:`stack_total_energy` -- the same loop over a raw ``(T, H, K)``
-  table tensor with an arbitrary forecaster; ``search_model``'s ``auto``
-  objective for models that cannot broadcast (ARIMA).
-* :func:`estimated_total_energy_batched` -- scores *many* candidate
-  parameter points of one vectorizable model against one stack in a single
-  pass; smoothing recursions broadcast over a leading candidate axis
-  (blocked to stay cache-resident).  Bit-identical to calling
-  :func:`estimated_total_energy` per candidate.
+* :func:`stack_total_energy` -- any forecaster, one candidate at a time,
+  stepped over the raw tables (``search_model`` scores ARIMA with it);
+* :func:`estimated_total_energy_batched` -- many candidate points of MA,
+  SMA, EWMA or NSHW at once: the window models as one stencil over the
+  whole series per candidate, the smoothing recursions broadcast over a
+  leading candidate axis.
 """
 
 from __future__ import annotations
@@ -29,16 +27,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.forecast.base import Forecaster
-from repro.forecast.vectorized import (
-    VECTORIZABLE_MODELS,
-    stack_errors,
-)
-from repro.sketch.stack import tables_estimate_f2
+from repro.forecast.smoothing import sma_weights
+from repro.sketch.kary import KArySketch, tables_estimate_f2
 
-#: Candidates scored concurrently by the broadcast recursions.  Small
-#: blocks keep the per-candidate state tensors resident in cache; ~4 was
-#: fastest across the measured (T, H, K) shapes.
-DEFAULT_CANDIDATE_BLOCK = 4
+#: Models :func:`estimated_total_energy_batched` scores.
+BATCHED_MODELS = ("ma", "sma", "ewma", "nshw")
+
+#: Candidates the broadcast recursions score together.  Small blocks keep
+#: the per-candidate state tensors resident in cache; ~4 was fastest
+#: across the measured (T, H, K) shapes.
+_CANDIDATE_BLOCK = 4
 
 
 def estimated_total_energy(
@@ -68,14 +66,9 @@ def estimated_total_energy(
     longest warm-up among the candidates (the paper's one-hour exclusion
     dominates every model's warm-up at both 300 s and 60 s intervals).
     """
-    if skip_intervals < 0:
-        raise ValueError(f"skip_intervals must be >= 0, got {skip_intervals}")
-    forecaster.reset()
     total = 0.0
-    for step in forecaster.run(observed):
-        if step.error is None or step.index < skip_intervals:
-            continue
-        total += max(step.error.estimate_f2(), 0.0)
+    for energy in per_interval_energies(observed, forecaster, skip_intervals):
+        total += energy
     return total
 
 
@@ -96,36 +89,27 @@ def per_interval_energies(
     return energies
 
 
-# -- stack-based evaluation ------------------------------------------------
+# -- scoring over one (T, H, K) array ----------------------------------------
 
 
 def coerce_tables(observed) -> Optional[Tuple[np.ndarray, int]]:
-    """``(tables, width)`` for stack-able observations, else ``None``.
+    """``(tables, width)`` when ``observed`` stacks into one array, else ``None``.
 
-    Accepts a :class:`~repro.sketch.stack.SketchStack`, a sequence of
-    same-schema k-ary sketches, or a raw ``(T, H, K)`` ndarray.  Exact
-    summaries (``DictVector``) and other non-tabular states return ``None``
-    so callers fall back to the per-object path.
+    Accepts a raw ``(T, H, K)`` ndarray, or a non-empty sequence of plain
+    k-ary sketches over one schema.  Anything else -- exact vectors,
+    invertible, Count-Min or Count Sketch summaries, sketches whose hash
+    functions differ -- returns ``None``, so callers take the per-object
+    path, which combines (or refuses to combine) it as it always does.
     """
-    tables = getattr(observed, "tables", None)
-    if tables is not None:
-        return np.asarray(tables), observed.schema.width
     if isinstance(observed, np.ndarray):
-        if observed.ndim != 3:
-            return None
-        return observed, observed.shape[-1]
-    from repro.sketch.kary import KArySketch
-
+        return (observed, observed.shape[-1]) if observed.ndim == 3 else None
     try:
-        first = observed[0]
-    except (TypeError, KeyError, IndexError):
+        schema = observed[0].schema
+    except (TypeError, KeyError, IndexError, AttributeError):
         return None
-    if not isinstance(first, KArySketch):
+    if not all(type(s) is KArySketch and s.schema == schema for s in observed):
         return None
-    return (
-        np.stack([np.asarray(s.table) for s in observed]),
-        first.schema.width,
-    )
+    return np.stack([s.table for s in observed]), schema.width
 
 
 def stack_total_energy(
@@ -139,8 +123,9 @@ def stack_total_energy(
     Runs an arbitrary forecaster directly on the ``(H, K)`` ndarrays of a
     stack (forecasters are state-agnostic), computing each scored
     interval's ESTIMATEF2 with the k-ary estimator.  Results equal the
-    sketch-based reference.  ``search_model(engine="auto")`` scores
-    models that cannot broadcast (ARIMA) with it.
+    sketch-based reference.  :func:`~repro.gridsearch.grid.search_model`
+    scores the models the batched objective does not cover (ARIMA) with
+    it.
     """
     if skip_intervals < 0:
         raise ValueError(f"skip_intervals must be >= 0, got {skip_intervals}")
@@ -175,42 +160,39 @@ def estimated_total_energy_batched(
     model: str,
     candidates: Sequence[Dict],
     skip_intervals: int = 0,
-    block_size: int = DEFAULT_CANDIDATE_BLOCK,
 ) -> np.ndarray:
     """Score many parameter points of one model against one stack.
 
     Parameters
     ----------
     observed:
-        ``SketchStack``, sequence of same-schema sketches, or ``(T, H, K)``
-        ndarray.
+        Sequence of plain k-ary sketches over one schema, or a
+        ``(T, H, K)`` ndarray (see :func:`coerce_tables`).
     model:
-        One of :data:`~repro.forecast.vectorized.VECTORIZABLE_MODELS`.
+        One of :data:`BATCHED_MODELS`.
     candidates:
         Flat parameter dicts (``{"window": w}`` or ``{"alpha": a}`` /
         ``{"alpha": a, "beta": b}``).
     skip_intervals:
         Same leading-exclusion rule as :func:`estimated_total_energy`.
-    block_size:
-        Candidates evaluated concurrently by the broadcast recursions.
 
     Returns
     -------
     ``(len(candidates),)`` float64 energies, bit-identical to evaluating
     :func:`estimated_total_energy` per candidate.
     """
-    if model not in VECTORIZABLE_MODELS:
+    if model not in BATCHED_MODELS:
         raise ValueError(
             f"model {model!r} cannot be batch-scored; expected one of "
-            f"{VECTORIZABLE_MODELS}"
+            f"{BATCHED_MODELS}"
         )
     if skip_intervals < 0:
         raise ValueError(f"skip_intervals must be >= 0, got {skip_intervals}")
     coerced = coerce_tables(observed)
     if coerced is None:
         raise TypeError(
-            "observed must be a SketchStack, sequence of k-ary sketches, "
-            "or (T, H, K) ndarray"
+            "observed must be a sequence of plain k-ary sketches over one "
+            "schema, or a (T, H, K) ndarray"
         )
     tables, width = coerced
     candidates = list(candidates)
@@ -220,36 +202,51 @@ def estimated_total_energy_batched(
 
     if model in ("ma", "sma"):
         for ci, params in enumerate(candidates):
-            first, errors = stack_errors(
-                model, tables, window=int(params["window"])
-            )
-            energies[ci] = _scored_energy(errors, width, first, skip_intervals)
+            window = int(params["window"])
+            errors = _window_errors(tables, model, window)
+            energies[ci] = _scored_energy(errors, width, window, skip_intervals)
         return energies
 
-    block = max(int(block_size), 1)
-    for start in range(0, len(candidates), block):
-        chunk = candidates[start : start + block]
+    for start in range(0, len(candidates), _CANDIDATE_BLOCK):
+        chunk = candidates[start : start + _CANDIDATE_BLOCK]
+        alphas = np.array([float(p["alpha"]) for p in chunk])
         if model == "ewma":
-            alphas = np.array([float(p["alpha"]) for p in chunk])
-            energies[start : start + len(chunk)] = _ewma_block_energy(
-                tables, width, alphas, skip_intervals
-            )
+            block = _ewma_block_energy(tables, width, alphas, skip_intervals)
         else:  # nshw
-            alphas = np.array([float(p["alpha"]) for p in chunk])
             betas = np.array([float(p["beta"]) for p in chunk])
-            energies[start : start + len(chunk)] = _nshw_block_energy(
+            block = _nshw_block_energy(
                 tables, width, alphas, betas, skip_intervals
             )
+        energies[start : start + len(chunk)] = block
     return energies
 
 
-def _block_f2(errors: np.ndarray, width: int) -> np.ndarray:
-    """Per-candidate ESTIMATEF2 of a ``(C, H, K)`` error block."""
-    k = width
-    sum_sq = np.einsum("chk,chk->ch", errors, errors)
-    totals = errors[:, 0, :].sum(axis=1)
-    per_row = (k / (k - 1.0)) * sum_sq - (totals * totals)[:, None] / (k - 1.0)
-    return np.median(per_row, axis=1)
+def _window_errors(tables: np.ndarray, model: str, window: int) -> np.ndarray:
+    """MA's or SMA's ``Se(t)`` for every ``t >= window``, as one stencil.
+
+    Each forecast adds the same terms in the same order as the
+    forecaster's, so the errors are bit-identical to stepping it.
+    """
+    t_len = tables.shape[0]
+    count = t_len - window
+    if count <= 0:
+        return tables[:0]
+    if model == "ma":
+        # acc = h[0]*(1/W), then acc + h[i]*(1/W), oldest to newest.
+        scaled = tables * (1.0 / window)
+        out = scaled[0:count].copy()
+        for i in range(1, window):
+            out += scaled[i : count + i]
+    else:
+        # Newest first: lag 1 takes weights[0].
+        weights = sma_weights(window)
+        norm = sum(weights)
+        out = tables[window - 1 : t_len - 1] * (weights[0] / norm)
+        for lag in range(2, window + 1):
+            out += tables[window - lag : t_len - lag] * (weights[lag - 1] / norm)
+    # The forecasts become the errors in place.
+    np.subtract(tables[window:], out, out=out)
+    return out
 
 
 def _ewma_block_energy(
@@ -269,7 +266,7 @@ def _ewma_block_energy(
     for t in range(1, t_len):
         if t >= skip:
             np.subtract(tables[t], forecast, out=work)
-            energies += np.maximum(_block_f2(work, width), 0.0)
+            energies += np.maximum(tables_estimate_f2(work, width), 0.0)
         if t == t_len - 1:
             break
         # Sf = So*alpha + Sf_prev*(1-alpha): the two addends commute
@@ -306,7 +303,7 @@ def _nshw_block_energy(
     for t in range(2, t_len):
         if t >= skip:
             np.subtract(tables[t], forecast, out=work)
-            energies += np.maximum(_block_f2(work, width), 0.0)
+            energies += np.maximum(tables_estimate_f2(work, width), 0.0)
         if t == t_len - 1:
             break
         # new_smooth = So*alpha + Sf*(1-alpha), reference term order.

@@ -35,7 +35,7 @@ from repro.sketch.countsketch import CountSketch, CountSketchSchema
 from repro.sketch.dense import DenseSchema, DenseVector, KeyIndex
 from repro.sketch.exact import DictVector, ExactSchema
 from repro.sketch.invertible import InvertibleKArySchema, InvertibleKArySketch
-from repro.sketch.kary import KArySchema, KArySketch
+from repro.sketch.kary import KArySchema, KArySketch, tables_estimate_f2
 from repro.sketch.mergeable import (
     combine,
     fold_width,
@@ -50,7 +50,6 @@ from repro.sketch.serialization import (
     load,
     loads,
 )
-from repro.sketch.stack import SketchStack, tables_estimate_f2
 
 __all__ = [
     "CountMinSchema",
@@ -68,7 +67,6 @@ __all__ = [
     "KeyIndex",
     "LinearSummary",
     "SketchDecodeError",
-    "SketchStack",
     "SummaryConvention",
     "combine",
     "fold_width",

@@ -165,11 +165,7 @@ class KArySketch(HashedSketch):
 
     def estimate_f2(self) -> float:
         """ESTIMATEF2: median of per-row unbiased second-moment estimates."""
-        k = self._schema.width
-        sum_sq = np.einsum("ij,ij->i", self._table, self._table)
-        total = self.total()
-        per_row = (k / (k - 1.0)) * sum_sq - (total * total) / (k - 1.0)
-        return float(np.median(per_row))
+        return float(np.median(_f2_rows(self._table, self._schema.width)))
 
     # -- COMBINE -----------------------------------------------------------
 
@@ -190,3 +186,31 @@ class KArySketch(HashedSketch):
 
 
 KArySchema.sketch_type = KArySketch
+
+
+def _f2_rows(tables: np.ndarray, width: int) -> np.ndarray:
+    """Per-row F2 estimates of every ``(H, K)`` table: shape ``(..., H)``.
+
+    Row ``i`` gives ``K/(K-1) * sum_j T[i][j]**2 - sum(S)**2 / (K-1)``,
+    with ``sum(S)`` read from row 0.  This is the one implementation of
+    the estimator: :meth:`KArySketch.estimate_f2` takes the median of its
+    table's rows, and :func:`tables_estimate_f2` of every table's in an
+    array, so both give the same floats.
+    """
+    tables = np.asarray(tables, dtype=np.float64)
+    k = int(width)
+    if tables.shape[-1] != k:
+        raise ValueError(f"table width {tables.shape[-1]} != {k}")
+    sum_sq = np.einsum("...k,...k->...", tables, tables)
+    totals = tables[..., 0, :].sum(axis=-1)
+    return (k / (k - 1.0)) * sum_sq - (totals * totals)[..., None] / (k - 1.0)
+
+
+def tables_estimate_f2(tables: np.ndarray, width: int) -> np.ndarray:
+    """ESTIMATEF2 of every ``(H, K)`` table in an ``(..., H, K)`` array.
+
+    The grid search scores whole series and candidate blocks of error
+    tables with it; each value equals the table's
+    :meth:`KArySketch.estimate_f2` bit for bit.
+    """
+    return np.median(_f2_rows(tables, width), axis=-1)

@@ -126,3 +126,31 @@ def test_schema_mismatch_still_raises(schema, rng):
     f.step(schema.empty())
     with pytest.raises(ValueError, match="schemas"):
         f.step_into(other.empty(), error_out=other.empty())
+
+
+@pytest.mark.parametrize(
+    "model,counts", [("ewma", [1, 2, 2, 2, 2, 2]), ("nshw", [0, 1, 5, 5, 5, 5])]
+)
+def test_step_runs_one_combine_per_statement(model, counts, schema, rng, monkeypatch):
+    """Past warm-up, ``step()`` runs the update with ``Se`` inserted.
+
+    NSHW derives ``Sf = Ss + St`` once a step (its first statement), not
+    once more in ``forecast()``; EWMA's error and update are one COMBINE
+    each.
+    """
+    series = _observations(schema, rng, n=len(counts))
+    calls = []
+    combine = KArySketch._linear_combination
+
+    def counting(self, terms):
+        calls.append(len(terms))
+        return combine(self, terms)
+
+    monkeypatch.setattr(KArySketch, "_linear_combination", counting)
+    forecaster = MODELS[model]()
+    per_step = []
+    for observed in series:
+        before = len(calls)
+        forecaster.step(observed)
+        per_step.append(len(calls) - before)
+    assert per_step == counts
