@@ -41,7 +41,7 @@ def workload():
     return batches, perflow
 
 
-def _pipeline_similarity(batches, perflow, schema, signed_estimates=False):
+def _pipeline_similarity(batches, perflow, schema):
     forecaster = make_forecaster("ewma", alpha=0.5)
     start = time.perf_counter()
     sims = []
@@ -49,10 +49,7 @@ def _pipeline_similarity(batches, perflow, schema, signed_estimates=False):
         if step.error is None or step.index < 2:
             continue
         keys = step.keys
-        if signed_estimates:
-            estimates = step.error.estimate_batch(keys, signed=True)
-        else:
-            estimates = step.error.estimate_batch(keys)
+        estimates = step.error.estimate_batch(keys)
         order = np.lexsort((keys, -np.abs(estimates)))
         sims.append(
             similarity(keys[order[:TOP_N]], perflow.top_n(step.index, TOP_N), TOP_N)
@@ -73,12 +70,9 @@ def test_structure_comparison(benchmark, workload):
         rounds=1, iterations=1,
     )
     cs_sim, cs_time = _pipeline_similarity(batches, perflow, count_sketch)
-    # Count-Min's min-estimator is meaningless on signed error sketches;
-    # use its median (signed) readout, i.e. Count-Median -- the strongest
-    # fair variant.
-    cm_sim, cm_time = _pipeline_similarity(
-        batches, perflow, count_min, signed_estimates=True
-    )
+    # Count-Min's ESTIMATE is its row median (Count-Median): the min
+    # estimator is meaningless on signed error sketches.
+    cm_sim, cm_time = _pipeline_similarity(batches, perflow, count_min)
 
     text = "\n".join([
         f"Sketch structure comparison (H={DEPTH}, K={WIDTH}, top-{TOP_N} "

@@ -9,7 +9,7 @@ per-object reference paths:
 * **ESTIMATE** -- batched point queries (keys/sec), fused
   hash+gather+median kernel vs per-row gather + ``np.median``;
 * **columnar** -- end-to-end session ingest via zero-copy
-  :class:`ColumnarBlock` views vs record chunks (parity check: same
+  :class:`KeyedUpdates` views vs record chunks (parity check: same
   throughput, reports bit-identical, zero intermediate copies);
 * **grid search** -- ``search_model`` wall-clock (candidates scored
   against the stacked ``(T, H, K)`` tables) vs the per-object search

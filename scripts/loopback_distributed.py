@@ -2,8 +2,8 @@
 """CI loopback distributed detection: coordinator + 3 agent processes.
 
 Runs the real multi-process path (``repro serve`` + three ``repro
-agent`` subprocesses over loopback TCP) twice on a low-drift trace with
-one planted change, and demands:
+agent`` subprocesses over loopback TCP) three times on a low-drift trace
+with one planted change, and demands:
 
 1. **Filtering off** -- the coordinator's per-interval report lines are
    byte-identical to the single-process serial reference formatted
@@ -12,6 +12,14 @@ one planted change, and demands:
    transmissions (coordinator ``suppressed`` counter > 0), sketch bytes
    on the wire drop by >= 30%, and the planted change still alarms at
    its interval with the planted key on top (recall 1.0).
+3. **Recovering key source** (``--key-source invertible`` on ``serve``
+   and on the agents) -- the fleet exits 0 within the timeout, every
+   interval is sealed, and the planted change alarms at its interval
+   with the planted key on top.  Merged MV votes may elect other bucket
+   candidates than one stream's, so the lines are not compared with the
+   serial reference.
+
+Every process must finish within :data:`TIMEOUT` seconds.
 
 Exits non-zero on any violation; prints the tallies on success.
 Run as: ``PYTHONPATH=src python scripts/loopback_distributed.py``
@@ -39,6 +47,8 @@ T_FRACTION = 0.05
 TOP_N = 5
 CHANGE_KEY = 1040
 CHANGE_INTERVAL = 8
+INTERVALS = 12
+TIMEOUT = 120
 
 ENV = {**os.environ, "PYTHONPATH": "src"}
 
@@ -50,15 +60,15 @@ def _low_drift_trace() -> np.ndarray:
     count), so the round-robin partition gives every site identical
     per-interval traffic -- zero local drift outside the change.
     """
-    per, intervals = 198, 12
+    per = 198
     ts = np.concatenate(
         [
             t * INTERVAL + np.arange(per) * (INTERVAL / (per + 1))
-            for t in range(intervals)
+            for t in range(INTERVALS)
         ]
     )
-    keys = np.tile(1000 + (np.arange(per) % 66), intervals).astype(np.uint32)
-    byts = np.tile(500.0 + (np.arange(per) % 66) * 7.0, intervals)
+    keys = np.tile(1000 + (np.arange(per) % 66), INTERVALS).astype(np.uint32)
+    byts = np.tile(500.0 + (np.arange(per) % 66) * 7.0, INTERVALS)
     change = (keys == CHANGE_KEY) & (
         (ts >= CHANGE_INTERVAL * INTERVAL)
         & (ts < (CHANGE_INTERVAL + 1) * INTERVAL)
@@ -98,7 +108,7 @@ def _reference_lines(records: np.ndarray) -> list[str]:
 
 
 def _run_fleet(
-    trace_paths: list[str], drift_fraction: float
+    trace_paths: list[str], drift_fraction: float, key_source: str = "twopass"
 ) -> tuple[list[str], dict[str, int], int]:
     """Serve + agents; return (report lines, coordinator stats, bytes)."""
     port = _free_port()
@@ -110,44 +120,55 @@ def _run_fleet(
             "--depth", str(DEPTH), "--width", str(WIDTH),
             "--seed", str(SEED),
             "--threshold", str(T_FRACTION), "--top-n", str(TOP_N),
+            "--key-source", key_source,
             "--exit-when-complete", "--expect-sites", str(N_SITES),
         ],
         env=ENV, stdout=subprocess.PIPE, text=True,
     )
-    assert serve.stdout is not None
-    listening = serve.stdout.readline()
-    if "listening" not in listening:
-        serve.kill()
-        raise RuntimeError(f"coordinator failed to start: {listening!r}")
+    fleet = [serve]
+    try:
+        assert serve.stdout is not None
+        listening = serve.stdout.readline()
+        if "listening" not in listening:
+            raise RuntimeError(f"coordinator failed to start: {listening!r}")
 
-    agents = [
-        subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "agent", path,
-                "--site", f"site-{i}",
-                "--connect", f"127.0.0.1:{port}",
-                "--interval", str(INTERVAL),
-                "--depth", str(DEPTH), "--width", str(WIDTH),
-                "--seed", str(SEED),
-                "--threshold", str(T_FRACTION),
-                "--drift-fraction", str(drift_fraction),
-            ],
-            env=ENV, stdout=subprocess.PIPE, text=True,
-        )
-        for i, path in enumerate(trace_paths)
-    ]
-    agent_bytes = 0
-    for agent in agents:
-        out, _ = agent.communicate(timeout=120)
-        if agent.returncode != 0:
-            serve.kill()
-            raise RuntimeError(f"agent failed:\n{out}")
-        match = re.search(r"bytes_sent=(\d+)", out)
-        assert match, f"no bytes_sent in agent output:\n{out}"
-        agent_bytes += int(match.group(1))
-    out, _ = serve.communicate(timeout=120)
-    if serve.returncode != 0:
-        raise RuntimeError(f"coordinator failed:\n{out}")
+        fleet += [
+            subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro", "agent", path,
+                    "--site", f"site-{i}",
+                    "--connect", f"127.0.0.1:{port}",
+                    "--interval", str(INTERVAL),
+                    "--depth", str(DEPTH), "--width", str(WIDTH),
+                    "--seed", str(SEED),
+                    "--threshold", str(T_FRACTION),
+                    "--key-source", key_source,
+                    "--drift-fraction", str(drift_fraction),
+                ],
+                env=ENV, stdout=subprocess.PIPE, text=True,
+            )
+            for i, path in enumerate(trace_paths)
+        ]
+        agent_bytes = 0
+        for agent in fleet[1:]:
+            out, _ = agent.communicate(timeout=TIMEOUT)
+            if agent.returncode != 0:
+                raise RuntimeError(f"agent failed:\n{out}")
+            match = re.search(r"bytes_sent=(\d+)", out)
+            assert match, f"no bytes_sent in agent output:\n{out}"
+            agent_bytes += int(match.group(1))
+        out, _ = serve.communicate(timeout=TIMEOUT)
+        if serve.returncode != 0:
+            raise RuntimeError(f"coordinator failed:\n{out}")
+    except subprocess.TimeoutExpired as exc:
+        raise RuntimeError(
+            f"{key_source} fleet did not finish within {TIMEOUT}s: {exc.cmd}"
+        ) from None
+    finally:
+        for proc in fleet:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
 
     report_lines = [
         line for line in out.splitlines() if line.startswith("interval ")
@@ -164,16 +185,22 @@ def _run_fleet(
     return report_lines, stats, agent_bytes
 
 
+def _change_line(lines: list[str]) -> str | None:
+    """The planted interval's report line if its key alarmed on top."""
+    line = next(
+        (x for x in lines if x.startswith(f"interval {CHANGE_INTERVAL:4d}")),
+        None,
+    )
+    if line is None or f"{CHANGE_KEY}:" not in line or "alarms=    0" in line:
+        return None
+    return line
+
+
 def main() -> int:
     records = _low_drift_trace()
     reference = _reference_lines(records)
-    change_line = next(
-        line
-        for line in reference
-        if line.startswith(f"interval {CHANGE_INTERVAL:4d}")
-    )
-    if f"{CHANGE_KEY}:" not in change_line or "alarms=    0" in change_line:
-        print(f"planted change missing from reference: {change_line}")
+    if _change_line(reference) is None:
+        print(f"planted change missing from reference: {reference}")
         return 1
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -209,26 +236,27 @@ def main() -> int:
                 f"bytes did not drop >= 30%: {bytes_on} vs {bytes_off}"
             )
             return 1
-        change_on = next(
-            (
-                line
-                for line in lines_on
-                if line.startswith(f"interval {CHANGE_INTERVAL:4d}")
-            ),
-            None,
-        )
-        if (
-            change_on is None
-            or f"{CHANGE_KEY}:" not in change_on
-            or "alarms=    0" in change_on
-        ):
-            print(f"planted change missed with filtering on: {change_on}")
+        if _change_line(lines_on) is None:
+            print(f"planted change missed with filtering on: {lines_on}")
             return 1
         print(
             f"suppressed={stats_on['suppressed']} "
             f"bytes {bytes_on}/{bytes_off} "
             f"({1 - bytes_on / bytes_off:.0%} saved), recall 1.0"
         )
+
+        print("== recovering key source: --key-source invertible")
+        lines_inv, stats_inv, _ = _run_fleet(paths, 0.0, "invertible")
+        if (
+            stats_inv["intervals_sealed"] != INTERVALS
+            or len(lines_inv) != INTERVALS - 1
+        ):
+            print(f"not every interval sealed: {stats_inv}, {lines_inv}")
+            return 1
+        if _change_line(lines_inv) is None:
+            print(f"planted change missed with invertible keys: {lines_inv}")
+            return 1
+        print(f"{len(lines_inv)} reports, planted change on top, recall 1.0")
     print("loopback distributed detection: all checks passed")
     return 0
 

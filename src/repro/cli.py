@@ -136,12 +136,7 @@ def _write_metrics(recorder, args) -> None:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    from repro.detection import (
-        GroupTestingSchema,
-        OfflineTwoPassDetector,
-        OnlineDetector,
-    )
-    from repro.sketch import InvertibleKArySchema, KArySchema
+    from repro.detection import OfflineTwoPassDetector, OnlineDetector
     from repro.streams import IntervalStream, read_trace
 
     _apply_threads(args)
@@ -153,19 +148,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         value_scheme=args.value,
     )
     recorder = _make_recorder(args)
-    # The key source dictates the summary type: invertible recovery needs
-    # the candidate/vote planes, group testing needs per-bit subcounters;
-    # replay and online work on the plain k-ary sketch.
-    if args.key_source == "invertible":
-        schema = InvertibleKArySchema(
-            depth=args.depth, width=args.width, seed=args.seed
-        )
-    elif args.key_source == "grouptesting":
-        schema = GroupTestingSchema(
-            depth=args.depth, width=args.width, seed=args.seed
-        )
-    else:
-        schema = KArySchema(depth=args.depth, width=args.width, seed=args.seed)
+    schema = _schema(args)
     if args.key_source == "online":
         detector = OnlineDetector(
             schema,
@@ -225,6 +208,24 @@ def _model_params(args) -> dict:
     }
 
 
+def _schema(args):
+    """The per-interval schema from ``--depth/--width/--seed``.
+
+    The key source dictates the summary type: invertible recovery needs
+    the candidate/vote planes, group testing needs per-bit subcounters;
+    replay and online keys work on the plain k-ary sketch.  A subcommand
+    without ``--key-source`` replays.
+    """
+    from repro.detection import GroupTestingSchema
+    from repro.sketch import InvertibleKArySchema, KArySchema
+
+    schema_cls = {
+        "invertible": InvertibleKArySchema,
+        "grouptesting": GroupTestingSchema,
+    }.get(getattr(args, "key_source", "twopass"), KArySchema)
+    return schema_cls(depth=args.depth, width=args.width, seed=args.seed)
+
+
 def _apply_threads(args) -> None:
     """Apply ``--threads`` to the kernel layer before any session work."""
     threads = getattr(args, "threads", None)
@@ -254,11 +255,10 @@ def _build_session(args, schema, recorder=None, sink=None):
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
     from repro.detection import save_checkpoint
-    from repro.sketch import KArySchema
     from repro.streams import read_trace
 
     records = read_trace(args.trace)
-    schema = KArySchema(depth=args.depth, width=args.width, seed=args.seed)
+    schema = _schema(args)
     recorder = _make_recorder(args)
     session = _build_session(args, schema, recorder=recorder)
     prefix = records[records["timestamp"] <= args.until]
@@ -319,11 +319,10 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     """
     import numpy as np
 
-    from repro.sketch import KArySchema
     from repro.streams import read_trace
 
     records = read_trace(args.trace)
-    schema = KArySchema(depth=args.depth, width=args.width, seed=args.seed)
+    schema = _schema(args)
     recorder = _make_recorder(args)
     session = _build_session(args, schema, recorder=recorder)
     if len(records):
@@ -360,7 +359,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.distributed import CoordinatorServer, IntervalMerger
     from repro.distributed.coordinator import load_merger_checkpoint
-    from repro.sketch import KArySchema
 
     recorder = _make_recorder(args)
     if args.resume is not None:
@@ -373,7 +371,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{merger.sealed_through} ({len(merger.sites)} known sites)"
         )
     else:
-        schema = KArySchema(depth=args.depth, width=args.width, seed=args.seed)
+        schema = _schema(args)
         merger = IntervalMerger(
             schema,
             args.model,
@@ -435,7 +433,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_agent(args: argparse.Namespace) -> int:
     """Stream one site's trace to a coordinator (see repro.distributed)."""
     from repro.distributed import stream_trace
-    from repro.sketch import KArySchema
     from repro.streams import read_trace
 
     host, _, port = args.connect.rpartition(":")
@@ -446,7 +443,7 @@ def _cmd_agent(args: argparse.Namespace) -> int:
         )
         return 1
     records = read_trace(args.trace)
-    schema = KArySchema(depth=args.depth, width=args.width, seed=args.seed)
+    schema = _schema(args)
     try:
         stats = stream_trace(
             records,
@@ -476,12 +473,11 @@ def _cmd_agent(args: argparse.Namespace) -> int:
 def _cmd_sketch(args: argparse.Namespace) -> int:
     import os
 
-    from repro.sketch import KArySchema
     from repro.sketch.serialization import dump
     from repro.streams import IntervalStream, read_trace
 
     records = read_trace(args.trace)
-    schema = KArySchema(depth=args.depth, width=args.width, seed=args.seed)
+    schema = _schema(args)
     os.makedirs(args.out_dir, exist_ok=True)
     stream = IntervalStream(
         records,
@@ -542,11 +538,10 @@ def _cmd_drilldown(args: argparse.Namespace) -> int:
 
 def _cmd_archive(args: argparse.Namespace) -> int:
     from repro.archive import TemporalArchive
-    from repro.sketch import KArySchema
     from repro.streams import read_trace
 
     records = read_trace(args.trace)
-    schema = KArySchema(depth=args.depth, width=args.width, seed=args.seed)
+    schema = _schema(args)
     recorder = _make_recorder(args)
     budget = (
         None if args.budget_mb is None else int(args.budget_mb * 1024 * 1024)

@@ -7,7 +7,8 @@ whose boundaries have nothing to do with analysis intervals.
 
 * records are ingested in any chunk sizes (within a chunk they may be
   unsorted; chunks themselves must not go backwards in time past an
-  already-closed interval -- the tolerance is configurable);
+  already-closed interval -- the tolerance is configurable), and each
+  chunk is vetted whole, so a rejected one changes nothing;
 * whenever ingestion crosses an interval boundary, the finished
   interval's sketch is sealed, stepped through the forecast model, and a
   detection report is emitted;
@@ -489,85 +490,68 @@ class StreamingSession:
 
         A chunk may span several intervals; every interval strictly before
         the chunk's latest timestamp gets sealed in order (including empty
-        gap intervals, so the forecast series stays evenly spaced).
-        A NaN or infinite timestamp rejects the whole chunk with
+        gap intervals, so the forecast series stays evenly spaced).  The
+        chunk is vetted whole first: a record array of the wrong dtype, a
+        NaN or infinite timestamp, a record older than the lateness
+        tolerance allows or a non-finite value rejects it with
         ``ValueError`` before any session state changes.
         """
         validate_records(records)
         if not len(records):
             return []
         with self.recorder.time("ingest"):
-            reports = self._ingest_sorted(records)
-        obs = self.recorder
-        if obs.enabled:
-            obs.count("repro_records_ingested_total", len(records))
-            obs.gauge("repro_watermark_seconds", self._watermark)
-        return reports
-
-    def _ingest_sorted(self, records: np.ndarray) -> List[IntervalDetection]:
-        timestamps = records["timestamp"]
-        # Chunks from real collectors are usually already time-sorted; a
-        # single monotonicity scan is far cheaper than the stable argsort.
-        if len(records) > 1 and not np.all(np.diff(timestamps) >= 0):
-            order = np.argsort(timestamps, kind="stable")
-            records = records[order]
             timestamps = records["timestamp"]
-        # A NaN also fails the monotonicity scan above, so it sorts last.
-        first, last = finite_time_span(timestamps)
-        floor = (
-            None
-            if self._current_index is None
-            else self._current_index * self.interval_seconds
-            - self.lateness_tolerance
-        )
-        if floor is not None and first < floor:
-            raise ValueError(
-                f"record at t={first:.3f}s predates the "
-                f"open interval (starting {floor + self.lateness_tolerance:.3f}s) "
-                "by more than the lateness tolerance"
+            # Chunks from real collectors are usually already time-sorted;
+            # a single monotonicity scan is far cheaper than the argsort.
+            if len(records) > 1 and not np.all(np.diff(timestamps) >= 0):
+                records = records[np.argsort(timestamps, kind="stable")]
+                timestamps = records["timestamp"]
+            # A NaN also fails the monotonicity scan above, so it sorts last.
+            first, last = finite_time_span(timestamps)
+            open_index = self._current_index
+            if open_index is not None:
+                floor = open_index * self.interval_seconds
+                if first < floor - self.lateness_tolerance:
+                    raise ValueError(
+                        f"record at t={first:.3f}s predates the open interval "
+                        f"(starting {floor:.3f}s) by more than the lateness "
+                        "tolerance"
+                    )
+            keys = np.asarray(self.key_scheme.extract(records), dtype=np.uint64)
+            values = SummaryConvention.as_value_array(
+                self.value_scheme.extract(records), len(keys)
             )
-
-        reports: List[IntervalDetection] = []
-        # Records are time-sorted, so indices are nondecreasing: when both
-        # ends share an interval, so does the whole chunk -- the common
-        # case, settled on two scalars without a per-record index array.
-        first_index = interval_index(first, self.interval_seconds)
-        last_index = interval_index(last, self.interval_seconds)
-        if self._current_index is not None:
-            # Late-but-tolerated records are clamped into the open interval.
-            first_index = max(first_index, self._current_index)
-            last_index = max(last_index, self._current_index)
-        if first_index == last_index:
-            reports.extend(self._advance_to(first_index))
-            self._accumulate(records)
-        else:
-            # Each interval is one contiguous slice, delimited by the
-            # first occurrence of each index, instead of a boolean rescan
-            # of the whole chunk per interval.
-            indices = self._interval_indices(timestamps)
-            uniq, starts = np.unique(indices, return_index=True)
-            bounds = np.append(starts, len(records))
-            for ui, index in enumerate(uniq):
-                chunk = records[bounds[ui] : bounds[ui + 1]]
-                reports.extend(self._advance_to(int(index)))
-                self._accumulate(chunk)
-        self._records_ingested += len(records)
-        self._watermark = max(self._watermark, last)
+            # Sorted, so indices are nondecreasing: when both ends share an
+            # interval, so does the whole chunk -- the common case, settled
+            # on two Python floats without a per-record index array.
+            first_index = interval_index(first, self.interval_seconds)
+            last_index = interval_index(last, self.interval_seconds)
+            if open_index is not None:
+                # Late-but-tolerated records are clamped into the open
+                # interval.
+                first_index = max(first_index, open_index)
+                last_index = max(last_index, open_index)
+            if first_index == last_index:
+                reports = self._add(first_index, keys, values)
+            else:
+                # Each interval is one contiguous slice, delimited by the
+                # first occurrence of each index.
+                indices = interval_index(timestamps, self.interval_seconds)
+                if open_index is not None:
+                    np.maximum(indices, open_index, out=indices)
+                uniq, starts = np.unique(indices, return_index=True)
+                bounds = np.append(starts, len(keys)).tolist()
+                reports = []
+                for index, lo, hi in zip(uniq.tolist(), bounds, bounds[1:]):
+                    reports.extend(self._add(index, keys[lo:hi], values[lo:hi]))
+        self._accepted(len(keys), last)
         return reports
-
-    def _interval_indices(self, timestamps: np.ndarray) -> np.ndarray:
-        """Interval index of each timestamp, clamped to the open interval."""
-        indices = interval_index(timestamps, self.interval_seconds)
-        # Late-but-tolerated records are clamped into the open interval.
-        if self._current_index is not None:
-            indices = np.maximum(indices, self._current_index)
-        return indices
 
     def ingest_columns(self, block) -> List[IntervalDetection]:
-        """Feed one columnar block; returns reports for intervals sealed.
+        """Feed one columnar batch; returns reports for intervals sealed.
 
         The zero-copy twin of :meth:`ingest`: ``block`` is a
-        :class:`~repro.streams.model.ColumnarBlock` (or anything exposing
+        :class:`~repro.streams.model.KeyedUpdates` (or anything exposing
         ``index``, ``keys``, ``values``) whose key/value arrays were
         extracted upstream -- typically views produced by
         :func:`~repro.streams.sharding.iter_interval_columns` -- and skip
@@ -609,21 +593,43 @@ class StreamingSession:
                 "bits the schema's hash family takes"
             )
         with self.recorder.time("ingest"):
-            reports = self._advance_to(index)
-            if len(keys):
-                # Copied: the caller owns the arrays once this returns.
-                self._interval.add(keys.copy(), values.copy())
-        self._records_ingested += len(keys)
+            # Handed over as views, so the buffer copies them after the
+            # seal: the caller owns the block's arrays once this returns.
+            reports = self._add(index, keys.view(), values.view())
         # Columnar blocks carry no per-record timestamps; the recovery
         # cursor advances to the open interval's start, so a columnar
         # replay resumes at block granularity (feed blocks with
         # ``block.index >= current_interval`` after a restore).
-        self._watermark = max(self._watermark, index * self.interval_seconds)
+        self._accepted(len(keys), index * self.interval_seconds)
+        return reports
+
+    def _add(
+        self, index: int, keys: np.ndarray, values: np.ndarray
+    ) -> List[IntervalDetection]:
+        """The one way into the open interval: seal every interval before
+        ``index``, then buffer ``(keys, values)`` there.
+
+        The buffer outlives the call, so it holds only arrays it owns: a
+        view -- one interval's slice of a chunk's columns, a caller's
+        columnar block -- is copied, after the seal, so a sealing call
+        never holds both the copy and the sealed interval.
+        """
+        reports = self._advance_to(index)
+        if len(keys):
+            self._interval.add(
+                keys if keys.flags.owndata else keys.copy(),
+                values if values.flags.owndata else values.copy(),
+            )
+        return reports
+
+    def _accepted(self, records: int, watermark: float) -> None:
+        """Count an accepted call's records and advance the cursor."""
+        self._records_ingested += records
+        self._watermark = max(self._watermark, watermark)
         obs = self.recorder
         if obs.enabled:
-            obs.count("repro_records_ingested_total", len(keys))
+            obs.count("repro_records_ingested_total", records)
             obs.gauge("repro_watermark_seconds", self._watermark)
-        return reports
 
     def _advance_to(self, interval_index: int) -> List[IntervalDetection]:
         """Seal every interval before ``interval_index``."""
@@ -648,20 +654,6 @@ class StreamingSession:
         self._interval = _OpenInterval(
             self.schema.empty(), self.key_source == "twopass"
         )
-
-    def _accumulate(self, chunk: np.ndarray) -> None:
-        """Buffer one single-interval record chunk into the open interval."""
-        keys = np.asarray(self.key_scheme.extract(chunk), dtype=np.uint64)
-        values = SummaryConvention.as_value_array(
-            self.value_scheme.extract(chunk), len(keys)
-        )
-        # The registry's schemes return fresh arrays; a scheme returning a
-        # view of the caller's records is copied, so the buffer owns it.
-        if not keys.flags.owndata:
-            keys = keys.copy()
-        if not values.flags.owndata:
-            values = values.copy()
-        self._interval.add(keys, values)
 
     # -- checkpoint state ----------------------------------------------------
 

@@ -127,9 +127,9 @@ class OfflineTwoPassDetector:
         Warm-up intervals (no forecast yet) are skipped; the caller sees
         only intervals with a defined error summary.
 
-        ``batches`` may be :class:`~repro.streams.model.KeyedUpdates` or
-        zero-copy :class:`~repro.streams.model.ColumnarBlock` items (from
-        :func:`~repro.streams.sharding.iter_interval_columns`) -- only
+        ``batches`` are :class:`~repro.streams.model.KeyedUpdates` items,
+        per-interval from an ``IntervalStream`` or zero-copy views from
+        :func:`~repro.streams.sharding.iter_interval_columns` -- only
         ``index``/``keys``/``values`` are read, and the key/value arrays
         feed the fused UPDATE kernels without copying.
         """

@@ -745,10 +745,15 @@ class CoordinatorServer:
         Polls :attr:`IntervalMerger.complete` (plus an empty frame
         queue), which also waits for the merger's ``min_sites`` sites to
         register; returns False on timeout instead of raising so callers
-        can dump diagnostics before failing.
+        can dump diagnostics before failing.  If the merge task died (a
+        seal raised), its exception is raised here: nothing would ever
+        complete.
         """
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
+            task = self._merge_task
+            if task is not None and task.done():
+                task.result()
             if self._queue.empty() and self.merger.complete:
                 return True
             await asyncio.sleep(0.02)

@@ -221,6 +221,10 @@ def search_model(
         known = ", ".join(sorted(spaces))
         raise ValueError(f"unknown model {model!r}; known: {known}") from None
 
+    # Every candidate re-reads the series, so a one-shot iterable is read
+    # once, here.
+    if not isinstance(observed, np.ndarray):
+        observed = list(observed)
     coerced = coerce_tables(observed)
     evaluate_many = None
     if coerced is not None:

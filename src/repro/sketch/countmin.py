@@ -7,9 +7,10 @@ updates, whereas the k-ary sketch's mean-corrected median estimator remains
 unbiased.  The ablation benchmark quantifies this on the change-detection
 workload, where forecast-error streams are signed by construction.
 
-For signed streams the estimator falls back to the median of raw row cells
-(the "Count-Median" variant), which is unbiased up to the +F1/K collision
-bias that k-ary's correction removes.
+ESTIMATE is the median of the raw row cells (the "Count-Median" variant),
+correct for turnstile (signed) streams like every summary's ESTIMATE, and
+unbiased up to the +F1/K collision bias that k-ary's correction removes.
+The cash-register minimum is ``estimate_rows(keys).min(axis=0)``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class CountMinSchema(HashedSchema):
 
 
 class CountMinSketch(HashedSketch):
-    """Count-Min sketch with min (cash-register) or median (signed) estimation."""
+    """Count-Min sketch; ESTIMATE is the row median (turnstile-correct)."""
 
     def update_batch(self, keys, values) -> None:
         """Batched UPDATE via the stacked scatter-add.
@@ -55,28 +56,24 @@ class CountMinSketch(HashedSketch):
         what recovery verification probes uniformly across summary
         types.  Unlike k-ary there is no mean correction: the rows *are*
         the per-row estimates.  ``np.median(rows, axis=0)`` equals
-        ``estimate_batch(signed=True)`` bit for bit; note that the
-        default (cash-register) estimator is the row *minimum*, so
-        ``|median of rows|`` upper-bounds nothing there -- callers doing
-        bound-based prescreens should stick to the signed estimator.
+        :meth:`estimate_batch` bit for bit, and ``rows.min(axis=0)`` is
+        the cash-register estimate.
         """
         keys = SummaryConvention.as_key_array(keys)
         if indices is None:
             return self._schema._stacked.gather(self._table, keys)
         return gather_indices(self._table, indices)
 
-    def estimate_batch(self, keys, signed: bool = False) -> np.ndarray:
-        """Point estimates: row minimum, or row median when ``signed``.
+    def estimate_batch(self, keys) -> np.ndarray:
+        """Point estimates: the median of the raw row cells.
 
-        The classical Count-Min guarantee (``est <= true + eps * F1`` with
-        probability ``1 - delta``) only holds for non-negative updates; use
-        ``signed=True`` for turnstile streams.
+        Correct for turnstile (signed) streams, such as the forecast
+        error ``Se(t)``.  The classical Count-Min guarantee
+        (``true <= est <= true + eps * F1`` with probability
+        ``1 - delta``) is the row minimum's, for non-negative updates
+        only: ``estimate_rows(keys).min(axis=0)``.
         """
-        keys = SummaryConvention.as_key_array(keys)
-        raw = self._schema._stacked.gather(self._table, keys)
-        if signed:
-            return np.median(raw, axis=0)
-        return raw.min(axis=0)
+        return np.median(self.estimate_rows(keys), axis=0)
 
     def estimate_f2(self) -> float:
         """Crude F2 upper bound: the minimum row sum-of-squares.

@@ -132,7 +132,7 @@ class DictVector(LinearSummary):
 
     # -- linearity -----------------------------------------------------------
 
-    def _accumulate(
+    def _sum_terms_into(
         self, out: Dict[int, float], terms: Sequence[Tuple[float, LinearSummary]]
     ) -> None:
         for coeff, summary in terms:
@@ -159,14 +159,14 @@ class DictVector(LinearSummary):
                     "combine_into destination may not appear in terms"
                 )
         self._data.clear()
-        self._accumulate(self._data, terms)
+        self._sum_terms_into(self._data, terms)
         return self
 
     def _linear_combination(
         self, terms: Sequence[Tuple[float, LinearSummary]]
     ) -> "DictVector":
         out: Dict[int, float] = {}
-        self._accumulate(out, terms)
+        self._sum_terms_into(out, terms)
         return DictVector(out)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

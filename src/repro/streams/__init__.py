@@ -35,12 +35,7 @@ from repro.streams.keys import (
     make_key_scheme,
     make_value_scheme,
 )
-from repro.streams.model import (
-    ColumnarBlock,
-    IntervalStream,
-    KeyedUpdates,
-    StreamItem,
-)
+from repro.streams.model import IntervalStream, KeyedUpdates, StreamItem
 from repro.streams.netflow import (
     NETFLOW_MAGIC,
     read_trace,
@@ -64,7 +59,6 @@ from repro.streams.sampling import (
 from repro.streams.sharding import iter_interval_chunks, iter_interval_columns
 
 __all__ = [
-    "ColumnarBlock",
     "FLOW_RECORD_DTYPE",
     "IntervalSlicer",
     "IntervalStream",

@@ -25,12 +25,21 @@ class StreamItem(NamedTuple):
 
 @dataclass
 class KeyedUpdates:
-    """A batch of Turnstile items for one interval, in columnar form."""
+    """A batch of Turnstile items for one interval, in columnar form.
+
+    ``uint64`` keys and ``float64`` values, as :class:`IntervalStream`
+    extracts them per interval or
+    :func:`~repro.streams.sharding.iter_interval_columns` yields them as
+    unit-stride views into columns extracted once per trace.  Batch
+    consumers (:meth:`StreamingSession.ingest_columns`,
+    :class:`OfflineTwoPassDetector`) take anything exposing ``index``,
+    ``keys`` and ``values``.
+    """
 
     index: int
-    keys: np.ndarray    # uint64
-    values: np.ndarray  # float64
-    duration: float     # interval length in seconds
+    keys: np.ndarray    # uint64, 1-D
+    values: np.ndarray  # float64, 1-D
+    duration: float = 0.0  # interval length in seconds
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -39,32 +48,6 @@ class KeyedUpdates:
         """Iterate row-wise (mostly for tests; hot paths stay columnar)."""
         for key, value in zip(self.keys.tolist(), self.values.tolist()):
             yield StreamItem(key, value)
-
-
-@dataclass
-class ColumnarBlock:
-    """A zero-copy columnar ingest unit: one interval's key/value columns.
-
-    The columnar ingest path hands the engine contiguous ``uint64`` key
-    and ``float64`` value arrays (typically unit-stride views into
-    columns extracted once per trace) instead of per-chunk record
-    objects.  Downstream consumers (:meth:`StreamingSession.ingest_columns`,
-    :class:`OfflineTwoPassDetector`) pass these
-    arrays straight into the fused UPDATE kernels without copying --
-    ``np.shares_memory`` holds from feeder to sketch.
-
-    Duck-type compatible with :class:`KeyedUpdates` (``index``, ``keys``,
-    ``values``, ``duration``, ``__len__``), so any batch consumer accepts
-    either.
-    """
-
-    index: int
-    keys: np.ndarray    # uint64, 1-D
-    values: np.ndarray  # float64, 1-D
-    duration: float = 0.0
-
-    def __len__(self) -> int:
-        return len(self.keys)
 
 
 Slicer = Union[IntervalSlicer, RandomizedIntervalSlicer]

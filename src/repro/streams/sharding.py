@@ -6,14 +6,16 @@
 :func:`iter_interval_columns`
     The columnar (zero-copy) counterpart: key/value columns are
     extracted **once** for the whole trace, then every yielded
-    :class:`~repro.streams.model.ColumnarBlock` is a unit-stride view
+    :class:`~repro.streams.model.KeyedUpdates` is a unit-stride view
     into them -- no per-chunk extraction, no per-chunk copies, and the
     arrays flow into the fused UPDATE kernels unmodified.
+
+Both cut the trace the same way (:func:`_interval_runs`).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -24,8 +26,47 @@ from repro.streams.keys import (
     make_key_scheme,
     make_value_scheme,
 )
-from repro.streams.model import ColumnarBlock
+from repro.streams.model import KeyedUpdates
 from repro.streams.records import finite_time_span, validate_records
+
+
+def _interval_runs(
+    records: np.ndarray,
+    interval_seconds: float,
+    chunk_records: Optional[int],
+) -> Tuple[np.ndarray, Iterator[Tuple[int, int, int]]]:
+    """The chunkers' one prologue: ``(sorted_records, runs)``.
+
+    Validates the arguments, stably sorts ``records`` by time unless they
+    already are, and cuts them into ``(index, lo, hi)`` row runs: split on
+    analysis-interval boundaries (those of
+    :func:`~repro.streams.intervals.interval_index`), then capped at
+    ``chunk_records`` rows, generated as they are read.  A NaN or
+    infinite timestamp raises ``ValueError`` here, before any run.
+    """
+    validate_records(records)
+    if interval_seconds <= 0:
+        raise ValueError(f"interval_seconds must be > 0, got {interval_seconds}")
+    if chunk_records is not None and chunk_records < 1:
+        raise ValueError(f"chunk_records must be >= 1, got {chunk_records}")
+    if not len(records):
+        return records, iter(())
+    timestamps = records["timestamp"]
+    if len(records) > 1 and not np.all(np.diff(timestamps) >= 0):
+        records = records[np.argsort(timestamps, kind="stable")]
+        timestamps = records["timestamp"]
+    finite_time_span(timestamps)
+    uniq, starts = np.unique(
+        interval_index(timestamps, interval_seconds), return_index=True
+    )
+    bounds = np.append(starts, len(records)).tolist()
+    step = chunk_records or len(records)
+    runs = (
+        (index, lo, min(lo + step, hi))
+        for index, start, hi in zip(uniq.tolist(), bounds, bounds[1:])
+        for lo in range(start, hi, step)
+    )
+    return records, runs
 
 
 def iter_interval_chunks(
@@ -35,37 +76,16 @@ def iter_interval_chunks(
 ) -> Iterator[np.ndarray]:
     """Yield time-sorted chunks that never straddle an interval boundary.
 
-    Splits first on analysis-interval boundaries (those of
-    :func:`~repro.streams.intervals.interval_index`), then caps each
-    piece at ``chunk_records`` rows.  The concatenation of the yielded
-    chunks is exactly ``records`` in time order, so feeding them to any
-    session reproduces single-stream ingestion; the boundary guarantee
-    means each chunk maps to exactly one per-interval sketch.  A NaN or
-    infinite timestamp raises ``ValueError`` before any chunk is yielded.
+    Splits first on analysis-interval boundaries, then caps each piece at
+    ``chunk_records`` rows.  The concatenation of the yielded chunks is
+    exactly ``records`` in time order, so feeding them to any session
+    reproduces single-stream ingestion; the boundary guarantee means each
+    chunk maps to exactly one per-interval sketch.  A NaN or infinite
+    timestamp raises ``ValueError`` before any chunk is yielded.
     """
-    validate_records(records)
-    if interval_seconds <= 0:
-        raise ValueError(f"interval_seconds must be > 0, got {interval_seconds}")
-    if chunk_records is not None and chunk_records < 1:
-        raise ValueError(f"chunk_records must be >= 1, got {chunk_records}")
-    if not len(records):
-        return
-    timestamps = records["timestamp"]
-    if len(records) > 1 and not np.all(np.diff(timestamps) >= 0):
-        order = np.argsort(timestamps, kind="stable")
-        records = records[order]
-        timestamps = records["timestamp"]
-    finite_time_span(timestamps)
-    indices = interval_index(timestamps, interval_seconds)
-    _, starts = np.unique(indices, return_index=True)
-    bounds = np.append(starts, len(records))
-    for b in range(len(bounds) - 1):
-        lo, hi = int(bounds[b]), int(bounds[b + 1])
-        if chunk_records is None:
-            yield records[lo:hi]
-        else:
-            for start in range(lo, hi, chunk_records):
-                yield records[start : min(start + chunk_records, hi)]
+    records, runs = _interval_runs(records, interval_seconds, chunk_records)
+    for _, lo, hi in runs:
+        yield records[lo:hi]
 
 
 def iter_interval_columns(
@@ -74,34 +94,23 @@ def iter_interval_columns(
     key_scheme: Union[KeyScheme, str] = "dst_ip",
     value_scheme: Union[ValueScheme, str] = "bytes",
     chunk_records: Optional[int] = None,
-) -> Iterator[ColumnarBlock]:
-    """Yield zero-copy :class:`ColumnarBlock` views over a sorted trace.
+) -> Iterator[KeyedUpdates]:
+    """Yield zero-copy :class:`KeyedUpdates` views over a sorted trace.
 
     The columnar twin of :func:`iter_interval_chunks`: key and value
     columns are extracted (and dtype-cast) **once** for the whole trace;
-    every yielded block's ``keys``/``values`` are then unit-stride views
-    into those two arrays (``np.shares_memory`` holds), split on
-    analysis-interval boundaries and optionally capped at
-    ``chunk_records`` rows.  Feeding the blocks to
+    every yielded batch's ``keys``/``values`` are then unit-stride views
+    into those two arrays (``np.shares_memory`` holds), cut exactly where
+    :func:`iter_interval_chunks` cuts.  Feeding the batches to
     :meth:`StreamingSession.ingest_columns` reproduces record-chunk
     ingestion bit for bit while skipping all per-chunk extraction work
     and intermediate copies.  A NaN or infinite timestamp raises
-    ``ValueError`` before any block is yielded: blocks carry no
+    ``ValueError`` before any batch is yielded: batches carry no
     timestamps, so this is the last point that can see one.
     """
-    validate_records(records)
-    if interval_seconds <= 0:
-        raise ValueError(f"interval_seconds must be > 0, got {interval_seconds}")
-    if chunk_records is not None and chunk_records < 1:
-        raise ValueError(f"chunk_records must be >= 1, got {chunk_records}")
+    records, runs = _interval_runs(records, interval_seconds, chunk_records)
     if not len(records):
         return
-    timestamps = records["timestamp"]
-    if len(records) > 1 and not np.all(np.diff(timestamps) >= 0):
-        order = np.argsort(timestamps, kind="stable")
-        records = records[order]
-        timestamps = records["timestamp"]
-    finite_time_span(timestamps)
     if isinstance(key_scheme, str):
         key_scheme = make_key_scheme(key_scheme)
     if isinstance(value_scheme, str):
@@ -112,22 +121,9 @@ def iter_interval_columns(
     values = np.ascontiguousarray(
         value_scheme.extract(records), dtype=np.float64
     )
-    indices = interval_index(timestamps, interval_seconds)
-    uniq, starts = np.unique(indices, return_index=True)
-    bounds = np.append(starts, len(records))
     duration = float(interval_seconds)
-    for b in range(len(bounds) - 1):
-        lo, hi = int(bounds[b]), int(bounds[b + 1])
-        index = int(uniq[b])
-        if chunk_records is None:
-            yield ColumnarBlock(
-                index=index, keys=keys[lo:hi], values=values[lo:hi],
-                duration=duration,
-            )
-        else:
-            for start in range(lo, hi, chunk_records):
-                end = min(start + chunk_records, hi)
-                yield ColumnarBlock(
-                    index=index, keys=keys[start:end],
-                    values=values[start:end], duration=duration,
-                )
+    for index, lo, hi in runs:
+        yield KeyedUpdates(
+            index=index, keys=keys[lo:hi], values=values[lo:hi],
+            duration=duration,
+        )

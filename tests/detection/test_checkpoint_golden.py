@@ -18,7 +18,7 @@ import pytest
 
 from repro.detection import StreamingSession, checkpoint_session
 from repro.sketch import KArySchema
-from repro.streams.model import ColumnarBlock
+from repro.streams.model import KeyedUpdates
 
 RECORDS_PER_INTERVAL = 300
 
@@ -51,14 +51,14 @@ GOLDEN = {
 }
 
 
-def _block(index: int) -> ColumnarBlock:
+def _block(index: int) -> KeyedUpdates:
     n = RECORDS_PER_INTERVAL
     i = np.arange(index * n, (index + 1) * n, dtype=np.uint64)
     keys = (i * np.uint64(2654435761)) % np.uint64(4099)
     values = 40.0 + ((i * np.uint64(7919)) % np.uint64(1500)).astype(
         np.float64
     ) / 4.0
-    return ColumnarBlock(index=index, keys=keys, values=values)
+    return KeyedUpdates(index=index, keys=keys, values=values)
 
 
 def _checkpoints(model: str) -> list:

@@ -1,7 +1,7 @@
 """Columnar ingest equivalence.
 
 ``StreamingSession.ingest_columns`` /
-``OfflineTwoPassDetector.run(ColumnarBlock...)`` are the zero-copy twins
+``OfflineTwoPassDetector.run(KeyedUpdates...)`` are the zero-copy twins
 of record-chunk ingestion: same intervals, same sketches, bit-identical
 reports.
 """
@@ -12,8 +12,8 @@ import pytest
 from repro.detection import OfflineTwoPassDetector, StreamingSession
 from repro.sketch import KArySchema
 from repro.streams import (
-    ColumnarBlock,
     IntervalStream,
+    KeyedUpdates,
     iter_interval_columns,
     make_records,
 )
@@ -91,7 +91,7 @@ class TestColumnarEquivalence:
         for block in iter_interval_columns(records, INTERVAL, chunk_records=512):
             keys, values = block.keys.copy(), block.values.copy()
             reports.extend(session.ingest_columns(
-                ColumnarBlock(index=block.index, keys=keys, values=values)
+                KeyedUpdates(index=block.index, keys=keys, values=values)
             ))
             keys[:] = 7
             values[:] = 1e9
@@ -102,11 +102,11 @@ class TestColumnarEquivalence:
     def test_non_finite_value_rejected_before_state_changes(self, schema, bad):
         session = self._session(schema)
         keys = np.arange(4, dtype=np.uint64)
-        session.ingest_columns(ColumnarBlock(index=1, keys=keys, values=np.ones(4)))
+        session.ingest_columns(KeyedUpdates(index=1, keys=keys, values=np.ones(4)))
         values = np.ones(4)
         values[2] = bad
         with pytest.raises(ValueError, match="finite"):
-            session.ingest_columns(ColumnarBlock(index=3, keys=keys, values=values))
+            session.ingest_columns(KeyedUpdates(index=3, keys=keys, values=values))
         assert session.current_interval == 1
         assert session.intervals_sealed == 0
         assert session.records_ingested == 4
@@ -128,21 +128,21 @@ class TestColumnarEquivalence:
         keys = np.arange(10, dtype=np.uint64)
         values = np.ones(10)
         session.ingest_columns(
-            ColumnarBlock(index=4, keys=keys, values=values)
+            KeyedUpdates(index=4, keys=keys, values=values)
         )
         with pytest.raises(ValueError, match="nondecreasing"):
             session.ingest_columns(
-                ColumnarBlock(index=3, keys=keys, values=values)
+                KeyedUpdates(index=3, keys=keys, values=values)
             )
 
     @pytest.mark.parametrize("bad", [2.7, True, "3", np.inf, np.nan])
     def test_non_integer_index_rejected_before_state_changes(self, schema, bad):
         session = self._session(schema)
         keys = np.arange(4, dtype=np.uint64)
-        session.ingest_columns(ColumnarBlock(index=1, keys=keys, values=np.ones(4)))
+        session.ingest_columns(KeyedUpdates(index=1, keys=keys, values=np.ones(4)))
         with pytest.raises(ValueError, match="integer"):
             session.ingest_columns(
-                ColumnarBlock(index=bad, keys=keys, values=np.ones(4))
+                KeyedUpdates(index=bad, keys=keys, values=np.ones(4))
             )
         assert session.current_interval == 1
         assert session.records_ingested == 4
@@ -152,7 +152,7 @@ class TestColumnarEquivalence:
         session = self._session(schema)
         keys = np.arange(4, dtype=np.uint64)
         session.ingest_columns(
-            ColumnarBlock(index=np.int64(2), keys=keys, values=np.ones(4))
+            KeyedUpdates(index=np.int64(2), keys=keys, values=np.ones(4))
         )
         assert session.current_interval == 2
         assert type(session.current_interval) is int
@@ -161,7 +161,7 @@ class TestColumnarEquivalence:
         session = self._session(schema)
         with pytest.raises(ValueError, match="1-D"):
             session.ingest_columns(
-                ColumnarBlock(
+                KeyedUpdates(
                     index=0,
                     keys=np.arange(4, dtype=np.uint64),
                     values=np.ones(3),
@@ -172,7 +172,7 @@ class TestColumnarEquivalence:
         session = self._session(schema)
         keys = np.arange(64, dtype=np.uint64)
         session.ingest_columns(
-            ColumnarBlock(index=2, keys=keys, values=np.ones(64))
+            KeyedUpdates(index=2, keys=keys, values=np.ones(64))
         )
         assert session.records_ingested == 64
         assert session.watermark == 2 * INTERVAL

@@ -6,7 +6,9 @@ with ``s.bucket_indices`` and reads their rows by index; without
 give the same report, bit for bit, for every schema kind the seal sees:
 k-ary over each hash family and width (including widths that are not
 powers of two or exceed the 16-bit strips), folded widths as archive
-queries use, invertible and Count Sketch schemas.
+queries use, invertible and Count Sketch schemas.  And the prescreen's
+row medians agree with ``estimate_batch`` on signed error summaries for
+the baseline kinds, whose ESTIMATE is a median of raw rows.
 """
 
 from __future__ import annotations
@@ -16,8 +18,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+import repro.hashing._kernels as _kernels
 from repro.detection import build_interval_report
-from repro.sketch import CountSketchSchema, InvertibleKArySchema, KArySchema
+from repro.sketch import (
+    CountMinSchema,
+    CountSketchSchema,
+    InvertibleKArySchema,
+    KArySchema,
+)
 from repro.sketch.mergeable import fold_width, half_width_schema
 from tests.detection.oracle import assert_reports_identical
 
@@ -78,3 +86,32 @@ def test_index_read_matches_key_read(case, prescreen, t_fraction, top_n):
         )
 
     assert_reports_identical([report(schema=error.schema)], [report()])
+
+
+@pytest.mark.parametrize("kernels", [True, False], ids=["kernels", "numpy"])
+@pytest.mark.parametrize(
+    "schema_cls", [CountMinSchema, CountSketchSchema],
+    ids=["countmin", "countsketch"],
+)
+def test_prescreen_matches_estimate_on_signed_errors(
+    schema_cls, kernels, monkeypatch
+):
+    """``Se = A - B`` is signed, so ESTIMATE must be turnstile-correct on
+    every kind: the report with and without the prescreen is the same."""
+    if not kernels:
+        monkeypatch.setattr(_kernels, "_KERNELS", None)
+    rng = np.random.default_rng(2003)
+    schema = schema_cls(depth=5, width=1024, seed=17)
+    keys = np.unique(rng.integers(0, 2**32, 3000, dtype=np.uint64))
+    a = schema.from_items(keys, rng.pareto(1.2, len(keys)) * 100 + 40)
+    b = schema.from_items(keys, rng.pareto(1.2, len(keys)) * 100 + 40)
+    error = a - b
+    on, off = (
+        build_interval_report(
+            error, keys, interval=3, t_fraction=0.05, top_n=20,
+            schema=schema, prescreen=prescreen,
+        )
+        for prescreen in (True, False)
+    )
+    assert on.alarm_count
+    assert_reports_identical([on], [off])

@@ -17,7 +17,7 @@ import pytest
 
 from repro.detection import StreamingSession
 from repro.sketch import KArySchema
-from repro.streams.model import ColumnarBlock
+from repro.streams.model import KeyedUpdates
 
 KEYS_PER_BLOCK = 2_000
 INTERVALS = 8
@@ -34,12 +34,12 @@ def schema():
     return KArySchema(depth=3, width=32_768, seed=17)
 
 
-def _block(index: int) -> ColumnarBlock:
+def _block(index: int) -> KeyedUpdates:
     i = np.arange(index * KEYS_PER_BLOCK, (index + 1) * KEYS_PER_BLOCK,
                   dtype=np.uint64)
     keys = (i * np.uint64(2654435761)) % np.uint64(50_021)
     values = 40.0 + (i % np.uint64(1_499)).astype(np.float64)
-    return ColumnarBlock(index=index, keys=keys, values=values)
+    return KeyedUpdates(index=index, keys=keys, values=values)
 
 
 def _steady_state_peak(schema, model: str) -> float:

@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.detection.session as session_module
 from repro.detection import OfflineTwoPassDetector, StreamingSession
 from repro.sketch import InvertibleKArySchema, KArySchema
 from repro.streams import (
-    ColumnarBlock,
     IntervalStream,
+    KeyedUpdates,
     iter_interval_chunks,
     iter_interval_columns,
     make_records,
 )
+from repro.streams.keys import ValueScheme
 from tests.detection.oracle import assert_reports_identical, oracle_reports
 
 
@@ -513,7 +516,7 @@ class TestKeyWidth:
     def test_wide_block_refused_on_its_own_call(self, rng):
         schema = KArySchema(depth=3, width=256, seed=11)
         blocks = [
-            ColumnarBlock(
+            KeyedUpdates(
                 index=i,
                 keys=rng.integers(0, 500, 300).astype(np.uint64),
                 values=rng.pareto(1.3, 300) * 100 + 40,
@@ -526,7 +529,7 @@ class TestKeyWidth:
 
         session = StreamingSession(schema, "ewma", **BUF_KWARGS)
         reports = session.ingest_columns(blocks[0])
-        wide = ColumnarBlock(
+        wide = KeyedUpdates(
             index=0, keys=np.array([1, 2**40], dtype=np.uint64),
             values=np.ones(2),
         )
@@ -541,3 +544,170 @@ class TestKeyWidth:
         reports += session.flush()
         assert len(reference) == 4
         assert_reports_identical(reports, reference)
+
+
+# -- one entrance, vetted whole -----------------------------------------------
+
+VET_INTERVAL = 60.0
+BAD_KEY = 99
+
+
+def _bytes_or_nan(records):
+    """A custom value scheme that cannot value one key."""
+    values = records["bytes"].astype(np.float64)
+    values[records["dst_ip"] == BAD_KEY] = np.nan
+    return values
+
+
+def _vet_session():
+    return StreamingSession(
+        KArySchema(depth=3, width=256, seed=11), "ewma", alpha=0.5,
+        interval_seconds=VET_INTERVAL, t_fraction=0.05, top_n=5,
+        value_scheme=ValueScheme("bytes_or_nan", _bytes_or_nan),
+    )
+
+
+def _chunk(timestamps, keys):
+    return make_records(
+        timestamps=np.array(timestamps, dtype=np.float64),
+        dst_ips=np.array(keys), byte_counts=100 + 37 * np.array(keys),
+    )
+
+
+#: Records at t = 1, 2, 61, 62: interval 0 sealed, interval 1 open.
+VET_PROLOGUE = _chunk([1.0, 2.0, 61.0, 62.0], [1, 2, 3, 4])
+#: After any rejected call: seals intervals 1 and 2, then 3 and 4.
+VET_GOOD = [_chunk([121.0, 122.0, 181.0], [5, 6, 7]), _chunk([250.0], [8])]
+
+REJECTED_CALLS = {
+    "nan_timestamp": lambda s: s.ingest(_chunk([121.0, np.nan, 181.0], [5, 6, 7])),
+    "inf_timestamp": lambda s: s.ingest(_chunk([121.0, 181.0, np.inf], [5, 6, 7])),
+    "late_record": lambda s: s.ingest(_chunk([121.0, 10.0, 181.0], [5, 6, 7])),
+    "nan_value_in_last_interval": lambda s: s.ingest(
+        _chunk([121.0, 122.0, 181.0], [5, 6, BAD_KEY])
+    ),
+    "non_finite_block_value": lambda s: s.ingest_columns(
+        KeyedUpdates(
+            index=3, keys=np.array([5, 6], dtype=np.uint64),
+            values=np.array([1.0, np.inf]),
+        )
+    ),
+    "predating_block": lambda s: s.ingest_columns(
+        KeyedUpdates(
+            index=0, keys=np.array([5, 6], dtype=np.uint64),
+            values=np.ones(2),
+        )
+    ),
+}
+
+
+class TestRejectedCallChangesNothing:
+    """Every entrance vets its whole input before sealing or buffering, so
+    a rejected call leaves every cursor, the buffer and the sketch as they
+    were, and the stream carries on as if the call never happened."""
+
+    @staticmethod
+    def _state(session):
+        interval = session._interval
+        return (
+            session.current_interval, session.intervals_sealed,
+            session.records_ingested, session.watermark, interval.buffered,
+            interval.sketch.table.copy(),
+        )
+
+    @pytest.mark.parametrize("call", REJECTED_CALLS)
+    def test_rejected_call(self, call):
+        reference = _vet_session()
+        expected = reference.ingest(VET_PROLOGUE)
+        for chunk in VET_GOOD:
+            expected += reference.ingest(chunk)
+        expected += reference.flush()
+
+        session = _vet_session()
+        reports = session.ingest(VET_PROLOGUE)
+        before = self._state(session)
+        assert before[:5] == (1, 1, 4, 62.0, 2)
+        with pytest.raises(ValueError):
+            REJECTED_CALLS[call](session)
+        after = self._state(session)
+        assert after[:5] == before[:5]
+        assert np.array_equal(after[5], before[5])
+        for chunk in VET_GOOD:
+            reports += session.ingest(chunk)
+        reports += session.flush()
+        assert [r.index for r in reports] == [1, 2, 3, 4]
+        assert_reports_identical(reports, expected)
+
+
+# -- the same reports however the records arrive ------------------------------
+
+ARRIVAL_INTERVAL = 60.0
+
+
+@st.composite
+def _arrivals(draw):
+    """An integral-valued, time-ordered trace that starts in interval 0 and
+    may skip intervals, cut into arbitrary chunks shuffled inside."""
+    counts = draw(st.lists(st.integers(0, 12), min_size=2, max_size=6))
+    counts[0] = max(counts[0], 1)
+    timestamps = [
+        index * ARRIVAL_INTERVAL + offset
+        for index, count in enumerate(counts)
+        for offset in sorted(
+            draw(st.lists(st.integers(0, 59), min_size=count, max_size=count))
+        )
+    ]
+    n = len(timestamps)
+    records = make_records(
+        timestamps=np.array(timestamps, dtype=np.float64),
+        dst_ips=np.array(draw(st.lists(st.integers(0, 15), min_size=n, max_size=n))),
+        byte_counts=np.array(
+            draw(st.lists(st.integers(1, 1500), min_size=n, max_size=n))
+        ),
+    )
+    cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=n)))
+    shuffle = draw(st.randoms(use_true_random=False)).shuffle
+    chunks = []
+    for chunk in np.split(records, [c for c in cuts if c < n]):
+        order = list(range(len(chunk)))
+        shuffle(order)
+        chunks.append(chunk[order])
+    return records, chunks
+
+
+class TestArrivalInvariance:
+    """Record chunks of any size and inner order, columnar blocks, and the
+    whole-interval reference give identical reports."""
+
+    @pytest.mark.parametrize("invertible", [False, True], ids=["kary", "invertible"])
+    @given(arrivals=_arrivals())
+    @settings(max_examples=40, deadline=None)
+    def test_chunks_columns_and_oracle_agree(self, invertible, arrivals):
+        records, chunks = arrivals
+        schema_cls = InvertibleKArySchema if invertible else KArySchema
+        schema = schema_cls(depth=3, width=64, seed=5)
+        key_source = "invertible" if invertible else "twopass"
+
+        def session():
+            return StreamingSession(
+                schema, "ewma", alpha=0.5, interval_seconds=ARRIVAL_INTERVAL,
+                t_fraction=0.05, top_n=4, key_source=key_source,
+            )
+
+        chunked = session()
+        by_chunks = [r for chunk in chunks for r in chunked.ingest(chunk)]
+        by_chunks += chunked.flush()
+        columnar = session()
+        by_blocks = [
+            r
+            for block in iter_interval_columns(records, ARRIVAL_INTERVAL)
+            for r in columnar.ingest_columns(block)
+        ]
+        by_blocks += columnar.flush()
+        reference = oracle_reports(
+            schema, "ewma", IntervalStream(records, ARRIVAL_INTERVAL),
+            t_fraction=0.05, top_n=4, key_source=key_source, alpha=0.5,
+        )
+        assert len(reference) == int(records["timestamp"][-1] // ARRIVAL_INTERVAL)
+        assert_reports_identical(by_chunks, reference)
+        assert_reports_identical(by_blocks, reference)

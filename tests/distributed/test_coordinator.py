@@ -367,6 +367,41 @@ class TestFrameKeys:
         assert merger.sealed_through == 0
 
 
+class TestMergeTaskFailure:
+    def test_wait_complete_raises_when_a_seal_raises(self, schema, rng):
+        """A plain k-ary schema cannot recover invertible keys: the first
+        seal past warm-up raises on the merge task, and ``wait_complete``
+        raises it instead of polling for a completion that cannot come."""
+        import asyncio
+
+        from repro.sketch.serialization import dumps
+
+        merger = _merger(schema, key_source="invertible")
+        merger.register("a")
+
+        async def run():
+            server = CoordinatorServer(merger, deadline_tick=0.01)
+            await server.start()
+            try:
+                for interval in range(3):
+                    summary, keys = _sketch(schema, rng)
+                    payload = {
+                        "interval": interval, "sketch": dumps(summary),
+                        "keys": keys,
+                    }
+                    await server._queue.put(("sketch", "a", payload, 0))
+                await server._queue.put(("bye", "a", {}, 0))
+                with pytest.raises(TypeError, match="recover_candidates"):
+                    await server.wait_complete(timeout=30.0)
+            finally:
+                # Landing the dead merge task raises its exception again.
+                with pytest.raises(TypeError, match="recover_candidates"):
+                    await server.stop()
+
+        asyncio.run(run())
+        assert merger.stats["intervals_sealed"] == 1
+
+
 class TestDurability:
     def test_checkpoint_roundtrip(self, schema, rng):
         merger = _merger(schema)

@@ -174,6 +174,24 @@ def test_search_model_auto_matches_reference(model, observed):
     assert auto.evaluations == ref.evaluations
 
 
+def test_search_model_reads_a_generator_like_a_list(rng):
+    """Each candidate re-reads the series: a one-shot iterable must score
+    like the list it yields, not run dry after the first candidate."""
+    schema = KArySchema(depth=1, width=64, seed=3)
+    observed = [
+        schema.from_items(
+            rng.integers(0, 2**32, size=100, dtype=np.uint64),
+            rng.normal(4000.0, 2000.0, size=100),
+        )
+        for _ in range(8)
+    ]
+    listed = search_model("ewma", observed, skip_intervals=2)
+    generated = search_model("ewma", (s for s in observed), skip_intervals=2)
+    assert generated.best_params == listed.best_params
+    assert generated.best_energy == listed.best_energy
+    assert listed.best_energy > 0.0
+
+
 def test_search_model_exact_summaries_fall_back(rng):
     """Non-stackable summaries take the per-object path."""
     observed = []

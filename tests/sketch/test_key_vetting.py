@@ -24,7 +24,7 @@ from repro.sketch import (
     KeyIndex,
     SummaryConvention,
 )
-from repro.streams import ColumnarBlock
+from repro.streams import KeyedUpdates
 
 SCHEMAS = {
     "kary": lambda: KArySchema(depth=3, width=64, seed=1),
@@ -112,11 +112,11 @@ def test_ingest_columns_rejects_before_state_changes(bad):
     schema = KArySchema(depth=3, width=64, seed=1)
     session = StreamingSession(schema, "ewma", interval_seconds=60.0)
     good = np.arange(4, dtype=np.uint64)
-    session.ingest_columns(ColumnarBlock(index=1, keys=good, values=np.ones(4)))
+    session.ingest_columns(KeyedUpdates(index=1, keys=good, values=np.ones(4)))
     batch = BAD_KEYS[bad][0]
     values = np.ones(np.asarray(batch).shape)
     with pytest.raises(ValueError, match="integers in"):
-        session.ingest_columns(ColumnarBlock(index=3, keys=batch, values=values))
+        session.ingest_columns(KeyedUpdates(index=3, keys=batch, values=values))
     assert session.current_interval == 1
     assert session.records_ingested == 4
     assert session.watermark == 60.0

@@ -1,7 +1,7 @@
 """Columnar zero-copy batch ingest: blocks are views, not copies.
 
 ``iter_interval_columns`` extracts the key/value columns once per trace
-and yields :class:`ColumnarBlock` slices of them; these tests pin down
+and yields :class:`KeyedUpdates` slices of them; these tests pin down
 the two halves of that contract -- the blocks reproduce record-chunk
 iteration exactly (same interval split, same rows in the same order),
 and they alias the trace-wide column arrays (``np.shares_memory``), so

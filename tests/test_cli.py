@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _schema, build_parser, main
 from repro.streams import read_trace
 
 
@@ -34,6 +34,53 @@ class TestParser:
         out = capsys.readouterr().out
         assert "UPDATE" in out and "ESTIMATE" in out
         assert (tmp_path / "BENCH_throughput.json").exists()
+
+
+#: The subcommands that take ``--key-source``, and the summary kind each
+#: source needs.
+KEY_SOURCE_ARGV = {
+    "detect": ["detect", "t.bin"],
+    "serve": ["serve"],
+    "agent": ["agent", "t.bin", "--site", "a"],
+}
+KEY_SOURCE_KINDS = {
+    "twopass": "kary",
+    "online": "kary",
+    "invertible": "invertible",
+    "grouptesting": "grouptesting",
+}
+
+
+class TestSchemaForKeySource:
+    """Every subcommand sketches with the summary its key source reads:
+    recovering sources need their own planes, or the first seal fails."""
+
+    @pytest.mark.parametrize(
+        "command, key_source",
+        [
+            (command, key_source)
+            for command in sorted(KEY_SOURCE_ARGV)
+            for key_source in sorted(KEY_SOURCE_KINDS)
+            if key_source != "online" or command == "detect"
+        ],
+    )
+    def test_kind_follows_key_source(self, command, key_source):
+        args = build_parser().parse_args(
+            KEY_SOURCE_ARGV[command]
+            + ["--key-source", key_source, "--depth", "3", "--width", "64"]
+        )
+        schema = _schema(args)
+        assert schema.kind == KEY_SOURCE_KINDS[key_source]
+        assert (schema.depth, schema.width) == (3, 64)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["checkpoint", "t.bin", "--until", "60", "--out", "s.kcp"],
+         ["sketch", "t.bin", "--out-dir", "d"]],
+        ids=["checkpoint", "sketch"],
+    )
+    def test_without_key_source_the_sketch_is_kary(self, argv):
+        assert _schema(build_parser().parse_args(argv)).kind == "kary"
 
 
 class TestGenerateAndDetect:
