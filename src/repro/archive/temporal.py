@@ -48,6 +48,7 @@ from repro.obs.recorder import NULL_RECORDER
 from repro.sketch.base import LinearSummary, SummaryConvention
 from repro.sketch.mergeable import combine, fold_width, half_width_schema, merge
 from repro.sketch.serialization import (
+    _write_durably,
     dumps,
     dumps_checkpoint,
     loads,
@@ -697,10 +698,7 @@ def save_archive(archive: TemporalArchive, path) -> None:
     }
     blob = dumps_checkpoint(meta, body)
     path = os.fspath(path)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    _write_durably(path, blob)
     obs = archive.recorder
     if obs.enabled:
         obs.event(

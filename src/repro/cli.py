@@ -312,34 +312,25 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     """Stream a trace through a live session in arrival-time chunks.
 
     Emulates a live deployment: records are fed in ``--chunk-seconds``
-    slices of trace time, reports print as intervals seal, and (with
-    ``--metrics-out``) the metrics snapshot is re-written every
-    ``--metrics-every`` chunks -- the file is always a complete,
-    scrape-able snapshot, updated in place atomically.
+    slices of trace time (multiples of the chunk length from t = 0),
+    reports print as intervals seal, and (with ``--metrics-out``) the
+    metrics snapshot is re-written every ``--metrics-every`` chunks --
+    the file is always a complete, scrape-able snapshot, updated in
+    place atomically.
     """
-    import numpy as np
-
-    from repro.streams import read_trace
+    from repro.streams import iter_interval_chunks, read_trace
 
     records = read_trace(args.trace)
     schema = _schema(args)
     recorder = _make_recorder(args)
     session = _build_session(args, schema, recorder=recorder)
-    if len(records):
-        start = float(records["timestamp"][0])
-        edges = np.arange(
-            start, float(records["timestamp"][-1]) + args.chunk_seconds,
-            args.chunk_seconds,
-        )
-        chunk_ids = np.searchsorted(edges, records["timestamp"], side="right")
-        boundaries = np.flatnonzero(np.diff(chunk_ids)) + 1
-        chunks = np.split(records, boundaries)
-    else:
-        chunks = []
-    for i, chunk in enumerate(chunks):
+    chunks = 0
+    for chunks, chunk in enumerate(
+        iter_interval_chunks(records, args.chunk_seconds), start=1
+    ):
         for report in session.ingest(chunk):
             _print_session_report(report, args.top_n)
-        if recorder is not None and (i + 1) % args.metrics_every == 0:
+        if recorder is not None and chunks % args.metrics_every == 0:
             recorder.write(args.metrics_out)
     for report in session.flush():
         _print_session_report(report, args.top_n)
@@ -347,7 +338,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         print(line)
     _write_metrics(recorder, args)
     print(
-        f"monitored {session.records_ingested} records in {len(chunks)} "
+        f"monitored {session.records_ingested} records in {chunks} "
         f"chunks ({session.intervals_sealed} intervals sealed)"
     )
     return 0

@@ -56,6 +56,7 @@ from repro.forecast.smoothing import (
     SShapedMovingAverageForecaster,
 )
 from repro.sketch.serialization import (
+    _write_durably,
     checkpoint_meta,
     dumps_checkpoint,
     loads_checkpoint,
@@ -239,10 +240,7 @@ def save_checkpoint(session: StreamingSession, path: PathLike) -> None:
     standard Prometheus ``rate()``/``increase()`` handling).
     """
     data = checkpoint_session(session)
-    tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    _write_durably(path, data)
     recorder = getattr(session, "recorder", None)
     if recorder is not None and recorder.enabled:
         recorder.count("repro_checkpoints_written_total")

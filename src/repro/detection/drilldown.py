@@ -25,7 +25,6 @@ from repro.detection.session import IntervalSealer
 from repro.forecast.model_zoo import make_forecaster
 from repro.sketch import KArySchema
 from repro.streams.keys import DstIPKey, DstPrefixKey
-from repro.streams.records import validate_records
 from repro.streams.intervals import slice_by_interval
 from repro.streams.model import KeyedUpdates
 
@@ -204,8 +203,9 @@ class PrefixDrilldown:
 
     def run(self, records: np.ndarray, interval_seconds: float = 300.0):
         """Yield a :class:`DrilldownReport` per (post-warm-up) interval."""
-        validate_records(records)
-        # One pass per level over the shared time slicing.
+        # One pass per level over the shared time slicing, which vets
+        # the records.
+        slices = list(slice_by_interval(records, interval_seconds))
         level_steps: List[List] = []
         for scheme, schema in zip(self._key_schemes, self._schemas):
             forecaster = make_forecaster(self.model, **self.model_params)
@@ -216,7 +216,7 @@ class PrefixDrilldown:
                     values=chunk["bytes"].astype(np.float64),
                     duration=interval_seconds,
                 )
-                for index, chunk in slice_by_interval(records, interval_seconds)
+                for index, chunk in slices
             )
             level_steps.append(list(run_pipeline(batches, schema, forecaster)))
 

@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.streams.intervals import checked_index, interval_index, require_finite
+from repro.streams.intervals import checked_index, interval_index
 from repro.streams.keys import KeyScheme, make_key_scheme
 from repro.streams.records import validate_records
 
@@ -91,7 +91,7 @@ def explain_alarm(
     Parameters
     ----------
     records:
-        The (time-sorted) trace the detector ran over.
+        The trace the detector ran over, in any order.
     key / interval:
         From the :class:`~repro.detection.threshold.Alarm`.
     interval_seconds:
@@ -114,7 +114,12 @@ def explain_alarm(
     )
     keys = scheme.extract(records)
     timestamps = records["timestamp"]
-    require_finite(timestamps)
+    bad = timestamps[~np.isfinite(timestamps)]
+    if len(bad):
+        raise ValueError(
+            f"record timestamps must be finite, got {len(bad)} non-finite "
+            f"(first: {float(bad[0])})"
+        )
     # The detector's own binning, so a record on an interval edge counts
     # in exactly the interval that sketched it.
     indices = interval_index(timestamps, interval_seconds)

@@ -49,9 +49,12 @@ from repro.hashing._kernels import (
 )
 from repro.obs.recorder import NULL_RECORDER
 from repro.sketch.base import SummaryConvention
-from repro.streams.intervals import checked_index, interval_index
+from repro.streams.intervals import (
+    _cut_into_intervals,
+    checked_index,
+    interval_index,
+)
 from repro.streams.keys import KeyScheme, ValueScheme, make_key_scheme, make_value_scheme
-from repro.streams.records import finite_time_span, validate_records
 
 #: Records the open interval holds before folding them into its sketch:
 #: 65,536 keys plus values are 1 MiB of columns, so the buffer's memory is
@@ -379,7 +382,8 @@ class StreamingSession:
         elif model_params:
             raise ValueError("model_params only apply when forecaster is given by name")
         self.forecaster = forecaster
-        self.interval_seconds = float(interval_seconds)
+        interval = self.interval_seconds = float(interval_seconds)
+        self._index_of = lambda t: interval_index(t, interval)
         self.key_scheme = (
             make_key_scheme(key_scheme) if isinstance(key_scheme, str) else key_scheme
         )
@@ -488,27 +492,23 @@ class StreamingSession:
     def ingest(self, records: np.ndarray) -> List[IntervalDetection]:
         """Feed a chunk of records; returns reports for intervals sealed.
 
-        A chunk may span several intervals; every interval strictly before
-        the chunk's latest timestamp gets sealed in order (including empty
-        gap intervals, so the forecast series stays evenly spaced).  The
-        chunk is vetted whole first: a record array of the wrong dtype, a
-        NaN or infinite timestamp, a record older than the lateness
-        tolerance allows or a non-finite value rejects it with
-        ``ValueError`` before any session state changes.
+        A chunk may hold records in any order and span several intervals;
+        every interval strictly before the chunk's latest timestamp gets
+        sealed in order (including empty gap intervals, so the forecast
+        series stays evenly spaced).  The chunk is vetted whole first: a
+        record array of the wrong dtype, a NaN or infinite timestamp, a
+        record older than the lateness tolerance allows or a non-finite
+        value rejects it with ``ValueError`` before any session state
+        changes.
         """
-        validate_records(records)
-        if not len(records):
-            return []
+        open_index = self._current_index
         with self.recorder.time("ingest"):
-            timestamps = records["timestamp"]
-            # Chunks from real collectors are usually already time-sorted;
-            # a single monotonicity scan is far cheaper than the argsort.
-            if len(records) > 1 and not np.all(np.diff(timestamps) >= 0):
-                records = records[np.argsort(timestamps, kind="stable")]
-                timestamps = records["timestamp"]
-            # A NaN also fails the monotonicity scan above, so it sorts last.
-            first, last = finite_time_span(timestamps)
-            open_index = self._current_index
+            # Late-but-tolerated records are clamped into the open interval.
+            records, first, last, runs = _cut_into_intervals(
+                records, self._index_of, open_index
+            )
+            if not runs:
+                return []
             if open_index is not None:
                 floor = open_index * self.interval_seconds
                 if first < floor - self.lateness_tolerance:
@@ -521,28 +521,13 @@ class StreamingSession:
             values = SummaryConvention.as_value_array(
                 self.value_scheme.extract(records), len(keys)
             )
-            # Sorted, so indices are nondecreasing: when both ends share an
-            # interval, so does the whole chunk -- the common case, settled
-            # on two Python floats without a per-record index array.
-            first_index = interval_index(first, self.interval_seconds)
-            last_index = interval_index(last, self.interval_seconds)
-            if open_index is not None:
-                # Late-but-tolerated records are clamped into the open
-                # interval.
-                first_index = max(first_index, open_index)
-                last_index = max(last_index, open_index)
-            if first_index == last_index:
-                reports = self._add(first_index, keys, values)
+            if len(runs) == 1:
+                # One interval, the common case: the fresh arrays go to
+                # the buffer as they are.
+                reports = self._add(runs[0][0], keys, values)
             else:
-                # Each interval is one contiguous slice, delimited by the
-                # first occurrence of each index.
-                indices = interval_index(timestamps, self.interval_seconds)
-                if open_index is not None:
-                    np.maximum(indices, open_index, out=indices)
-                uniq, starts = np.unique(indices, return_index=True)
-                bounds = np.append(starts, len(keys)).tolist()
                 reports = []
-                for index, lo, hi in zip(uniq.tolist(), bounds, bounds[1:]):
+                for index, lo, hi in runs:
                     reports.extend(self._add(index, keys[lo:hi], values[lo:hi]))
         self._accepted(len(keys), last)
         return reports

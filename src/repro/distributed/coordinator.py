@@ -43,6 +43,7 @@ bounded at the agent.
 from __future__ import annotations
 
 import asyncio
+import numbers
 import os
 import time
 from typing import Dict, List, Optional
@@ -63,6 +64,7 @@ from repro.sketch.base import SummaryConvention
 from repro.sketch.mergeable import merge
 from repro.sketch.serialization import (
     SketchDecodeError,
+    _write_durably,
     checkpoint_meta,
     dumps_checkpoint,
     loads_checkpoint,
@@ -574,10 +576,7 @@ class IntervalMerger:
     def save_checkpoint(self, path) -> None:
         """Write :meth:`checkpoint_bytes` to ``path`` (atomic rename)."""
         data = self.checkpoint_bytes()
-        tmp = f"{os.fspath(path)}.tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        _write_durably(path, data)
         obs = self.recorder
         if obs.enabled:
             obs.count("repro_checkpoints_written_total")
@@ -828,12 +827,13 @@ class CoordinatorServer:
         except (KeyError, TypeError, ValueError) as exc:
             return f"schema mismatch: {exc}"
         interval = payload.get("interval_seconds")
-        if (
-            interval is not None
-            and float(interval) != self.merger.interval_seconds
+        if interval is not None and (
+            isinstance(interval, bool)
+            or not isinstance(interval, numbers.Real)
+            or interval != self.merger.interval_seconds
         ):
             return (
-                f"interval mismatch: agent uses {interval}s, coordinator "
+                f"interval mismatch: agent uses {interval!r}s, coordinator "
                 f"uses {self.merger.interval_seconds}s"
             )
         return None

@@ -1039,8 +1039,10 @@ void poly_estimate_mt(const uint64_t* keys, int64_t n, int64_t h_rows,
 _COMPILERS = ("cc", "gcc", "clang")
 
 
-def _ptr(arr: np.ndarray):
-    return arr.ctypes.data_as(ctypes.c_void_p)
+def _ptr(arr: np.ndarray) -> int:
+    # A plain address: data_as(c_void_p) leaves a reference cycle per call.
+    # It does not keep ``arr`` alive, so callers pass arrays bound to names.
+    return arr.ctypes.data
 
 
 def _env_int(name: str, default: int) -> int:

@@ -79,6 +79,7 @@ identity *before* deciding how (or whether) to materialize the body.
 
 from __future__ import annotations
 
+import numbers
 import os
 import struct
 from typing import Optional, Tuple, Union
@@ -294,13 +295,29 @@ def schema_identity(schema) -> dict:
 
 
 def schema_from_identity(identity: dict, schema=None):
-    """Rebuild (or verify a caller-provided) schema from its identity dict."""
-    kind = identity["kind"]
-    depth = int(identity["depth"])
-    width = int(identity["width"])
-    key_bits = int(identity["key_bits"])
-    seed = int(identity["seed"])
-    family = identity["family"]
+    """Rebuild (or verify a caller-provided) schema from its identity dict.
+
+    A corrupt identity raises ``ValueError`` naming the field: a kind no
+    schema class has, a missing or non-integer size or seed, a family
+    that is not a string.
+    """
+    if not isinstance(identity, dict):
+        raise ValueError(f"schema identity must be a dict, got {identity!r}")
+    kind, family = identity.get("kind"), identity.get("family")
+    if not isinstance(kind, str) or kind not in _KIND_CODES:
+        raise ValueError(f"unknown schema kind {kind!r}")
+    if not isinstance(family, str):
+        raise ValueError(
+            f"schema identity 'family' must be a string, got {family!r}"
+        )
+    fields = ("depth", "width", "key_bits", "seed")
+    for field in fields:
+        value = identity.get(field)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(
+                f"schema identity {field!r} must be an integer, got {value!r}"
+            )
+    depth, width, key_bits, seed = (int(identity[field]) for field in fields)
     if schema is None:
         return _build_schema(kind, depth, width, key_bits, seed, family)
     _check_schema(schema, kind, depth, width, key_bits, seed, family)
@@ -495,6 +512,23 @@ def dumps_checkpoint(meta: dict, body: dict) -> bytes:
     body_blob = pack_state(body, allow_summaries=True)
     header = _KCP_HEADER.pack(_MAGIC_KCP, _KCP_VERSION, len(meta_blob))
     return header + meta_blob + body_blob
+
+
+def _write_durably(path: PathLike, data: bytes) -> None:
+    """Replace ``path`` with ``data``: written to ``<path>.tmp``, fsynced,
+    then renamed, so a crash leaves the old file or the new one.  On a
+    failure the temp file is removed and ``path`` is left as it was."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _split_checkpoint(data: bytes) -> Tuple[dict, bytes]:

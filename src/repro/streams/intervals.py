@@ -9,17 +9,21 @@ effects (a change straddling a boundary is split between two sketches) and
 suggests randomizing the interval size, e.g. exponentially distributed
 lengths with totals normalized by duration.  Linearity of sketches makes
 the normalization sound; :class:`RandomizedIntervalSlicer` implements it.
+
+Records may arrive in any order (NetFlow exports a flow when it ends):
+the slicers, the chunkers and ``StreamingSession.ingest`` all cut them
+through one function, :func:`_cut_into_intervals`.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.streams.records import validate_records
+from repro.streams.records import finite_time_span, validate_records
 
 
 def interval_edge(index: int, interval_seconds: float, start: float = 0.0) -> float:
@@ -74,21 +78,6 @@ def checked_index(value, what: str = "interval index") -> int:
     return int(value)
 
 
-def require_finite(timestamps: np.ndarray) -> None:
-    """Raise ``ValueError`` if any timestamp is NaN or infinite.
-
-    A full scan: the slicers trust their input to be sorted and never
-    re-sort it, so the two ends alone do not vet a NaN.
-    """
-    finite = np.isfinite(timestamps)
-    if not finite.all():
-        bad = timestamps[~finite]
-        raise ValueError(
-            f"record timestamps must be finite, got {len(bad)} non-finite "
-            f"(first: {float(bad[0])})"
-        )
-
-
 def interval_bounds(
     duration: float, interval_seconds: float, start: float = 0.0
 ) -> List[Tuple[float, float]]:
@@ -113,6 +102,49 @@ def interval_bounds(
     return bounds
 
 
+def _cut_into_intervals(
+    records: np.ndarray,
+    index_of: Callable,
+    floor: Optional[int] = None,
+) -> Tuple[np.ndarray, float, float, List[Tuple[int, int, int]]]:
+    """The one cut of records into intervals: ``(records, first, last, runs)``.
+
+    Validates ``records``, stably sorts them by time unless they already
+    are, and checks the two sorted ends, ``first`` and ``last``, with
+    :func:`~repro.streams.records.finite_time_span`.  ``runs`` lists
+    ``(index, lo, hi)`` in index order, one per interval holding records:
+    rows ``lo:hi`` of the sorted records.  ``index_of`` is the edge rule,
+    with :func:`interval_index`'s contract; an index below ``floor``
+    counts as ``floor``.  Empty records give no runs.
+    """
+    validate_records(records)
+    if not len(records):
+        return records, None, None, []
+    timestamps = records["timestamp"]
+    # One monotonicity scan is far cheaper than the argsort.  A NaN
+    # fails it too, so it sorts last, where the end check sees it.
+    if len(records) > 1 and not np.all(np.diff(timestamps) >= 0):
+        records = records[np.argsort(timestamps, kind="stable")]
+        timestamps = records["timestamp"]
+    first, last = finite_time_span(timestamps)
+    first_index, last_index = index_of(first), index_of(last)
+    if floor is not None:
+        first_index, last_index = max(first_index, floor), max(last_index, floor)
+    if first_index == last_index:
+        # Sorted, so indices are nondecreasing: when both ends share an
+        # interval, so does every row -- settled on two Python floats,
+        # with no per-record index array.
+        return records, first, last, [(first_index, 0, len(records))]
+    indices = index_of(timestamps)
+    if floor is not None:
+        np.maximum(indices, floor, out=indices)
+    # Each interval is one contiguous run, delimited by the first
+    # occurrence of each index.
+    uniq, starts = np.unique(indices, return_index=True)
+    bounds = np.append(starts, len(records)).tolist()
+    return records, first, last, list(zip(uniq.tolist(), bounds, bounds[1:]))
+
+
 def slice_by_interval(
     records: np.ndarray,
     interval_seconds: float,
@@ -121,64 +153,83 @@ def slice_by_interval(
     on_before_start: str = "raise",
     stats: Optional[dict] = None,
 ) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield ``(interval_index, records_in_interval)`` over a sorted trace.
+    """Yield ``(interval_index, records_in_interval)`` over a trace.
 
-    Empty intervals in the middle of the trace are yielded with empty
-    record arrays so that forecast models see a complete, evenly spaced
-    series -- skipping them would silently compress time.
-
-    Records with ``timestamp < start`` belong to no interval.  They used
-    to be excluded silently; now the choice is explicit:
-
-    ``on_before_start="raise"`` (default)
-        Raise :class:`ValueError` naming the count -- a record before the
-        epoch almost always means the caller passed the wrong ``start``,
-        and quietly losing traffic corrupts every downstream total.
-    ``on_before_start="drop"``
-        Skip them, exposing the count as ``stats["dropped_before_start"]``
-        when a ``stats`` dict is supplied.
-
-    A NaN or infinite timestamp raises ``ValueError`` before any slice is
-    yielded.
+    The function form of :meth:`IntervalSlicer.slices`; records dropped
+    for predating ``start`` are counted into
+    ``stats["dropped_before_start"]`` when a ``stats`` dict is supplied.
     """
-    validate_records(records)
-    if interval_seconds <= 0:
-        raise ValueError(f"interval_seconds must be > 0, got {interval_seconds}")
-    if on_before_start not in ("raise", "drop"):
-        raise ValueError(
-            f"on_before_start must be 'raise' or 'drop', got {on_before_start!r}"
-        )
+    slicer = IntervalSlicer(interval_seconds, start, on_before_start)
     if stats is not None:
         stats.setdefault("dropped_before_start", 0)
-    if not len(records):
-        return
-    timestamps = records["timestamp"]
-    require_finite(timestamps)
-    n_before = int(np.searchsorted(timestamps, start, side="left"))
-    if n_before:
-        if on_before_start == "raise":
+        slicer._stats = stats
+    return slicer.slices(records)
+
+
+class _Slicer:
+    """The two slicers' shared half: the before-start policy and ``slices``.
+
+    A slicer states its edges as ``_index`` (:func:`interval_index`'s
+    contract; ``t < start`` gives a negative index) and ``_horizon``, the
+    first interval it has no edges for.
+    """
+
+    _horizon = math.inf
+
+    def __init__(self, start: float, on_before_start: str) -> None:
+        if on_before_start not in ("raise", "drop"):
             raise ValueError(
-                f"{n_before} record(s) predate start={start!r} "
-                f"(earliest t={float(timestamps[0])!r}); pass "
-                "on_before_start='drop' to skip them explicitly"
+                f"on_before_start must be 'raise' or 'drop', got {on_before_start!r}"
             )
-        if stats is not None:
-            stats["dropped_before_start"] += n_before
-    last = timestamps[-1]
-    if last < start:  # the whole trace predates start: nothing to slice
-        return
-    n_intervals = interval_index(float(last), interval_seconds, start) + 1
-    edges = start + interval_seconds * np.arange(n_intervals + 1)
-    positions = np.searchsorted(timestamps, edges)
-    for index in range(n_intervals):
-        yield index, records[positions[index] : positions[index + 1]]
+        self.start = float(start)
+        self.on_before_start = on_before_start
+        self._stats = {"dropped_before_start": 0}
+
+    @property
+    def dropped_before_start(self) -> int:
+        """Records skipped for predating ``start`` (only in ``"drop"`` mode)."""
+        return self._stats["dropped_before_start"]
+
+    def slices(self, records: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+        """Yield ``(interval_index, records)`` pairs, records in any order.
+
+        Every interval from 0 through the last record's is yielded, empty
+        gap intervals too, so forecast models see an evenly spaced
+        series.  A slice is a view of the time-sorted records.  Before
+        any slice, a NaN or infinite timestamp raises ``ValueError``, and
+        so, by default, do records before ``start``: they belong to no
+        interval, and almost always mean a wrong ``start``.  With
+        ``on_before_start="drop"`` they are counted into
+        :attr:`dropped_before_start` instead.
+        """
+        records, first, _, runs = _cut_into_intervals(records, self._index)
+        kept = [run for run in runs if run[0] >= 0]
+        n_before = kept[0][1] if kept else len(records)
+        if n_before:
+            if self.on_before_start == "raise":
+                raise ValueError(
+                    f"{n_before} record(s) predate start={self.start!r} "
+                    f"(earliest t={first!r}); pass "
+                    "on_before_start='drop' to skip them explicitly"
+                )
+            self._stats["dropped_before_start"] += n_before
+        if kept and kept[-1][0] >= self._horizon:
+            raise ValueError(
+                "trace extends beyond the pre-drawn horizon; increase `horizon`"
+            )
+        upto = 0
+        for index, lo, hi in kept:
+            for gap in range(upto, index):
+                yield gap, records[lo:lo]
+            yield index, records[lo:hi]
+            upto = index + 1
 
 
-class IntervalSlicer:
-    """Object form of :func:`slice_by_interval` carrying its parameters.
+class IntervalSlicer(_Slicer):
+    """Fixed-length intervals from ``start``, at :func:`interval_edge`.
 
-    ``on_before_start`` follows the function's contract; with ``"drop"``,
-    the running total of skipped records is exposed as
+    ``on_before_start`` follows :meth:`slices`; with ``"drop"``, the
+    running total of skipped records is exposed as
     :attr:`dropped_before_start`.
     """
 
@@ -190,29 +241,11 @@ class IntervalSlicer:
     ) -> None:
         if interval_seconds <= 0:
             raise ValueError(f"interval_seconds must be > 0, got {interval_seconds}")
-        if on_before_start not in ("raise", "drop"):
-            raise ValueError(
-                f"on_before_start must be 'raise' or 'drop', got {on_before_start!r}"
-            )
+        super().__init__(start, on_before_start)
         self.interval_seconds = float(interval_seconds)
-        self.start = float(start)
-        self.on_before_start = on_before_start
-        self._stats = {"dropped_before_start": 0}
 
-    @property
-    def dropped_before_start(self) -> int:
-        """Records skipped for predating ``start`` (only in ``"drop"`` mode)."""
-        return self._stats["dropped_before_start"]
-
-    def slices(self, records: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
-        """Yield ``(interval_index, records)`` pairs."""
-        return slice_by_interval(
-            records,
-            self.interval_seconds,
-            self.start,
-            on_before_start=self.on_before_start,
-            stats=self._stats,
-        )
+    def _index(self, timestamps):
+        return interval_index(timestamps, self.interval_seconds, self.start)
 
     def duration_of(self, index: int) -> float:
         """Nominal duration of an interval (constant for fixed slicing)."""
@@ -222,7 +255,7 @@ class IntervalSlicer:
         return f"IntervalSlicer(interval_seconds={self.interval_seconds})"
 
 
-class RandomizedIntervalSlicer:
+class RandomizedIntervalSlicer(_Slicer):
     """Exponentially distributed interval lengths (boundary-effect extension).
 
     Interval lengths are drawn i.i.d. ``Exponential(mean_seconds)``,
@@ -244,14 +277,8 @@ class RandomizedIntervalSlicer:
     ) -> None:
         if mean_seconds <= 0:
             raise ValueError(f"mean_seconds must be > 0, got {mean_seconds}")
-        if on_before_start not in ("raise", "drop"):
-            raise ValueError(
-                f"on_before_start must be 'raise' or 'drop', got {on_before_start!r}"
-            )
+        super().__init__(start, on_before_start)
         self.mean_seconds = float(mean_seconds)
-        self.start = float(start)
-        self.on_before_start = on_before_start
-        self._stats = {"dropped_before_start": 0}
         rng = np.random.default_rng(seed)
         lengths: List[float] = []
         total = 0.0
@@ -266,49 +293,15 @@ class RandomizedIntervalSlicer:
             lengths.append(length)
             total += length
         self._edges = self.start + np.concatenate([[0.0], np.cumsum(lengths)])
+        self._horizon = len(lengths)
+
+    def _index(self, timestamps):
+        index = np.searchsorted(self._edges, timestamps, side="right") - 1
+        return int(index) if isinstance(timestamps, float) else index
 
     def duration_of(self, index: int) -> float:
         """Actual duration of interval ``index``."""
         return float(self._edges[index + 1] - self._edges[index])
-
-    @property
-    def dropped_before_start(self) -> int:
-        """Records skipped for predating ``start`` (only in ``"drop"`` mode)."""
-        return self._stats["dropped_before_start"]
-
-    def slices(self, records: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
-        """Yield ``(interval_index, records)`` under the random boundaries.
-
-        Records predating ``start`` follow the :func:`slice_by_interval`
-        contract: raise by default, or count into
-        :attr:`dropped_before_start` in ``"drop"`` mode.  So do NaN and
-        infinite timestamps: ``ValueError`` before any slice.
-        """
-        validate_records(records)
-        if not len(records):
-            return
-        timestamps = records["timestamp"]
-        require_finite(timestamps)
-        n_before = int(np.searchsorted(timestamps, self.start, side="left"))
-        if n_before:
-            if self.on_before_start == "raise":
-                raise ValueError(
-                    f"{n_before} record(s) predate start={self.start!r} "
-                    f"(earliest t={float(timestamps[0])!r}); pass "
-                    "on_before_start='drop' to skip them explicitly"
-                )
-            self._stats["dropped_before_start"] += n_before
-        last = timestamps[-1]
-        if last < self.start:
-            return
-        n_intervals = int(np.searchsorted(self._edges, last, side="right"))
-        if n_intervals >= len(self._edges):
-            raise ValueError(
-                "trace extends beyond the pre-drawn horizon; increase `horizon`"
-            )
-        positions = np.searchsorted(timestamps, self._edges[: n_intervals + 1])
-        for index in range(n_intervals):
-            yield index, records[positions[index] : positions[index + 1]]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RandomizedIntervalSlicer(mean_seconds={self.mean_seconds})"

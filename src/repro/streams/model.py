@@ -59,7 +59,8 @@ class IntervalStream:
     Parameters
     ----------
     records:
-        Time-sorted flow record array.
+        Flow record array, in any order (the slicer sorts a copy when it
+        is not time-sorted).
     interval_seconds:
         Fixed interval length; ignored when ``slicer`` is given.
     key_scheme / value_scheme:

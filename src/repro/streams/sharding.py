@@ -1,7 +1,7 @@
 """Interval-aligned chunking of record traces.
 
 :func:`iter_interval_chunks`
-    Re-chunk a sorted trace so no chunk straddles an analysis-interval
+    Re-chunk a trace so no chunk straddles an analysis-interval
     boundary, so every chunk belongs to exactly one interval.
 :func:`iter_interval_columns`
     The columnar (zero-copy) counterpart: key/value columns are
@@ -10,7 +10,9 @@
     into them -- no per-chunk extraction, no per-chunk copies, and the
     arrays flow into the fused UPDATE kernels unmodified.
 
-Both cut the trace the same way (:func:`_interval_runs`).
+Both take records in any order and cut them the way every interval
+entrance does (:func:`~repro.streams.intervals._cut_into_intervals`),
+then cap each interval's run at ``chunk_records`` rows.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.streams.intervals import interval_index
+from repro.streams.intervals import _cut_into_intervals, interval_index
 from repro.streams.keys import (
     KeyScheme,
     ValueScheme,
@@ -27,46 +29,28 @@ from repro.streams.keys import (
     make_value_scheme,
 )
 from repro.streams.model import KeyedUpdates
-from repro.streams.records import finite_time_span, validate_records
 
 
-def _interval_runs(
+def _capped_runs(
     records: np.ndarray,
     interval_seconds: float,
     chunk_records: Optional[int],
 ) -> Tuple[np.ndarray, Iterator[Tuple[int, int, int]]]:
-    """The chunkers' one prologue: ``(sorted_records, runs)``.
-
-    Validates the arguments, stably sorts ``records`` by time unless they
-    already are, and cuts them into ``(index, lo, hi)`` row runs: split on
-    analysis-interval boundaries (those of
-    :func:`~repro.streams.intervals.interval_index`), then capped at
-    ``chunk_records`` rows, generated as they are read.  A NaN or
-    infinite timestamp raises ``ValueError`` here, before any run.
-    """
-    validate_records(records)
+    """``(sorted_records, runs)``: the interval cut, each run capped at
+    ``chunk_records`` rows and generated as it is read."""
     if interval_seconds <= 0:
         raise ValueError(f"interval_seconds must be > 0, got {interval_seconds}")
     if chunk_records is not None and chunk_records < 1:
         raise ValueError(f"chunk_records must be >= 1, got {chunk_records}")
-    if not len(records):
-        return records, iter(())
-    timestamps = records["timestamp"]
-    if len(records) > 1 and not np.all(np.diff(timestamps) >= 0):
-        records = records[np.argsort(timestamps, kind="stable")]
-        timestamps = records["timestamp"]
-    finite_time_span(timestamps)
-    uniq, starts = np.unique(
-        interval_index(timestamps, interval_seconds), return_index=True
+    records, _, _, runs = _cut_into_intervals(
+        records, lambda t: interval_index(t, interval_seconds)
     )
-    bounds = np.append(starts, len(records)).tolist()
     step = chunk_records or len(records)
-    runs = (
+    return records, (
         (index, lo, min(lo + step, hi))
-        for index, start, hi in zip(uniq.tolist(), bounds, bounds[1:])
+        for index, start, hi in runs
         for lo in range(start, hi, step)
     )
-    return records, runs
 
 
 def iter_interval_chunks(
@@ -78,12 +62,13 @@ def iter_interval_chunks(
 
     Splits first on analysis-interval boundaries, then caps each piece at
     ``chunk_records`` rows.  The concatenation of the yielded chunks is
-    exactly ``records`` in time order, so feeding them to any session
-    reproduces single-stream ingestion; the boundary guarantee means each
-    chunk maps to exactly one per-interval sketch.  A NaN or infinite
-    timestamp raises ``ValueError`` before any chunk is yielded.
+    exactly ``records`` in time order (stable among equal timestamps), so
+    feeding them to any session reproduces single-stream ingestion; the
+    boundary guarantee means each chunk maps to exactly one per-interval
+    sketch.  A NaN or infinite timestamp raises ``ValueError`` before any
+    chunk is yielded.
     """
-    records, runs = _interval_runs(records, interval_seconds, chunk_records)
+    records, runs = _capped_runs(records, interval_seconds, chunk_records)
     for _, lo, hi in runs:
         yield records[lo:hi]
 
@@ -95,7 +80,7 @@ def iter_interval_columns(
     value_scheme: Union[ValueScheme, str] = "bytes",
     chunk_records: Optional[int] = None,
 ) -> Iterator[KeyedUpdates]:
-    """Yield zero-copy :class:`KeyedUpdates` views over a sorted trace.
+    """Yield zero-copy :class:`KeyedUpdates` views over a trace.
 
     The columnar twin of :func:`iter_interval_chunks`: key and value
     columns are extracted (and dtype-cast) **once** for the whole trace;
@@ -108,7 +93,7 @@ def iter_interval_columns(
     ``ValueError`` before any batch is yielded: batches carry no
     timestamps, so this is the last point that can see one.
     """
-    records, runs = _interval_runs(records, interval_seconds, chunk_records)
+    records, runs = _capped_runs(records, interval_seconds, chunk_records)
     if not len(records):
         return
     if isinstance(key_scheme, str):

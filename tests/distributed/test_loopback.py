@@ -216,6 +216,54 @@ class TestFaultPaths:
 
         asyncio.run(run())
 
+    #: HELLO ``interval_seconds`` values that are not the coordinator's
+    #: length as a real number.
+    BAD_INTERVALS = ["abc", [1], True, float("nan"), 10**400]
+
+    def test_malformed_interval_refused_with_a_reason(self, schema, caplog):
+        """A HELLO whose interval is not a number gets an ERROR frame, as
+        an interval mismatch does, and the server still ACKs the next
+        valid HELLO.  It used to raise inside the connection callback, so
+        the agent read EOF and asyncio logged an unhandled exception."""
+        from repro.sketch.serialization import schema_identity
+
+        async def hello(server, interval):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            writer.write(
+                encode_frame(
+                    "hello",
+                    {
+                        "site": "picky",
+                        "schema": schema_identity(schema),
+                        "interval_seconds": interval,
+                    },
+                )
+            )
+            await writer.drain()
+            frame = await asyncio.wait_for(read_frame(reader), timeout=10.0)
+            writer.close()
+            await writer.wait_closed()
+            return frame
+
+        async def run():
+            merger, server = self._start(schema)
+            await server.start()
+            try:
+                for interval in self.BAD_INTERVALS:
+                    kind, payload = await hello(server, interval)
+                    assert kind == "error", interval
+                    assert "interval mismatch" in payload["reason"]
+                assert "picky" not in merger.sites
+                assert (await hello(server, INTERVAL))[0] == "ack"
+            finally:
+                await server.stop()
+
+        with caplog.at_level("ERROR", logger="asyncio"):
+            asyncio.run(run())
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
     def test_disconnect_without_bye_marks_site_lost(self, schema):
         from repro.sketch.serialization import schema_identity
 

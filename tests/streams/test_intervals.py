@@ -408,3 +408,159 @@ class TestOneIndexFormula:
         got = interval_index(t, interval)
         assert interval_edge(got, interval) <= t < interval_edge(got + 1, interval)
         assert interval_index(np.asarray([t]), interval).tolist() == [got]
+
+
+def _landed(pairs):
+    """``{record id: interval}`` from ``(index, ids)`` pairs."""
+    return {int(k): int(index) for index, ids in pairs for k in ids}
+
+
+class TestRecordOrder:
+    """NetFlow lists flows in export order, not the start-time order the
+    intervals are binned on: a trace and any permutation of it put every
+    record in the same interval through every slicer, both chunkers and
+    one ``ingest`` call.  Timestamps sit on edges and one ulp either side
+    at the non-dyadic lengths 59.97 s and 300.1 s, with empty gap
+    intervals between them and records before ``start``, which the
+    slicers drop.  Before the slicers sorted, they cut a shuffled trace at
+    edges found by binary search in unsorted timestamps."""
+
+    RANDOM_SEED = 3
+
+    @classmethod
+    def _randomized(cls, interval, **kwargs):
+        # Edges drawn well past the last timestamp the test makes.
+        return RandomizedIntervalSlicer(
+            interval, seed=cls.RANDOM_SEED, horizon=100 * interval, **kwargs
+        )
+
+    @staticmethod
+    def _slices(slices):
+        return [(int(index), sorted(chunk["dst_ip"].tolist()))
+                for index, chunk in slices]
+
+    @staticmethod
+    def _session(records, interval):
+        from repro.detection import StreamingSession
+        from repro.sketch import KArySchema
+
+        sealed = []
+        session = StreamingSession(
+            KArySchema(depth=2, width=64, seed=1), "ewma",
+            interval_seconds=interval, alpha=0.5,
+            sink=lambda observed, keys, index: sealed.append(
+                (index, sorted(keys.tolist()))
+            ),
+        )
+        session.ingest(records)
+        session.flush()
+        return sealed
+
+    def _paths(self, interval):
+        """Each path as ``records -> (landed, what else must not move)``."""
+        from repro.streams import iter_interval_columns
+
+        def sliced(make):
+            def run(records):
+                slicer = make()
+                slices = self._slices(slicer.slices(records))
+                return _landed(slices), (slices, slicer.dropped_before_start)
+            return run
+
+        def stats_sliced(records):
+            stats = {}
+            slices = self._slices(
+                slice_by_interval(records, interval, on_before_start="drop",
+                                  stats=stats)
+            )
+            return _landed(slices), (slices, stats)
+
+        def streamed(records):
+            stream = IntervalStream(
+                records, slicer=IntervalSlicer(interval, on_before_start="drop")
+            )
+            batches = [(b.index, sorted(b.keys.tolist())) for b in stream]
+            return _landed(batches), batches
+
+        def chunked(records):
+            chunks = [
+                (interval_index(float(c["timestamp"][0]), interval),
+                 c["dst_ip"].tolist())
+                for c in iter_interval_chunks(records, interval, chunk_records=3)
+            ]
+            return _landed(chunks), None
+
+        def columns(records):
+            blocks = iter_interval_columns(records, interval, chunk_records=3)
+            return _landed((b.index, b.keys) for b in blocks), None
+
+        def ingested(records):
+            sealed = self._session(records, interval)
+            return _landed(sealed), sealed
+
+        return {
+            "slice_by_interval": stats_sliced,
+            "IntervalSlicer": sliced(
+                lambda: IntervalSlicer(interval, on_before_start="drop")
+            ),
+            "RandomizedIntervalSlicer": sliced(
+                lambda: self._randomized(interval, on_before_start="drop")
+            ),
+            "IntervalStream": streamed,
+            "iter_interval_chunks": chunked,
+            "iter_interval_columns": columns,
+            "StreamingSession.ingest": ingested,
+        }
+
+    PATHS = [
+        "IntervalSlicer", "IntervalStream", "RandomizedIntervalSlicer",
+        "StreamingSession.ingest", "iter_interval_chunks",
+        "iter_interval_columns", "slice_by_interval",
+    ]
+
+    @pytest.mark.parametrize("path", PATHS)
+    @given(
+        interval=st.sampled_from([59.97, 300.1]),
+        edges=st.lists(
+            st.tuples(st.integers(0, 30), st.sampled_from([-1, 0, 1]),
+                      st.booleans()),
+            min_size=1, max_size=25,
+        ),
+        before=st.lists(st.sampled_from([0, 1, 2]), max_size=3),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_permutation_lands_alike(
+        self, path, interval, edges, before, data
+    ):
+        # Fixed edges, or the randomized slicer's drawn ones, nudged by an ulp.
+        drawn = self._randomized(interval)._edges
+        timestamps = []
+        for index, ulps, random_edge in edges:
+            edge = float(drawn[index]) if random_edge else interval_edge(
+                index, interval
+            )
+            timestamps.append(
+                float(np.nextafter(edge, ulps * np.inf)) if ulps else edge
+            )
+        timestamps += [
+            [float(np.nextafter(0.0, -np.inf)), -interval, -0.5 * interval][k]
+            for k in before
+        ]
+        timestamps = np.sort(timestamps)
+        n = len(timestamps)
+        trace = make_records(timestamps, np.arange(1, n + 1), np.ones(n))
+        shuffled = trace[np.asarray(data.draw(st.permutations(range(n))))]
+
+        run = self._paths(interval)[path]
+        landed, rest = run(trace)
+        assert run(shuffled) == (landed, rest)
+        if path != "RandomizedIntervalSlicer":
+            expected = {
+                i: interval_index(t, interval)
+                for i, t in enumerate(timestamps.tolist(), start=1)
+                if t >= 0 or path in ("iter_interval_chunks",
+                                      "iter_interval_columns",
+                                      "StreamingSession.ingest")
+            }
+            assert landed == expected

@@ -133,3 +133,59 @@ class TestCheckpointResumeCommands:
         assert code == 0
         assert ckpt2.exists()
         assert "re-checkpointed" in capsys.readouterr().out
+
+
+class TestRecordOrder:
+    """NetFlow lists flows in export order, not the start-time order the
+    intervals are binned on: every subcommand that cuts a trace into
+    intervals prints the same on a trace and on its time-shuffle.  Before
+    the slicers and ``monitor`` sorted, ``detect`` printed 1 report line
+    instead of 11 on such a shuffle and ``monitor`` raised."""
+
+    COMMANDS = {
+        "detect": ["detect", "{trace}", "--interval", "300", "--top-n", "3",
+                   "--width", "1024", "--threshold", "0.02"],
+        "sketch": ["sketch", "{trace}", "--out-dir", "{out}", "--width", "256",
+                   "--depth", "3"],
+        "drilldown": ["drilldown", "{trace}", "--levels", "8,24",
+                      "--threshold", "0.1", "--verbose"],
+        "monitor": ["monitor", "{trace}", "--chunk-seconds", "60",
+                    "--width", "1024", "--top-n", "3", "--threshold", "0.02"],
+    }
+
+    @pytest.fixture
+    def shuffled(self, trace, tmp_path):
+        from repro.streams import read_trace, write_trace
+
+        records = read_trace(trace)
+        order = np.random.default_rng(11).permutation(len(records))
+        assert not np.all(np.diff(records["timestamp"][order]) >= 0)
+        path = tmp_path / "shuffled.bin"
+        write_trace(path, records[order])
+        return path
+
+    def _run(self, command, trace, out, capsys):
+        argv = [a.format(trace=trace, out=out) for a in self.COMMANDS[command]]
+        assert main(argv) == 0
+        return capsys.readouterr().out.replace(str(out), "OUT").splitlines()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_shuffled_trace_prints_the_same(
+        self, command, trace, shuffled, tmp_path, capsys
+    ):
+        capsys.readouterr()
+        ordered = self._run(command, trace, tmp_path / "a", capsys)
+        assert self._run(command, shuffled, tmp_path / "b", capsys) == ordered
+        if command == "sketch":
+            files = sorted(p.name for p in (tmp_path / "a").iterdir())
+            assert len(files) == 6
+            assert sorted(p.name for p in (tmp_path / "b").iterdir()) == files
+            for name in files:
+                assert (tmp_path / "a" / name).read_bytes() == (
+                    tmp_path / "b" / name
+                ).read_bytes()
+        else:
+            assert sum(line.startswith("interval") for line in ordered) >= 5
+        if command == "monitor":
+            assert ordered[-1].startswith("monitored ")
+            assert "30 chunks (6 intervals sealed)" in ordered[-1]
