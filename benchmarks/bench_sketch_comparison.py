@@ -16,9 +16,8 @@ import numpy as np
 import pytest
 
 from repro.detection import run_per_flow
-from repro.detection.pipeline import run_pipeline
 from repro.detection.topn import similarity
-from repro.forecast import make_forecaster
+from repro.experiments.common import run_sketch
 from repro.sketch import CountMinSchema, CountSketchSchema, KArySchema
 from repro.streams import IntervalStream, concat_records
 from repro.traffic import TrafficGenerator, get_profile, inject_dos
@@ -42,18 +41,12 @@ def workload():
 
 
 def _pipeline_similarity(batches, perflow, schema):
-    forecaster = make_forecaster("ewma", alpha=0.5)
     start = time.perf_counter()
-    sims = []
-    for step in run_pipeline(batches, schema, forecaster):
-        if step.error is None or step.index < 2:
-            continue
-        keys = step.keys
-        estimates = step.error.estimate_batch(keys)
-        order = np.lexsort((keys, -np.abs(estimates)))
-        sims.append(
-            similarity(keys[order[:TOP_N]], perflow.top_n(step.index, TOP_N), TOP_N)
-        )
+    run = run_sketch(batches, schema, "ewma", rank_depth=TOP_N, skip=2, alpha=0.5)
+    sims = [
+        similarity(keys, perflow.top_n(index, TOP_N), TOP_N)
+        for index, keys in zip(run.indices, run.ranked_keys)
+    ]
     elapsed = time.perf_counter() - start
     return float(np.mean(sims)), elapsed
 

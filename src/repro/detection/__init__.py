@@ -2,11 +2,13 @@
 
 Built from small pieces:
 
-* :mod:`~repro.detection.pipeline` -- the summarize/forecast/error engine
-  shared by sketch and per-flow paths (only the schema differs).
+* :mod:`~repro.detection.pipeline` -- ``summarize_stream``, one observed
+  summary per interval, shared by sketch and per-flow paths (only the
+  schema differs).
 * :mod:`~repro.detection.threshold` -- the alarm rule
   ``|error(a)| >= T * sqrt(ESTIMATEF2(Se(t)))`` and the top-N ranking,
-  both written once in ``build_interval_report``.
+  both written once in ``build_interval_report``; ``narrow_report``
+  re-reads a report at a higher ``T``.
 * :mod:`~repro.detection.topn` -- top-N ranking of keys by absolute
   forecast error on its own, and the paper's top-N similarity metric.
 * :mod:`~repro.detection.twopass` -- the offline two-pass detector used in
@@ -16,7 +18,7 @@ Built from small pieces:
   keys arriving *after* the error sketch is built, optionally sampled; it
   trades a bounded miss-rate for single-pass operation.
 * :mod:`~repro.detection.perflow` -- exact per-flow detection over a dense
-  key index (the accuracy oracle).
+  key index (the accuracy oracle), reported by the same rule.
 * :mod:`~repro.detection.grouptesting` -- combinatorial group testing
   sketch that recovers changed keys directly from (modified) sketch state,
   with no key stream at all (the paper's Section 3.3 fourth alternative).
@@ -59,17 +61,13 @@ from repro.detection.keysource import (
 from repro.detection.online import OnlineDetector
 from repro.detection.perflow import PerFlowResult, run_per_flow
 from repro.detection.session import IntervalSealer, StreamingSession
-from repro.detection.pipeline import (
-    PipelineStep,
-    forecast_error_stream,
-    interval_key_sets,
-    summarize_stream,
-)
+from repro.detection.pipeline import summarize_stream
 from repro.detection.threshold import (
     Alarm,
     alarm_threshold,
     alarms_for_interval,
     build_interval_report,
+    narrow_report,
 )
 from repro.detection.topn import top_n_keys
 from repro.detection.twopass import IntervalDetection, OfflineTwoPassDetector
@@ -95,7 +93,6 @@ __all__ = [
     "OfflineTwoPassDetector",
     "OnlineDetector",
     "PerFlowResult",
-    "PipelineStep",
     "StreamingSession",
     "alarm_threshold",
     "alarms_for_interval",
@@ -103,10 +100,9 @@ __all__ = [
     "checkpoint_session",
     "collect_replay_keys",
     "load_checkpoint",
+    "narrow_report",
     "restore_session",
     "save_checkpoint",
-    "forecast_error_stream",
-    "interval_key_sets",
     "resolve_key_source",
     "run_per_flow",
     "summarize_stream",

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.detection.session import IntervalSealer
 from repro.detection.threshold import IntervalDetection
+from repro.detection.twopass import _interval_batches
 from repro.forecast.model_zoo import make_forecaster
 from repro.gridsearch.grid import grid_search
 from repro.gridsearch.objective import estimated_total_energy
@@ -85,8 +86,8 @@ class AdaptiveDetector:
         self.recalibrate_every = int(recalibrate_every)
         self.min_history = int(min_history)
         self.search_passes = int(search_passes)
-        # Report half only: recalibration rebuilds the forecaster, so the
-        # detector steps it itself and hands the sealer each error summary.
+        # Each recalibration rebuilds the forecaster; the sealer holds the
+        # current one (None until the first fit, and at the top of a run).
         self._sealer = IntervalSealer(schema, t_fraction=self.t_fraction)
         self._search_schema = KArySchema(depth=1, width=search_width, seed=1)
         self._space = build_search_spaces()[model]
@@ -128,10 +129,13 @@ class AdaptiveDetector:
 
         The forecaster is rebuilt and *replayed over the history window*
         after each recalibration, so its state reflects the new parameters
-        without a cold restart.
+        without a cold restart.  ``batches`` follow
+        :meth:`OfflineTwoPassDetector.run`'s contract: one whole interval
+        each, in increasing index order, a skipped index seals empty.
         """
-        forecaster = None
-        for batch in batches:
+        sealer = self._sealer
+        sealer.forecaster = None
+        for batch in _interval_batches(batches):
             search_observed = self._search_schema.from_items(batch.keys, batch.values)
             observed = self.schema.from_items(batch.keys, batch.values)
 
@@ -144,20 +148,16 @@ class AdaptiveDetector:
             )
             if due:
                 self._recalibrate(batch.index)
-                forecaster = None  # rebuild with the fresh parameters
+                sealer.forecaster = None  # rebuild with the fresh parameters
 
             report = None
             if self._params is not None:
-                if forecaster is None:
-                    forecaster = make_forecaster(self.model, **self._params)
+                if sealer.forecaster is None:
+                    sealer.forecaster = make_forecaster(self.model, **self._params)
                     # Warm the new model on the retained detection history.
                     for past in self._detection_history:
-                        forecaster.observe(past)
-                step = forecaster.step(observed)
-                if step.error is not None:
-                    report = self._sealer.report(
-                        step.error, dedup_keys(batch.keys), batch.index
-                    )
+                        sealer.forecaster.observe(past)
+                report = sealer.seal(observed, dedup_keys(batch.keys), batch.index)
 
             self._history.append(search_observed)
             self._detection_history.append(observed)

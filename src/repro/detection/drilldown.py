@@ -5,7 +5,7 @@ to achieve higher levels of aggregation" (Section 2.1).  Operators use
 that hierarchy in the obvious way: watch a few coarse signals cheaply,
 and when a /8 moves, drill into its /16s, then /24s, then hosts.
 
-:class:`PrefixDrilldown` runs one sketch pipeline per prefix level over
+:class:`PrefixDrilldown` runs one two-pass detector per prefix level over
 the same record stream (each level is just a different key scheme -- the
 linearity of sketches means per-level summaries are exact aggregations of
 each other in expectation), then reports, for each alarmed coarse prefix,
@@ -20,9 +20,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.detection.pipeline import run_pipeline
-from repro.detection.session import IntervalSealer
-from repro.forecast.model_zoo import make_forecaster
+from repro.detection.twopass import OfflineTwoPassDetector
 from repro.sketch import KArySchema
 from repro.streams.keys import DstIPKey, DstPrefixKey
 from repro.streams.intervals import slice_by_interval
@@ -191,11 +189,6 @@ class PrefixDrilldown:
                 width = min(1 << max(self.levels[index] - 4, 6), 32768)
                 return KArySchema(depth=5, width=width, seed=seed + index)
         self._schemas = [schema_factory(i) for i in range(len(levels))]
-        # Report half only: each level's forecaster runs in run_pipeline.
-        self._sealers = [
-            IntervalSealer(schema, t_fraction=self.t_fraction)
-            for schema in self._schemas
-        ]
         self._key_schemes = [
             DstIPKey() if level == 32 else DstPrefixKey(prefix_len=level)
             for level in levels
@@ -203,40 +196,35 @@ class PrefixDrilldown:
 
     def run(self, records: np.ndarray, interval_seconds: float = 300.0):
         """Yield a :class:`DrilldownReport` per (post-warm-up) interval."""
-        # One pass per level over the shared time slicing, which vets
-        # the records.
+        # One detector per level over the shared time slicing, which vets
+        # the records; the levels step in lockstep, one interval at a time.
         slices = list(slice_by_interval(records, interval_seconds))
-        level_steps: List[List] = []
-        for scheme, schema in zip(self._key_schemes, self._schemas):
-            forecaster = make_forecaster(self.model, **self.model_params)
-            batches = (
-                KeyedUpdates(
+
+        def batches(scheme):
+            for index, chunk in slices:
+                yield KeyedUpdates(
                     index=index,
                     keys=scheme.extract(chunk),
                     values=chunk["bytes"].astype(np.float64),
                     duration=interval_seconds,
                 )
-                for index, chunk in slices
-            )
-            level_steps.append(list(run_pipeline(batches, schema, forecaster)))
 
-        n_intervals = min(len(steps) for steps in level_steps)
-        for t in range(n_intervals):
-            steps = [level_steps[level][t] for level in range(len(self.levels))]
-            if any(step.error is None for step in steps):
-                continue
-            yield self._attribute(t, steps)
-
-    def _attribute(self, interval: int, steps) -> DrilldownReport:
-        per_level = [
-            {
-                alarm.key: alarm.estimated_error
-                for alarm in sealer.report(step.error, step.keys, interval).alarms
-            }
-            for step, sealer in zip(steps, self._sealers)
+        level_reports = [
+            OfflineTwoPassDetector(
+                schema, self.model, t_fraction=self.t_fraction,
+                **self.model_params,
+            ).run(batches(scheme))
+            for scheme, schema in zip(self._key_schemes, self._schemas)
         ]
-        roots = build_attribution_forest(self.levels, per_level)
-        return DrilldownReport(interval=interval, roots=roots)
+        for reports in zip(*level_reports):
+            per_level = [
+                {alarm.key: alarm.estimated_error for alarm in report.alarms}
+                for report in reports
+            ]
+            yield DrilldownReport(
+                interval=reports[0].index,
+                roots=build_attribution_forest(self.levels, per_level),
+            )
 
 
 def attribute_key_errors(

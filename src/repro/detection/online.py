@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.detection.session import IntervalSealer
 from repro.detection.threshold import IntervalDetection
+from repro.detection.twopass import _interval_batches
 from repro.forecast.base import Forecaster
 from repro.forecast.model_zoo import make_forecaster
 from repro.streams.keys import dedup_keys
@@ -109,14 +110,16 @@ class OnlineDetector:
         Both the forecaster and the candidate-sampling RNG are reset at
         the top, so ``run`` is a pure function of its input: calling it
         twice on the same batches yields identical reports (given a
-        non-``None`` seed).
+        non-``None`` seed).  ``batches`` follow
+        :meth:`OfflineTwoPassDetector.run`'s contract: one whole interval
+        each, in increasing index order, a skipped index seals empty.
         """
         self.forecaster.reset()
         self._rng = np.random.default_rng(self.seed)
         obs = self.recorder
         pending_error = None
         pending_index = -1
-        for batch in batches:
+        for batch in _interval_batches(batches):
             # New keys arriving now are the candidates for the PREVIOUS
             # interval's error sketch.
             if pending_error is not None:

@@ -1,9 +1,12 @@
 """Exact per-flow detection: the accuracy oracle.
 
-Enumerates the trace's key universe, then runs the identical
-forecast/detect pipeline over dense exact vectors.  Every accuracy figure
-in the paper (Sections 5.1-5.2) is a comparison between this and the
-sketch path.
+Enumerates the trace's key universe, then runs the identical forecast
+over dense exact vectors and ranks and thresholds their errors with the
+detector's own report,
+:func:`~repro.detection.threshold.build_interval_report`, so the two
+sides differ only in the sketch's error.  Every accuracy figure in the
+paper (Sections 5.1-5.2) is a comparison between this and the sketch
+path.
 """
 
 from __future__ import annotations
@@ -13,14 +16,12 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from repro.detection.pipeline import (
-    forecast_error_stream,
-    interval_key_sets,
-    summarize_stream,
-)
+from repro.detection.pipeline import summarize_stream
+from repro.detection.threshold import IntervalDetection, build_interval_report
 from repro.forecast.base import Forecaster
 from repro.forecast.model_zoo import make_forecaster
 from repro.sketch.dense import DenseSchema, DenseVector, KeyIndex
+from repro.streams.keys import dedup_keys
 from repro.streams.model import KeyedUpdates
 
 
@@ -45,25 +46,26 @@ class PerFlowResult:
     errors: List[Optional[DenseVector]]
     energies: np.ndarray
 
+    def _report(
+        self, interval: int, t_fraction: Optional[float] = None, top_n: int = 0
+    ) -> IntervalDetection:
+        """The detector's report over that interval's keys and exact errors."""
+        error = self.errors[interval]
+        if error is None:
+            raise ValueError(f"interval {interval} is in warm-up")
+        return build_interval_report(
+            error, self.interval_keys[interval], interval=interval,
+            t_fraction=t_fraction, top_n=top_n,
+        )
+
     def top_n(self, interval: int, n: int) -> np.ndarray:
         """Exact top-N keys by absolute error among that interval's keys."""
-        error = self.errors[interval]
-        if error is None:
-            raise ValueError(f"interval {interval} is in warm-up")
-        keys = self.interval_keys[interval]
-        estimates = error.estimate_batch(keys)
-        order = np.lexsort((keys, -np.abs(estimates)))
-        return keys[order[:n]]
+        return self._report(interval, top_n=n).top_keys
 
     def threshold_keys(self, interval: int, t_fraction: float) -> np.ndarray:
-        """Exact keys whose |error| >= T * L2 norm, for that interval."""
-        error = self.errors[interval]
-        if error is None:
-            raise ValueError(f"interval {interval} is in warm-up")
-        keys = self.interval_keys[interval]
-        estimates = error.estimate_batch(keys)
-        threshold = t_fraction * error.l2_norm()
-        return keys[np.abs(estimates) >= threshold]
+        """Exact keys that alarm at ``T``: ``|error| >= T * L2`` norm."""
+        alarms = self._report(interval, t_fraction=t_fraction).alarms
+        return np.array([alarm.key for alarm in alarms], dtype=np.uint64)
 
     @property
     def total_energy(self) -> float:
@@ -99,18 +101,17 @@ def run_per_flow(
     schema = DenseSchema(key_index)
 
     observed = summarize_stream(batches, schema)
-    keys_per_interval = interval_key_sets(batches)
-
     errors: List[Optional[DenseVector]] = []
     energies = np.full(len(batches), np.nan)
-    for step in forecast_error_stream(observed, forecaster):
+    forecaster.reset()
+    for step in forecaster.run(observed):
         errors.append(step.error)
         if step.error is not None:
             energies[step.index] = step.error.estimate_f2()
 
     return PerFlowResult(
         index=key_index,
-        interval_keys=keys_per_interval,
+        interval_keys=[dedup_keys(batch.keys) for batch in batches],
         errors=errors,
         energies=energies,
     )

@@ -14,7 +14,9 @@ Every detector in this package finishes an interval the same way, through
 :class:`~repro.detection.session.IntervalSealer`: reconstruct
 candidate-key errors from ``Se(t)``, threshold them into alarms,
 optionally rank the top-N.  :func:`build_interval_report` is that one
-shared implementation; :class:`IntervalDetection` is its output.
+shared implementation; :class:`IntervalDetection` is its output, and
+:func:`narrow_report` re-reads one at a higher ``T`` for threshold
+sweeps.
 """
 
 from __future__ import annotations
@@ -300,6 +302,43 @@ def build_interval_report(
         top_keys=top_keys,
         top_errors=top_errors,
         error_l2=l2,
+    )
+
+
+def narrow_report(report: IntervalDetection, t_fraction: float) -> IntervalDetection:
+    """``report`` as :func:`build_interval_report` gives it at a higher ``T``.
+
+    A key alarms at ``T`` exactly when it alarms at every lower ``T`` and
+    its error reaches ``T * error_l2``, so one report built at the
+    lowest ``T`` of a sweep answers every other ``T`` without touching
+    the error summary again.  A ``t_fraction`` whose threshold falls
+    below the report's own raises ``ValueError``: the alarms it would add
+    were never computed.  A report built with alarming off
+    (``t_fraction=None``) has no alarms to narrow.
+    """
+    threshold = t_fraction * report.error_l2
+    if t_fraction < 0 or threshold < report.threshold:
+        raise ValueError(
+            f"cannot narrow a report at threshold {report.threshold} "
+            f"to T={t_fraction} (threshold {threshold})"
+        )
+    alarms = [
+        Alarm(
+            interval=alarm.interval,
+            key=alarm.key,
+            estimated_error=alarm.estimated_error,
+            threshold=threshold,
+        )
+        for alarm in report.alarms
+        if abs(alarm.estimated_error) >= threshold
+    ]
+    return IntervalDetection(
+        index=report.index,
+        threshold=threshold,
+        alarms=alarms,
+        top_keys=report.top_keys,
+        top_errors=report.top_errors,
+        error_l2=report.error_l2,
     )
 
 

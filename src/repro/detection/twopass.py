@@ -27,10 +27,40 @@ from repro.detection.threshold import (
 from repro.forecast.base import Forecaster
 from repro.forecast.model_zoo import make_forecaster
 from repro.sketch.mergeable import merge
+from repro.streams.intervals import checked_index
 from repro.streams.keys import dedup_keys
 from repro.streams.model import KeyedUpdates
 
 _EMPTY_KEYS = np.array([], dtype=np.uint64)
+_EMPTY_VALUES = np.array([], dtype=np.float64)
+
+
+def _interval_batches(batches: Iterable[KeyedUpdates]) -> Iterator[KeyedUpdates]:
+    """``batches`` as whole intervals, each skipped index filled in empty.
+
+    A batch detector seals every batch it reads as one whole interval,
+    so a stream cut into chunks (``iter_interval_columns`` with
+    ``chunk_records``) would seal one interval several times, and a
+    stream with holes would step the forecast across them.  Indices must
+    be integers (:func:`~repro.streams.intervals.checked_index`) that
+    strictly increase, else ``ValueError``; each skipped index yields an
+    empty batch, as the session seals an empty gap interval.
+    """
+    previous = None
+    for batch in batches:
+        index = checked_index(batch.index, "batch index")
+        if previous is not None:
+            if index <= previous:
+                raise ValueError(
+                    f"batch index {index} follows {previous}: a batch "
+                    "detector seals each batch as one whole interval, in "
+                    "increasing order; feed chunked batches to "
+                    "StreamingSession.ingest_columns"
+                )
+            for gap in range(previous + 1, index):
+                yield KeyedUpdates(gap, _EMPTY_KEYS, _EMPTY_VALUES)
+        previous = index
+        yield batch
 
 
 class OfflineTwoPassDetector:
@@ -128,10 +158,14 @@ class OfflineTwoPassDetector:
         only intervals with a defined error summary.
 
         ``batches`` are :class:`~repro.streams.model.KeyedUpdates` items,
-        per-interval from an ``IntervalStream`` or zero-copy views from
-        :func:`~repro.streams.sharding.iter_interval_columns` -- only
-        ``index``/``keys``/``values`` are read, and the key/value arrays
-        feed the fused UPDATE kernels without copying.
+        one whole interval each, in increasing index order: an
+        ``IntervalStream``, or the zero-copy views of
+        :func:`~repro.streams.sharding.iter_interval_columns` without
+        ``chunk_records``.  Only ``index``/``keys``/``values`` are read,
+        and the key/value arrays feed the fused UPDATE kernels without
+        copying.  A skipped index seals as an empty interval; a repeated
+        or decreasing one (a chunked stream) raises ``ValueError`` --
+        chunks go to :meth:`StreamingSession.ingest_columns`.
         """
         # Recovery sources pull candidates out of the error summary, so
         # the per-interval key collection (and its dedup) is skipped
@@ -143,7 +177,7 @@ class OfflineTwoPassDetector:
                 self.schema.from_items(batch.keys, batch.values),
                 dedup_keys(batch.keys) if replaying else _EMPTY_KEYS,
             )
-            for batch in batches
+            for batch in _interval_batches(batches)
         )
 
     def seal_intervals(self, intervals) -> Iterator[IntervalDetection]:
@@ -175,9 +209,10 @@ class OfflineTwoPassDetector:
         network-wide summary, then detects -- reports are identical to
         :meth:`detect` over the merged raw trace (sketch linearity, paper
         §3.1).  Streams are aligned positionally and must agree on
-        interval indices; a mismatch raises ``ValueError``.
+        interval indices; a mismatch raises ``ValueError``, and so does a
+        stream :meth:`run` would refuse.
         """
-        per_stream = [list(stream) for stream in streams]
+        per_stream = [list(_interval_batches(stream)) for stream in streams]
         if not per_stream:
             return []
         observed = [summarize_stream(batches, self.schema) for batches in per_stream]

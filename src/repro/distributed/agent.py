@@ -39,6 +39,7 @@ import numpy as np
 from repro.detection.session import StreamingSession
 from repro.distributed.frames import read_frame, write_frame
 from repro.sketch.serialization import dumps, schema_identity
+from repro.streams.sharding import iter_interval_chunks
 
 
 class SealedInterval(NamedTuple):
@@ -161,9 +162,12 @@ async def run_agent(
 
     Connects, handshakes (``HELLO`` carrying the schema identity; the
     coordinator refuses mismatches with an ``ERROR`` frame), then feeds
-    ``records`` through a :class:`LocalSketcher` in ``chunk_records``
-    slices, shipping each sealed interval through the
-    :class:`DriftGate`.  Ends with a flush and a clean ``BYE``.
+    ``records``, in any order, through a :class:`LocalSketcher` in
+    time-sorted chunks of at most ``chunk_records`` rows that never
+    straddle an interval edge
+    (:func:`~repro.streams.sharding.iter_interval_chunks`), shipping each
+    sealed interval through the :class:`DriftGate`.  Ends with a flush
+    and a clean ``BYE``.
     """
     if chunk_records < 1:
         raise ValueError(f"chunk_records must be >= 1, got {chunk_records}")
@@ -238,11 +242,11 @@ async def run_agent(
                     recorder.count("repro_agent_frames_total", site=site)
 
         last_beat = time.monotonic()
-        for start in range(0, len(records), chunk_records):
-            sketcher.ingest(records[start : start + chunk_records])
-            stats.records_streamed += len(
-                records[start : start + chunk_records]
-            )
+        for chunk in iter_interval_chunks(
+            records, interval_seconds, chunk_records
+        ):
+            sketcher.ingest(chunk)
+            stats.records_streamed += len(chunk)
             await _ship_sealed()
             now = time.monotonic()
             if (

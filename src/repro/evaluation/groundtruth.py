@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-import numpy as np
-
+from repro.detection.threshold import narrow_report
+from repro.detection.twopass import OfflineTwoPassDetector
 from repro.traffic.anomalies import AnomalyEvent
 
 Label = Tuple[int, int]  # (interval, key)
@@ -113,30 +113,28 @@ def sweep_thresholds(
     skip: int = 0,
     **model_params,
 ) -> Tuple[Dict[float, Set[Label]], int]:
-    """Run the sketch pipeline once, harvesting alarms at many thresholds.
+    """Run the sketch detector once, harvesting alarms at many thresholds.
 
-    Returns ``(alarm_sets, intervals_scored)``.  One pipeline pass serves
-    every threshold (alarms at ``T`` are a superset of alarms at ``T' >
-    T``), which is what makes ROC sweeps cheap.
+    Returns ``(alarm_sets, intervals_scored)``.  One detector pass at the
+    lowest threshold serves every threshold (alarms at ``T`` are the
+    alarms at ``T' < T`` that reach ``T``'s bar, read off by
+    :func:`~repro.detection.threshold.narrow_report`), which is what
+    makes ROC sweeps cheap.
     """
-    from repro.detection.pipeline import run_pipeline
-    from repro.forecast.model_zoo import make_forecaster
-
     if not thresholds:
         raise ValueError("need at least one threshold")
-    forecaster = make_forecaster(forecaster_name, **model_params)
+    detector = OfflineTwoPassDetector(
+        schema, forecaster_name, t_fraction=min(thresholds), **model_params
+    )
     alarm_sets: Dict[float, Set[Label]] = {t: set() for t in thresholds}
     scored = 0
-    for step in run_pipeline(batches, schema, forecaster):
-        if step.error is None or step.index < skip:
+    for report in detector.run(batches):
+        if report.index < skip:
             continue
         scored += 1
-        keys = step.keys
-        if not len(keys):
-            continue
-        estimates = np.abs(step.error.estimate_batch(keys))
-        l2 = step.error.l2_norm()
         for t in thresholds:
-            hits = keys[estimates >= t * l2]
-            alarm_sets[t].update((step.index, int(k)) for k in hits.tolist())
+            alarm_sets[t].update(
+                (report.index, alarm.key)
+                for alarm in narrow_report(report, t).alarms
+            )
     return alarm_sets, scored

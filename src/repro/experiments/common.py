@@ -1,12 +1,14 @@
 """Shared experiment machinery: streaming sketch runs and comparisons.
 
 The accuracy figures all reduce to comparing, interval by interval, the
-output of the sketch pipeline against the exact per-flow pipeline.  This
-module runs the sketch side *streaming* (error sketches are consumed and
-discarded immediately -- at H=25, K=64K a materialized 4-hour run would
-hold hundreds of MB of tables) and materializes only the small artifacts
-each figure needs: ranked key lists, over-threshold key sets and energy
-series.
+output of the sketch detector against the exact per-flow pipeline.  This
+module runs the sketch side through the detector itself
+(:class:`~repro.detection.twopass.OfflineTwoPassDetector`, so every
+interval closes through the one seal step), streaming -- error sketches
+are consumed and discarded immediately; at H=25, K=64K a materialized
+4-hour run would hold hundreds of MB of tables -- and keeps only the
+small artifacts each figure needs: ranked key lists, over-threshold key
+sets and energy series.
 """
 
 from __future__ import annotations
@@ -18,22 +20,23 @@ from typing import Dict, List, Sequence, Union
 import numpy as np
 
 from repro.detection.perflow import PerFlowResult, run_per_flow
-from repro.detection.pipeline import run_pipeline
+from repro.detection.threshold import narrow_report
+from repro.detection.twopass import OfflineTwoPassDetector
 from repro.evaluation.metrics import total_energy
 from repro.forecast.base import Forecaster
-from repro.forecast.model_zoo import make_forecaster
 from repro.sketch import KArySchema
 from repro.streams.model import KeyedUpdates
 
 
 @dataclass
 class SketchRun:
-    """Streamed sketch-pipeline output for the intervals that scored.
+    """Streamed detector output for the intervals that scored.
 
-    ``ranked_keys[i]`` holds that interval's keys sorted by decreasing
-    absolute estimated error, truncated to ``rank_depth``;
-    ``threshold_sets[T][i]`` the keys whose absolute error reached
-    ``T * sqrt(ESTIMATEF2(Se))``.
+    ``ranked_keys[i]`` holds that interval's top-``rank_depth`` keys by
+    absolute estimated error (the report's ``top_keys``);
+    ``threshold_sets[T][i]`` the keys that alarm at ``T``, whose absolute
+    error reached ``T * sqrt(ESTIMATEF2(Se))``; ``energies[i]`` is
+    ``ESTIMATEF2(Se)`` clamped at zero, as ``error_l2 ** 2``.
     """
 
     indices: List[int] = field(default_factory=list)
@@ -56,14 +59,19 @@ def run_sketch(
     skip: int = 0,
     **model_params,
 ) -> SketchRun:
-    """Run the sketch pipeline once, harvesting per-interval artifacts.
+    """Run the sketch detector once, harvesting per-interval artifacts.
+
+    One :class:`~repro.detection.twopass.OfflineTwoPassDetector` alarms
+    at the lowest threshold and ranks the top ``rank_depth``; each higher
+    threshold's key set is its alarms narrowed by
+    :func:`~repro.detection.threshold.narrow_report`.
 
     Parameters
     ----------
     batches:
         Interval batches of keyed updates.
     schema:
-        The k-ary schema (H, K, hash functions).
+        The sketch schema (H, K, hash functions).
     forecaster:
         Forecaster instance or model name (+ ``model_params``).
     rank_depth:
@@ -73,35 +81,26 @@ def run_sketch(
     skip:
         Warm-up intervals excluded from scoring.
     """
-    if isinstance(forecaster, str):
-        forecaster = make_forecaster(forecaster, **model_params)
-    elif model_params:
-        raise ValueError("model_params only apply when forecaster is given by name")
-
+    detector = OfflineTwoPassDetector(
+        schema,
+        forecaster,
+        t_fraction=min(thresholds) if thresholds else None,
+        top_n=rank_depth,
+        **model_params,
+    )
     run = SketchRun(threshold_sets={t: [] for t in thresholds})
-    for step in run_pipeline(batches, schema, forecaster):
-        if step.error is None or step.index < skip:
+    for report in detector.run(batches):
+        if report.index < skip:
             continue
-        error = step.error
-        keys = step.keys
-        run.indices.append(step.index)
-        f2 = max(error.estimate_f2(), 0.0)
-        run.energies.append(f2)
-
-        if not (rank_depth or thresholds):
-            continue
-        estimates = (
-            error.estimate_batch(keys)
-            if len(keys)
-            else np.array([], dtype=np.float64)
-        )
-        magnitudes = np.abs(estimates)
+        run.indices.append(report.index)
+        run.energies.append(report.error_l2 ** 2)
         if rank_depth:
-            order = np.lexsort((keys, -magnitudes))
-            run.ranked_keys.append(keys[order[:rank_depth]])
-        l2 = float(np.sqrt(f2))
+            run.ranked_keys.append(report.top_keys)
         for t in thresholds:
-            run.threshold_sets[t].append(keys[magnitudes >= t * l2])
+            alarms = narrow_report(report, t).alarms
+            run.threshold_sets[t].append(
+                np.array([alarm.key for alarm in alarms], dtype=np.uint64)
+            )
     return run
 
 

@@ -35,7 +35,6 @@ from repro.hashing._kernels import (
 from repro.hashing.carter_wegman import PolynomialHash, TwoUniversalHash
 from repro.hashing.seeds import (
     MAX_MASTER_SEED,
-    SeedSequenceFactory,
     derive_seeds,
     validate_master_seed,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "HashFamily",
     "LoopStackedHash",
     "PolynomialHash",
-    "SeedSequenceFactory",
     "StackedHash",
     "StackedPolynomialHash",
     "StackedTabulationHash",

@@ -57,30 +57,3 @@ def derive_seeds(master_seed: Optional[int], count: int) -> List[int]:
         raise ValueError(f"count must be >= 0, got {count}")
     ss = np.random.SeedSequence(validate_master_seed(master_seed))
     return [int(child.generate_state(1, dtype=np.uint64)[0] >> 1) for child in ss.spawn(count)]
-
-
-class SeedSequenceFactory:
-    """Hands out an unbounded stream of independent seeds on demand.
-
-    Useful when the number of hash functions is not known upfront (e.g. the
-    group-testing sketch builds its sub-sketches lazily).
-    """
-
-    def __init__(self, master_seed: Optional[int] = None) -> None:
-        self._ss = np.random.SeedSequence(validate_master_seed(master_seed))
-        self._count = 0
-
-    def next_seed(self) -> int:
-        """Return the next derived seed."""
-        child = self._ss.spawn(1)[0]
-        self._count += 1
-        return int(child.generate_state(1, dtype=np.uint64)[0] >> 1)
-
-    def next_seeds(self, count: int) -> List[int]:
-        """Return the next ``count`` derived seeds."""
-        return [self.next_seed() for _ in range(count)]
-
-    @property
-    def seeds_issued(self) -> int:
-        """Number of seeds handed out so far."""
-        return self._count

@@ -277,23 +277,25 @@ class RandomizedIntervalSlicer(_Slicer):
     ) -> None:
         if mean_seconds <= 0:
             raise ValueError(f"mean_seconds must be > 0, got {mean_seconds}")
+        if min_fraction <= 0:
+            raise ValueError(f"min_fraction must be > 0, got {min_fraction}")
+        if horizon <= 0:
+            raise ValueError(f"horizon must be > 0, got {horizon}")
         super().__init__(start, on_before_start)
         self.mean_seconds = float(mean_seconds)
-        rng = np.random.default_rng(seed)
-        lengths: List[float] = []
-        total = 0.0
-        while total < horizon:
-            length = float(
-                np.clip(
-                    rng.exponential(mean_seconds),
-                    min_fraction * mean_seconds,
-                    max_factor * mean_seconds,
-                )
-            )
-            lengths.append(length)
-            total += length
-        self._edges = self.start + np.concatenate([[0.0], np.cumsum(lengths)])
-        self._horizon = len(lengths)
+        # Every length is at least min_fraction * mean, so this many draws
+        # reach the horizon; drawn in one call, they are the same stream
+        # of numbers as one draw at a time, and the running sum is cut at
+        # the first edge that reaches the horizon.
+        count = math.ceil(horizon / (min_fraction * mean_seconds)) + 1
+        lengths = np.clip(
+            np.random.default_rng(seed).exponential(mean_seconds, size=count),
+            min_fraction * mean_seconds,
+            max_factor * mean_seconds,
+        )
+        ends = np.cumsum(lengths)
+        self._horizon = int(np.searchsorted(ends, horizon)) + 1
+        self._edges = self.start + np.concatenate([[0.0], ends[: self._horizon]])
 
     def _index(self, timestamps):
         index = np.searchsorted(self._edges, timestamps, side="right") - 1

@@ -31,9 +31,12 @@ class KeyedUpdates:
     extracts them per interval or
     :func:`~repro.streams.sharding.iter_interval_columns` yields them as
     unit-stride views into columns extracted once per trace.  Batch
-    consumers (:meth:`StreamingSession.ingest_columns`,
-    :class:`OfflineTwoPassDetector`) take anything exposing ``index``,
-    ``keys`` and ``values``.
+    consumers take anything exposing ``index``, ``keys`` and ``values``:
+    :meth:`StreamingSession.ingest_columns` any number of batches per
+    interval, in nondecreasing index order; the batch detectors
+    (:class:`OfflineTwoPassDetector`, the online and adaptive detectors)
+    one whole interval per batch, in increasing index order, which they
+    check.
     """
 
     index: int

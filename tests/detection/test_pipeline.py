@@ -1,16 +1,9 @@
-"""Tests for the pipeline decomposition helpers."""
+"""Tests for ``summarize_stream``."""
 
-import numpy as np
 import pytest
 
-from repro.detection import (
-    forecast_error_stream,
-    interval_key_sets,
-    summarize_stream,
-)
-from repro.detection.pipeline import run_pipeline
-from repro.forecast import EWMAForecaster
-from repro.sketch import ExactSchema, KArySchema
+from repro.detection import summarize_stream
+from repro.sketch import ExactSchema
 
 from tests.conftest import make_batches
 
@@ -27,72 +20,3 @@ class TestSummarizeStream:
         batches = make_batches(rng, intervals=3)
         observed = summarize_stream(batches, ExactSchema())
         assert observed[0].total() == pytest.approx(batches[0].values.sum())
-
-
-class TestIntervalKeySets:
-    def test_deduplicated_and_sorted(self, rng):
-        batches = make_batches(rng, intervals=3)
-        key_sets = interval_key_sets(batches)
-        for batch, keys in zip(batches, key_sets):
-            assert len(keys) == len(set(batch.keys.tolist()))
-            assert np.all(np.diff(keys.astype(np.int64)) > 0)
-
-
-class TestForecastErrorStream:
-    def test_indices_and_warmup(self, rng, small_schema):
-        batches = make_batches(rng, intervals=6)
-        observed = summarize_stream(batches, small_schema)
-        steps = list(forecast_error_stream(observed, EWMAForecaster(0.5)))
-        assert [s.index for s in steps] == list(range(6))
-        assert steps[0].error is None
-        assert all(s.error is not None for s in steps[1:])
-
-    def test_resets_forecaster(self, rng, small_schema):
-        batches = make_batches(rng, intervals=3)
-        observed = summarize_stream(batches, small_schema)
-        forecaster = EWMAForecaster(0.5)
-        first = [s.error for s in forecast_error_stream(observed, forecaster)]
-        second = [s.error for s in forecast_error_stream(observed, forecaster)]
-        assert (first[1] is not None) and (second[1] is not None)
-        assert np.allclose(
-            np.asarray(first[1].table), np.asarray(second[1].table)
-        )
-
-    def test_error_equals_observed_minus_forecast(self, rng, small_schema):
-        batches = make_batches(rng, intervals=4)
-        observed = summarize_stream(batches, small_schema)
-        for step in forecast_error_stream(observed, EWMAForecaster(0.5)):
-            if step.error is not None:
-                reconstructed = step.observed - step.forecast
-                assert np.allclose(
-                    np.asarray(step.error.table),
-                    np.asarray(reconstructed.table),
-                )
-
-
-class TestRunPipeline:
-    def test_streaming_matches_decomposed(self, rng, small_schema):
-        batches = make_batches(rng, intervals=5)
-        streamed = list(run_pipeline(batches, small_schema, EWMAForecaster(0.5)))
-        observed = summarize_stream(batches, small_schema)
-        decomposed = list(forecast_error_stream(observed, EWMAForecaster(0.5)))
-        for a, b in zip(streamed, decomposed):
-            assert a.index == b.index
-            assert (a.error is None) == (b.error is None)
-            if a.error is not None:
-                assert np.allclose(
-                    np.asarray(a.error.table), np.asarray(b.error.table)
-                )
-
-    def test_keys_populated(self, rng, small_schema):
-        batches = make_batches(rng, intervals=3)
-        for step, batch in zip(
-            run_pipeline(batches, small_schema, EWMAForecaster(0.5)), batches
-        ):
-            assert np.array_equal(step.keys, np.unique(batch.keys))
-
-    def test_in_warmup_flag(self, rng, small_schema):
-        batches = make_batches(rng, intervals=3)
-        steps = list(run_pipeline(batches, small_schema, EWMAForecaster(0.5)))
-        assert steps[0].in_warmup
-        assert not steps[1].in_warmup

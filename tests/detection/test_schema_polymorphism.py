@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.detection import GroupTestingSchema, OfflineTwoPassDetector
-from repro.detection.pipeline import run_pipeline, summarize_stream
+from repro.detection.pipeline import summarize_stream
 from repro.forecast import EWMAForecaster
 from repro.sketch import (
     CountMinSchema,
@@ -53,14 +53,17 @@ class TestSummarizePolymorphism:
                 ), name
 
     def test_all_schemas_run_pipeline(self, small_batches):
+        """The two-pass detector seals over every schema kind."""
         for name, schema in _all_schemas(small_batches).items():
-            steps = list(
-                run_pipeline(small_batches, schema, EWMAForecaster(0.5))
-            )
-            assert len(steps) == 5, name
-            assert steps[-1].error is not None, name
+            reports = OfflineTwoPassDetector(
+                schema, EWMAForecaster(0.5), t_fraction=0.2, top_n=5,
+            ).detect(small_batches)
+            assert [r.index for r in reports] == [1, 2, 3, 4], name
             # Every error summary supports the F2 / estimate interface.
-            assert isinstance(steps[-1].error.estimate_f2(), float), name
+            for report in reports:
+                assert isinstance(report.error_l2, float), name
+                assert report.error_l2 > 0.0, name
+                assert len(report.top_keys) == 5, name
 
     def test_detector_over_group_testing_schema(self, small_batches):
         """The full detector also runs over group-testing summaries."""

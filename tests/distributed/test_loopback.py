@@ -24,6 +24,8 @@ from repro.distributed.frames import encode_frame, read_frame
 from repro.sketch import KArySchema
 from repro.streams import make_records
 
+from tests.detection.oracle import assert_reports_identical
+
 INTERVAL = 300.0
 N_SITES = 3
 
@@ -112,6 +114,24 @@ class TestBitIdentity:
             assert [(a.key, a.estimated_error) for a in ours.alarms] == [
                 (a.key, a.estimated_error) for a in ref.alarms
             ]
+
+    def test_time_shuffled_trace_gives_the_sorted_reports(
+        self, schema, random_trace, rng
+    ):
+        """Agents take records in any order (NetFlow exports a flow when
+        it ends): each site's share is cut into interval-aligned chunks."""
+        kwargs = dict(
+            n_sites=N_SITES, interval_seconds=INTERVAL, t_fraction=0.05,
+            top_n=10, chunk_records=701,
+        )
+        ordered = run_loopback(random_trace, schema, "ewma", **kwargs)
+        shuffled = run_loopback(
+            random_trace[rng.permutation(len(random_trace))], schema, "ewma",
+            **kwargs,
+        )
+        assert ordered.complete and shuffled.complete
+        assert len(ordered.reports) == 11
+        assert_reports_identical(shuffled.reports, ordered.reports)
 
     def test_site_count_does_not_change_reports(self, schema, random_trace):
         one = run_loopback(

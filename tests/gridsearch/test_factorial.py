@@ -124,8 +124,8 @@ class TestOnDetectionPipeline:
         should dominate H's at these levels (paper: prefer growing K)."""
         from tests.conftest import make_batches
         from repro.detection import run_per_flow
-        from repro.detection.pipeline import run_pipeline
         from repro.detection.topn import similarity
+        from repro.experiments.common import run_sketch
         from repro.forecast import EWMAForecaster
         from repro.sketch import KArySchema
 
@@ -135,14 +135,11 @@ class TestOnDetectionPipeline:
 
         def response(setting):
             schema = KArySchema(depth=setting["H"], width=setting["K"], seed=0)
-            sims = []
-            for step in run_pipeline(batches, schema, EWMAForecaster(0.5)):
-                if step.error is None:
-                    continue
-                estimates = step.error.estimate_batch(step.keys)
-                order = np.lexsort((step.keys, -np.abs(estimates)))
-                sk_top = step.keys[order[:50]]
-                sims.append(similarity(sk_top, perflow.top_n(step.index, 50), 50))
+            run = run_sketch(batches, schema, EWMAForecaster(0.5), rank_depth=50)
+            sims = [
+                similarity(sk_top, perflow.top_n(index, 50), 50)
+                for index, sk_top in zip(run.indices, run.ranked_keys)
+            ]
             return float(np.mean(sims))
 
         effects = full_factorial({"H": (1, 5), "K": (512, 8192)}, response)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.hashing.seeds import (
     MAX_MASTER_SEED,
-    SeedSequenceFactory,
     derive_seeds,
     validate_master_seed,
 )
@@ -81,10 +80,6 @@ class TestValidateMasterSeed:
         with pytest.raises(ValueError, match=r"\[0, 2\*\*63\)"):
             derive_seeds(2**64, 3)
 
-    def test_factory_validates(self):
-        with pytest.raises(ValueError, match=r"\[0, 2\*\*63\)"):
-            SeedSequenceFactory(-1)
-
     @pytest.mark.parametrize("bad_seed", [-5, 2**63, 2**64])
     def test_schema_construction_validates(self, bad_seed):
         """The asymmetry fix: every schema kind fails at construction."""
@@ -102,21 +97,3 @@ class TestValidateMasterSeed:
         schema = KArySchema(depth=2, width=64, seed=MAX_MASTER_SEED)
         sketch = schema.from_items([1, 2], [1.0, 2.0])
         assert loads(dumps(sketch)).schema.seed == MAX_MASTER_SEED
-
-
-class TestSeedSequenceFactory:
-    def test_deterministic_stream(self):
-        a = SeedSequenceFactory(9)
-        b = SeedSequenceFactory(9)
-        assert a.next_seeds(10) == b.next_seeds(10)
-
-    def test_stream_matches_batch(self):
-        factory = SeedSequenceFactory(5)
-        streamed = [factory.next_seed() for _ in range(4)]
-        assert len(set(streamed)) == 4
-
-    def test_counts_issued(self):
-        factory = SeedSequenceFactory(1)
-        factory.next_seeds(3)
-        factory.next_seed()
-        assert factory.seeds_issued == 4

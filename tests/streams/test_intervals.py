@@ -125,6 +125,40 @@ class TestRandomizedSlicer:
         with pytest.raises(ValueError):
             RandomizedIntervalSlicer(0.0)
 
+    @pytest.mark.parametrize(
+        "mean, horizon",
+        [
+            (1.0, 179.91), (1.0, 1000.0),
+            (59.97, 179.91), (59.97, 10 * 86400.0),
+            (300.0, 1000.0), (300.0, 10 * 86400.0),
+            (300.1, 179.91), (300.1, 10 * 86400.0),
+        ],
+    )
+    def test_edges_equal_one_draw_at_a_time(self, mean, horizon):
+        """The lengths are drawn in one call; the edges are those of the
+        reference loop that draws, clips and sums one length at a time
+        until the running sum reaches the horizon."""
+        for seed in (0, 1, 7, 123):
+            rng = np.random.default_rng(seed)
+            lengths, total = [], 0.0
+            while total < horizon:
+                length = float(np.clip(rng.exponential(mean), 0.2 * mean, 3.0 * mean))
+                lengths.append(length)
+                total += length
+            edges = 10.0 + np.concatenate([[0.0], np.cumsum(lengths)])
+            slicer = RandomizedIntervalSlicer(
+                mean, seed=seed, start=10.0, horizon=horizon
+            )
+            assert np.array_equal(slicer._edges, edges)
+            assert slicer._horizon == len(lengths)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"min_fraction": 0.0}, {"horizon": 0.0}, {"horizon": -5.0}]
+    )
+    def test_draw_bounds_validated(self, kwargs):
+        with pytest.raises(ValueError):
+            RandomizedIntervalSlicer(300.0, **kwargs)
+
 
 class TestBoundaryAgreement:
     """Regression: ``interval_bounds`` and ``slice_by_interval`` must
