@@ -104,6 +104,7 @@ def resolve_key_source(
     t_fraction: Optional[float] = None,
     collected: Optional[np.ndarray] = None,
     recorder=None,
+    error_l2: Optional[float] = None,
 ) -> np.ndarray:
     """Produce the candidate keys for one interval's report.
 
@@ -123,6 +124,9 @@ def resolve_key_source(
         Optional recorder; recovery walks are timed into
         ``repro_stage_seconds{stage="recover"}`` and every resolution
         tallies ``repro_key_source_candidates_total{source=...}``.
+    error_l2:
+        ``error_summary.l2_norm()`` when the caller already holds it, so
+        a recovery source does not estimate F2 a second time.
     """
     if source not in KEY_SOURCES:
         raise ValueError(
@@ -141,7 +145,7 @@ def resolve_key_source(
         # the report will apply; pass-through sources skip the F2 pass.
         threshold = None
         if t_fraction is not None:
-            threshold = alarm_threshold(error_summary, t_fraction)
+            threshold = alarm_threshold(error_summary, t_fraction, error_l2)
         recover = (
             _recover_invertible if source == "invertible"
             else _recover_grouptesting

@@ -159,15 +159,22 @@ class IntervalSealer:
         return self.report(error, keys, index)
 
     def report(self, error, keys: np.ndarray, index: int) -> IntervalDetection:
-        """Threshold and rank one interval's error summary ``Se(t)``."""
+        """Threshold and rank one interval's error summary ``Se(t)``.
+
+        ESTIMATEF2 runs once: the key source's bucket cutoff and the
+        report's threshold both read this one ``l2_norm``.
+        """
         obs = self.recorder
         recorder = obs if obs.enabled else None
+        with obs.time("f2_threshold"):
+            l2 = error.l2_norm()
         keys = resolve_key_source(
             self.key_source,
             error,
             t_fraction=self.t_fraction,
             collected=keys,
             recorder=recorder,
+            error_l2=l2,
         )
         evaluated_before = self.stats["median_evaluated"]
         with obs.time("report_build"):
@@ -180,6 +187,7 @@ class IntervalSealer:
                 schema=self.schema,
                 stats=self.stats,
                 recorder=recorder,
+                error_l2=l2,
             )
         if recorder is not None:
             self._record(report, len(keys), evaluated_before)

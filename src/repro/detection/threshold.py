@@ -103,6 +103,7 @@ def build_interval_report(
     prescreen: bool = True,
     stats: Optional[dict] = None,
     recorder=None,
+    error_l2: Optional[float] = None,
 ) -> IntervalDetection:
     """Finish one interval: threshold candidate errors and rank the top-N.
 
@@ -146,6 +147,10 @@ def build_interval_report(
         observed into ``repro_stage_seconds``.  The default
         :data:`~repro.obs.recorder.NULL_RECORDER` path costs one no-op
         call per stage.
+    error_l2:
+        ``error_summary.l2_norm()`` when the caller already holds it (the
+        seal step computes it once for the key source and the report);
+        ``None`` computes it here, timed as the ``f2_threshold`` stage.
 
     The estimates are computed once and reused by both the alarm scan and
     the top-N ranking.  :func:`alarms_for_interval` and
@@ -154,9 +159,11 @@ def build_interval_report(
     """
     obs = NULL_RECORDER if recorder is None else recorder
     keys = SummaryConvention.as_key_array(candidate_keys)
-    with obs.time("f2_threshold"):
-        l2 = error_summary.l2_norm()
-        threshold = 0.0 if t_fraction is None else t_fraction * l2
+    l2 = error_l2
+    if l2 is None:
+        with obs.time("f2_threshold"):
+            l2 = error_summary.l2_norm()
+    threshold = 0.0 if t_fraction is None else t_fraction * l2
     n = len(keys)
     if n == 0:
         # Empty-candidate fast path: an interval can legitimately close
@@ -342,16 +349,21 @@ def narrow_report(report: IntervalDetection, t_fraction: float) -> IntervalDetec
     )
 
 
-def alarm_threshold(error_summary, t_fraction: float) -> float:
+def alarm_threshold(
+    error_summary, t_fraction: float, error_l2: Optional[float] = None
+) -> float:
     """Compute ``T_A = T * sqrt(ESTIMATEF2(Se))``.
 
     The F2 estimate of an error summary can be marginally negative (it is
     unbiased, so small true energies straddle zero); it is clamped at zero,
-    making the threshold well defined and conservative.
+    making the threshold well defined and conservative.  ``error_l2`` is
+    ``error_summary.l2_norm()`` when the caller already holds it.
     """
     if t_fraction < 0:
         raise ValueError(f"t_fraction must be >= 0, got {t_fraction}")
-    return t_fraction * error_summary.l2_norm()
+    if error_l2 is None:
+        error_l2 = error_summary.l2_norm()
+    return t_fraction * error_l2
 
 
 def alarms_for_interval(

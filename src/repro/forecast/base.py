@@ -60,11 +60,12 @@ _ERROR_STATEMENT: Statement = ("error", ((1.0, "observed"), (-1.0, "forecast")))
 
 
 def _sweep_table(summary: Any, schema: Any):
-    """``summary``'s counter table if a statement sweep may run over it.
+    """``summary``'s table if a statement sweep may run over it.
 
-    Only summaries exposing ``_sweep_table`` (plain k-ary sketches)
-    qualify, and only over ``schema``, so a mismatch falls back to the
-    COMBINE path and raises there as it always did.
+    Only summaries exposing ``_sweep_table`` (the hashed sketches: a
+    counter table, or an invertible sketch's counter and candidate
+    planes) qualify, and only over ``schema``, so a mismatch falls back
+    to the COMBINE path and raises there as it always did.
     """
     sweep_table = getattr(summary, "_sweep_table", None)
     if sweep_table is None or summary.schema != schema:
@@ -109,8 +110,8 @@ class Forecaster(abc.ABC):
     (EWMA's) or a temporary the statements derive from the state
     (NSHW's ``smooth + trend``).  :meth:`observe` and :meth:`step` run
     them through :func:`combine_terms` into fresh summaries (``step``
-    with ``Se = So - Sf`` inserted), and :meth:`step_into` over plain
-    k-ary sketches runs the same list as one in-place sweep
+    with ``Se = So - Sf`` inserted), and :meth:`step_into` over hashed
+    sketches runs the same list as one in-place sweep
     (:func:`~repro.sketch.base.sweep_statements`) that writes the new
     state over the old.  The sweep rewrites state tables, so such a
     model owns every summary it holds: it copies ``observed`` where the
@@ -235,8 +236,8 @@ class Forecaster(abc.ABC):
         scratch.
 
         Models that state their update as COMBINE statements (EWMA and
-        NSHW) step plain k-ary sketches in one in-place sweep instead
-        (see :meth:`_sweep_step`).
+        NSHW) step hashed sketches in one in-place sweep instead (see
+        :meth:`_sweep_step`).
         """
         if self._sweep_step(observed, error_out):
             return error_out
@@ -254,11 +255,12 @@ class Forecaster(abc.ABC):
         """:meth:`step_into` as one statement sweep, where that applies.
 
         It applies past warm-up, to models with update statements, when
-        ``observed``, ``error_out`` and every state summary are plain
-        k-ary sketches over one schema.  The sweep runs
-        :meth:`_error_statements`, so the pass that writes ``Se`` also
-        writes the new state over the old, and each state table is held
-        once and swept once.  Every table written is one this forecaster
+        ``observed``, ``error_out`` and every state summary are hashed
+        sketches over one schema (any of the five kinds; an invertible
+        sketch's candidate planes fold by the MV rule in the same pass).
+        The sweep runs :meth:`_error_statements`, so the pass that writes
+        ``Se`` also writes the new state over the old, and each state
+        table is held once and swept once.  Every table written is one this forecaster
         allocated (see the class docstring) or ``error_out``.  Returns
         whether the sweep ran.
         """

@@ -47,6 +47,7 @@ from repro.hashing.stacked import (
     gather_indices,
     make_stacked,
     mv_combine2_planes,
+    mv_fold_planes,
     mv_merge_planes,
     mv_recover_mask,
     mv_vote_indices,
@@ -78,6 +79,7 @@ __all__ = [
     "set_num_threads",
     "make_stacked",
     "mv_combine2_planes",
+    "mv_fold_planes",
     "mv_merge_planes",
     "mv_recover_mask",
     "mv_vote_indices",

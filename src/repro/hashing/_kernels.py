@@ -114,6 +114,7 @@ DEFAULT_MIN_PARALLEL_KEYS = 8192
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <stddef.h>
+#include <math.h>
 #include <pthread.h>
 
 /* --- Persistent fork-join thread pool ----------------------------------
@@ -617,11 +618,11 @@ void idx_update_mv(const int64_t* idx, const uint64_t* keys,
 /* COMBINE-side candidate merge: fold one term's candidate planes into the
  * accumulator's with the MV rule, the term's votes pre-scaled by |coeff|.
  * Cells are independent, so one fused streaming pass replaces the NumPy
- * fold's chain of full-plane temporaries -- this runs twice per forecast
- * step (error and level COMBINE) and dominates the invertible seal cost
- * at production widths without it.  The per-cell arithmetic matches the
- * vectorized fallback operation for operation, so planes stay
- * bit-identical either way. */
+ * fold's chain of full-plane temporaries (COMBINEs of three or more
+ * terms, and the right half of a width fold).  The per-cell arithmetic
+ * matches the vectorized fallback operation for operation, so planes
+ * stay bit-identical either way; combine_sweep's candidate fold repeats
+ * it cell for cell. */
 void mv_merge(uint64_t* cand_a, double* votes_a,
               const uint64_t* cand_b, const double* votes_b,
               double coeff, int64_t n) {
@@ -633,15 +634,16 @@ void mv_merge(uint64_t* cand_a, double* votes_a,
     }
 }
 
-/* Two-term COMBINE of candidate planes in one pass: the forecast hot
- * path (error = observed - predicted, EWMA level = a*obs + (1-a)*level)
- * always folds exactly two terms into a scratch, which the generic path
- * does as copy+scale then mv_merge -- two full-plane passes.  This
+/* Two-term COMBINE of candidate planes in one pass.  The generic fold
+ * does it as copy+scale then mv_merge -- two full-plane passes; this
  * fuses them: per cell, scale both votes by their |coeff| and resolve
  * the MV rule directly into the output.  The arithmetic is
  * operation-for-operation the two-pass sequence's (same products, same
  * compare, same add/subtract), so planes stay bit-identical.  The
- * output planes must not alias either input. */
+ * forecast step folds its candidate planes inside combine_sweep; this
+ * serves the two-term COMBINEs outside it: the allocating step(), the
+ * arithmetic operators, invertible archive diffs and the coordinator's
+ * merges.  The output planes must not alias either input. */
 void mv_combine2(const uint64_t* ck_a, const double* cv_a, double coeff_a,
                  const uint64_t* ck_b, const double* cv_b, double coeff_b,
                  uint64_t* out_k, double* out_v, int64_t n) {
@@ -689,22 +691,37 @@ void mv_recover_mask(const double* table, const double* votes,
  * stores it last, so its destination may also be one of its sources
  * (the old value is read).  The object is built with -ffp-contract=off:
  * a fused multiply-add skips the product's rounding, which would move
- * results by ulps away from NumPy's separate multiply and add. */
+ * results by ulps away from NumPy's separate multiply and add.
+ *
+ * Invertible sketches' tables also carry MV candidate planes: keys[slot]
+ * and votes[slot] (NULL for tables without them).  Each statement then
+ * folds its terms' candidate planes over the same block, by the rule
+ * mv_fold_planes (repro/hashing/stacked.py) applies: the first term's
+ * key and votes*|c|, then each later term merged as mv_merge does, left
+ * to right, into block buffers stored last; temporaries get block-local
+ * key and vote buffers.  The counter loop above it is the plain-table
+ * loop, unchanged. */
 #define SWEEP_BLOCK 512
 #define SWEEP_MAX_TEMPS 8
 
 void combine_sweep(double* const* tables, int64_t n_tables, int64_t n_temps,
                    int64_t n_cells, int64_t n_stmts, const int64_t* dst,
                    const int64_t* n_terms, const int64_t* src,
-                   const double* coeff) {
+                   const double* coeff, uint64_t* const* keys,
+                   double* const* votes) {
     double temps[SWEEP_MAX_TEMPS][SWEEP_BLOCK];
     double acc[SWEEP_BLOCK];
+    uint64_t key_temps[SWEEP_MAX_TEMPS][SWEEP_BLOCK];
+    double vote_temps[SWEEP_MAX_TEMPS][SWEEP_BLOCK];
+    uint64_t acc_keys[SWEEP_BLOCK];
+    double acc_votes[SWEEP_BLOCK];
     if (n_temps > SWEEP_MAX_TEMPS) return;
     for (int64_t base = 0; base < n_cells; base += SWEEP_BLOCK) {
         int64_t len = n_cells - base;
         if (len > SWEEP_BLOCK) len = SWEEP_BLOCK;
         int64_t t = 0;
         for (int64_t s = 0; s < n_stmts; ++s) {
+            int64_t first = t;
             for (int64_t j = 0; j < n_terms[s]; ++j, ++t) {
                 const double* x = src[t] < n_tables
                     ? tables[src[t]] + base : temps[src[t] - n_tables];
@@ -729,6 +746,38 @@ void combine_sweep(double* const* tables, int64_t n_tables, int64_t n_temps,
             double* out = dst[s] < n_tables
                 ? tables[dst[s]] + base : temps[dst[s] - n_tables];
             for (int64_t i = 0; i < len; ++i) out[i] = acc[i];
+            if (keys == NULL) continue;
+            for (int64_t j = 0, u = first; j < n_terms[s]; ++j, ++u) {
+                const uint64_t* xk = src[u] < n_tables
+                    ? keys[src[u]] + base : key_temps[src[u] - n_tables];
+                const double* xv = src[u] < n_tables
+                    ? votes[src[u]] + base : vote_temps[src[u] - n_tables];
+                double c = fabs(coeff[u]);
+                if (j == 0) {
+                    for (int64_t i = 0; i < len; ++i) {
+                        acc_keys[i] = xk[i];
+                        acc_votes[i] = xv[i] * c;
+                    }
+                    continue;
+                }
+                for (int64_t i = 0; i < len; ++i) {
+                    double tv = xv[i] * c;
+                    if (acc_keys[i] == xk[i]) acc_votes[i] += tv;
+                    else if (acc_votes[i] >= tv) acc_votes[i] -= tv;
+                    else {
+                        acc_keys[i] = xk[i];
+                        acc_votes[i] = tv - acc_votes[i];
+                    }
+                }
+            }
+            uint64_t* out_k = dst[s] < n_tables
+                ? keys[dst[s]] + base : key_temps[dst[s] - n_tables];
+            double* out_v = dst[s] < n_tables
+                ? votes[dst[s]] + base : vote_temps[dst[s] - n_tables];
+            for (int64_t i = 0; i < len; ++i) {
+                out_k[i] = acc_keys[i];
+                out_v[i] = acc_votes[i];
+            }
         }
     }
 }
@@ -1096,7 +1145,7 @@ class SketchKernels:
             "mv_merge": [p, p, p, p, f64, i64],
             "mv_combine2": [p, p, f64, p, p, f64, p, p, i64],
             "mv_recover_mask": [p, p, f64, f64, f64, i64, p],
-            "combine_sweep": [p, i64, i64, i64, i64, p, p, p, p],
+            "combine_sweep": [p, i64, i64, i64, i64, p, p, p, p, p, p],
             "tab_update_u16_mt": [p, p, i64, i64, i64, p, p, p, p],
             "tab_update_signed_u16_mt": [p, p, i64, i64, i64,
                                          p, p, p, p, p, p, p],
@@ -1361,19 +1410,27 @@ class SketchKernels:
         return mask.view(np.bool_)
 
     def combine_sweep(self, addresses, n_temps: int, n_cells: int, dst,
-                      n_terms, src, coeff) -> None:
+                      n_terms, src, coeff, candidates=None) -> None:
         """Run an encoded COMBINE statement list over tables in place.
 
         ``addresses`` are the data pointers of equally shaped
         C-contiguous float64 tables of ``n_cells`` cells; the statement
         arrays are as :func:`repro.sketch.base.sweep_statements` encodes
         them (int64 slots and counts, float64 coefficients).
+        ``candidates`` is ``None``, or the tables' candidate-key and vote
+        plane pointers as two lists in slot order, which the statements
+        then fold by the MV rule.
         """
         t0 = self._tick("combine_sweep")
+        tables = (ctypes.c_void_p * len(addresses))(*addresses)
+        keys = votes = None
+        if candidates is not None:
+            keys = (ctypes.c_void_p * len(addresses))(*candidates[0])
+            votes = (ctypes.c_void_p * len(addresses))(*candidates[1])
         self._lib.combine_sweep(
-            (ctypes.c_void_p * len(addresses))(*addresses), len(addresses),
-            n_temps, n_cells, len(dst), dst.ctypes.data,
-            n_terms.ctypes.data, src.ctypes.data, coeff.ctypes.data,
+            tables, len(addresses), n_temps, n_cells, len(dst),
+            dst.ctypes.data, n_terms.ctypes.data, src.ctypes.data,
+            coeff.ctypes.data, keys, votes,
         )
         self._tock("combine_sweep", t0)
 

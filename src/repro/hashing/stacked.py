@@ -435,6 +435,27 @@ def mv_merge_planes(
     np.copyto(votes_a, new_v)
 
 
+def mv_fold_planes(out_k: np.ndarray, out_v: np.ndarray, terms) -> None:
+    """Fold COMBINE terms' candidate planes into ``(out_k, out_v)``.
+
+    ``terms`` are ``(coeff, cand, votes)``.  The output takes the first
+    term's keys and votes ``* |coeff|``, then merges each later term with
+    the MV rule (:func:`mv_merge_planes`), left to right; no terms leave
+    both planes zero.  This is the candidate half of an invertible
+    COMBINE, and ``combine_sweep`` folds each statement's planes by the
+    same per-cell operations.  The output must not alias a term's planes.
+    """
+    if not terms:
+        out_k[...] = 0
+        out_v[...] = 0.0
+        return
+    (coeff, cand, votes), rest = terms[0], terms[1:]
+    np.copyto(out_k, cand)
+    np.multiply(votes, abs(float(coeff)), out=out_v)
+    for coeff, cand, votes in rest:
+        mv_merge_planes(out_k, out_v, cand, votes, coeff)
+
+
 def mv_combine2_planes(
     out_k: np.ndarray,
     out_v: np.ndarray,

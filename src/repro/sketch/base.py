@@ -35,7 +35,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hashing import derive_seeds, make_family, make_stacked
+from repro.hashing import derive_seeds, make_family, make_stacked, mv_fold_planes
 from repro.hashing._kernels import SWEEP_MAX_TEMPS, get_kernels
 
 
@@ -91,7 +91,7 @@ class SummaryConvention:
             raise ValueError(
                 f"values must have shape ({length},), got {arr.shape}"
             )
-        if len(arr) and not np.all(np.isfinite(arr)):
+        if len(arr) and not np.isfinite(arr).all():
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise ValueError(
                 f"updates must be finite; found {arr[bad]} at position {bad}"
@@ -158,34 +158,52 @@ _FALLBACK_SWEEP_BLOCK = 8_192
 Statement = Tuple[str, Sequence[Tuple[float, str]]]
 
 
+def _planes(table) -> tuple:
+    """A statement table's planes: ``(counters,)`` or the MV triple."""
+    return table if isinstance(table, tuple) else (table,)
+
+
 def accumulate_statements(
-    statements: Sequence[Statement], tables: Mapping[str, np.ndarray]
+    statements: Sequence[Statement], tables: Mapping[str, object]
 ) -> None:
     """Run COMBINE statements one by one through :func:`accumulate_arrays`.
 
     ``tables`` binds names to equally shaped float64 arrays, which the
     statements read and overwrite in place; every other name is a
     temporary.  A destination may appear among its own sources: it reads
-    the old value.  This is the reference semantics of
-    :func:`sweep_statements`, whose fallback without compiled kernels
-    runs it block by block.
+    the old value.  A table may instead be an invertible sketch's
+    ``(counters, candidate_keys, candidate_votes)`` planes (keys as
+    ``uint64``); then every table is, and each statement also folds its
+    terms' candidate planes by the MV rule
+    (:func:`~repro.hashing.stacked.mv_fold_planes`), as
+    :meth:`~repro.sketch.invertible.InvertibleKArySketch.combine_into`
+    does.  This is the reference semantics of :func:`sweep_statements`,
+    whose fallback without compiled kernels runs it block by block.
     """
-    env = dict(tables)
+    env = {name: _planes(table) for name, table in tables.items()}
     scratch = None
     for dst, terms in statements:
-        arrays = [(float(c), env[src]) for c, src in terms]
+        sources = [(float(c), env[src]) for c, src in terms]
         out = env.get(dst)
         if scratch is None:
-            scratch = np.empty_like(arrays[0][1])
-        if out is None:
-            env[dst] = accumulate_arrays(
-                np.empty_like(arrays[0][1]), arrays, scratch
-            )
-        elif any(arr is out for _, arr in arrays):
-            result = accumulate_arrays(np.empty_like(out), arrays, scratch)
-            np.copyto(out, result)
+            scratch = np.empty_like(sources[0][1][0])
+        if out is None or any(planes is out for _, planes in sources):
+            result = tuple(np.empty_like(plane) for plane in sources[0][1])
         else:
-            accumulate_arrays(out, arrays, scratch)
+            result = out
+        accumulate_arrays(
+            result[0], [(c, planes[0]) for c, planes in sources], scratch
+        )
+        if len(result) == 3:
+            mv_fold_planes(
+                result[1], result[2],
+                [(c, planes[1], planes[2]) for c, planes in sources],
+            )
+        if out is None:
+            env[dst] = result
+        elif result is not out:
+            for plane, value in zip(out, result):
+                np.copyto(plane, value)
 
 
 def _encode_statements(statements, names: tuple) -> tuple:
@@ -223,60 +241,84 @@ def _encode_statements(statements, names: tuple) -> tuple:
     return n_temps, written, code
 
 
+#: Plane dtypes of a statement table without and with candidate planes.
+_PLANE_DTYPES = {1: (np.float64,), 3: (np.float64, np.uint64, np.float64)}
+
+
 def sweep_statements(
-    statements: Sequence[Statement], tables: Mapping[str, np.ndarray]
+    statements: Sequence[Statement], tables: Mapping[str, object]
 ) -> None:
     """Run COMBINE statements in place in one pass over ``tables``.
 
-    Same contract and same bits as :func:`accumulate_statements`.  With
-    the compiled kernels the whole list runs as one ``combine_sweep``:
-    block by block, every statement over a block of cells before the
-    next, with temporaries in block-local buffers, so each table is
-    read and written once per call instead of once per statement.
-    Raises ``ValueError`` for an empty statement, a name read before
-    anything writes it, more than ``SWEEP_MAX_TEMPS`` temporaries (the
-    kernel's block-local buffers), tables that are not equally shaped
-    C-contiguous float64 arrays, or a written table that overlaps
-    another table.
+    Same contract and same bits as :func:`accumulate_statements`, MV
+    candidate planes included.  With the compiled kernels the whole list
+    runs as one ``combine_sweep``: block by block, every statement over
+    a block of cells before the next, with temporaries in block-local
+    buffers, so each table (and each candidate plane) is read and
+    written once per call instead of once per statement.  Raises
+    ``ValueError`` for an empty statement, a name read before anything
+    writes it, more than ``SWEEP_MAX_TEMPS`` temporaries (the kernel's
+    block-local buffers), tables that are not all equally shaped
+    C-contiguous float64 arrays or all such plane triples (keys
+    ``uint64``), or a written table that overlaps another table.
     """
-    arrays = tuple(tables.values())
+    planes = [_planes(table) for table in tables.values()]
     n_temps, written, code = _encode_statements(statements, tuple(tables))
-    shape = arrays[0].shape
-    for arr in arrays:
-        if (
-            arr.dtype != np.float64
+    width = len(planes[0])
+    dtypes = _PLANE_DTYPES.get(width, ())
+    shape = planes[0][0].shape
+    for table in planes:
+        if len(table) != len(dtypes) or any(
+            arr.dtype != dtype
             or arr.shape != shape
             or not arr.flags.c_contiguous
+            for arr, dtype in zip(table, dtypes)
         ):
             raise ValueError(
                 "statement tables must be equally shaped, C-contiguous "
-                "float64 arrays"
+                "float64 arrays, or all (counters, uint64 keys, votes) "
+                "plane triples"
             )
-    # Equal-sized contiguous tables overlap iff their starts are closer
-    # than one table's bytes.
-    addresses = [arr.ctypes.data for arr in arrays]
-    nbytes = arrays[0].nbytes
+    # Equal-sized contiguous planes overlap iff their starts are closer
+    # than one plane's bytes.
+    flat = [arr for table in planes for arr in table]
+    addresses = [arr.ctypes.data for arr in flat]
+    nbytes = flat[0].nbytes
     for slot in written:
-        if not arrays[slot].flags.writeable or any(
-            abs(addresses[slot] - address) < nbytes
-            for other, address in enumerate(addresses)
-            if other != slot
-        ):
-            raise ValueError(
-                f"table {list(tables)[slot]!r} is written, so it must be "
-                "writeable and overlap no other table"
-            )
+        for mine in range(slot * width, (slot + 1) * width):
+            if not flat[mine].flags.writeable or any(
+                abs(addresses[mine] - address) < nbytes
+                for other, address in enumerate(addresses)
+                if other != mine
+            ):
+                raise ValueError(
+                    f"table {list(tables)[slot]!r} is written, so it must "
+                    "be writeable and overlap no other table"
+                )
     kernels = get_kernels()
     if kernels is not None:
-        kernels.combine_sweep(addresses, n_temps, arrays[0].size, *code)
+        kernels.combine_sweep(
+            addresses[::width], n_temps, flat[0].size, *code,
+            candidates=(
+                (addresses[1::width], addresses[2::width])
+                if width == 3 else None
+            ),
+        )
         return
     # The same block-by-block pass in NumPy: every operation is per cell,
     # so the bits are the same, and the temporaries stay block-sized.
-    flat = {name: arr.reshape(-1) for name, arr in tables.items()}
-    for lo in range(0, arrays[0].size, _FALLBACK_SWEEP_BLOCK):
+    flat_tables = {
+        name: tuple(arr.reshape(-1) for arr in table)
+        for name, table in zip(tables, planes)
+    }
+    for lo in range(0, flat[0].size, _FALLBACK_SWEEP_BLOCK):
         block = slice(lo, lo + _FALLBACK_SWEEP_BLOCK)
         accumulate_statements(
-            statements, {name: arr[block] for name, arr in flat.items()}
+            statements,
+            {
+                name: tuple(arr[block] for arr in table)
+                for name, table in flat_tables.items()
+            },
         )
 
 
@@ -715,3 +757,12 @@ class HashedSketch(LinearSummary):
         result = type(self)(self._schema)
         accumulate_arrays(result._table, self._check_terms(terms))
         return result
+
+    def _sweep_table(self) -> np.ndarray:
+        """The live table, for in-place COMBINE statement sweeps.
+
+        :func:`sweep_statements` reads and rewrites it directly, every
+        cell linearly; the forecasters call this only on sketches they
+        own (see :class:`~repro.forecast.base.Forecaster`).
+        """
+        return self._table

@@ -48,10 +48,12 @@ COMBINE
 -------
 Counter planes combine linearly as always.  Candidate planes merge with
 the same MV rule (votes scaled by ``|c_i|``), folded pairwise left to
-right.  The fold is order-*dependent* (MV is not associative), so a
-merged sketch can elect a different bucket candidate than one stream's
-votes would; the counter planes remain bit-exact regardless of merge
-order because integral float64 sums are order-independent.
+right -- in ``combine_into``, and cell by cell inside the forecast
+step's statement sweep, which hands the kernel all three planes.  The
+fold is order-*dependent* (MV is not associative), so a merged sketch
+can elect a different bucket candidate than one stream's votes would;
+the counter planes remain bit-exact regardless of merge order because
+integral float64 sums are order-independent.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ import numpy as np
 
 from repro.hashing import (
     mv_combine2_planes,
+    mv_fold_planes,
     mv_merge_planes,
     mv_recover_mask,
 )
@@ -273,15 +276,23 @@ class InvertibleKArySketch(KArySketch):
         votes scaled by ``|c_i|`` -- a negated sketch carries the same
         evidence about *which* key dominates a bucket, only the counter
         sign flips.  The receiver must not itself appear in ``terms``.
+        The forecast step does not come here: it hands these planes to
+        its statement sweep (:meth:`_sweep_table`), which folds them by
+        the same rule in the pass that combines the counters.
         """
         merged = self._check_terms(terms)
         accumulate_arrays(self._table, merged, scratch)
         self._merge_candidates(terms)
         return self
 
-    # Candidate planes fold by majority vote, not linearly, so a COMBINE
-    # statement sweep over the counters alone would drop them.
-    _sweep_table = None
+    def _sweep_table(self) -> tuple:
+        """Counters, candidate keys and votes, for statement sweeps.
+
+        :func:`~repro.sketch.base.sweep_statements` combines the counter
+        plane linearly and folds the candidate planes by the MV rule, as
+        :meth:`combine_into` does.
+        """
+        return (self._table, self._cand_keys, self._cand_votes)
 
     def _linear_combination(
         self, terms: Sequence[Tuple[float, LinearSummary]]
@@ -289,9 +300,7 @@ class InvertibleKArySketch(KArySketch):
         # combine_into overwrites every plane (accumulate_arrays writes
         # the first counter term directly; the candidate fold copies the
         # first term's planes, and zeroes them when there are no terms),
-        # so the fresh store can skip page-zeroing.  This runs once per
-        # forecast step on the EWMA level update, where the zeroing of a
-        # 3-plane production-width store is measurable.
+        # so the fresh store can skip page-zeroing.
         shape = (3, self._schema.depth, self._schema.width)
         result = InvertibleKArySketch(
             self._schema, np.empty(shape, dtype=np.float64)
@@ -302,31 +311,19 @@ class InvertibleKArySketch(KArySketch):
         self, terms: Sequence[Tuple[float, LinearSummary]]
     ) -> None:
         """Fold the terms' candidate planes into this sketch's, MV-style."""
-        ak = self._cand_keys
-        av = self._cand_votes
         if len(terms) == 2:
-            # The forecast hot path (error seal, EWMA level update) is
-            # always a two-term COMBINE into a scratch: fuse the fold.
+            # Fused two-term fold: the operators and the allocating step().
             (ca, sa), (cb, sb) = terms
             mv_combine2_planes(
-                ak, av,
+                self._cand_keys, self._cand_votes,
                 sa._cand_keys, sa._cand_votes, ca,
                 sb._cand_keys, sb._cand_votes, cb,
             )
             return
-        first = True
-        for coeff, summary in terms:
-            tk = summary._cand_keys
-            tv_src = summary._cand_votes
-            if first:
-                np.copyto(ak, tk)
-                np.multiply(tv_src, abs(coeff), out=av)
-                first = False
-                continue
-            mv_merge_planes(ak, av, tk, tv_src, coeff)
-        if first:  # no terms: candidate planes are empty
-            ak[...] = 0
-            av[...] = 0.0
+        mv_fold_planes(
+            self._cand_keys, self._cand_votes,
+            [(c, s._cand_keys, s._cand_votes) for c, s in terms],
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         live = int(np.count_nonzero(self._cand_votes))

@@ -167,17 +167,6 @@ class KArySketch(HashedSketch):
         """ESTIMATEF2: median of per-row unbiased second-moment estimates."""
         return float(np.median(_f2_rows(self._table, self._schema.width)))
 
-    # -- COMBINE -----------------------------------------------------------
-
-    def _sweep_table(self) -> np.ndarray:
-        """The live counter table, for in-place COMBINE statement sweeps.
-
-        :func:`~repro.sketch.base.sweep_statements` reads and rewrites
-        it directly; the forecasters call this only on sketches they
-        own (see :class:`~repro.forecast.base.Forecaster`).
-        """
-        return self._table
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"KArySketch(H={self._schema.depth}, K={self._schema.width}, "

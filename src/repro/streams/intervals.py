@@ -121,9 +121,11 @@ def _cut_into_intervals(
     if not len(records):
         return records, None, None, []
     timestamps = records["timestamp"]
-    # One monotonicity scan is far cheaper than the argsort.  A NaN
-    # fails it too, so it sorts last, where the end check sees it.
-    if len(records) > 1 and not np.all(np.diff(timestamps) >= 0):
+    # One monotonicity scan is far cheaper than the argsort, and the
+    # pairwise compare takes no differences.  A NaN fails it too, so it
+    # sorts last, where the end check sees it; an infinite timestamp is
+    # an end either way.
+    if len(records) > 1 and not (timestamps[1:] >= timestamps[:-1]).all():
         records = records[np.argsort(timestamps, kind="stable")]
         timestamps = records["timestamp"]
     first, last = finite_time_span(timestamps)

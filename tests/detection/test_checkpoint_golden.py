@@ -5,7 +5,9 @@ made to the forecaster's state capture and its restore alike -- a state
 entry renamed, dropped or computed with different bits.  These pin the
 SHA-256 of ``checkpoint_session`` for an EWMA and an NSHW session at every
 point from the first open interval through the warm-up seals into the
-steady state, where each seal runs the one-pass forecast step.
+steady state, where each seal runs the one-pass forecast step: over a
+plain k-ary sketch, and over an invertible one, whose checkpoint also
+carries the candidate planes the step folds by majority vote.
 
 Keys and values are plain arithmetic, so the bytes depend on nothing but
 the code under test and the schema's seeded hash tables.
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.detection import StreamingSession, checkpoint_session
-from repro.sketch import KArySchema
+from repro.sketch import InvertibleKArySchema, KArySchema
 from repro.streams.model import KeyedUpdates
 
 RECORDS_PER_INTERVAL = 300
@@ -25,6 +27,12 @@ RECORDS_PER_INTERVAL = 300
 MODELS = {
     "ewma": {"alpha": 0.35},
     "nshw": {"alpha": 0.4, "beta": 0.25},
+}
+
+#: Schema kind and the key source its session runs.
+KINDS = {
+    "kary": (KArySchema, "twopass"),
+    "invertible": (InvertibleKArySchema, "invertible"),
 }
 
 #: ``(length, sha256)`` of the checkpoint taken right after the block for
@@ -50,6 +58,30 @@ GOLDEN = {
     ],
 }
 
+#: The same for sessions over an invertible sketch (``key_source=
+#: "invertible"``), whose steady-state seals fold candidate planes too.
+#: These equal the bytes of a seal that runs one COMBINE per statement.
+GOLDEN_INVERTIBLE = {
+    "ewma": [
+        (24082, "0c51c848825235447e5d44dbd45f11464807de54be6e8c4a4d98737b2281c08a"),
+        (42555, "d01e220da7d83b50786f8fedd0dec56061f7b26da4673b576185389f478361b2"),
+        (42555, "05785fc3757863614ed749cfc9053f528588e61ec61662986cd5c053a811d065"),
+        (42555, "c6ac963e6a8d508a30df354e1db04f8e7ff2418a115cb9e092efa94ce9635dc9"),
+        (42555, "78bf2e6b6145d7b709db94e23095a2ebf60fe723fbb23338dfa029e6c3236d30"),
+        (42555, "2a59d23dcefd88e49f72e113a8246606cc206a456c84adb0fec04b4911cea3ab"),
+        (42555, "31baf362695d4ecede7dc08f5f09bfd1c701561abd30b08da8f7482e0c5a2086"),
+    ],
+    "nshw": [
+        (24137, "152da190611dd137dac6e2ce8847b7da7d04216ecc51a366ca117ec37f893a05"),
+        (42610, "2c899f398dea21220ec3593d81d9ceef422c7f0b3a88fb814806914fe31c40a1"),
+        (79556, "2fca0c635f9bc7a068f3b966217edf35d7b7b0c7d40b7755990cb8cc2147aabf"),
+        (79556, "372491c49e5e45ca5852031b9fb36c641575c3d166d91c7b3df8aecdb6880439"),
+        (79556, "a76369355b81bb293b1493d978e5c3fa13435056e56c5a5368c5b0917053fa63"),
+        (79556, "77b1f32cadbb008c92eb9c97fdb4f39eeb746d9505a06e69d8174c704b91b561"),
+        (79556, "1823c33e1ef501d99cc12ece036344531a813f78bfa53e1ce77f1baa1240a9e2"),
+    ],
+}
+
 
 def _block(index: int) -> KeyedUpdates:
     n = RECORDS_PER_INTERVAL
@@ -61,10 +93,12 @@ def _block(index: int) -> KeyedUpdates:
     return KeyedUpdates(index=index, keys=keys, values=values)
 
 
-def _checkpoints(model: str) -> list:
+def _checkpoints(model: str, kind: str = "kary") -> list:
+    schema_type, key_source = KINDS[kind]
     session = StreamingSession(
-        KArySchema(depth=3, width=256, seed=21), model,
-        interval_seconds=60.0, t_fraction=0.1, top_n=5, **MODELS[model],
+        schema_type(depth=3, width=256, seed=21), model,
+        interval_seconds=60.0, t_fraction=0.1, top_n=5,
+        key_source=key_source, **MODELS[model],
     )
     out = []
     for index in range(len(GOLDEN[model])):
@@ -78,4 +112,11 @@ def _checkpoints(model: str) -> list:
 def test_session_checkpoint_bytes_are_pinned(model):
     got = _checkpoints(model)
     for sealed, (have, want) in enumerate(zip(got, GOLDEN[model])):
+        assert have == want, f"{model} checkpoint with {sealed} intervals sealed"
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_invertible_session_checkpoint_bytes_are_pinned(model):
+    got = _checkpoints(model, "invertible")
+    for sealed, (have, want) in enumerate(zip(got, GOLDEN_INVERTIBLE[model])):
         assert have == want, f"{model} checkpoint with {sealed} intervals sealed"

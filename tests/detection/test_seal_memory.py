@@ -8,6 +8,11 @@ the next one, so the traced peak over steady-state seals stays within
 half a table of those counts.  A spare forecast table, a stored NSHW
 ``Sf`` or the next interval's table allocated early each add a whole
 table and fail here.
+
+The same holds for an invertible sketch's whole store (counters and
+candidate planes), with and without the compiled kernels: the step folds
+the candidate planes in the pass that combines the counters, so a seal
+that builds a fresh store for ``Se`` or the new state fails here too.
 """
 
 import tracemalloc
@@ -16,7 +21,8 @@ import numpy as np
 import pytest
 
 from repro.detection import StreamingSession
-from repro.sketch import KArySchema
+from repro.hashing import _kernels
+from repro.sketch import InvertibleKArySchema, KArySchema
 from repro.streams.model import KeyedUpdates
 
 KEYS_PER_BLOCK = 2_000
@@ -42,12 +48,12 @@ def _block(index: int) -> KeyedUpdates:
     return KeyedUpdates(index=index, keys=keys, values=values)
 
 
-def _steady_state_peak(schema, model: str) -> float:
+def _steady_state_peak(schema, model: str, key_source="twopass") -> float:
     """Peak traced bytes over the seals past warm-up, in tables."""
     params, warmup, _ = CASES[model]
     session = StreamingSession(
         schema, model, interval_seconds=60.0, t_fraction=0.05, top_n=10,
-        **params,
+        key_source=key_source, **params,
     )
     peak = 0
     for index in range(INTERVALS):
@@ -70,3 +76,20 @@ def test_steady_state_seal_holds_each_table_once(schema, model):
     finally:
         tracemalloc.stop()
     assert tables <= CASES[model][2], f"{model}: {tables:.2f} tables"
+
+
+@pytest.mark.parametrize("model", sorted(CASES))
+@pytest.mark.parametrize("kernels", [True, False], ids=["kernels", "numpy"])
+def test_invertible_seal_holds_each_store_once(model, kernels, monkeypatch):
+    if not kernels:
+        monkeypatch.setattr(_kernels, "_KERNELS", None)
+    elif _kernels.get_kernels() is None:
+        pytest.skip("compiled kernels are off")
+    schema = InvertibleKArySchema(depth=3, width=32_768, seed=17)
+    _steady_state_peak(schema, model, "invertible")
+    tracemalloc.start()
+    try:
+        stores = _steady_state_peak(schema, model, "invertible")
+    finally:
+        tracemalloc.stop()
+    assert stores <= CASES[model][2], f"{model}: {stores:.2f} stores"

@@ -1,18 +1,29 @@
-"""``step_into`` as one statement sweep: EWMA and NSHW over k-ary sketches.
+"""``step_into`` as one statement sweep: EWMA and NSHW over hashed sketches.
 
 The sweep rewrites model state in place, so these tests pin the
 ownership rule: it writes only tables the forecaster allocated -- never
 a caller's observation, a ``set_state`` input or a ``get_state``
 snapshot -- and each step's error and the model state it leaves equal
 what :meth:`Forecaster.step` gives for the same interval, bit for bit,
-including when a stream switches from ``step`` to ``step_into``.
+including when a stream switches from ``step`` to ``step_into``.  Every
+hashed kind sweeps: plain k-ary, invertible (whose whole store, candidate
+planes included, is compared), Count-Min, Count Sketch and group testing.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
+from repro.detection.grouptesting import GroupTestingSchema
 from repro.forecast import EWMAForecaster, HoltWintersForecaster
-from repro.sketch import InvertibleKArySchema, KArySchema, KArySketch
+from repro.sketch import (
+    CountMinSchema,
+    CountSketchSchema,
+    InvertibleKArySchema,
+    KArySchema,
+    KArySketch,
+)
 
 MODELS = {
     "ewma": lambda: EWMAForecaster(alpha=0.35),
@@ -20,10 +31,34 @@ MODELS = {
 }
 N_STEPS = 9  # NSHW warms up for two, leaving seven swept intervals
 
+#: One schema per hashed kind; keys stay below 3,000 < 2**12.
+KINDS = {
+    "kary": lambda: KArySchema(depth=3, width=700, seed=8),
+    "invertible": lambda: InvertibleKArySchema(depth=3, width=700, seed=8),
+    "countmin": lambda: CountMinSchema(depth=3, width=700, seed=8),
+    "countsketch": lambda: CountSketchSchema(depth=3, width=700, seed=8),
+    "grouptesting": lambda: GroupTestingSchema(
+        depth=3, width=256, key_bits=12, seed=8
+    ),
+}
+
+
+def _case_id(kind, *rest):
+    """The k-ary cases keep their ids from before the other kinds swept."""
+    return "-".join(([] if kind == "kary" else [kind]) + [str(r) for r in rest])
+
+
+def _cases(*axes):
+    """Every kind crossed with ``axes``, the kind first."""
+    return [
+        pytest.param(*case, id=_case_id(*case))
+        for case in itertools.product(KINDS, *axes)
+    ]
+
 
 @pytest.fixture
 def schema():
-    return KArySchema(depth=3, width=700, seed=8)
+    return KINDS["kary"]()
 
 
 def _observations(schema, rng, n=N_STEPS):
@@ -36,6 +71,7 @@ def _observations(schema, rng, n=N_STEPS):
 
 
 def _bytes(summary):
+    """The whole table: an invertible sketch's candidate planes too."""
     return np.asarray(summary.table).tobytes()
 
 
@@ -43,19 +79,22 @@ def _state_bytes(state):
     return {k: _bytes(v) for k, v in state.items() if hasattr(v, "table")}
 
 
-def _forbidden_combine(self, terms):
-    raise AssertionError("the sweep step allocated a COMBINE")
+def _forbidden_combine(self, *args, **kwargs):
+    raise AssertionError("the sweep step ran a COMBINE")
 
 
-@pytest.mark.parametrize("model", sorted(MODELS))
-@pytest.mark.parametrize("switch_at", [0, 1, 2, 4])
-def test_step_into_matches_step_and_owns_its_tables(model, switch_at, schema, rng):
+@pytest.mark.parametrize(
+    "kind, switch_at, model", _cases([0, 1, 2, 4], sorted(MODELS))
+)
+def test_step_into_matches_step_and_owns_its_tables(kind, switch_at, model, rng):
     """``step()`` for ``switch_at`` intervals, then ``step_into``."""
+    schema = KINDS[kind]()
     series = _observations(schema, rng)
     originals = [_bytes(s) for s in series]
     reference, swept = MODELS[model](), MODELS[model]()
     error_out = schema.empty()
     warmup = 1 if model == "ewma" else 2
+    sketch_type = type(error_out)
     for t, observed in enumerate(series):
         want = reference.step(observed)
         if t < switch_at:
@@ -63,7 +102,8 @@ def test_step_into_matches_step_and_owns_its_tables(model, switch_at, schema, rn
         else:
             with pytest.MonkeyPatch.context() as mp:
                 if t >= warmup:  # past warm-up the step is one sweep
-                    mp.setattr(KArySketch, "_linear_combination", _forbidden_combine)
+                    for attr in ("_linear_combination", "combine_into"):
+                        mp.setattr(sketch_type, attr, _forbidden_combine)
                 got = swept.step_into(observed, error_out=error_out)
         assert (got is None) == (want.error is None)
         assert _state_bytes(swept.get_state()) == _state_bytes(
@@ -75,8 +115,9 @@ def test_step_into_matches_step_and_owns_its_tables(model, switch_at, schema, rn
     assert [_bytes(s) for s in series] == originals
 
 
-@pytest.mark.parametrize("model", sorted(MODELS))
-def test_snapshots_and_restored_inputs_stay_untouched(model, schema, rng):
+@pytest.mark.parametrize("kind, model", _cases(sorted(MODELS)))
+def test_snapshots_and_restored_inputs_stay_untouched(kind, model, rng):
+    schema = KINDS[kind]()
     series = _observations(schema, rng, n=N_STEPS + 4)
     cut = 4
     original = MODELS[model]()
@@ -102,22 +143,6 @@ def test_snapshots_and_restored_inputs_stay_untouched(model, schema, rng):
             assert _bytes(got) == _bytes(want.error)
     # Neither the snapshot nor the set_state input (the same dict) moved.
     assert _state_bytes(snapshot) == snapshot_bytes
-
-
-def test_invertible_sketches_keep_the_combine_path(rng):
-    schema = InvertibleKArySchema(depth=3, width=256, seed=4)
-    reference, stepped = EWMAForecaster(0.5), EWMAForecaster(0.5)
-    error_out = schema.empty()
-    for _ in range(5):
-        keys = rng.integers(0, 500, 200, dtype=np.uint64)
-        observed = schema.from_items(keys, np.ones(len(keys)))
-        want = reference.step(observed)
-        got = stepped.step_into(observed, error_out=error_out)
-        if want.error is not None:
-            assert _bytes(got) == _bytes(want.error)
-            np.testing.assert_array_equal(
-                got.candidate_keys, want.error.candidate_keys
-            )
 
 
 def test_schema_mismatch_still_raises(schema, rng):

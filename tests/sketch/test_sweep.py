@@ -9,6 +9,11 @@ multiply-add pairs into FMAs fails.  The one exemption is which NaN an
 overflowed cell holds: when two NaNs meet, IEEE 754 leaves the result's
 sign and payload open, and a C compiler may commute an addition's
 operands, so cells that are NaN on both sides count as equal.
+
+Invertible sketches hand the sweep their candidate planes too, which
+each statement folds by majority vote.  That fold is checked three ways:
+the kernel, the NumPy fallback and one ``combine_into`` per statement on
+``InvertibleKArySketch`` objects.
 """
 
 import numpy as np
@@ -16,9 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing import kernel_call_counts
+from repro.hashing import _kernels, kernel_call_counts
 from repro.hashing._kernels import SWEEP_MAX_TEMPS, get_kernels
-from repro.sketch import base
+from repro.sketch import InvertibleKArySchema, InvertibleKArySketch, base
 from repro.sketch.base import accumulate_statements, sweep_statements
 
 TABLES = ("a", "b", "c")
@@ -210,3 +215,146 @@ def test_bad_tables_rejected():
     out = np.empty((2, 4))
     sweep_statements([("c", ((1.0, "a"), (1.0, "b")))], {"a": base, "b": base, "c": out})
     np.testing.assert_array_equal(out, base + base)
+
+
+# -- MV candidate planes ------------------------------------------------------
+
+#: Schema whose ``(3, H, K)`` stores hold the candidate-fold tables.
+MV_SCHEMA = InvertibleKArySchema(depth=SHAPE[0], width=SHAPE[1], seed=3)
+#: Few keys and small integral votes, so equal keys and tied votes (the
+#: ``>=`` branch) come up in most cells; coefficients include zeros and
+#: negatives, whose votes scale by ``|c|``.
+MV_KEYS = [0, 1, 2, 2**64 - 1]
+MV_VOTES = [0.0, 1.0, 2.0, 3.0, 0.5]
+MV_COEFFS = [1.0, -1.0, 0.0, -0.0, 2.0, -2.0, 0.5, -0.5, 0.35, 0.65]
+
+
+@st.composite
+def mv_programs(draw):
+    """1-6 statements of 1-4 terms over three tables and up to 3 temps."""
+    readable = list(TABLES)
+    statements = []
+    for _ in range(draw(st.integers(1, 6))):
+        terms = tuple(
+            (draw(st.sampled_from(MV_COEFFS)), draw(st.sampled_from(readable)))
+            for _ in range(draw(st.integers(1, 4)))
+        )
+        dst = draw(st.sampled_from(TABLES + TEMPS))
+        statements.append((dst, terms))
+        if dst not in readable:
+            readable.append(dst)
+    return statements
+
+
+def _mv_stores(seed):
+    """Three invertible stores: counters, candidate keys and votes."""
+    rng = np.random.default_rng(seed)
+    stores = {}
+    for name in TABLES:
+        store = np.empty((3,) + SHAPE)
+        store[0] = rng.normal(0, 1e3, SHAPE)
+        store[1].view(np.uint64)[...] = rng.choice(
+            np.array(MV_KEYS, dtype=np.uint64), SHAPE
+        )
+        store[2] = rng.choice(MV_VOTES, SHAPE)
+        stores[name] = store
+    return stores
+
+
+def _triples(stores):
+    return {
+        name: (store[0], store[1].view(np.uint64), store[2])
+        for name, store in stores.items()
+    }
+
+
+def _sweep_mv(statements, stores, kernels):
+    out = {name: store.copy() for name, store in stores.items()}
+    with pytest.MonkeyPatch.context() as mp:
+        if not kernels:
+            mp.setattr(_kernels, "_KERNELS", None)
+        sweep_statements(statements, _triples(out))
+    return out
+
+
+def _combine_into_mv(statements, stores):
+    """One fresh ``combine_into`` per statement, as ``step()`` runs them."""
+    env = {
+        name: InvertibleKArySketch(MV_SCHEMA, store.copy())
+        for name, store in stores.items()
+    }
+    for dst, terms in statements:
+        env[dst] = MV_SCHEMA.empty().combine_into(
+            [(c, env[src]) for c, src in terms]
+        )
+    return {name: np.asarray(env[name].table) for name in TABLES}
+
+
+@given(statements=mv_programs(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_candidate_fold_matches_combine_into(statements, seed):
+    stores = _mv_stores(seed)
+    reference = _combine_into_mv(statements, stores)
+    sides = {"numpy": _sweep_mv(statements, stores, kernels=False)}
+    if get_kernels() is not None:
+        before = kernel_call_counts()
+        sides["kernel"] = _sweep_mv(statements, stores, kernels=True)
+        after = kernel_call_counts()
+        assert after["combine_sweep"] == before["combine_sweep"] + 1
+        assert after["mv_combine2"] == before["mv_combine2"]
+        assert after["mv_merge"] == before["mv_merge"]
+    for side, swept in sides.items():
+        for name in TABLES:
+            _assert_same_bits(swept[name], reference[name], f"{side} {name}")
+
+
+@pytest.mark.parametrize("kernels", [True, False], ids=["kernel", "numpy"])
+def test_candidate_fold_at_forecast_shape(kernels):
+    """NSHW's step over invertible stores at a benchmark width: every
+    rule branch, a temporary's planes read by later statements, and
+    destinations that read their own old planes."""
+    if kernels and get_kernels() is None:
+        pytest.skip("compiled kernels are off")
+    alpha, beta = 0.4, 0.25
+    level = ((alpha, "a"), (1.0 - alpha, "t0"))
+    program = [
+        ("t0", ((1.0, "b"), (1.0, "c"))),
+        ("t1", ((1.0, "a"), (-1.0, "t0"))),
+        ("t2", level + ((-1.0, "b"),)),
+        ("b", level),
+        ("c", ((beta, "t2"), (1.0 - beta, "c"))),
+        ("a", ((1.0, "t1"),)),
+    ]
+    rng = np.random.default_rng(11)
+    shape = (5, 4096 + 300)
+    schema = InvertibleKArySchema(depth=shape[0], width=shape[1], seed=5)
+    stores = {}
+    for name in TABLES:
+        store = np.empty((3,) + shape)
+        store[0] = rng.normal(0, 1e4, shape)
+        store[1].view(np.uint64)[...] = rng.integers(0, 6, shape, dtype=np.uint64)
+        store[2] = rng.integers(0, 5, shape).astype(np.float64)
+        stores[name] = store
+    swept = _sweep_mv(program, stores, kernels)
+    env = {n: InvertibleKArySketch(schema, s.copy()) for n, s in stores.items()}
+    for dst, terms in program:
+        env[dst] = schema.empty().combine_into([(c, env[src]) for c, src in terms])
+    for name in TABLES:
+        _assert_same_bits(swept[name], np.asarray(env[name].table), name)
+
+
+def test_candidate_tables_are_vetted():
+    def triple(store):
+        return (store[0], store[1].view(np.uint64), store[2])
+
+    a, b = np.zeros((3, 2, 4)), np.zeros((3, 2, 4))
+    statement = [("a", ((1.0, "b"),))]
+    with pytest.raises(ValueError, match="equally shaped"):
+        sweep_statements(statement, {"a": triple(a), "b": b[0]})
+    with pytest.raises(ValueError, match="equally shaped"):
+        sweep_statements(statement, {"a": tuple(a), "b": tuple(b)})
+    with pytest.raises(ValueError, match="equally shaped"):
+        sweep_statements(statement, {"a": triple(a), "b": triple(b)[:2]})
+    shared = (a[0], b[1].view(np.uint64), a[2])
+    with pytest.raises(ValueError, match="overlap"):
+        sweep_statements(statement, {"a": shared, "b": triple(b)})
