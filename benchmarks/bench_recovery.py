@@ -9,9 +9,10 @@ point (H=5, K=65536, T=0.05, 300 s intervals):
   the interval's unique keys (the replay pass), seal the error sketch,
   probe every collected key with the full median estimator.  Exact, but
   the candidate set is the whole per-interval key population, so the
-  probe cost scales with the stream's key diversity.  The PR-4/5
-  amortized replay (step_into scratches, prescreen) is
-  timed too and reported as ``amortized_twopass_ms_per_interval`` /
+  probe cost scales with the stream's key diversity.  The amortized
+  replay (``step_into``, which writes ``Se`` over the observed summary,
+  and the prescreen) is timed too and reported as
+  ``amortized_twopass_ms_per_interval`` /
   ``amortized_replay_ratio``; its reports are asserted bit-identical to
   the reference before timing is reported.
 * **invertible**: the :class:`~repro.sketch.invertible.InvertibleKArySketch`
@@ -190,13 +191,12 @@ def run_twopass(schema, observed, batches):
 
 
 def run_twopass_amortized(schema, observed, batches):
-    """Amortized replay: step_into scratches, prescreen."""
+    """Amortized replay: step_into (consumes ``observed``), prescreen."""
     forecaster = make_forecaster(MODEL[0], **MODEL[1])
-    error_out = schema.empty()
     reports = []
     for obs, batch in zip(observed, batches):
         keys = np.unique(batch.keys)  # the replay pass
-        error = forecaster.step_into(obs, error_out=error_out)
+        error = forecaster.step_into(obs)
         if error is None:
             continue
         reports.append(
@@ -209,12 +209,14 @@ def run_twopass_amortized(schema, observed, batches):
 
 
 def run_invertible(schema, observed, batches, candidate_counts=None):
-    """Recovery path: walk the sealed error sketch's candidate buckets."""
+    """Recovery path: walk the sealed error sketch's candidate buckets.
+
+    ``step_into`` consumes ``observed``.
+    """
     forecaster = make_forecaster(MODEL[0], **MODEL[1])
-    error_out = schema.empty()
     reports = []
     for obs, batch in zip(observed, batches):
-        error = forecaster.step_into(obs, error_out=error_out)
+        error = forecaster.step_into(obs)
         if error is None:
             continue
         keys = resolve_key_source(
@@ -231,11 +233,15 @@ def run_invertible(schema, observed, batches, candidate_counts=None):
     return reports
 
 
-def time_best(runner, repeats):
+def time_best(runner, repeats, consumed=None):
+    """Best of ``repeats`` calls of ``runner()``, or of ``runner(copies)``
+    when given the summaries it ``consumed``: each repeat gets fresh
+    copies, made before its timer starts."""
     best, result = float("inf"), None
     for _ in range(repeats):
+        args = () if consumed is None else ([s.copy() for s in consumed],)
         t0 = time.perf_counter()
-        result = runner()
+        result = runner(*args)
         best = min(best, time.perf_counter() - t0)
     return result, best
 
@@ -273,8 +279,9 @@ def bench_config(name, n_records, n_intervals, repeats):
         lambda: run_twopass(plain, observed_plain, batches), repeats
     )
     amo_reports, amo_s = time_best(
-        lambda: run_twopass_amortized(plain, observed_plain, batches),
+        lambda observed: run_twopass_amortized(plain, observed, batches),
         repeats,
+        consumed=observed_plain,
     )
     for a, b in zip(amo_reports, two_reports):
         assert a.index == b.index and a.threshold == b.threshold
@@ -283,10 +290,11 @@ def bench_config(name, n_records, n_intervals, repeats):
         ]
     candidate_counts = []
     inv_reports, inv_s = time_best(
-        lambda: run_invertible(
-            inv_schema, observed_inv, batches, candidate_counts
+        lambda observed: run_invertible(
+            inv_schema, observed, batches, candidate_counts
         ),
         repeats,
+        consumed=observed_inv,
     )
 
     quality = score_events(inv_reports, events)

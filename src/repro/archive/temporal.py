@@ -635,7 +635,8 @@ class TemporalArchive:
                 if span.keys is not None
                 else np.array([], dtype=np.uint64)
             )
-            report = sealer.seal(span.summary, keys, span.start)
+            # The seal writes Se over what it is given; the span keeps So.
+            report = sealer.seal(span.summary.copy(), keys, span.start)
             if report is not None:
                 reports.append(report)
         return reports

@@ -157,7 +157,9 @@ class AdaptiveDetector:
                     # Warm the new model on the retained detection history.
                     for past in self._detection_history:
                         sealer.forecaster.observe(past)
-                report = sealer.seal(observed, dedup_keys(batch.keys), batch.index)
+                # A copy: the seal writes Se over it; the history keeps So.
+                keys = dedup_keys(batch.keys)
+                report = sealer.seal(observed.copy(), keys, batch.index)
 
             self._history.append(search_observed)
             self._detection_history.append(observed)

@@ -78,16 +78,17 @@ class IntervalSealer:
     :meth:`seal` takes one closed interval as ``(observed, keys, index)``
     -- the observed summary ``So(t)``, the keys the driver collected (empty
     for recovering key sources) and the interval index -- steps the
-    forecaster into a reusable ``Se`` summary, and hands it to
-    :meth:`report`.  :meth:`report` is the second half on its own, for
-    drivers that step their forecaster themselves: resolve
+    forecaster, which writes ``Se(t)`` over ``observed`` where it can
+    (:meth:`~repro.forecast.base.Forecaster.step_into`), and hands the
+    error to :meth:`report`.  :meth:`report` is the second half on its
+    own, for drivers that step their forecaster themselves: resolve
     the candidate keys through ``key_source``, raise alarms on
     ``|ESTIMATE| >= T * sqrt(ESTIMATEF2(Se))`` and rank the top-N
     (:func:`~repro.detection.threshold.build_interval_report`), then
     record the outcome on the recorder.
 
-    Single-writer: the forecaster, the ``Se`` scratch and :attr:`stats` are
-    touched only here, and every driver runs one seal at a time.
+    Single-writer: the forecaster and :attr:`stats` are touched only
+    here, and every driver runs one seal at a time.
     ``forecaster`` may be ``None`` for report-only use.
     """
 
@@ -110,7 +111,6 @@ class IntervalSealer:
         #: ``median_evaluated`` keys that paid the H-way median (the gap
         #: is what the exact prescreen excluded).
         self.stats = {"candidates": 0, "median_evaluated": 0}
-        self._scratch = None
         self.attach_recorder(recorder)
 
     def attach_recorder(self, recorder) -> None:
@@ -124,30 +124,18 @@ class IntervalSealer:
         if obs.enabled:
             obs.gauge("repro_kernel_threads", kernel_thread_count())
 
-    def _error_scratch(self):
-        """The reusable summary that receives ``Se(t)``, built on first use.
-
-        Safe to reuse across intervals: the report consumes the error
-        within the seal, and the forecaster only retains ``observed``,
-        which drivers always allocate fresh.
-        """
-        if self._scratch is None:
-            self._scratch = self.schema.empty()
-        return self._scratch
-
     def seal(
         self, observed, keys: np.ndarray, index: int
     ) -> Optional[IntervalDetection]:
         """Step the forecast over one closed interval and report it.
 
-        Returns ``None`` for warm-up intervals (no forecast yet); those
-        still count as sealed.
+        Consumes ``observed``: the step may write ``Se(t)`` over it, so a
+        driver that keeps ``So(t)`` seals a copy.  Returns ``None`` for
+        warm-up intervals (no forecast yet); those still count as sealed.
         """
         obs = self.recorder
         with obs.time("forecast_step"):
-            error = self.forecaster.step_into(
-                observed, error_out=self._error_scratch()
-            )
+            error = self.forecaster.step_into(observed)
         obs.count("repro_intervals_sealed_total")
         if error is None:
             if obs.enabled:
@@ -339,8 +327,9 @@ class StreamingSession:
         observed summary -- the attachment point for the temporal
         archive (pass ``archive.ingest``).  The sink receives the live
         summary object and collected key array by reference and must
-        not mutate them (copy what it keeps; the forecaster retains
-        ``observed`` in its model state).  Runs inline in the seal,
+        not mutate them; it must copy what it keeps, because once it
+        returns the seal overwrites ``observed`` with ``Se(t)`` (or the
+        forecaster retains it in its model state).  Runs inline in the seal,
         strictly in interval order.  ``keys`` is the interval's
         deduplicated key set under ``key_source="twopass"`` and empty
         for recovery key sources.  An execution attachment, not result
@@ -699,8 +688,8 @@ class StreamingSession:
         with self.recorder.time("seal"):
             if self.sink is not None:
                 # Archive hook: before the forecast step so the sink sees
-                # the observed summary exactly as sealed (the forecaster
-                # retains but never mutates it; the sink must copy).
+                # the observed summary exactly as sealed (the step then
+                # writes Se over it; the sink must copy).
                 with self.recorder.time("archive_sink"):
                     self.sink(observed, keys, index)
             self._intervals_sealed += 1

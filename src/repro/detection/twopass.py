@@ -183,8 +183,9 @@ class OfflineTwoPassDetector:
     def seal_intervals(self, intervals) -> Iterator[IntervalDetection]:
         """Seal ``(index, observed, keys)`` triples in order; yield reports.
 
-        ``observed`` is the interval's freshly built summary and ``keys``
-        its deduplicated key set (empty for recovering key sources); the
+        ``observed`` is the interval's fresh summary, which the seal
+        consumes (it may write ``Se(t)`` over it), and ``keys`` its
+        deduplicated key set (empty for recovering key sources); the
         replay candidates are the last ``replay_lookback + 1`` key sets.
         The forecaster restarts from scratch on the first interval.
         """

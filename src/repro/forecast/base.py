@@ -55,8 +55,9 @@ def owned_copy(value: Any) -> Any:
     return value.copy() if hasattr(value, "copy") else value
 
 
-#: ``Se(t) = So(t) - Sf(t)`` as a COMBINE statement.
-_ERROR_STATEMENT: Statement = ("error", ((1.0, "observed"), (-1.0, "forecast")))
+def _error_statement(forecast: str) -> Statement:
+    """``Se = So - Sf`` written over ``observed``, ``Sf`` read from ``forecast``."""
+    return ("observed", ((1.0, "observed"), (-1.0, forecast)))
 
 
 def _sweep_table(summary: Any, schema: Any):
@@ -64,13 +65,16 @@ def _sweep_table(summary: Any, schema: Any):
 
     Only summaries exposing ``_sweep_table`` (the hashed sketches: a
     counter table, or an invertible sketch's counter and candidate
-    planes) qualify, and only over ``schema``, so a mismatch falls back
-    to the COMBINE path and raises there as it always did.
+    planes) qualify, only over ``schema``, so a mismatch falls back to
+    the COMBINE path and raises there as it always did, and only while
+    every plane is writeable.
     """
     sweep_table = getattr(summary, "_sweep_table", None)
     if sweep_table is None or summary.schema != schema:
         return None
-    return sweep_table()
+    table = sweep_table()
+    planes = table if isinstance(table, tuple) else (table,)
+    return table if all(plane.flags.writeable for plane in planes) else None
 
 
 @dataclass
@@ -110,13 +114,13 @@ class Forecaster(abc.ABC):
     (EWMA's) or a temporary the statements derive from the state
     (NSHW's ``smooth + trend``).  :meth:`observe` and :meth:`step` run
     them through :func:`combine_terms` into fresh summaries (``step``
-    with ``Se = So - Sf`` inserted), and :meth:`step_into` over hashed
+    with ``Se = So - Sf`` appended), and :meth:`step_into` over hashed
     sketches runs the same list as one in-place sweep
     (:func:`~repro.sketch.base.sweep_statements`) that writes the new
-    state over the old.  The sweep rewrites state tables, so such a
-    model owns every summary it holds: it copies ``observed`` where the
-    update keeps it verbatim and copies what :meth:`set_state` loads and
-    :meth:`get_state` returns.
+    state over the old and ``Se`` over ``So``.  The sweep rewrites state
+    tables, so such a model owns every summary it holds: it copies
+    ``observed`` where the update keeps it verbatim and copies what
+    :meth:`set_state` loads and :meth:`get_state` returns.
     """
 
     #: State names the update statements read and write (``_<name>``).
@@ -154,32 +158,34 @@ class Forecaster(abc.ABC):
         return None
 
     def _error_statements(self) -> Optional[List[Statement]]:
-        """:meth:`_update_statements` with ``Se = So - Sf`` inserted.
+        """:meth:`_update_statements` with ``Se = So - Sf`` appended.
 
-        The error statement runs as soon as ``forecast`` holds ``Sf(t)``:
-        first when it is a state, else right after the first statement,
-        which derives it.  ``None`` for a model without update statements
-        and during warm-up, while a state is still unset.
+        The error statement runs last and is written over ``observed``,
+        which no update statement reads after it.  A ``forecast``
+        temporary still holds ``Sf(t)`` there; a ``forecast`` state, which
+        the update rewrites, is first copied into the temporary
+        ``previous``.  ``None`` for a model without update statements and
+        during warm-up, while a state is still unset.
         """
         statements = self._update_statements()
         if statements is None or any(
             getattr(self, "_" + name) is None for name in self._STATE_NAMES
         ):
             return None
-        program = list(statements)
-        program.insert(
-            0 if "forecast" in self._STATE_NAMES else 1, _ERROR_STATEMENT
-        )
-        return program
+        if "forecast" not in self._STATE_NAMES:
+            return [*statements, _error_statement("forecast")]
+        copy = ("previous", ((1.0, "forecast"),))
+        return [copy, *statements, _error_statement("previous")]
 
     def _apply_update(
         self, observed: Any, statements: Optional[Sequence[Statement]] = None
     ) -> Tuple[Any, Any]:
         """Run update statements into fresh summaries; store the new state.
 
-        ``statements`` defaults to :meth:`_update_statements`.  Returns
-        the value ``forecast`` held when an ``error`` statement ran, and
-        the error (both ``None`` when none ran).
+        ``statements`` defaults to :meth:`_update_statements`.  Nothing
+        here writes in place, so a temporary copying one value (``1 *
+        name``) binds it without a COMBINE.  Returns the value an error
+        statement subtracted and the error (both ``None`` when none ran).
         """
         if statements is None:
             statements = self._update_statements()
@@ -187,12 +193,17 @@ class Forecaster(abc.ABC):
         env["observed"] = observed
         predicted = None
         for dst, terms in statements:
-            if dst == "error":
-                predicted = env["forecast"]
-            env[dst] = combine_terms([(c, env[src]) for c, src in terms])
+            values = [(c, env[src]) for c, src in terms]
+            if dst == "observed":  # the error statement
+                predicted = values[-1][1]
+            copy = len(values) == 1 and values[0][0] == 1.0
+            env[dst] = (
+                values[0][1] if copy and dst not in self._STATE_NAMES
+                else combine_terms(values)
+            )
         for name in self._STATE_NAMES:
             setattr(self, "_" + name, env[name])
-        return predicted, env.get("error")
+        return predicted, None if predicted is None else env["observed"]
 
     def observe(self, observed: Any) -> None:
         """Feed the observed summary for the interval just ended."""
@@ -204,9 +215,8 @@ class Forecaster(abc.ABC):
 
         Past warm-up, a model with update statements runs
         :meth:`_error_statements` through :func:`combine_terms`, so it
-        derives ``Sf(t)`` once; the step's ``forecast`` is the value
-        ``forecast`` holds when the error statement runs, the same floats
-        :meth:`forecast` gives.
+        derives ``Sf(t)`` once; the step's ``forecast`` is the value the
+        error statement subtracts, the same floats :meth:`forecast` gives.
         """
         index = self._t
         program = self._error_statements()
@@ -219,56 +229,42 @@ class Forecaster(abc.ABC):
             self._t += 1
         return ForecastStep(index=index, observed=observed, forecast=predicted, error=error)
 
-    def step_into(
-        self, observed: Any, error_out: Optional[Any] = None
-    ) -> Optional[Any]:
-        """:meth:`step` into a caller-provided error summary.
-
-        ``error_out`` is a reusable summary (same schema as ``observed``)
-        that receives ``Se(t)`` in place, so the seal path of a
-        long-running session allocates no fresh error table per
-        interval.  Returns the summary holding ``Se(t)`` (``error_out``
-        when given), or ``None`` during warm-up; the caller must consume
-        it before the next ``step_into``.  The values are those of
-        :meth:`step` (same floats; only the sign of exact-zero cells may
-        differ).  ``observed`` is consumed exactly as :meth:`step` does
-        -- models retain it in their state, so it must NOT be a reused
-        scratch.
+    def step_into(self, observed: Any) -> Optional[Any]:
+        """:meth:`step` that writes ``Se(t)`` over ``observed`` where it can.
 
         Models that state their update as COMBINE statements (EWMA and
-        NSHW) step hashed sketches in one in-place sweep instead (see
-        :meth:`_sweep_step`).
+        NSHW) step hashed sketches in one in-place sweep that ends by
+        writing ``Se(t)`` over ``observed`` (see :meth:`_sweep_step`), so
+        the seal path of a long-running session allocates no error table.
+        Returns the summary holding ``Se(t)`` -- ``observed`` itself after
+        a sweep, else a fresh ``observed - Sf(t)`` as :meth:`step` gives
+        -- or ``None`` during warm-up, with :meth:`step`'s values bit for
+        bit either way.  ``observed`` is consumed: the caller must not
+        read it afterwards (seal a copy to keep ``So(t)``), and models may
+        retain it in their state, so it must NOT be a reused scratch.
         """
-        if self._sweep_step(observed, error_out):
-            return error_out
-        predicted = self.forecast()
-        if predicted is None:
-            error = None
-        elif error_out is not None and error_out is not predicted:
-            error = error_out.combine_into([(1.0, observed), (-1.0, predicted)])
-        else:
-            error = observed - predicted
-        self.observe(observed)
-        return error
+        if self._sweep_step(observed):
+            return observed
+        return self.step(observed).error
 
-    def _sweep_step(self, observed: Any, error_out: Any) -> bool:
+    def _sweep_step(self, observed: Any) -> bool:
         """:meth:`step_into` as one statement sweep, where that applies.
 
         It applies past warm-up, to models with update statements, when
-        ``observed``, ``error_out`` and every state summary are hashed
-        sketches over one schema (any of the five kinds; an invertible
+        ``observed`` and every state summary are hashed sketches over one
+        schema with writeable tables (any of the five kinds; an invertible
         sketch's candidate planes fold by the MV rule in the same pass).
         The sweep runs :meth:`_error_statements`, so the pass that writes
-        ``Se`` also writes the new state over the old, and each state
-        table is held once and swept once.  Every table written is one this forecaster
-        allocated (see the class docstring) or ``error_out``.  Returns
-        whether the sweep ran.
+        the new state over the old also writes ``Se`` over ``observed``,
+        and each table is held once and swept once.  Every other table
+        written is one this forecaster allocated (see the class
+        docstring).  Returns whether the sweep ran.
         """
         program = self._error_statements()
-        if program is None or error_out is None:
+        if program is None:
             return False
         schema = getattr(observed, "schema", None)
-        named = {"observed": observed, "error": error_out}
+        named = {"observed": observed}
         named.update((n, getattr(self, "_" + n)) for n in self._STATE_NAMES)
         tables = {name: _sweep_table(s, schema) for name, s in named.items()}
         if any(table is None for table in tables.values()):

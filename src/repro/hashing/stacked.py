@@ -496,6 +496,11 @@ def mv_combine2_planes(
     mv_merge_planes(out_k, out_v, cand_b, votes_b, coeff_b)
 
 
+#: Cells per block of :func:`mv_recover_mask`'s NumPy fallback (64 KiB of
+#: float64), as in :func:`~repro.sketch.base.sweep_statements`' fallback.
+_RECOVER_BLOCK = 8_192
+
+
 def mv_recover_mask(
     table: np.ndarray,
     votes: np.ndarray,
@@ -508,7 +513,8 @@ def mv_recover_mask(
     Marks cells where ``|(table - mean_share) / denom|`` clears
     ``threshold`` (strictly exceeds zero when ``threshold == 0``) and the
     vote is live.  The fused C pass and the NumPy fallback perform the
-    identical IEEE operations per cell, so the mask is bit-identical.
+    identical IEEE operations per cell, so the mask is bit-identical; the
+    fallback runs them block by block into the one mask it returns.
     """
     kernels = get_kernels()
     if (
@@ -517,11 +523,21 @@ def mv_recover_mask(
         and votes.flags.c_contiguous
     ):
         return kernels.recover_mask(table, votes, mean_share, denom, threshold)
-    est = table - mean_share
-    est /= denom
-    np.abs(est, out=est)
-    mask = est >= threshold if threshold > 0.0 else est > 0.0
-    mask &= votes > 0.0
+    clears, bound = (
+        (np.greater_equal, threshold) if threshold > 0.0 else (np.greater, 0.0)
+    )
+    mask = np.empty(table.shape, dtype=bool)
+    cells, live, out = table.reshape(-1), votes.reshape(-1), mask.reshape(-1)
+    est = np.empty(min(cells.size, _RECOVER_BLOCK))
+    for lo in range(0, cells.size, _RECOVER_BLOCK):
+        block = slice(lo, lo + _RECOVER_BLOCK)
+        hit = out[block]
+        part = est[: len(hit)]
+        np.subtract(cells[block], mean_share, out=part)
+        part /= denom
+        np.abs(part, out=part)
+        clears(part, bound, out=hit)
+        hit &= live[block] > 0.0
     return mask
 
 

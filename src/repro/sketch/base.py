@@ -357,20 +357,6 @@ class LinearSummary(abc.ABC):
     # -- linear arithmetic -------------------------------------------------
 
     @abc.abstractmethod
-    def combine_into(
-        self,
-        terms: Sequence[Tuple[float, "LinearSummary"]],
-        scratch: "np.ndarray | None" = None,
-    ) -> "LinearSummary":
-        """In-place COMBINE: overwrite this summary with ``sum(c * s)``.
-
-        The counterpart of :meth:`_linear_combination` that allocates no
-        new summary, which lets the detection seal path reuse one scratch
-        interval after interval.  ``scratch`` is an optional buffer for
-        non-unit coefficients; the receiver must not appear in ``terms``.
-        """
-
-    @abc.abstractmethod
     def _linear_combination(
         self, terms: Sequence[Tuple[float, "LinearSummary"]]
     ) -> "LinearSummary":
@@ -743,8 +729,8 @@ class HashedSketch(LinearSummary):
         """In-place COMBINE: overwrite this sketch with ``sum(c_i * S_i)``.
 
         Reuses this sketch's table (and an optional caller-provided
-        table-shaped float64 ``scratch`` for non-unit coefficients) so a
-        seal-path COMBINE allocates nothing.  Bit-identical to
+        table-shaped float64 ``scratch`` for non-unit coefficients), so it
+        allocates nothing.  Bit-identical to
         :func:`~repro.sketch.mergeable.combine`; the receiver must not
         itself appear in ``terms``.
         """

@@ -162,15 +162,6 @@ class DenseVector(LinearSummary):
             arrays.append((float(coeff), summary._values))
         return arrays
 
-    def combine_into(
-        self,
-        terms: Sequence[Tuple[float, LinearSummary]],
-        scratch: Optional[np.ndarray] = None,
-    ) -> "DenseVector":
-        """In-place COMBINE reusing this vector's storage (allocation-free)."""
-        accumulate_arrays(self._values, self._check_terms(terms), scratch)
-        return self
-
     def _linear_combination(
         self, terms: Sequence[Tuple[float, LinearSummary]]
     ) -> "DenseVector":

@@ -143,25 +143,6 @@ class DictVector(LinearSummary):
             for key, value in summary._data.items():
                 out[key] = out.get(key, 0.0) + coeff * value
 
-    def combine_into(
-        self, terms: Sequence[Tuple[float, LinearSummary]], scratch=None
-    ) -> "DictVector":
-        """In-place COMBINE: rebuild this vector's dict from ``terms``.
-
-        A dict has no fixed-size buffer to reuse, so the win is API parity
-        (the seal path can treat every summary type uniformly) rather than
-        allocation savings; ``scratch`` is accepted and ignored.  The
-        receiver must not appear in ``terms``.
-        """
-        for _, summary in terms:
-            if summary is self:
-                raise ValueError(
-                    "combine_into destination may not appear in terms"
-                )
-        self._data.clear()
-        self._sum_terms_into(self._data, terms)
-        return self
-
     def _linear_combination(
         self, terms: Sequence[Tuple[float, LinearSummary]]
     ) -> "DictVector":

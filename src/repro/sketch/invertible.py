@@ -75,6 +75,7 @@ from repro.sketch.base import (
     resolve_folded_schema,
 )
 from repro.sketch.kary import KArySchema, KArySketch
+from repro.streams.keys import dedup_keys
 
 
 class InvertibleKArySchema(KArySchema):
@@ -225,9 +226,7 @@ class InvertibleKArySketch(KArySketch):
             1.0 - 1.0 / k,
             threshold,
         )
-        if not mask.any():
-            return np.empty(0, dtype=np.uint64)
-        return np.unique(self._cand_keys[mask])
+        return dedup_keys(self._cand_keys[mask])
 
     # -- FOLD --------------------------------------------------------------
 

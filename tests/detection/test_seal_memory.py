@@ -1,13 +1,14 @@
 """Resident sketch tables per steady-state seal, measured with tracemalloc.
 
-A seal needs the observed interval ``So(t)``, the error ``Se(t)`` and the
-model state: EWMA's ``Sf`` (3 tables), NSHW's level and trend (4).  The
-forecast step rewrites the state in place, NSHW derives ``Sf`` instead of
+A seal needs the observed interval ``So(t)``, which the forecast step
+overwrites with the error ``Se(t)``, and the model state: EWMA's ``Sf``
+(2 tables), NSHW's level and trend (3).  The step rewrites the state in
+place and writes ``Se`` over ``So``, NSHW derives ``Sf`` instead of
 storing it, and the session drops a sealed interval before it allocates
 the next one, so the traced peak over steady-state seals stays within
-half a table of those counts.  A spare forecast table, a stored NSHW
-``Sf`` or the next interval's table allocated early each add a whole
-table and fail here.
+three quarters of a table of those counts.  A separate ``Se`` table, a
+spare forecast table, a stored NSHW ``Sf`` or the next interval's table
+allocated early each add a whole table and fail here.
 
 The same holds for an invertible sketch's whole store (counters and
 candidate planes), with and without the compiled kernels: the step folds
@@ -30,8 +31,8 @@ INTERVALS = 8
 
 #: Model, parameters, warm-up seals and the ceiling in tables.
 CASES = {
-    "ewma": ({"alpha": 0.4}, 1, 3.5),
-    "nshw": ({"alpha": 0.4, "beta": 0.2}, 2, 4.5),
+    "ewma": ({"alpha": 0.4}, 1, 2.75),
+    "nshw": ({"alpha": 0.4, "beta": 0.2}, 2, 3.75),
 }
 
 

@@ -1,11 +1,13 @@
 """``step_into`` as one statement sweep: EWMA and NSHW over hashed sketches.
 
-The sweep rewrites model state in place, so these tests pin the
-ownership rule: it writes only tables the forecaster allocated -- never
-a caller's observation, a ``set_state`` input or a ``get_state``
-snapshot -- and each step's error and the model state it leaves equal
-what :meth:`Forecaster.step` gives for the same interval, bit for bit,
-including when a stream switches from ``step`` to ``step_into``.  Every
+The sweep rewrites model state in place and writes ``Se`` over the
+observation it is handed, so these tests pin the ownership rule: it
+writes only tables the forecaster allocated and that observation --
+never an observation retained in warm-up, a ``set_state`` input or a
+``get_state`` snapshot -- and each step's error and the model state it
+leaves equal what :meth:`Forecaster.step` gives for the same interval,
+bit for bit, including when a stream switches from ``step`` to
+``step_into``.  Every
 hashed kind sweeps: plain k-ary, invertible (whose whole store, candidate
 planes included, is compared), Count-Min, Count Sketch and group testing.
 """
@@ -87,32 +89,41 @@ def _forbidden_combine(self, *args, **kwargs):
     "kind, switch_at, model", _cases([0, 1, 2, 4], sorted(MODELS))
 )
 def test_step_into_matches_step_and_owns_its_tables(kind, switch_at, model, rng):
-    """``step()`` for ``switch_at`` intervals, then ``step_into``."""
+    """``step()`` for ``switch_at`` intervals, then ``step_into`` on copies.
+
+    Past warm-up ``Se`` comes back in the observation handed over; one
+    handed over in warm-up may be retained but is never written.
+    """
     schema = KINDS[kind]()
     series = _observations(schema, rng)
     originals = [_bytes(s) for s in series]
     reference, swept = MODELS[model](), MODELS[model]()
-    error_out = schema.empty()
     warmup = 1 if model == "ewma" else 2
-    sketch_type = type(error_out)
+    sketch_type = type(series[0])
+    warmed = []
     for t, observed in enumerate(series):
         want = reference.step(observed)
         if t < switch_at:
             got = swept.step(observed).error
         else:
+            mine = observed.copy()
             with pytest.MonkeyPatch.context() as mp:
                 if t >= warmup:  # past warm-up the step is one sweep
                     for attr in ("_linear_combination", "combine_into"):
                         mp.setattr(sketch_type, attr, _forbidden_combine)
-                got = swept.step_into(observed, error_out=error_out)
+                got = swept.step_into(mine)
+            if got is None:
+                warmed.append((t, mine))
+            else:
+                assert got is mine, t
         assert (got is None) == (want.error is None)
         assert _state_bytes(swept.get_state()) == _state_bytes(
             reference.get_state()
         ), t
         if want.error is not None:
             assert _bytes(got) == _bytes(want.error), t
-            assert (got is error_out) == (t >= switch_at)
     assert [_bytes(s) for s in series] == originals
+    assert [_bytes(s) for _, s in warmed] == [originals[t] for t, _ in warmed]
 
 
 @pytest.mark.parametrize("kind, model", _cases(sorted(MODELS)))
@@ -121,9 +132,8 @@ def test_snapshots_and_restored_inputs_stay_untouched(kind, model, rng):
     series = _observations(schema, rng, n=N_STEPS + 4)
     cut = 4
     original = MODELS[model]()
-    error_out = schema.empty()
     for observed in series[:cut]:
-        original.step_into(observed, error_out=error_out)
+        original.step_into(observed.copy())
     snapshot = original.get_state()
     snapshot_bytes = _state_bytes(snapshot)
     restored = type(original)(**original.get_config())
@@ -131,11 +141,10 @@ def test_snapshots_and_restored_inputs_stay_untouched(kind, model, rng):
     reference = MODELS[model]()
     for observed in series[:cut]:
         reference.step(observed)
-    error_b = schema.empty()
     for observed in series[cut:]:
         want = reference.step(observed)
-        a = original.step_into(observed, error_out=error_out)
-        b = restored.step_into(observed, error_out=error_b)
+        a = original.step_into(observed.copy())
+        b = restored.step_into(observed.copy())
         for got, stepped in ((a, original), (b, restored)):
             assert _state_bytes(stepped.get_state()) == _state_bytes(
                 reference.get_state()
@@ -145,12 +154,35 @@ def test_snapshots_and_restored_inputs_stay_untouched(kind, model, rng):
     assert _state_bytes(snapshot) == snapshot_bytes
 
 
+@pytest.mark.parametrize("kind, model", _cases(sorted(MODELS)))
+def test_read_only_observation_takes_the_generic_path(kind, model, rng):
+    """A table the sweep cannot write gets ``step()``'s fresh error."""
+    schema = KINDS[kind]()
+    series = _observations(schema, rng)
+    reference, stepped = MODELS[model](), MODELS[model]()
+    for observed in series:
+        table = observed._sweep_table()
+        for plane in table if isinstance(table, tuple) else (table,):
+            plane.flags.writeable = False
+        before = _bytes(observed)
+        want = reference.step(observed)
+        got = stepped.step_into(observed)
+        assert _bytes(observed) == before
+        assert (got is None) == (want.error is None)
+        if got is not None:
+            assert got is not observed
+            assert _bytes(got) == _bytes(want.error)
+        assert _state_bytes(stepped.get_state()) == _state_bytes(
+            reference.get_state()
+        )
+
+
 def test_schema_mismatch_still_raises(schema, rng):
     other = KArySchema(depth=3, width=700, seed=9)
     f = EWMAForecaster(0.5)
     f.step(schema.empty())
     with pytest.raises(ValueError, match="schemas"):
-        f.step_into(other.empty(), error_out=other.empty())
+        f.step_into(other.empty())
 
 
 @pytest.mark.parametrize(

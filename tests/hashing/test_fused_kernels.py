@@ -9,7 +9,10 @@ assert the tables and estimates are **bit-for-bit** equal across
 
 * three sketch types: k-ary, Count-Min, CountSketch;
 * three hash families: tabulation, polynomial, two-universal;
-* update, estimate, and estimate-via-precomputed-indices paths.
+* update, estimate, and estimate-via-precomputed-indices paths;
+
+and the invertible recovery walk's bucket mask against its blocked
+NumPy fallback.
 
 When no compiler is available both worlds run NumPy and the tests still
 pass (they then assert the fallback against itself); the kernel-specific
@@ -20,7 +23,7 @@ import numpy as np
 import pytest
 
 import repro.hashing._kernels as _kernels
-from repro.hashing import kernel_call_counts
+from repro.hashing import kernel_call_counts, mv_recover_mask
 from repro.hashing._kernels import get_kernels
 from repro.sketch import (
     CountMinSchema,
@@ -169,3 +172,46 @@ class TestKernelDispatch:
             ref = KArySketch(KArySchema(depth=depth, width=1024, seed=2))
             ref.update_batch(keys, values)
             assert np.array_equal(est, ref.estimate_batch(keys[:500]))
+
+
+#: ``(depth, width)`` of the recovery-walk masks: K = 2, and a table whose
+#: last 8,192-cell fallback block is ragged.
+RECOVER_SHAPES = {"k2": (3, 2), "ragged": (3, 2 * 8_192 // 3 + 11)}
+
+
+@pytest.mark.parametrize("threshold", ["zero", "tie", "between"])
+@pytest.mark.parametrize("shape", sorted(RECOVER_SHAPES))
+def test_recover_mask_kernel_vs_blocked_fallback(rng, shape, threshold, monkeypatch):
+    """The C mask, the blocked fallback and the whole-table formula agree.
+
+    Cells are multiples of 0.75 around ``mean_share = 1.5``, so some
+    estimates are exactly zero and, under ``"tie"``, some land exactly on
+    the threshold from both signs; votes are negative, zero or live.
+    """
+    depth, width = RECOVER_SHAPES[shape]
+    mean, denom = 1.5, 1.0 - 1.0 / width
+    table = rng.integers(-8, 9, size=(depth, width)) * 0.75
+    votes = rng.choice([-1.0, 0.0, 0.5, 2.0], size=(depth, width))
+    # A tie from above and from below, a -0.0 cell and an estimate of
+    # exactly zero, each with a live vote.
+    table.flat[:4] = [4.5, -1.5, -0.0, mean]
+    votes.flat[:4] = 2.0
+    magnitude = np.abs((table - mean) / denom)
+    bound = {
+        "zero": 0.0,
+        "tie": float(np.abs((np.float64(4.5) - mean) / denom)),
+        "between": 1.0,
+    }[threshold]
+    if threshold == "tie":
+        assert (magnitude == bound).sum() > (table == 4.5).sum() > 0
+    expected = (magnitude >= bound if bound > 0 else magnitude > 0) & (votes > 0)
+
+    calls = kernel_call_counts().get("mv_recover", 0)
+    got = mv_recover_mask(table, votes, mean, denom, bound)
+    if get_kernels() is not None:
+        assert kernel_call_counts()["mv_recover"] == calls + 1
+    monkeypatch.setattr(_kernels, "_KERNELS", None)
+    fallback = mv_recover_mask(table, votes, mean, denom, bound)
+    for mask in (got, fallback):
+        assert mask.dtype == np.bool_ and mask.shape == table.shape
+        assert np.array_equal(mask, expected)
