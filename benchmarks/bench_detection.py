@@ -214,7 +214,7 @@ def bench_obs_overhead(schema, n_candidates, n_intervals, repeats, rng):
         values = rng.pareto(1.3, len(keys)) * 500 + 40
         values[: max(4, len(values) // 1000)] *= 50
         batches.append(
-            KeyedUpdates(index=t, keys=keys, values=values, duration=300.0)
+            KeyedUpdates(index=t, keys=keys, values=values)
         )
 
     def run(recorder):

@@ -23,7 +23,7 @@ import numpy as np
 from repro.detection.twopass import OfflineTwoPassDetector
 from repro.sketch import KArySchema
 from repro.streams.keys import DstIPKey, DstPrefixKey
-from repro.streams.intervals import slice_by_interval
+from repro.streams.intervals import IntervalSlicer
 from repro.streams.model import KeyedUpdates
 
 
@@ -198,7 +198,7 @@ class PrefixDrilldown:
         """Yield a :class:`DrilldownReport` per (post-warm-up) interval."""
         # One detector per level over the shared time slicing, which vets
         # the records; the levels step in lockstep, one interval at a time.
-        slices = list(slice_by_interval(records, interval_seconds))
+        slices = list(IntervalSlicer(interval_seconds).slices(records))
 
         def batches(scheme):
             for index, chunk in slices:
@@ -206,7 +206,6 @@ class PrefixDrilldown:
                     index=index,
                     keys=scheme.extract(chunk),
                     values=chunk["bytes"].astype(np.float64),
-                    duration=interval_seconds,
                 )
 
         level_reports = [

@@ -93,20 +93,21 @@ def explain_alarm(
     records:
         The trace the detector ran over, in any order.
     key / interval:
-        From the :class:`~repro.detection.threshold.Alarm`.
+        From the :class:`~repro.detection.threshold.Alarm`: any integer
+        interval a driver reports, negative ones included.
     interval_seconds:
         Must match the detector's configuration.
     key_scheme:
         Scheme name or object that produced the alarmed key.
     history_intervals:
-        Trailing window for the history-ratio baseline.
+        Trailing window for the history-ratio baseline, cut at the
+        interval of the trace's earliest record, where every driver's
+        series starts.
     top_sources:
         How many top talkers to include.
     """
     validate_records(records)
     interval = checked_index(interval, "interval")
-    if interval < 0:
-        raise ValueError(f"interval must be >= 0, got {interval}")
     if interval_seconds <= 0:
         raise ValueError(f"interval_seconds must be > 0, got {interval_seconds}")
     scheme: KeyScheme = (
@@ -156,8 +157,10 @@ def explain_alarm(
             int(p): float(v) / total_bytes for p, v in zip(protos, per_proto)
         }
 
-    # Trailing history baseline for this key.
-    history_start = max(0, interval - history_intervals)
+    # Trailing history baseline for this key, over the intervals a
+    # detector saw: none before the trace's first record's.
+    first = int(indices.min()) if len(indices) else interval
+    history_start = max(first, interval - history_intervals)
     in_history = mask_key & (indices >= history_start) & (indices < interval)
     spanned = max(1, interval - history_start)
     history_mean = float(records[in_history]["bytes"].sum()) / spanned

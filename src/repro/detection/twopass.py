@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, List, Optional, Union
 import numpy as np
 
 from repro.detection.keysource import collect_replay_keys
-from repro.detection.pipeline import summarize_stream
 from repro.detection.session import IntervalSealer
 from repro.detection.threshold import (
     Alarm,  # noqa: F401  (re-exported for backwards compatibility)
@@ -209,26 +208,26 @@ class OfflineTwoPassDetector:
         Sketches every stream, COMBINEs each interval's summaries into the
         network-wide summary, then detects -- reports are identical to
         :meth:`detect` over the merged raw trace (sketch linearity, paper
-        §3.1).  Streams are aligned positionally and must agree on
-        interval indices; a mismatch raises ``ValueError``, and so does a
-        stream :meth:`run` would refuse.
+        §3.1).  Streams are aligned by interval index over the union of
+        their spans: a stream with no batch at an index contributes
+        nothing there, and an index no stream covers seals empty.  A
+        stream :meth:`run` would refuse raises ``ValueError``.
         """
-        per_stream = [list(_interval_batches(stream)) for stream in streams]
-        if not per_stream:
+        by_index: dict = {}
+        for stream in streams:
+            for batch in _interval_batches(stream):
+                by_index.setdefault(batch.index, []).append(batch)
+        if not by_index:
             return []
-        observed = [summarize_stream(batches, self.schema) for batches in per_stream]
-        combined = []
-        for t in range(min(len(batches) for batches in per_stream)):
-            indices = {batches[t].index for batches in per_stream}
-            if len(indices) != 1:
-                raise ValueError(
-                    f"streams disagree on interval index at position {t}: "
-                    f"{sorted(indices)}"
+
+        def combined():
+            empty = [KeyedUpdates(0, _EMPTY_KEYS, _EMPTY_VALUES)]
+            for index in range(min(by_index), max(by_index) + 1):
+                batches = by_index.get(index, empty)
+                yield (
+                    index,
+                    merge([self.schema.from_items(b.keys, b.values) for b in batches]),
+                    dedup_keys(np.concatenate([b.keys for b in batches])),
                 )
-            keys = dedup_keys(
-                np.concatenate([batches[t].keys for batches in per_stream])
-            )
-            combined.append(
-                (indices.pop(), merge([summaries[t] for summaries in observed]), keys)
-            )
-        return list(self.seal_intervals(combined))
+
+        return list(self.seal_intervals(combined()))

@@ -24,10 +24,8 @@ This package provides:
 from repro.streams.intervals import (
     IntervalSlicer,
     RandomizedIntervalSlicer,
-    interval_bounds,
     interval_edge,
     interval_index,
-    slice_by_interval,
 )
 from repro.streams.keys import (
     KeyScheme,
@@ -70,7 +68,6 @@ __all__ = [
     "ValueScheme",
     "concat_records",
     "empty_records",
-    "interval_bounds",
     "interval_edge",
     "interval_index",
     "iter_interval_chunks",
@@ -83,7 +80,6 @@ __all__ = [
     "sample_and_hold_keys",
     "sample_records",
     "sampling_error_scale",
-    "slice_by_interval",
     "sort_by_time",
     "validate_records",
     "write_trace",

@@ -12,7 +12,9 @@ the normalization sound; :class:`RandomizedIntervalSlicer` implements it.
 
 Records may arrive in any order (NetFlow exports a flow when it ends):
 the slicers, the chunkers and ``StreamingSession.ingest`` all cut them
-through one function, :func:`_cut_into_intervals`.
+through one function, :func:`_cut_into_intervals`.  Every one of them
+numbers fixed intervals on the one grid ``i * interval_seconds``
+(:func:`interval_index`) and starts at the first record's interval.
 """
 
 from __future__ import annotations
@@ -26,43 +28,44 @@ import numpy as np
 from repro.streams.records import finite_time_span, validate_records
 
 
-def interval_edge(index: int, interval_seconds: float, start: float = 0.0) -> float:
-    """The canonical float edge of interval ``index``: ``start + i * len``.
+def interval_edge(index: int, interval_seconds: float) -> float:
+    """The canonical float edge of interval ``index``: ``i * len``.
 
-    Every boundary in this module is derived by this one expression.
-    Accumulating ``t += interval_seconds`` instead drifts: after a few
-    thousand additions of a non-dyadic length (300.1 s, say) the running
-    sum disagrees with the product in the last ulps, and a record whose
+    Every boundary in this module is derived by this one expression, on
+    the one grid every entrance numbers intervals by.  Accumulating
+    ``t += interval_seconds`` instead drifts: after a few thousand
+    additions of a non-dyadic length (300.1 s, say) the running sum
+    disagrees with the product in the last ulps, and a record whose
     timestamp sits exactly on the true edge lands in different intervals
     depending on which derivation the caller used.
     """
-    return start + interval_seconds * index
+    return interval_seconds * index
 
 
-def interval_index(timestamps, interval_seconds: float, start: float = 0.0):
+def interval_index(timestamps, interval_seconds: float):
     """The interval holding each timestamp: the ``i`` with
     ``interval_edge(i) <= t < interval_edge(i + 1)``.
 
     The one timestamp-to-index formula, so sessions, chunkers, slicers
-    and the archive all agree with the edges the slicers cut at.
-    ``t // interval_seconds`` does not: at non-dyadic lengths the
-    quotient rounds across an edge (at 59.97 s,
-    ``interval_edge(7, 59.97) // 59.97 == 6``), so the floored quotient
-    is only a first guess, moved at most one step onto the edge's side.
-    A Python float gives an ``int`` without touching NumPy; an array
-    gives an ``int64`` array.  Timestamps must be finite.
+    and the archive all agree with the edges the slicers cut at; a
+    negative timestamp has a negative index.  ``t // interval_seconds``
+    does not: at non-dyadic lengths the quotient rounds across an edge
+    (at 59.97 s, ``interval_edge(7, 59.97) // 59.97 == 6``), so the
+    floored quotient is only a first guess, moved at most one step onto
+    the edge's side.  A Python float gives an ``int`` without touching
+    NumPy; an array gives an ``int64`` array.  Timestamps must be finite.
     """
     if isinstance(timestamps, float):
-        index = math.floor((timestamps - start) / interval_seconds)
-        if interval_edge(index, interval_seconds, start) > timestamps:
+        index = math.floor(timestamps / interval_seconds)
+        if interval_edge(index, interval_seconds) > timestamps:
             return index - 1
-        if interval_edge(index + 1, interval_seconds, start) <= timestamps:
+        if interval_edge(index + 1, interval_seconds) <= timestamps:
             return index + 1
         return index
     timestamps = np.asarray(timestamps, dtype=np.float64)
-    index = np.floor((timestamps - start) / interval_seconds)
-    index -= interval_edge(index, interval_seconds, start) > timestamps
-    index += interval_edge(index + 1, interval_seconds, start) <= timestamps
+    index = np.floor(timestamps / interval_seconds)
+    index -= interval_edge(index, interval_seconds) > timestamps
+    index += interval_edge(index + 1, interval_seconds) <= timestamps
     return index.astype(np.int64)
 
 
@@ -76,30 +79,6 @@ def checked_index(value, what: str = "interval index") -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
-
-
-def interval_bounds(
-    duration: float, interval_seconds: float, start: float = 0.0
-) -> List[Tuple[float, float]]:
-    """Fixed interval boundaries covering ``[start, start + duration)``.
-
-    The last interval is truncated at the end of the trace.  Edges are
-    derived by multiplication (:func:`interval_edge`), bit-identical to
-    the edges :func:`slice_by_interval` partitions records with.
-    """
-    if interval_seconds <= 0:
-        raise ValueError(f"interval_seconds must be > 0, got {interval_seconds}")
-    bounds = []
-    end = start + duration
-    index = 0
-    while True:
-        lo = interval_edge(index, interval_seconds, start)
-        if lo >= end:
-            break
-        hi = min(interval_edge(index + 1, interval_seconds, start), end)
-        bounds.append((lo, hi))
-        index += 1
-    return bounds
 
 
 def _cut_into_intervals(
@@ -147,80 +126,41 @@ def _cut_into_intervals(
     return records, first, last, list(zip(uniq.tolist(), bounds, bounds[1:]))
 
 
-def slice_by_interval(
-    records: np.ndarray,
-    interval_seconds: float,
-    start: float = 0.0,
-    *,
-    on_before_start: str = "raise",
-    stats: Optional[dict] = None,
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield ``(interval_index, records_in_interval)`` over a trace.
-
-    The function form of :meth:`IntervalSlicer.slices`; records dropped
-    for predating ``start`` are counted into
-    ``stats["dropped_before_start"]`` when a ``stats`` dict is supplied.
-    """
-    slicer = IntervalSlicer(interval_seconds, start, on_before_start)
-    if stats is not None:
-        stats.setdefault("dropped_before_start", 0)
-        slicer._stats = stats
-    return slicer.slices(records)
-
-
 class _Slicer:
-    """The two slicers' shared half: the before-start policy and ``slices``.
+    """The two slicers' shared ``slices``.
 
     A slicer states its edges as ``_index`` (:func:`interval_index`'s
-    contract; ``t < start`` gives a negative index) and ``_horizon``, the
-    first interval it has no edges for.
+    contract) and the intervals it has edges for, ``_lowest`` up to but
+    not including ``_horizon``: every interval for the fixed slicer,
+    those the randomized one has drawn from its ``start``.
     """
 
+    _lowest = -math.inf
     _horizon = math.inf
-
-    def __init__(self, start: float, on_before_start: str) -> None:
-        if on_before_start not in ("raise", "drop"):
-            raise ValueError(
-                f"on_before_start must be 'raise' or 'drop', got {on_before_start!r}"
-            )
-        self.start = float(start)
-        self.on_before_start = on_before_start
-        self._stats = {"dropped_before_start": 0}
-
-    @property
-    def dropped_before_start(self) -> int:
-        """Records skipped for predating ``start`` (only in ``"drop"`` mode)."""
-        return self._stats["dropped_before_start"]
 
     def slices(self, records: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
         """Yield ``(interval_index, records)`` pairs, records in any order.
 
-        Every interval from 0 through the last record's is yielded, empty
-        gap intervals too, so forecast models see an evenly spaced
-        series.  A slice is a view of the time-sorted records.  Before
-        any slice, a NaN or infinite timestamp raises ``ValueError``, and
-        so, by default, do records before ``start``: they belong to no
-        interval, and almost always mean a wrong ``start``.  With
-        ``on_before_start="drop"`` they are counted into
-        :attr:`dropped_before_start` instead.
+        Every interval from the first record's through the last record's
+        is yielded, empty gap intervals too, so forecast models see an
+        evenly spaced series that starts where a streaming session's
+        does.  A slice is a view of the time-sorted records.  Before any
+        slice, a NaN or infinite timestamp raises ``ValueError``, and so
+        does a record outside the slicer's edges.
         """
         records, first, _, runs = _cut_into_intervals(records, self._index)
-        kept = [run for run in runs if run[0] >= 0]
-        n_before = kept[0][1] if kept else len(records)
-        if n_before:
-            if self.on_before_start == "raise":
-                raise ValueError(
-                    f"{n_before} record(s) predate start={self.start!r} "
-                    f"(earliest t={first!r}); pass "
-                    "on_before_start='drop' to skip them explicitly"
-                )
-            self._stats["dropped_before_start"] += n_before
-        if kept and kept[-1][0] >= self._horizon:
+        if runs and runs[0][0] < self._lowest:
+            # Every record before the first edge is in the first run.
+            raise ValueError(
+                f"{runs[0][2]} record(s) predate start={self.start!r} "
+                f"(earliest t={first!r})"
+            )
+        if runs and runs[-1][0] >= self._horizon:
             raise ValueError(
                 "trace extends beyond the pre-drawn horizon; increase `horizon`"
             )
-        upto = 0
-        for index, lo, hi in kept:
+        upto = runs[0][0] if runs else 0
+        for index, lo, hi in runs:
             for gap in range(upto, index):
                 yield gap, records[lo:lo]
             yield index, records[lo:hi]
@@ -228,26 +168,15 @@ class _Slicer:
 
 
 class IntervalSlicer(_Slicer):
-    """Fixed-length intervals from ``start``, at :func:`interval_edge`.
+    """Fixed-length intervals on the grid ``i * interval_seconds``."""
 
-    ``on_before_start`` follows :meth:`slices`; with ``"drop"``, the
-    running total of skipped records is exposed as
-    :attr:`dropped_before_start`.
-    """
-
-    def __init__(
-        self,
-        interval_seconds: float,
-        start: float = 0.0,
-        on_before_start: str = "raise",
-    ) -> None:
+    def __init__(self, interval_seconds: float) -> None:
         if interval_seconds <= 0:
             raise ValueError(f"interval_seconds must be > 0, got {interval_seconds}")
-        super().__init__(start, on_before_start)
         self.interval_seconds = float(interval_seconds)
 
     def _index(self, timestamps):
-        return interval_index(timestamps, self.interval_seconds, self.start)
+        return interval_index(timestamps, self.interval_seconds)
 
     def duration_of(self, index: int) -> float:
         """Nominal duration of an interval (constant for fixed slicing)."""
@@ -265,7 +194,12 @@ class RandomizedIntervalSlicer(_Slicer):
     interval is degenerate.  Because durations vary, downstream users
     should normalize observed totals by :meth:`duration_of` -- sketches
     scale linearly, so normalization commutes with summarization.
+    Interval 0 opens at ``start``, the origin of the drawn edges; a
+    record before it, or past ``horizon``, raises ``ValueError`` in
+    :meth:`slices`.
     """
+
+    _lowest = 0
 
     def __init__(
         self,
@@ -275,7 +209,6 @@ class RandomizedIntervalSlicer(_Slicer):
         min_fraction: float = 0.2,
         max_factor: float = 3.0,
         horizon: float = 10 * 86400.0,
-        on_before_start: str = "raise",
     ) -> None:
         if mean_seconds <= 0:
             raise ValueError(f"mean_seconds must be > 0, got {mean_seconds}")
@@ -283,7 +216,7 @@ class RandomizedIntervalSlicer(_Slicer):
             raise ValueError(f"min_fraction must be > 0, got {min_fraction}")
         if horizon <= 0:
             raise ValueError(f"horizon must be > 0, got {horizon}")
-        super().__init__(start, on_before_start)
+        self.start = float(start)
         self.mean_seconds = float(mean_seconds)
         # Every length is at least min_fraction * mean, so this many draws
         # reach the horizon; drawn in one call, they are the same stream

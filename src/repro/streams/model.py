@@ -30,19 +30,20 @@ class KeyedUpdates:
     ``uint64`` keys and ``float64`` values, as :class:`IntervalStream`
     extracts them per interval or
     :func:`~repro.streams.sharding.iter_interval_columns` yields them as
-    unit-stride views into columns extracted once per trace.  Batch
-    consumers take anything exposing ``index``, ``keys`` and ``values``:
+    unit-stride views into columns extracted once per trace; ``index``
+    is the interval's number on the grid every entrance shares
+    (:func:`~repro.streams.intervals.interval_index`).  Batch consumers
+    take anything exposing ``index``, ``keys`` and ``values``:
     :meth:`StreamingSession.ingest_columns` any number of batches per
     interval, in nondecreasing index order; the batch detectors
     (:class:`OfflineTwoPassDetector`, the online and adaptive detectors)
     one whole interval per batch, in increasing index order, which they
-    check.
+    check.  An interval's length is its slicer's ``duration_of(index)``.
     """
 
     index: int
     keys: np.ndarray    # uint64, 1-D
     values: np.ndarray  # float64, 1-D
-    duration: float = 0.0  # interval length in seconds
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -58,6 +59,10 @@ Slicer = Union[IntervalSlicer, RandomizedIntervalSlicer]
 
 class IntervalStream:
     """Iterates a flow trace as per-interval keyed update batches.
+
+    One batch per interval, from the first record's interval through the
+    last record's, empty gap intervals included: the series a streaming
+    session seals over the same trace.
 
     Parameters
     ----------
@@ -107,11 +112,4 @@ class IntervalStream:
             duration = self.slicer.duration_of(index)
             if self.normalize_by_duration and duration > 0:
                 values = values / duration
-            yield KeyedUpdates(index=index, keys=keys, values=values, duration=duration)
-
-    def interval_count(self) -> int:
-        """Number of intervals the trace spans (including empty ones)."""
-        count = 0
-        for count, _ in enumerate(self.slicer.slices(self.records), start=1):
-            pass
-        return count
+            yield KeyedUpdates(index=index, keys=keys, values=values)

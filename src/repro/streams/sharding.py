@@ -106,9 +106,5 @@ def iter_interval_columns(
     values = np.ascontiguousarray(
         value_scheme.extract(records), dtype=np.float64
     )
-    duration = float(interval_seconds)
     for index, lo, hi in runs:
-        yield KeyedUpdates(
-            index=index, keys=keys[lo:hi], values=values[lo:hi],
-            duration=duration,
-        )
+        yield KeyedUpdates(index=index, keys=keys[lo:hi], values=values[lo:hi])

@@ -57,7 +57,7 @@ def make_batches(
         scale = 1.0 + drift * t
         values = (rng.pareto(1.3, size=keys_per_interval) * 100 + 40) * scale
         batches.append(
-            KeyedUpdates(index=t, keys=keys, values=values, duration=300.0)
+            KeyedUpdates(index=t, keys=keys, values=values)
         )
     return batches
 

@@ -74,7 +74,6 @@ class TestAdaptiveDetector:
                 index=batch.index + 10,
                 keys=batch.keys,
                 values=batch.values,
-                duration=batch.duration,
             )
         detector = AdaptiveDetector(
             schema, model="ewma", min_history=6, window=8, recalibrate_every=5
@@ -94,7 +93,6 @@ class TestAdaptiveDetector:
             index=target.index,
             keys=np.concatenate([target.keys, [424242]]).astype(np.uint64),
             values=np.concatenate([target.values, [5e6]]),
-            duration=target.duration,
         )
         detector = AdaptiveDetector(
             schema, model="ewma", t_fraction=0.2, min_history=4,
@@ -139,7 +137,6 @@ class TestRecalibrationCadence:
                 index=batch.index + 5,
                 keys=batch.keys,
                 values=batch.values,
-                duration=batch.duration,
             )
             for batch in make_batches(rng, intervals=18)
         ]
@@ -161,7 +158,7 @@ class TestZeroThreshold:
         keys = np.array([11, 22, 33], dtype=np.uint64)
         values = np.array([100.0, 200.0, 300.0])
         batches = [
-            KeyedUpdates(index=t, keys=keys, values=values, duration=300.0)
+            KeyedUpdates(index=t, keys=keys, values=values)
             for t in range(12)
         ]
         reports = list(AdaptiveDetector(schema, model="ma").run(batches))

@@ -82,7 +82,7 @@ class TestExplainAlarm:
     def test_validation(self, scenario):
         records, dos_event, _ = scenario
         with pytest.raises(ValueError):
-            explain_alarm(records, dos_event.keys[0], interval=-1)
+            explain_alarm(records, dos_event.keys[0], interval=True)
         with pytest.raises(ValueError):
             explain_alarm(records, dos_event.keys[0], interval=0,
                           interval_seconds=0)
@@ -113,8 +113,9 @@ class TestIntervalBinning:
         assert (five.record_count, five.total_bytes) == (1, 100.0)
         assert (six.record_count, six.total_bytes) == (2, 600.0)
         assert five.history_ratio == float("inf")
-        # Six trailing intervals hold only the 100-byte record.
-        assert six.history_ratio == pytest.approx(600.0 / (100.0 / 6))
+        # The history starts at the first record's interval, 5, which
+        # holds only the 100-byte record.
+        assert six.history_ratio == 600.0 / 100.0
 
     def test_non_finite_timestamp_raises(self):
         records = make_records([1.0, float("nan")], [7, 7], [100, 200])
@@ -125,3 +126,26 @@ class TestIntervalBinning:
         with pytest.raises(ValueError, match="integer"):
             explain_alarm(self._records(), 7, interval=5.0,
                           interval_seconds=self.INTERVAL)
+
+
+class TestHistoryWindow:
+    """The trailing window covers only intervals a detector saw: every
+    driver's series starts at the trace's first record's interval."""
+
+    def test_history_starts_at_the_first_records_interval(self):
+        # Interval 5 holds 100 bytes; interval 6 holds 600.  The
+        # intervals before 5 are not zero traffic but no traffic seen.
+        records = make_records(
+            [1500.0, 1800.0, 1810.0], [7, 7, 7], [100, 300, 300]
+        )
+        six = explain_alarm(records, 7, interval=6)
+        assert six.history_ratio == 600.0 / 100.0
+
+    def test_negative_interval_explained(self):
+        """A session numbers a negative timestamp's interval negative."""
+        records = make_records(
+            [-600.0, -300.0, -290.0], [7, 7, 7], [100, 200, 400]
+        )
+        explanation = explain_alarm(records, 7, interval=-1)
+        assert (explanation.record_count, explanation.total_bytes) == (2, 600.0)
+        assert explanation.history_ratio == 600.0 / 100.0

@@ -82,7 +82,7 @@ class TestHeavyVersusChange:
                 [mouse_value],
             ])
             batches.append(
-                KeyedUpdates(index=t, keys=keys, values=values, duration=300.0)
+                KeyedUpdates(index=t, keys=keys, values=values)
             )
         return batches
 

@@ -16,7 +16,6 @@ def _with_spike(batches, interval, key=77777777, value=5e6):
         index=target.index,
         keys=np.concatenate([target.keys, [key]]).astype(np.uint64),
         values=np.concatenate([target.values, [value]]),
-        duration=target.duration,
     )
     return batches
 

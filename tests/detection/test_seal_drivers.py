@@ -4,14 +4,16 @@ All detection drivers close an interval through one
 :class:`~repro.detection.session.IntervalSealer`; they differ only in how
 they produce its ``(observed, keys, index)`` input -- chunked or whole,
 per-site and merged over TCP, or replayed from the archive.  On one
-small trace, and on one whose intervals 5 and 6 hold no records, each
-driver's reports (interval, threshold, ``error_l2``, alarms, top-N) must
-equal the reference seal path of :mod:`tests.detection.oracle` bit for
-bit, for EWMA with two-pass keys and for an invertible schema with
-invertible recovery (two drivers run two-pass keys there; see
-:data:`TWO_PASS_ONLY`).  Byte counts are integral, so every COMBINE of
-partial sketches is exact.  The batch detectors seal each batch as one
-whole interval, so they refuse a chunked or decreasing stream.
+small trace, on one whose intervals 5 and 6 hold no records, and on one
+that starts at 1,500 s, where every driver's series opens at interval 5,
+each driver's reports (interval, threshold, ``error_l2``, alarms, top-N)
+must equal the reference seal path of :mod:`tests.detection.oracle` over
+:class:`~repro.streams.model.IntervalStream` bit for bit, for EWMA with
+two-pass keys and for an invertible schema with invertible recovery
+(two drivers run two-pass keys there; see :data:`TWO_PASS_ONLY`).  Byte
+counts are integral, so every COMBINE of partial sketches is exact.
+The batch detectors seal each batch as one whole interval, so they
+refuse a chunked or decreasing stream.
 """
 
 import numpy as np
@@ -59,6 +61,19 @@ def gap_trace(rng):
     n = 4000
     timestamps = np.sort(rng.uniform(0, 10 * INTERVAL, n))
     timestamps[timestamps >= 5 * INTERVAL] += 2 * INTERVAL
+    return make_records(
+        timestamps=timestamps,
+        dst_ips=rng.integers(0, 400, n).astype(np.uint32),
+        byte_counts=rng.integers(40, 1500, n).astype(np.uint64),
+    )
+
+
+@pytest.fixture
+def late_trace(rng):
+    """First record at 1,500 s (interval 5), last inside interval 16."""
+    n = 4000
+    timestamps = np.sort(rng.uniform(5 * INTERVAL, 16.5 * INTERVAL, n))
+    timestamps[0] = 5 * INTERVAL
     return make_records(
         timestamps=timestamps,
         dst_ips=rng.integers(0, 400, n).astype(np.uint32),
@@ -128,7 +143,7 @@ DRIVERS = {
 TWO_PASS_ONLY = ("archive_replay", "loopback")
 
 
-def _check_against_reference(records, config, driver):
+def _check_against_reference(records, config, driver, first_report=1):
     schema_cls, key_source = CONFIGS[config]
     schema = schema_cls(depth=5, width=1024, seed=11)
     if driver in TWO_PASS_ONLY:
@@ -139,7 +154,10 @@ def _check_against_reference(records, config, driver):
         t_fraction=T_FRACTION, top_n=TOP_N, key_source=key_source,
         alpha=ALPHA,
     )
-    assert len(reference) == 11  # 12 intervals, one warm-up
+    # 12 intervals, the first a warm-up.
+    assert [r.index for r in reference] == list(
+        range(first_report, first_report + 11)
+    )
     assert any(r.alarms for r in reference)
     assert_reports_identical(got, reference)
 
@@ -156,6 +174,14 @@ def test_empty_intervals_seal_like_the_reference(gap_trace, config, driver):
     """Intervals with no records seal empty on every path: the batch
     detectors fill the indices ``iter_interval_columns`` skips."""
     _check_against_reference(gap_trace, config, driver)
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+@pytest.mark.parametrize("config", CONFIGS)
+def test_late_start_seals_like_the_reference(late_trace, config, driver):
+    """A trace that starts at 1,500 s opens interval 5 on every path, so
+    no driver seals, or warms its forecast on, intervals 0-4."""
+    _check_against_reference(late_trace, config, driver, first_report=6)
 
 
 BATCH_DETECTORS = {

@@ -646,13 +646,15 @@ ARRIVAL_INTERVAL = 60.0
 
 @st.composite
 def _arrivals(draw):
-    """An integral-valued, time-ordered trace that starts in interval 0 and
-    may skip intervals, cut into arbitrary chunks shuffled inside."""
+    """An integral-valued, time-ordered trace that starts in interval 0, 1
+    or 7 and may skip intervals, cut into arbitrary chunks shuffled
+    inside."""
+    first = draw(st.sampled_from([0, 1, 7]))
     counts = draw(st.lists(st.integers(0, 12), min_size=2, max_size=6))
     counts[0] = max(counts[0], 1)
     timestamps = [
         index * ARRIVAL_INTERVAL + offset
-        for index, count in enumerate(counts)
+        for index, count in enumerate(counts, start=first)
         for offset in sorted(
             draw(st.lists(st.integers(0, 59), min_size=count, max_size=count))
         )
@@ -676,8 +678,9 @@ def _arrivals(draw):
 
 
 class TestArrivalInvariance:
-    """Record chunks of any size and inner order, columnar blocks, and the
-    whole-interval reference give identical reports."""
+    """Record chunks of any size and inner order, columnar blocks, the
+    two-pass detector and the whole-interval reference give identical
+    reports, wherever the trace starts."""
 
     @pytest.mark.parametrize("invertible", [False, True], ids=["kary", "invertible"])
     @given(arrivals=_arrivals())
@@ -704,10 +707,21 @@ class TestArrivalInvariance:
             for r in columnar.ingest_columns(block)
         ]
         by_blocks += columnar.flush()
+        detector = OfflineTwoPassDetector(
+            schema, "ewma", alpha=0.5, t_fraction=0.05, top_n=4,
+            key_source=key_source,
+        )
+        by_stream = list(detector.run(IntervalStream(records, ARRIVAL_INTERVAL)))
+        by_columns = list(
+            detector.run(iter_interval_columns(records, ARRIVAL_INTERVAL))
+        )
         reference = oracle_reports(
             schema, "ewma", IntervalStream(records, ARRIVAL_INTERVAL),
             t_fraction=0.05, top_n=4, key_source=key_source, alpha=0.5,
         )
-        assert len(reference) == int(records["timestamp"][-1] // ARRIVAL_INTERVAL)
-        assert_reports_identical(by_chunks, reference)
-        assert_reports_identical(by_blocks, reference)
+        first, last = records["timestamp"][[0, -1]] // ARRIVAL_INTERVAL
+        assert [r.index for r in reference] == list(
+            range(int(first) + 1, int(last) + 1)
+        )
+        for got in (by_chunks, by_blocks, by_stream, by_columns):
+            assert_reports_identical(got, reference)

@@ -5,7 +5,13 @@ import pytest
 
 from repro.detection import OfflineTwoPassDetector
 from repro.sketch import ExactSchema, KArySchema
-from repro.streams import IntervalStream, concat_records, make_records, sort_by_time
+from repro.streams import (
+    IntervalStream,
+    concat_records,
+    iter_interval_columns,
+    make_records,
+    sort_by_time,
+)
 from repro.streams.model import KeyedUpdates
 
 from tests.conftest import make_batches
@@ -19,7 +25,6 @@ def _spiked_batches(rng, spike_key=99999999, spike_interval=8, spike_value=5e6):
         index=target.index,
         keys=np.concatenate([target.keys, [spike_key]]).astype(np.uint64),
         values=np.concatenate([target.values, [spike_value]]),
-        duration=target.duration,
     )
     return batches
 
@@ -161,18 +166,28 @@ class TestDetectMany:
         )
         assert_reports_identical(got, expected)
 
-    def test_misaligned_streams_rejected(self, schema):
-        def batch(index):
-            return KeyedUpdates(
-                index=index,
-                keys=np.array([1], dtype=np.uint64),
-                values=np.array([1.0]),
-                duration=300.0,
-            )
-
-        detector = OfflineTwoPassDetector(schema, "ewma", alpha=0.5)
-        with pytest.raises(ValueError, match="interval index"):
-            detector.detect_many([[batch(0)], [batch(1)]])
+    @pytest.mark.parametrize("shift", [0.0, 1500.0, 2100.0])
+    def test_different_spans_match_merged_trace(self, rng, schema, shift):
+        """Streams are aligned by interval index over the union of their
+        spans: a 3,600 s trace and a 1,800 s one shifted by ``shift``
+        end (0), start and end (1,500 s) in different intervals, or leave
+        intervals 3-6 to no stream (2,100 s, against a 900 s trace)."""
+        a = _records(rng, n=6000, duration=3600.0)
+        b = _records(rng, n=3000, duration=1800.0)
+        if shift == 2100.0:
+            a = a[a["timestamp"] < 900.0]
+        b["timestamp"] += shift
+        detector = OfflineTwoPassDetector(schema, "ewma", alpha=0.5, t_fraction=0.1)
+        expected = detector.detect(
+            IntervalStream(sort_by_time(concat_records([a, b])), 300.0)
+        )
+        last = int(max(a["timestamp"].max(), b["timestamp"].max()) // 300)
+        assert [r.index for r in expected] == list(range(1, last + 1))
+        for streams in (
+            [IntervalStream(a, 300.0), IntervalStream(b, 300.0)],
+            [iter_interval_columns(b, 300.0), iter_interval_columns(a, 300.0)],
+        ):
+            assert_reports_identical(detector.detect_many(streams), expected)
 
     def test_empty_stream_list(self, schema):
         detector = OfflineTwoPassDetector(schema, "ewma", alpha=0.5)

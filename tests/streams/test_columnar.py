@@ -42,7 +42,6 @@ class TestIterIntervalColumns:
         assert len(blocks) == len(chunks)
         for block, chunk in zip(blocks, chunks):
             assert block.index == int(chunk["timestamp"][0] // INTERVAL)
-            assert block.duration == INTERVAL
             assert len(block) == len(chunk)
             np.testing.assert_array_equal(
                 block.keys, key_scheme.extract(chunk).astype(np.uint64)

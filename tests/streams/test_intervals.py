@@ -5,36 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.detection import PrefixDrilldown
 from repro.streams import (
     IntervalSlicer,
     IntervalStream,
     RandomizedIntervalSlicer,
-    interval_bounds,
     iter_interval_chunks,
     make_records,
-    slice_by_interval,
 )
 from repro.streams.intervals import interval_edge, interval_index
 
 
-class TestIntervalBounds:
-    def test_even_division(self):
-        bounds = interval_bounds(900, 300)
-        assert bounds == [(0, 300), (300, 600), (600, 900)]
-
-    def test_truncated_tail(self):
-        bounds = interval_bounds(700, 300)
-        assert bounds[-1] == (600, 700)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            interval_bounds(100, 0)
+def _fixed_slices(records, interval_seconds):
+    return IntervalSlicer(interval_seconds).slices(records)
 
 
 class TestSliceByInterval:
+    """The fixed slicer yields every interval from the first record's
+    through the last record's, on the one grid ``i * interval_seconds``."""
+
     def test_basic_slicing(self):
         records = make_records([10.0, 100.0, 310.0, 620.0], [1, 2, 3, 4], [1] * 4)
-        slices = dict(slice_by_interval(records, 300.0))
+        slices = dict(_fixed_slices(records, 300.0))
         assert sorted(slices) == [0, 1, 2]
         assert slices[0]["dst_ip"].tolist() == [1, 2]
         assert slices[1]["dst_ip"].tolist() == [3]
@@ -42,25 +34,41 @@ class TestSliceByInterval:
 
     def test_empty_middle_interval_yielded(self):
         records = make_records([10.0, 910.0], [1, 2], [1, 1])
-        slices = dict(slice_by_interval(records, 300.0))
+        slices = dict(_fixed_slices(records, 300.0))
         assert sorted(slices) == [0, 1, 2, 3]
         assert len(slices[1]) == 0
         assert len(slices[2]) == 0
 
     def test_empty_trace(self):
         records = make_records([], [], [])
-        assert list(slice_by_interval(records, 300.0)) == []
+        assert list(_fixed_slices(records, 300.0)) == []
 
     def test_boundary_timestamp_goes_to_next_interval(self):
         records = make_records([300.0], [1], [1])
-        slices = dict(slice_by_interval(records, 300.0))
-        assert len(slices[0]) == 0
+        slices = dict(_fixed_slices(records, 300.0))
+        assert list(slices) == [1]
         assert len(slices[1]) == 1
+
+    def test_starts_at_the_first_records_interval(self):
+        """No empty intervals before the first record: a trace starting
+        at 1,500 s opens interval 5, one before 0 a negative interval,
+        as a streaming session numbers them."""
+        records = make_records([1500.0, 2450.0], [1, 2], [1, 1])
+        assert [i for i, _ in _fixed_slices(records, 300.0)] == [5, 6, 7, 8]
+        records = make_records([-301.0, 10.0], [1, 2], [1, 1])
+        assert [i for i, _ in _fixed_slices(records, 300.0)] == [-2, -1, 0]
+
+    def test_epoch_timestamps_start_at_their_interval(self):
+        t0 = 1.7e9
+        records = make_records([t0, t0 + 900.0], [1, 2], [1, 1])
+        first = next(iter(IntervalStream(records, 300.0)))
+        assert first.index == interval_index(t0, 300.0)
+        assert first.keys.tolist() == [1]
 
     def test_every_record_appears_exactly_once(self, rng):
         timestamps = np.sort(rng.uniform(0, 5000, size=500))
         records = make_records(timestamps, np.arange(500), np.ones(500))
-        total = sum(len(chunk) for _, chunk in slice_by_interval(records, 300.0))
+        total = sum(len(chunk) for _, chunk in _fixed_slices(records, 300.0))
         assert total == 500
 
     @given(st.floats(min_value=1.0, max_value=1000.0))
@@ -71,14 +79,14 @@ class TestSliceByInterval:
         timestamps = np.sort(rng.uniform(0, 3000, size=200))
         records = make_records(timestamps, np.arange(200), np.ones(200))
         seen = []
-        for _, chunk in slice_by_interval(records, interval):
+        for _, chunk in _fixed_slices(records, interval):
             seen.extend(chunk["dst_ip"].tolist())
         assert sorted(seen) == sorted(records["dst_ip"].tolist())
 
     def test_validation(self):
         records = make_records([1.0], [1], [1])
         with pytest.raises(ValueError):
-            list(slice_by_interval(records, 0))
+            list(_fixed_slices(records, 0))
 
 
 class TestIntervalSlicer:
@@ -161,17 +169,17 @@ class TestRandomizedSlicer:
 
 
 class TestBoundaryAgreement:
-    """Regression: ``interval_bounds`` and ``slice_by_interval`` must
-    derive every edge by the same multiplication (``start + i * len``).
-    An accumulated running sum drifts in the last ulps for non-dyadic
-    lengths, so edge-exact records landed in different intervals
-    depending on which function the caller consulted."""
+    """Regression: every edge is derived by the same multiplication
+    (``i * len``).  An accumulated running sum drifts in the last ulps
+    for non-dyadic lengths, so edge-exact records landed in different
+    intervals depending on which derivation the caller consulted."""
 
     def test_bounds_edges_are_multiplicative(self):
         interval = 300.1  # not representable exactly: accumulation drifts
-        bounds = interval_bounds(interval * 3000, interval)
-        for i, (lo, _) in enumerate(bounds):
-            assert lo == interval_edge(i, interval)
+        edges = [interval_edge(i, interval) for i in range(3000)]
+        records = make_records(edges, range(3000), [1] * 3000)
+        for index, chunk in _fixed_slices(records, interval):
+            assert chunk["timestamp"].tolist() == [edges[index]]
 
     def test_edge_exact_record_lands_where_bounds_say(self):
         interval = 300.1
@@ -183,14 +191,11 @@ class TestBoundaryAgreement:
         records = make_records([product], [9], [1])
         slices = {
             index: chunk
-            for index, chunk in slice_by_interval(records, interval)
+            for index, chunk in _fixed_slices(records, interval)
             if len(chunk)
         }
-        # The record sits exactly on edge 2500, so it opens interval 2500
-        # -- same interval the bounds list assigns it to.
+        # The record sits exactly on edge 2500, so it opens interval 2500.
         assert list(slices) == [2500]
-        lo, hi = interval_bounds(product + 1.0, interval)[2500]
-        assert lo <= product < hi
 
     def test_edge_exact_records_across_many_edges(self):
         interval = 0.1  # classic repeating-fraction float
@@ -199,71 +204,36 @@ class TestBoundaryAgreement:
         records = make_records(timestamps, range(len(indices)), [1] * len(indices))
         landed = {
             index
-            for index, chunk in slice_by_interval(records, interval)
+            for index, chunk in _fixed_slices(records, interval)
             if len(chunk)
         }
         assert landed == set(indices)
 
 
 class TestBeforeStart:
-    """Regression: records predating ``start`` used to vanish silently."""
+    """A randomized slicer's edges start at its ``start``: records before
+    it belong to no interval and raise, before any slice.  The fixed
+    slicer has no start; its grid covers every timestamp."""
 
     def test_raises_by_default_with_count(self):
         records = make_records([5.0, 7.0, 150.0], [1, 2, 3], [1, 1, 1])
+        slicer = RandomizedIntervalSlicer(300.0, seed=1, start=10.0)
         with pytest.raises(ValueError, match="2 record"):
-            list(slice_by_interval(records, 300.0, start=10.0))
-
-    def test_drop_mode_counts_into_stats(self):
-        records = make_records([5.0, 7.0, 150.0], [1, 2, 3], [1, 1, 1])
-        stats = {}
-        slices = dict(
-            slice_by_interval(
-                records, 300.0, start=10.0,
-                on_before_start="drop", stats=stats,
-            )
-        )
-        assert stats["dropped_before_start"] == 2
-        assert slices[0]["dst_ip"].tolist() == [3]
+            next(slicer.slices(records))
 
     def test_whole_trace_before_start(self):
         records = make_records([1.0, 2.0], [1, 2], [1, 1])
-        stats = {}
-        slices = list(
-            slice_by_interval(
-                records, 300.0, start=100.0,
-                on_before_start="drop", stats=stats,
-            )
-        )
-        assert slices == []
-        assert stats["dropped_before_start"] == 2
-
-    def test_invalid_mode_rejected(self):
-        records = make_records([1.0], [1], [1])
-        with pytest.raises(ValueError, match="on_before_start"):
-            list(slice_by_interval(records, 300.0, on_before_start="ignore"))
-
-    def test_slicer_accumulates_dropped_across_calls(self):
-        slicer = IntervalSlicer(300.0, start=10.0, on_before_start="drop")
-        for _ in range(2):
-            list(slicer.slices(make_records([1.0, 20.0], [1, 2], [1, 1])))
-        assert slicer.dropped_before_start == 2
-
-    def test_slicer_raises_by_default(self):
-        slicer = IntervalSlicer(300.0, start=10.0)
-        with pytest.raises(ValueError, match="predate"):
-            list(slicer.slices(make_records([1.0], [1], [1])))
+        slicer = RandomizedIntervalSlicer(300.0, seed=1, start=100.0)
+        with pytest.raises(ValueError, match="predate start=100.0"):
+            next(slicer.slices(records))
+        assert [i for i, _ in IntervalSlicer(300.0).slices(records)] == [0]
 
     def test_randomized_slicer_same_contract(self):
+        """``IntervalStream`` over a randomized slicer raises alike."""
         records = make_records([1.0, 500.0], [1, 2], [1, 1])
-        strict = RandomizedIntervalSlicer(300.0, seed=1, start=10.0)
-        with pytest.raises(ValueError, match="predate"):
-            list(strict.slices(records))
-        lenient = RandomizedIntervalSlicer(
-            300.0, seed=1, start=10.0, on_before_start="drop"
-        )
-        total = sum(len(chunk) for _, chunk in lenient.slices(records))
-        assert total == 1
-        assert lenient.dropped_before_start == 1
+        slicer = RandomizedIntervalSlicer(300.0, seed=1, start=10.0)
+        with pytest.raises(ValueError, match="1 record.*predate"):
+            next(iter(IntervalStream(records, slicer=slicer)))
 
 
 class TestNonFiniteTimestamps:
@@ -271,10 +241,10 @@ class TestNonFiniteTimestamps:
 
     Unchecked, ``iter_interval_chunks`` puts a NaN record into the next
     interval's chunk and a ``+inf`` one into a chunk with finite records,
-    and ``slice_by_interval`` keeps a NaN inside an interval."""
+    and the fixed slicer kept a NaN inside an interval."""
 
     SLICERS = {
-        "slice_by_interval": lambda r: slice_by_interval(r, 60.0),
+        "PrefixDrilldown": lambda r: PrefixDrilldown(levels=(8, 32)).run(r, 60.0),
         "IntervalSlicer": lambda r: IntervalSlicer(60.0).slices(r),
         "RandomizedIntervalSlicer": lambda r: RandomizedIntervalSlicer(
             60.0, seed=1, horizon=1000.0
@@ -305,15 +275,15 @@ class TestAdversarialFloatPartition:
     timestamps."""
 
     @staticmethod
-    def _assert_partition(timestamps, interval, start=0.0):
+    def _assert_partition(timestamps, interval):
         timestamps = np.sort(np.asarray(timestamps, dtype=np.float64))
         records = make_records(
             timestamps, np.arange(len(timestamps)), np.ones(len(timestamps))
         )
         seen = []
-        for index, chunk in slice_by_interval(records, interval, start):
-            lo = interval_edge(index, interval, start)
-            hi = interval_edge(index + 1, interval, start)
+        for index, chunk in _fixed_slices(records, interval):
+            lo = interval_edge(index, interval)
+            hi = interval_edge(index + 1, interval)
             for t in chunk["timestamp"].tolist():
                 assert lo <= t < hi
             seen.extend(chunk["dst_ip"].tolist())
@@ -326,22 +296,19 @@ class TestAdversarialFloatPartition:
                       allow_nan=False, allow_infinity=False),
         ),
         indices=st.lists(
-            st.integers(min_value=0, max_value=20000),
+            st.integers(min_value=-10000, max_value=10000),
             min_size=1, max_size=40,
         ),
-        start=st.sampled_from([0.0, 17.3, 1e6]),
     )
     @settings(max_examples=120, deadline=None)
-    def test_edge_and_neighbor_timestamps(self, interval, indices, start):
+    def test_edge_and_neighbor_timestamps(self, interval, indices):
         timestamps = []
         for i in indices:
-            edge = interval_edge(i, interval, start)
+            edge = interval_edge(i, interval)
             timestamps.append(edge)
             timestamps.append(np.nextafter(edge, np.inf))
-            below = np.nextafter(edge, -np.inf)
-            if below >= start:
-                timestamps.append(below)
-        self._assert_partition(timestamps, interval, start)
+            timestamps.append(np.nextafter(edge, -np.inf))
+        self._assert_partition(timestamps, interval)
 
     def test_accumulated_drift_grid(self):
         # Timestamps produced by the *accumulating* derivation -- the one
@@ -455,17 +422,18 @@ class TestRecordOrder:
     record in the same interval through every slicer, both chunkers and
     one ``ingest`` call.  Timestamps sit on edges and one ulp either side
     at the non-dyadic lengths 59.97 s and 300.1 s, with empty gap
-    intervals between them and records before ``start``, which the
-    slicers drop.  Before the slicers sorted, they cut a shuffled trace at
-    edges found by binary search in unsorted timestamps."""
+    intervals between them and records before 0, which the randomized
+    slicer (edges drawn from 0) refuses.  Before the slicers sorted, they
+    cut a shuffled trace at edges found by binary search in unsorted
+    timestamps."""
 
     RANDOM_SEED = 3
 
     @classmethod
-    def _randomized(cls, interval, **kwargs):
+    def _randomized(cls, interval):
         # Edges drawn well past the last timestamp the test makes.
         return RandomizedIntervalSlicer(
-            interval, seed=cls.RANDOM_SEED, horizon=100 * interval, **kwargs
+            interval, seed=cls.RANDOM_SEED, horizon=100 * interval
         )
 
     @staticmethod
@@ -496,23 +464,12 @@ class TestRecordOrder:
 
         def sliced(make):
             def run(records):
-                slicer = make()
-                slices = self._slices(slicer.slices(records))
-                return _landed(slices), (slices, slicer.dropped_before_start)
+                slices = self._slices(make().slices(records))
+                return _landed(slices), slices
             return run
 
-        def stats_sliced(records):
-            stats = {}
-            slices = self._slices(
-                slice_by_interval(records, interval, on_before_start="drop",
-                                  stats=stats)
-            )
-            return _landed(slices), (slices, stats)
-
         def streamed(records):
-            stream = IntervalStream(
-                records, slicer=IntervalSlicer(interval, on_before_start="drop")
-            )
+            stream = IntervalStream(records, interval)
             batches = [(b.index, sorted(b.keys.tolist())) for b in stream]
             return _landed(batches), batches
 
@@ -533,12 +490,9 @@ class TestRecordOrder:
             return _landed(sealed), sealed
 
         return {
-            "slice_by_interval": stats_sliced,
-            "IntervalSlicer": sliced(
-                lambda: IntervalSlicer(interval, on_before_start="drop")
-            ),
+            "IntervalSlicer": sliced(lambda: IntervalSlicer(interval)),
             "RandomizedIntervalSlicer": sliced(
-                lambda: self._randomized(interval, on_before_start="drop")
+                lambda: self._randomized(interval)
             ),
             "IntervalStream": streamed,
             "iter_interval_chunks": chunked,
@@ -549,7 +503,7 @@ class TestRecordOrder:
     PATHS = [
         "IntervalSlicer", "IntervalStream", "RandomizedIntervalSlicer",
         "StreamingSession.ingest", "iter_interval_chunks",
-        "iter_interval_columns", "slice_by_interval",
+        "iter_interval_columns",
     ]
 
     @pytest.mark.parametrize("path", PATHS)
@@ -587,14 +541,16 @@ class TestRecordOrder:
         shuffled = trace[np.asarray(data.draw(st.permutations(range(n))))]
 
         run = self._paths(interval)[path]
+        if path == "RandomizedIntervalSlicer" and timestamps[0] < 0:
+            for records in (trace, shuffled):
+                with pytest.raises(ValueError, match="predate"):
+                    run(records)
+            return
         landed, rest = run(trace)
         assert run(shuffled) == (landed, rest)
         if path != "RandomizedIntervalSlicer":
             expected = {
                 i: interval_index(t, interval)
                 for i, t in enumerate(timestamps.tolist(), start=1)
-                if t >= 0 or path in ("iter_interval_chunks",
-                                      "iter_interval_columns",
-                                      "StreamingSession.ingest")
             }
             assert landed == expected

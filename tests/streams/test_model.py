@@ -36,8 +36,8 @@ class TestIntervalStream:
         assert batches[0].values.tolist() == [1.0, 1.0]
 
     def test_duration(self, records):
-        batches = list(IntervalStream(records, interval_seconds=60.0))
-        assert batches[0].duration == 60.0
+        stream = IntervalStream(records, interval_seconds=60.0)
+        assert [stream.slicer.duration_of(b.index) for b in stream] == [60.0] * 11
 
     def test_normalize_by_duration(self, records):
         batches = list(
@@ -50,16 +50,11 @@ class TestIntervalStream:
         batches = list(IntervalStream(records, slicer=slicer))
         assert sum(len(b) for b in batches) == len(records)
 
-    def test_interval_count(self, records):
-        stream = IntervalStream(records, interval_seconds=300.0)
-        assert stream.interval_count() == 3
-
     def test_items_iteration(self):
         batch = KeyedUpdates(
             index=0,
             keys=np.array([1, 2], dtype=np.uint64),
             values=np.array([3.0, 4.0]),
-            duration=300.0,
         )
         assert list(batch.items()) == [StreamItem(1, 3.0), StreamItem(2, 4.0)]
         assert len(batch) == 2

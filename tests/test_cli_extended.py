@@ -189,3 +189,60 @@ class TestRecordOrder:
         if command == "monitor":
             assert ordered[-1].startswith("monitored ")
             assert "30 chunks (6 intervals sealed)" in ordered[-1]
+
+
+class TestLateStart:
+    """Every subcommand numbers intervals on one grid and starts at the
+    first record's interval.  On a trace that starts at 1,500 s,
+    ``detect`` prints the interval lines ``monitor`` and ``checkpoint``
+    followed by ``resume`` print, and ``sketch`` and ``drilldown`` start
+    at interval 5.  When the two-pass commands sliced from t = 0,
+    ``detect`` printed 10 lines against ``monitor``'s 5, the first four
+    for intervals with no records."""
+
+    MODEL = ["--interval", "300", "--width", "1024", "--top-n", "3",
+             "--threshold", "0.02"]
+
+    @pytest.fixture
+    def late(self, trace, tmp_path):
+        from repro.streams import read_trace, write_trace
+
+        records = read_trace(trace)
+        records["timestamp"] += 1500.0
+        path = tmp_path / "late.bin"
+        write_trace(path, records)
+        return path
+
+    @staticmethod
+    def _intervals(argv, capsys):
+        capsys.readouterr()
+        assert main([str(a) for a in argv]) == 0
+        return [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("interval")]
+
+    def test_detect_prints_what_the_session_prints(self, late, tmp_path, capsys):
+        detect = self._intervals(["detect", late, *self.MODEL], capsys)
+        assert [int(line.split()[1]) for line in detect] == [6, 7, 8, 9, 10]
+        monitor = self._intervals(
+            ["monitor", late, "--chunk-seconds", "60", *self.MODEL], capsys
+        )
+        assert monitor == detect
+        checkpoint = tmp_path / "late.kcp"
+        resumed = self._intervals(
+            ["checkpoint", late, "--until", "2400", "--out", checkpoint,
+             *self.MODEL], capsys,
+        ) + self._intervals(["resume", checkpoint, late], capsys)
+        assert resumed == detect
+
+    def test_sketch_and_drilldown_start_at_the_first_records_interval(
+        self, late, tmp_path, capsys
+    ):
+        out = tmp_path / "sketches"
+        assert main(["sketch", str(late), "--out-dir", str(out),
+                     "--width", "256", "--depth", "3"]) == 0
+        assert sorted(p.name for p in out.iterdir())[0] == "interval_00005.ksk"
+        reports = self._intervals(
+            ["drilldown", late, "--levels", "8,24", "--threshold", "0.1",
+             "--verbose"], capsys,
+        )
+        assert reports[0].startswith("interval 6")

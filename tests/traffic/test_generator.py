@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.streams import slice_by_interval, validate_records
+from repro.streams import IntervalSlicer, validate_records
 from repro.traffic import TrafficGenerator, get_profile
 from repro.traffic.routers import RouterProfile
 
@@ -66,7 +66,7 @@ class TestGenerator:
     def test_no_empty_intervals(self, small_trace):
         """Every analysis interval should contain traffic."""
         records, _ = small_trace
-        for _, chunk in slice_by_interval(records, 300.0):
+        for _, chunk in IntervalSlicer(300.0).slices(records):
             assert len(chunk) > 0
 
     def test_validation(self):
